@@ -7,22 +7,15 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 import mpmath
 
 from .errors import BudgetExceeded
+from .fastpath import Line1D, scale_fraction, threshold_bounds
 from .lattice import ApproxMatrix, iter_shell, shell_size
-from .numeric import (
-    Comparable,
-    RatInterval,
-    compare,
-    dec_str,
-    dist_to_int,
-    enclose,
-    floor_exact,
-    lt,
-)
+from .numeric import compare, dec_str, dist_to_int, enclose
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +92,9 @@ def weyl_sum(
         coeff_mid.append((acc_lo + acc_hi) / 2)
         coeff_err = max(coeff_err, (acc_hi - acc_lo) / 2)
 
-    two_pi_err = Fraction(0)
+    # |d/dx e^{2 pi i x}| = 2 pi < 7, and the phase error at ||q|| = s is at
+    # most n s coeff_err: the sum over all points in closed form
+    two_pi_err = 7 * A.n * coeff_err * sum(s * shell_size(A.n, s) for s in range(1, N + 1))
     re_sum = mpmath.mpf(0)
     im_sum = mpmath.mpf(0)
     with mpmath.workprec(PHASE_PREC):
@@ -110,8 +105,6 @@ def weyl_sum(
                 t = mpmath.mpf(frac.numerator) / frac.denominator
                 re_sum += mpmath.cospi(2 * t)
                 im_sum += mpmath.sinpi(2 * t)
-                # |d/dx e^{2 pi i x}| = 2 pi < 7
-                two_pi_err += 7 * A.n * s * coeff_err
 
     re_mid = _mpf_to_fraction(re_sum)
     im_mid = _mpf_to_fraction(im_sum)
@@ -151,6 +144,58 @@ class CountingResult:
         }
 
 
+class _Ball:
+    """A torus ball B(center, radius) prepared for certified membership:
+    the scaled center (within 1 unit) and integer bounds on the radius."""
+
+    def __init__(self, line: Line1D, center: Sequence[Fraction], radius: Fraction):
+        self.center = tuple(Fraction(x) for x in center)
+        self.radius = Fraction(radius)
+        if not (0 < self.radius <= Fraction(1, 2)):
+            raise ValueError("radius must lie in (0, 1/2]")
+        self.c_scaled = tuple(scale_fraction(x, line.shift) for x in self.center)
+        self.r_lo, self.r_hi = threshold_bounds(self.radius, line.shift)
+
+    def exact_member(self, A: ApproxMatrix, q: tuple[int, ...]) -> tuple[bool, bool]:
+        """(inside, on the boundary) by exact comparison of every coordinate;
+        an undecided comparison counts as inside."""
+        hit_boundary = False
+        for v, ctr in zip(A.apply(q), self.center):
+            cmp = compare(dist_to_int(v - ctr), self.radius)
+            if cmp.kind == "greater":
+                return False, False
+            if cmp.kind == "equal":
+                hit_boundary = True
+        return True, hit_boundary
+
+
+def _shell_count(A: ApproxMatrix, line: Line1D, ball: _Ball, s: int) -> tuple[int, int]:
+    """(members, boundary hits) of the closed ball among the points of shell
+    s.  Integer bounds decide a point strictly inside or outside; a point
+    inside the margin, including every exact boundary hit, is compared
+    exactly."""
+    count = boundary = 0
+    r_lo, r_hi, c_scaled = ball.r_lo, ball.r_hi, ball.c_scaled
+    for q in iter_shell(A.n, s):
+        d_lo, d_hi = line.dist_bounds(q, c_scaled, 1)
+        if d_hi < r_lo:
+            count += 1
+        elif d_lo <= r_hi:
+            inside, hit = ball.exact_member(A, q)
+            count += inside
+            boundary += hit
+    return count, boundary
+
+
+def _check_horizon(n: int, N: int, budget: int) -> int:
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    total = (2 * N + 1) ** n
+    if total > budget:
+        raise BudgetExceeded(f"{total} lattice points exceed budget {budget}")
+    return total
+
+
 def counting_report(
     A: ApproxMatrix,
     ball: tuple[Sequence[Fraction], Fraction],
@@ -162,36 +207,16 @@ def counting_report(
     Membership is strict interior; an exact boundary hit is counted as a
     member and logged.
     """
-    center, radius = ball
-    center = tuple(Fraction(x) for x in center)
-    radius = Fraction(radius)
-    if not (0 < radius <= Fraction(1, 2)):
-        raise ValueError("radius must lie in (0, 1/2]")
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    total = (2 * N + 1) ** A.n
-    if total > budget:
-        raise BudgetExceeded(f"{total} lattice points exceed budget {budget}")
-    if radius == Fraction(1, 2):
+    line = Line1D(A)
+    ball = _Ball(line, *ball)
+    total = _check_horizon(A.n, N, budget)
+    if ball.radius == Fraction(1, 2):
         return CountingResult(Fraction(1), total, total, 0)
-    count = 0
-    boundary = 0
+    count = boundary = 0
     for s in range(0, N + 1):
-        for q in iter_shell(A.n, s):
-            inside = True
-            hit_boundary = False
-            for v, ctr in zip(A.apply(q), center):
-                d = dist_to_int(v - ctr)
-                cmp = compare(d, radius)
-                if cmp.kind == "greater":
-                    inside = False
-                    break
-                if cmp.kind == "equal":
-                    hit_boundary = True
-            if inside:
-                count += 1
-                if hit_boundary:
-                    boundary += 1
+        c, h = _shell_count(A, line, ball, s)
+        count += c
+        boundary += h
     if boundary:
         log.info("counting_report: %d exact boundary hits counted as members", boundary)
     return CountingResult(Fraction(count, total), count, total, boundary)
@@ -235,18 +260,32 @@ def estimate_equid_constant(
     ubiquity_params; the true constant is not effectively computable."""
     if not ball_family or not l_values:
         raise ValueError("need at least one ball and one horizon")
+    ls = sorted(l_values)
+    line = Line1D(A)
+    balls = [_Ball(line, center, min(2 * Fraction(r), Fraction(1, 2))) for center, r in ball_family]
+    _check_horizon(A.n, ls[0], budget)
+    _check_horizon(A.n, ls[-1], budget)
+    # counts[k][i]: members of ball k with ||q|| <= ls[i], from one pass per ball
+    counts: list[list[int]] = []
+    for b in balls:
+        if b.radius == Fraction(1, 2):
+            counts.append([(2 * l + 1) ** A.n for l in ls])
+            continue
+        shells = [_shell_count(A, line, b, s) for s in range(ls[-1] + 1)]
+        members = list(accumulate(c for c, _ in shells))
+        boundary = sum(h for _, h in shells)
+        if boundary:
+            log.info("estimate_equid_constant: %d exact boundary hits counted as members", boundary)
+        counts.append([members[l] for l in ls])
     c_hat = Fraction(0)
     table: list[tuple[int, int, Fraction]] = []
-    for l in sorted(l_values):
+    for i, l in enumerate(ls):
         best_row = None
-        for center, radius in ball_family:
-            radius = Fraction(radius)
-            doubled = min(2 * radius, Fraction(1, 2))
-            rep = counting_report(A, (center, doubled), l, budget)
-            vol = (2 * radius) ** A.m
-            ratio = Fraction(rep.count) / (Fraction(l) ** A.n * vol)
+        for (_, radius), row in zip(ball_family, counts):
+            vol = (2 * Fraction(radius)) ** A.m
+            ratio = Fraction(row[i]) / (Fraction(l) ** A.n * vol)
             if best_row is None or ratio > best_row[2]:
-                best_row = (l, rep.count, ratio)
+                best_row = (l, row[i], ratio)
             c_hat = max(c_hat, ratio)
         table.append(best_row)
     return EquidConstant(c_hat, 2 * c_hat, table)

@@ -1,6 +1,6 @@
-"""Scaled-integer kernels for 1D torus membership at large horizons.
+"""Scaled-integer kernels for certified lattice scans and 1D torus membership.
 
-Centers q*alpha mod 1 are tracked as integers at a fixed binary scale with a
+Centers Aq mod 1 are tracked as integers at a fixed binary scale with a
 certified accumulated-error margin.  Every decision is either made with the
 margin strictly cleared or handed to the exact arithmetic fallback, so the
 fast path can never flip a verdict."""
@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from itertools import repeat
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .numeric import enclose
@@ -22,30 +24,74 @@ def scale_fraction(x: Fraction, shift: int = SHIFT) -> int:
     return (x.numerator << shift) // x.denominator
 
 
-class Line1D:
-    """Integer model of q |-> q*alpha mod 1 with certified error bounds."""
+def threshold_bounds(thr, shift: int = SHIFT) -> tuple[int, int]:
+    """Integers [lo, hi] with lo <= thr * 2^shift <= hi, for a threshold given
+    as an exact value or a `Radical` (e.g. Radical(C_pow, m))."""
+    t_lo, t_hi = enclose(thr, shift)
+    return scale_fraction(t_lo, shift), -scale_fraction(-t_hi, shift)
 
-    def __init__(self, alpha, shift: int = SHIFT):
+
+def _scaled_entry(x, shift: int) -> tuple[int, int]:
+    """(floor-scaled lower end, unit error) of an entry enclosed at
+    2^-(shift + 8); the true scaled value lies within [a, a + err]."""
+    lo, hi = enclose(x, shift + 8)
+    a = scale_fraction(lo, shift)
+    if hi == lo:
+        return a, 1
+    w = hi - lo
+    return a, max(1, -(-w.numerator * (1 << shift) // w.denominator) + 1)
+
+
+class Line1D:
+    """Integer model of q |-> Aq mod 1 with certified error bounds.
+
+    Built from one exact entry alpha (the 1 x 1 matrix [[alpha]]) or from an
+    `ApproxMatrix`; CF entries are enclosed by their convergent interval.
+    """
+
+    def __init__(self, a, shift: int = SHIFT):
         self.shift = shift
         self.mod = 1 << shift
-        lo, hi = enclose(alpha, shift + 8)
-        self.a_lo = scale_fraction(lo, shift)
-        # per-step center error in scaled units
-        self.unit_err = max(1, -(-(hi - lo).numerator * self.mod // (hi - lo).denominator) + 1) if hi != lo else 1
+        rows = getattr(a, "rows", None) or ((a,),)
+        scaled = [[_scaled_entry(x, shift) for x in row] for row in rows]
+        self.m, self.n = len(scaled), len(scaled[0])
+        self.a_rows = tuple(tuple(lo for lo, _ in row) for row in scaled)
+        self.err_rows = tuple(tuple(err for _, err in row) for row in scaled)
+        # the 1 x 1 model used by center() and integer q
+        self.a_lo, self.unit_err = scaled[0][0]
 
     def center(self, q: int) -> tuple[int, int]:
-        """(scaled center of q*alpha mod 1, error bound), q > 0."""
+        """(scaled center of q*alpha mod 1, error bound), q > 0; 1 x 1 only."""
         return (q * self.a_lo) % self.mod, q * self.unit_err
 
-    def dist_bounds(self, q: int, b_scaled: int, b_err: int = 0) -> tuple[int, int]:
-        """Scaled bounds on ||q*alpha - b||_Z; q may be negative."""
-        c, err = self.center(abs(q))
-        if q < 0:
-            c = (-c) % self.mod
-        v = (c - b_scaled) % self.mod
-        d = min(v, self.mod - v)
-        tot = err + b_err
-        return max(0, d - tot), min(self.mod >> 1, d + tot)
+    def dist_bounds(self, q, b_scaled=0, b_err: int = 0) -> tuple[int, int]:
+        """Scaled bounds on ||Aq - b||_Z in the sup norm.
+
+        q is an int in the 1 x 1 case (either sign) or a length-n tuple;
+        b_scaled is floor(b * 2^shift), one int for every row or a length-m
+        tuple, and the true scaled b lies within b_err of it.  Per row the
+        center is sum_j q_j a_ij mod 2^shift and the error sum_j |q_j| err_ij.
+        """
+        mod = self.mod
+        if isinstance(q, int):
+            # -q has center -c: reduce q * alpha directly for either sign
+            v = (q * self.a_lo - b_scaled) % mod
+            d = min(v, mod - v)
+            tot = abs(q) * self.unit_err + b_err
+            return max(0, d - tot), min(mod >> 1, d + tot)
+        half = mod >> 1
+        bs = repeat(b_scaled) if isinstance(b_scaled, int) else b_scaled
+        absq = tuple(map(abs, q))
+        lo = hi = 0
+        for row, errs, b in zip(self.a_rows, self.err_rows, bs):
+            v = (sum(map(mul, q, row)) - b) % mod
+            d = min(v, mod - v)
+            tot = sum(map(mul, absq, errs)) + b_err
+            if d - tot > lo:
+                lo = d - tot
+            if d + tot > hi:
+                hi = min(half, d + tot)
+        return lo, hi
 
 
 def merge_intervals(raw: Iterable[tuple[int, int]], mod: int) -> list[tuple[int, int]]:

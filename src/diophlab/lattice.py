@@ -12,6 +12,7 @@ from .errors import (
     RankDeficient,
     UnsupportedEntry,
 )
+from .fastpath import Line1D, threshold_bounds
 from .numeric import (
     CFReal,
     Comparable,
@@ -175,13 +176,27 @@ def solve_homogeneous(
 def _solve_homogeneous_pow(
     A: ApproxMatrix, C_pow: Comparable, pw: int, X: int, budget: int
 ) -> Optional[IntVec]:
-    """Same search with the threshold given as C^pw (strict comparison)."""
+    """Same search with the threshold given as C^pw (strict comparison).
+
+    Scaled-integer bounds on ||Aq||_Z and on C decide each point when they
+    separate; only a point inside the margin takes the exact comparison, so
+    the verdict, BudgetExceeded and PrecisionExhausted match the exact scan.
+    """
+    line = Line1D(A)
+    # a threshold C^pw <= 0 admits no point; bounds of 0 leave it to lt()
+    thr = Radical(C_pow, pw) if sign(C_pow) > 0 else Fraction(0)
+    thr_lo, thr_hi = threshold_bounds(thr, line.shift)
     total = 0
     for s in range(1, X):
         total += shell_size(A.n, s)
         if total > budget:
             raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
         for q in iter_shell(A.n, s):
+            d_lo, d_hi = line.dist_bounds(q)
+            if d_hi < thr_lo:
+                return IntVec(q)
+            if d_lo > thr_hi:
+                continue
             d = dist_to_int_vec(A.apply(q))
             if lt(ex_pow(d, pw), C_pow):
                 return IntVec(q)

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
-from .numeric import _nth_root_lower, _nth_root_upper
+from .numeric import _nth_root_upper
 
 T = TypeVar("T")
 U = TypeVar("U")
@@ -84,7 +84,6 @@ def binomial_ci(successes: int, samples: int, z: Fraction = Fraction(196, 100)) 
     z2 = z * z
     center = p + z2 / (2 * n)
     rad2 = p * (1 - p) / n + z2 / (4 * n * n)
-    rad_lo = _nth_root_lower(rad2, 2, 64)
     rad_hi = _nth_root_upper(rad2, 2, 64)
     denom = 1 + z2 / n
     lo = (center - z * rad_hi) / denom

@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import BudgetExceeded
-from .fastpath import Line1D
+from .fastpath import Line1D, threshold_bounds
 from .lattice import (
     DEFAULT_BUDGET,
     ApproxMatrix,
@@ -101,10 +101,7 @@ def _solve_inhomogeneous_1d(
     mod = line.mod
     b_scaled = (b.numerator << line.shift) // b.denominator
     b_err = 0 if (b.numerator << line.shift) % b.denominator == 0 else 1
-    thr = Radical(C_pow, pw)
-    t_lo, t_hi = thr.enclose(line.shift)
-    thr_lo = (t_lo.numerator << line.shift) // t_lo.denominator
-    thr_hi = -((-t_hi.numerator << line.shift) // t_hi.denominator)
+    thr_lo, thr_hi = threshold_bounds(Radical(C_pow, pw), line.shift)
 
     def exact_ok(q: int) -> bool:
         val = A.apply((q,))[0]
@@ -210,6 +207,7 @@ def verify_corollary_3_3(
             raise ValueError(f"level {ell} is not in the return sequence")
     C1_pow_m, X1 = corollary_bounds(epsilon, ell, m, n)
     x_cap = floor_exact(X1)
+    c1_float = float(Radical(C1_pow_m, m))
     out: list[Cor33Target] = []
     for b in targets:
         b = tuple(Fraction(x) for x in b)
@@ -220,7 +218,6 @@ def verify_corollary_3_3(
         diff = [v - t for v, t in zip(A.apply(q), b)]
         d = dist_to_int_vec(diff)
         lhs = dec_str(d)
-        c1_dec = dec_str(Radical(C1_pow_m, m))
-        slack = f"{float(Radical(C1_pow_m, m)) - float(d):.12e}"
+        slack = f"{c1_float - float(d):.12e}"
         out.append(Cor33Target(b, q, lhs, slack, True))
     return Cor33Report(epsilon, ell, m, n, C1_pow_m, X1, out)
