@@ -12,20 +12,19 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
-    BudgetExceeded,
     CoverageGap,
     InsufficientData,
     PrecisionExhausted,
+    RankDeficient,
 )
 from .lattice import (
     ApproxMatrix,
     BestApproxSequence,
     IntVec,
     ReturnSequence,
-    iter_shell,
-    shell_size,
+    scan,
 )
-from .limsup import ApproxFunction, PowerLog, TablePsi, Window
+from .limsup import ApproxFunction, PowerLog, Window
 from .numeric import (
     Comparable,
     Radical,
@@ -33,12 +32,10 @@ from .numeric import (
     compare,
     dec_str,
     dist_to_int,
-    dist_to_int_vec,
     enclose,
     ex_pow,
     le,
     lt,
-    sup_norm,
     _nth_root_lower,
     _nth_root_upper,
 )
@@ -432,19 +429,15 @@ def verify_prop_5_1(
     ks = sorted(set(binding.values()))
     if not b_alpha_test(b, best, alpha, ks, m, n):
         raise ValueError("b fails b_alpha_test on the binding k range")
-    total = sum(shell_size(n, s) for s in w.shells)
-    if total > budget:
-        raise BudgetExceeded(f"{total} lattice points exceed budget {budget}")
+    w.check_budget(n, budget)
     b = tuple(Fraction(x) for x in b)
     violations: list[tuple[int, ...]] = []
     spot = 0
     idx = 0
-    for s in w.shells:
-        for q in iter_shell(n, s):
-            diff = [v - t for v, t in zip(A.apply(q), b)]
-            d = dist_to_int_vec(diff)
+    for s, shell in scan(n, w.shells, budget):
+        for q in shell:
             # ||q||^(n/m) d > thr  <=>  ||q||^n d^m > thr^m
-            if not lt(thr**m, Fraction(s**n) * ex_pow(d, m)):
+            if not lt(thr**m, Fraction(s**n) * ex_pow(A.dist(q, b), m)):
                 violations.append(q)
             idx += 1
             if idx % spot_check_stride == 0:
@@ -467,9 +460,8 @@ def key_inequality_check(
     if len(y.coords) != m or len(q.coords) != n:
         raise ValueError("dimension mismatch")
     lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y.coords)))
-    diff = [v - t for v, t in zip(A.apply(q.coords), b)]
-    d1 = dist_to_int_vec(diff)
-    d2 = dist_to_int_vec(A.apply_transpose(y.coords))
+    d1 = A.dist(q.coords, b)
+    d2 = A.transpose().dist(y.coords)
     rhs = d1 * (m * y.norm) + d2 * (n * q.norm)
     c = compare(lhs, rhs)
     if not c.decided:
@@ -495,14 +487,14 @@ EXACT_HIT = ExactHit()
 @dataclass
 class ExponentEstimate:
     w_hat: "float | ExactHit | None"
-    what_hat: Optional[float]
+    what_hat: "float | ExactHit | None"
     horizons: list[int]
     table: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
             "w_hat": "exact_hit" if isinstance(self.w_hat, ExactHit) else self.w_hat,
-            "what_hat": self.what_hat,
+            "what_hat": "exact_hit" if isinstance(self.what_hat, ExactHit) else self.what_hat,
             "horizons": self.horizons,
             "table": self.table,
         }
@@ -514,16 +506,9 @@ def _best_dist_enclosure(A: ApproxMatrix, b, X: int, budget: int):
     (b = 0 would otherwise be a trivial exact hit)."""
     best_d = None
     best_q = None
-    total = 0
-    for s in range(1, X):
-        total += shell_size(A.n, s)
-        if total > budget:
-            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
-        for q in iter_shell(A.n, s):
-            vec = A.apply(q)
-            if b is not None:
-                vec = [v - t for v, t in zip(vec, b)]
-            d = dist_to_int_vec(vec)
+    for _, shell in scan(A.n, range(1, X), budget):
+        for q in shell:
+            d = A.dist(q, b)
             if best_d is None or lt(d, best_d):
                 best_d = d
                 best_q = q
@@ -559,7 +544,7 @@ def estimate_exponents(
     """Finite-horizon surrogates for the exponents: w_hat(A, b) is the max
     per-horizon best exponent; what_hat(tA) is the min over the schedule
     tail (a "for all large X" stand-in).  A vanishing distance reports the
-    ExactHit sentinel."""
+    ExactHit sentinel; it counts as +infinity in the tail minimum."""
     xs = [int(x) for x in X_schedule]
     if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])) or xs[0] < 2:
         raise ValueError("X_schedule must be increasing with X >= 2")
@@ -571,7 +556,7 @@ def estimate_exponents(
 
         try:
             best = best_approximations(A, xs[-1])
-        except Exception:
+        except (RankDeficient, PrecisionExhausted):
             best = None
     for X in xs:
         row: dict = {"X": X}
@@ -592,9 +577,11 @@ def estimate_exponents(
             d, _ = _best_dist_enclosure(A.transpose(), None, X, budget)
         if d is not None:
             e = _exponent(d, X)
-            row["what"] = e
-            hom_exps.append(e)
+            row["what"] = "exact_hit" if e is None else e
+            hom_exps.append(math.inf if e is None else e)
         table.append(row)
     tail = hom_exps[len(hom_exps) // 2 :]
     what_hat = min(tail) if tail else None
+    if what_hat == math.inf:
+        what_hat = EXACT_HIT
     return ExponentEstimate(w_hat, what_hat, xs, table)

@@ -42,8 +42,8 @@ from .limsup import (
     measure_W,
     ubiquity_params,
 )
-from .numeric import Radical, dec_str, ex_pow, format_exact, parse_exact
-from .transference import transfer_bounds, verify_corollary_3_3
+from .numeric import Radical, dec_str, format_exact, parse_exact
+from .transference import verify_corollary_3_3
 from .equidist import counting_report, estimate_equid_constant, weyl_sum
 from .analysis import (
     classify_return_series,

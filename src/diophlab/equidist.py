@@ -207,7 +207,7 @@ def counting_report(
     Membership is strict interior; an exact boundary hit is counted as a
     member and logged.
     """
-    line = Line1D(A)
+    line = A.line
     ball = _Ball(line, *ball)
     total = _check_horizon(A.n, N, budget)
     if ball.radius == Fraction(1, 2):
@@ -261,7 +261,7 @@ def estimate_equid_constant(
     if not ball_family or not l_values:
         raise ValueError("need at least one ball and one horizon")
     ls = sorted(l_values)
-    line = Line1D(A)
+    line = A.line
     balls = [_Ball(line, center, min(2 * Fraction(r), Fraction(1, 2))) for center, r in ball_family]
     _check_horizon(A.n, ls[0], budget)
     _check_horizon(A.n, ls[-1], budget)

@@ -57,8 +57,9 @@ class Line1D:
         self.m, self.n = len(scaled), len(scaled[0])
         self.a_rows = tuple(tuple(lo for lo, _ in row) for row in scaled)
         self.err_rows = tuple(tuple(err for _, err in row) for row in scaled)
-        # the 1 x 1 model used by center() and integer q
+        # the 1 x 1 model used by center() and the scalar dist_bounds path
         self.a_lo, self.unit_err = scaled[0][0]
+        self.scalar = (self.m, self.n) == (1, 1)
 
     def center(self, q: int) -> tuple[int, int]:
         """(scaled center of q*alpha mod 1, error bound), q > 0; 1 x 1 only."""
@@ -67,25 +68,30 @@ class Line1D:
     def dist_bounds(self, q, b_scaled=0, b_err: int = 0) -> tuple[int, int]:
         """Scaled bounds on ||Aq - b||_Z in the sup norm.
 
-        q is an int in the 1 x 1 case (either sign) or a length-n tuple;
+        q is a length-n tuple, or an int in the 1 x 1 case (either sign);
         b_scaled is floor(b * 2^shift), one int for every row or a length-m
         tuple, and the true scaled b lies within b_err of it.  Per row the
         center is sum_j q_j a_ij mod 2^shift and the error sum_j |q_j| err_ij.
         """
         mod = self.mod
-        if isinstance(q, int):
-            # -q has center -c: reduce q * alpha directly for either sign
-            v = (q * self.a_lo - b_scaled) % mod
-            d = min(v, mod - v)
-            tot = abs(q) * self.unit_err + b_err
-            return max(0, d - tot), min(mod >> 1, d + tot)
         half = mod >> 1
+        if self.scalar:
+            if not isinstance(q, int):
+                (q,) = q
+            if not isinstance(b_scaled, int):
+                (b_scaled,) = b_scaled
+            # -q has center -c: reduce q * alpha directly for either sign;
+            # conditional expressions, as min/max calls dominate this path
+            v = (q * self.a_lo - b_scaled) % mod
+            d = v if v <= half else mod - v
+            tot = abs(q) * self.unit_err + b_err
+            return (d - tot if d > tot else 0), (d + tot if d + tot < half else half)
         bs = repeat(b_scaled) if isinstance(b_scaled, int) else b_scaled
         absq = tuple(map(abs, q))
         lo = hi = 0
         for row, errs, b in zip(self.a_rows, self.err_rows, bs):
             v = (sum(map(mul, q, row)) - b) % mod
-            d = min(v, mod - v)
+            d = v if v <= half else mod - v
             tot = sum(map(mul, absq, errs)) + b_err
             if d - tot > lo:
                 lo = d - tot
@@ -130,15 +136,18 @@ def _covers(spans: Sequence[tuple[int, int]], x: int) -> bool:
 class UnionIndex1D:
     """Certified membership in U_q B(q*alpha, r_q) mod 1 over a fixed q set.
 
-    Queries are decided by an inner (definitely covered) and an outer
-    (possibly covered) merged union; the sliver between them goes to the
-    exact checker supplied by the caller.
+    A radius r_q is a `Fraction` or any value `threshold_bounds` encloses
+    (`Quadratic`, `Radical`, a `RatInterval` holding r_q).  Queries are
+    decided by an inner (definitely covered) and an outer (possibly
+    covered) merged union, built from the lower and upper radius bounds;
+    the sliver between them goes to the exact checker supplied by the
+    caller.
     """
 
     def __init__(
         self,
         line: Line1D,
-        q_radii: Sequence[tuple[int, Fraction]],
+        q_radii: Sequence[tuple[int, object]],
         exact_check: Callable[[Fraction], bool],
     ):
         self.line = line
@@ -147,10 +156,15 @@ class UnionIndex1D:
         outer: list[tuple[int, int]] = []
         inner: list[tuple[int, int]] = []
         for q, r in q_radii:
-            if r <= 0:
-                continue
-            r_lo = scale_fraction(r, line.shift)
-            r_hi = r_lo + 1
+            if isinstance(r, Fraction):
+                if r <= 0:
+                    continue
+                r_lo = scale_fraction(r, line.shift)
+                r_hi = r_lo + 1
+            else:
+                r_lo, r_hi = threshold_bounds(r, line.shift)
+                if r_hi <= 0:
+                    continue
             c, err = line.center(q)
             # the true center lies within err of c (and of mod - c for -q)
             for cc in (c, (-c) % mod):

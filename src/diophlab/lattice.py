@@ -3,16 +3,17 @@ best-approximation records, badly-approximable witnesses, rank check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
     RankDeficient,
     UnsupportedEntry,
 )
-from .fastpath import Line1D, threshold_bounds
+from .fastpath import Line1D, scale_fraction, threshold_bounds
 from .numeric import (
     CFReal,
     Comparable,
@@ -20,9 +21,7 @@ from .numeric import (
     Quadratic,
     Radical,
     RatInterval,
-    compare,
     dec_str,
-    dist_to_int,
     dist_to_int_vec,
     ex_pow,
     floor_exact,
@@ -77,16 +76,26 @@ class ApproxMatrix:
             raise UnsupportedEntry("CF entries only supported for 1x1 matrices")
         self.radicand = d
         self.has_cf = has_cf
+        # the 1 x 1 irrational case, served by CF records and union indices
+        self.irrational_line = (self.m, self.n) == (1, 1) and not isinstance(
+            self.rows[0][0], Fraction
+        )
+
+    @cached_property
+    def line(self) -> Line1D:
+        """The scaled-integer model of the matrix, built once."""
+        return Line1D(self)
 
     def apply(self, q: Sequence[int]):
         """A q as a list of m exact values (intervals for CF entries)."""
         return [_dot(row, q) for row in self.rows]
 
-    def apply_transpose(self, y: Sequence[int]):
-        """(t)A y as a list of n exact values."""
-        return [
-            _dot([self.rows[i][j] for i in range(self.m)], y) for j in range(self.n)
-        ]
+    def dist(self, q: Sequence[int], b: Optional[Sequence[Fraction]] = None):
+        """||Aq - b||_Z in the sup norm, exactly (b = 0 when omitted)."""
+        v = self.apply(q)
+        if b is not None:
+            v = [x - t for x, t in zip(v, b)]
+        return dist_to_int_vec(v)
 
     def transpose(self) -> "ApproxMatrix":
         return ApproxMatrix(
@@ -136,6 +145,9 @@ def iter_shell(dim: int, s: int) -> Iterator[tuple[int, ...]]:
     if s == 0:
         yield (0,) * dim
         return
+    if dim == 1:
+        yield from ((-s,), (s,))
+        return
 
     def rec(prefix: tuple[int, ...], maxed: bool) -> Iterator[tuple[int, ...]]:
         depth = len(prefix)
@@ -153,7 +165,57 @@ def iter_shell(dim: int, s: int) -> Iterator[tuple[int, ...]]:
 def shell_size(dim: int, s: int) -> int:
     if s == 0:
         return 1
+    if dim == 1:
+        return 2
     return (2 * s + 1) ** dim - (2 * s - 1) ** dim
+
+
+def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, Iterator]]:
+    """(s, points of the sup-norm shell s in lexicographic order) for each s
+    in turn.  A shell is charged to the running point count before it is
+    yielded; BudgetExceeded once the count passes budget."""
+    total = 0
+    for s in shells:
+        total += shell_size(dim, s)
+        if total > budget:
+            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
+        yield s, iter_shell(dim, s)
+
+
+def first_within(
+    A: ApproxMatrix, shells: Iterable[int], budget: int, thr: Comparable | Radical,
+    exact: Callable[[tuple[int, ...]], bool], b: Optional[Sequence[Fraction]] = None,
+) -> Optional[IntVec]:
+    """First q in the order of scan(A.n, shells, budget) with ||Aq - b||_Z
+    below thr, where exact(q) is the caller's certified comparison (strict
+    or not).
+
+    thr is any value `threshold_bounds` encloses.  Scaled-integer bounds
+    accept q when d_hi < thr_lo, since then d < thr and so also d <= thr,
+    and reject it when d_lo > thr_hi; only a point inside that margin runs
+    exact(q), so the first hit, BudgetExceeded and PrecisionExhausted are
+    those of the exact scan.
+    """
+    line = A.line
+    thr_lo, thr_hi = threshold_bounds(thr, line.shift)
+    if b is None:
+        b_scaled = b_err = 0
+    else:
+        b_scaled = tuple(scale_fraction(x, line.shift) for x in b)
+        b_err = int(any((x.numerator << line.shift) % x.denominator for x in b))
+    dist_bounds = line.dist_bounds
+    for _, shell in scan(A.n, shells, budget):
+        for q in shell:
+            d_lo, d_hi = dist_bounds(q, b_scaled, b_err)
+            if d_hi < thr_lo or (d_lo <= thr_hi and exact(q)):
+                return IntVec(q)
+    return None
+
+
+def root_threshold(C_pow: Comparable, pw: int):
+    """C as a filter threshold from C^pw; 0 when C^pw <= 0, which no
+    distance undercuts (the exact comparison still decides)."""
+    return Radical(C_pow, pw) if sign(C_pow) > 0 else Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -176,31 +238,12 @@ def solve_homogeneous(
 def _solve_homogeneous_pow(
     A: ApproxMatrix, C_pow: Comparable, pw: int, X: int, budget: int
 ) -> Optional[IntVec]:
-    """Same search with the threshold given as C^pw (strict comparison).
-
-    Scaled-integer bounds on ||Aq||_Z and on C decide each point when they
-    separate; only a point inside the margin takes the exact comparison, so
-    the verdict, BudgetExceeded and PrecisionExhausted match the exact scan.
-    """
-    line = Line1D(A)
-    # a threshold C^pw <= 0 admits no point; bounds of 0 leave it to lt()
-    thr = Radical(C_pow, pw) if sign(C_pow) > 0 else Fraction(0)
-    thr_lo, thr_hi = threshold_bounds(thr, line.shift)
-    total = 0
-    for s in range(1, X):
-        total += shell_size(A.n, s)
-        if total > budget:
-            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
-        for q in iter_shell(A.n, s):
-            d_lo, d_hi = line.dist_bounds(q)
-            if d_hi < thr_lo:
-                return IntVec(q)
-            if d_lo > thr_hi:
-                continue
-            d = dist_to_int_vec(A.apply(q))
-            if lt(ex_pow(d, pw), C_pow):
-                return IntVec(q)
-    return None
+    """Same search with the threshold given as C^pw (strict comparison),
+    filtered by `first_within`."""
+    return first_within(
+        A, range(1, X), budget, root_threshold(C_pow, pw),
+        lambda q: lt(ex_pow(A.dist(q), pw), C_pow),
+    )
 
 
 @dataclass
@@ -240,14 +283,16 @@ def return_sequence(
     ||Aq||_Z < eps * 2^(-(n/m) l); the threshold is compared on m-th powers."""
     if sign(epsilon) <= 0 or ell_max < 1:
         raise ValueError("need eps > 0 and ell_max >= 1")
-    m, n = A.m, A.n
-    eps_m = ex_pow(epsilon, m)
-    levels = []
-    for ell in range(1, ell_max + 1):
-        C_pow = eps_m * Fraction(1, 1 << (n * ell))
-        if _solve_homogeneous_pow(A, C_pow, m, 1 << ell, budget) is None:
-            levels.append(ell)
-    return ReturnSequence(epsilon, ell_max, levels, m, n)
+    eps_m = ex_pow(epsilon, A.m)
+    levels = [ell for ell in range(1, ell_max + 1) if in_return_sequence(A, eps_m, ell, budget)]
+    return ReturnSequence(epsilon, ell_max, levels, A.m, A.n)
+
+
+def in_return_sequence(A: ApproxMatrix, eps_m: Comparable, ell: int, budget: int) -> bool:
+    """Level l of L(eps), from eps^m: no q with 0 < ||q|| < 2^l and
+    ||Aq||_Z^m < eps^m 2^(-n l)."""
+    C_pow = eps_m * Fraction(1, 1 << (A.n * ell))
+    return _solve_homogeneous_pow(A, C_pow, A.m, 1 << ell, budget) is None
 
 
 def bad_witness(
@@ -260,14 +305,9 @@ def bad_witness(
     m, n = A.m, A.n
     best_key = None
     best_q = None
-    total = 0
-    for s in range(1, Q + 1):
-        total += shell_size(n, s)
-        if total > budget:
-            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
-        for q in iter_shell(n, s):
-            d = dist_to_int_vec(A.apply(q))
-            key = ex_pow(d, m) * Fraction(s**n)
+    for s, shell in scan(n, range(1, Q + 1), budget):
+        for q in shell:
+            key = ex_pow(A.dist(q), m) * Fraction(s**n)
             if best_key is None or lt(key, best_key):
                 best_key = key
                 best_q = IntVec(q)
@@ -324,7 +364,7 @@ def best_approximations(
         raise ValueError("Y_max >= 1 required")
     if not A.has_cf and not check_rank(A):
         raise RankDeficient("integer-translate group is not of maximal rank")
-    if (A.m, A.n) == (1, 1) and not isinstance(A.rows[0][0], Fraction):
+    if A.irrational_line:
         return _best_approximations_1d(A, Y_max)
     return _best_approximations_scan(A, Y_max, budget)
 
@@ -332,23 +372,18 @@ def best_approximations(
 def _best_approximations_scan(
     A: ApproxMatrix, Y_max: int, budget: int
 ) -> BestApproxSequence:
-    record: Comparable = Fraction(1, 2)
+    T = A.transpose()
     entries: list[BestApproxEntry] = []
-    total = 0
-    for s in range(1, Y_max + 1):
-        total += shell_size(A.m, s)
-        if total > budget:
-            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
-        shell_best = None
-        shell_y = None
-        for y in iter_shell(A.m, s):
-            d = dist_to_int_vec(A.apply_transpose(y))
-            if shell_best is None or lt(d, shell_best):
-                shell_best = d
-                shell_y = y
-        if shell_best is not None and lt(shell_best, record):
-            record = shell_best
-            entries.append(BestApproxEntry(IntVec(shell_y), s, shell_best))
+    for s, shell in scan(A.m, range(1, Y_max + 1), budget):
+        for y in shell:
+            d = T.dist(y)
+            if lt(d, entries[-1].M if entries else Fraction(1, 2)):
+                # a strictly closer point of the same shell replaces its
+                # entry: each record is its shell's lexicographically first
+                # minimizer
+                if entries and entries[-1].Y == s:
+                    entries.pop()
+                entries.append(BestApproxEntry(IntVec(y), s, d))
     return BestApproxSequence(entries, Y_max)
 
 

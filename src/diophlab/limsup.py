@@ -4,6 +4,7 @@ estimation for the well- and badly-approximable target sets."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -11,32 +12,31 @@ from typing import Callable, Optional, Sequence
 import mpmath
 
 from .errors import BudgetExceeded, InvalidWindow, PrecisionExhausted
-from .fastpath import Line1D, UnionIndex1D
+from .fastpath import UnionIndex1D
 from .lattice import (
     DEFAULT_BUDGET,
     ApproxMatrix,
     IntVec,
     ReturnSequence,
-    iter_shell,
+    first_within,
+    scan,
     shell_size,
 )
 from .numeric import (
     Comparable,
     ExactReal,
-    Quadratic,
+    Ordering,
     Radical,
     RatInterval,
     _nth_root_lower,
     _nth_root_upper,
     compare,
     dec_str,
-    dist_to_int,
-    dist_to_int_vec,
     ex_pow,
     floor_exact,
     format_exact,
+    le,
     lt,
-    sign,
 )
 from .sampling import binomial_ci, parallel_map, sample_point, grid_points
 
@@ -71,8 +71,15 @@ class ApproxFunction:
         raise NotImplementedError
 
     def lt_value(self, d: Comparable, q: int, strict: bool = True) -> bool:
-        """Certified d < psi(q) (or <= with strict=False)."""
-        raise NotImplementedError
+        """Certified d < psi(q) (or <= with strict=False), refining the
+        enclosure of psi(q) from 80 to 160 to 320 bits; a psi(q) known
+        exactly is compared exactly."""
+        for bits in (80, 160, 320):
+            lo, hi = self.value_bounds(q, bits)
+            c = compare(d, lo if lo == hi else RatInterval(lo, hi))
+            if c.decided:
+                return c is Ordering.LESS if strict else c is not Ordering.GREATER
+        raise PrecisionExhausted(f"psi({q}) enclosure too wide for comparison")
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -119,25 +126,11 @@ class PowerLog(ApproxFunction):
         return lo, hi
 
     def lt_value(self, d: Comparable, q: int, strict: bool = True) -> bool:
-        if self.beta == 0:
-            # d < c q^(-p/r)  <=>  d^r q^p < c^r, exact in the field
-            p, r = self.a.numerator, self.a.denominator
-            lhs = ex_pow(d, r) * Fraction(q**p)
-            rhs = self.c**r
-            c = compare(lhs, rhs)
-            if not c.decided:
-                raise PrecisionExhausted("psi comparison undecided")
-            if strict:
-                return c.kind == "less"
-            return c.kind != "greater"
-        for bits in (80, 160, 320):
-            lo, hi = self.value_bounds(q, bits)
-            c = compare(d, RatInterval(lo, hi))
-            if c.decided:
-                if strict:
-                    return c.kind == "less"
-                return c.kind != "greater"
-        raise PrecisionExhausted(f"psi({q}) enclosure too wide for comparison")
+        if self.beta != 0:
+            return super().lt_value(d, q, strict)
+        # d < c q^(-p/r)  <=>  d^r q^p < c^r, exact in the field
+        p, r = self.a.numerator, self.a.denominator
+        return (lt if strict else le)(ex_pow(d, r) * Fraction(q**p), self.c**r)
 
     def to_json(self) -> dict:
         return {"kind": "powerlog", "c": str(self.c), "a": str(self.a), "beta": str(self.beta)}
@@ -202,15 +195,6 @@ class TablePsi(ApproxFunction):
         v = self.value_at(q)
         return v, v
 
-    def lt_value(self, d: Comparable, q: int, strict: bool = True) -> bool:
-        v = self.value_at(q)
-        c = compare(d, v)
-        if not c.decided:
-            raise PrecisionExhausted("table psi comparison undecided")
-        if strict:
-            return c.kind == "less"
-        return c.kind != "greater"
-
     def to_json(self) -> dict:
         return {"kind": "table", "points": [[q, str(v)] for q, v in self.points]}
 
@@ -235,11 +219,11 @@ class Window:
     def shells(self) -> range:
         return range(self.l + 1, self.u + 1)
 
-
-def _window_budget(n: int, w: Window, budget: int):
-    total = sum(shell_size(n, s) for s in w.shells)
-    if total > budget:
-        raise BudgetExceeded(f"window holds {total} points, budget {budget}")
+    def check_budget(self, n: int, budget: int) -> None:
+        """BudgetExceeded if the annulus holds more than budget points of Z^n."""
+        total = (2 * self.u + 1) ** n - (2 * self.l + 1) ** n
+        if total > budget:
+            raise BudgetExceeded(f"window holds {total} points, budget {budget}")
 
 
 def psi_witness(
@@ -250,13 +234,11 @@ def psi_witness(
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[IntVec]:
     """First q (shell-then-lex) in the annulus with ||Aq - b||_Z < psi(||q||)."""
-    _window_budget(A.n, w, budget)
+    w.check_budget(A.n, budget)
     b = tuple(Fraction(x) for x in b)
-    for s in w.shells:
-        for q in iter_shell(A.n, s):
-            diff = [v - t for v, t in zip(A.apply(q), b)]
-            d = dist_to_int_vec(diff)
-            if psi.lt_value(d, s):
+    for s, shell in scan(A.n, w.shells, budget):
+        for q in shell:
+            if psi.lt_value(A.dist(q, b), s):
                 return IntVec(q)
     return None
 
@@ -269,27 +251,13 @@ def delta_membership(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """x within distance rho_val of some resonant point Aq, q in the annulus."""
-    if isinstance(rho_val, Radical):
-        c = rho_val.compare(Fraction(1, 2))
-    else:
-        c = compare(rho_val, Fraction(1, 2))
+    c = compare(rho_val, Fraction(1, 2))
     if c.decided and c.kind != "less":
         return True  # balls of radius >= 1/2 cover the torus
-    _window_budget(A.n, w, budget)
+    w.check_budget(A.n, budget)
     x = tuple(Fraction(t) for t in x)
-    for s in w.shells:
-        for q in iter_shell(A.n, s):
-            diff = [v - t for v, t in zip(A.apply(q), x)]
-            d = dist_to_int_vec(diff)
-            if isinstance(rho_val, Radical):
-                cc = rho_val.compare(d)
-                if not cc.decided:
-                    raise PrecisionExhausted("membership radius comparison undecided")
-                if cc.kind == "greater":
-                    return True
-            elif lt(d, rho_val):
-                return True
-    return False
+    hit = first_within(A, w.shells, budget, rho_val, lambda q: lt(A.dist(q, x), rho_val), x)
+    return hit is not None
 
 
 # ---------------------------------------------------------------------------
@@ -322,43 +290,24 @@ def _witness_tester(
     A: ApproxMatrix, psi: ApproxFunction, w: Window, budget: int
 ) -> Callable[[tuple[Fraction, ...]], bool]:
     """Per-target strict-witness predicate; indexed fast path in 1D."""
-    if (A.m, A.n) == (1, 1) and not isinstance(A.rows[0][0], Fraction):
-        alpha = A.rows[0][0]
-        line = Line1D(alpha)
+    if A.irrational_line:
+        bounds = map(psi.value_bounds, w.shells)
+        radii = [lo if lo == hi else RatInterval(lo, hi) for lo, hi in bounds]
+        # the index covers the whole window, so its exact fallback is not
+        # charged to the budget
+        return _indexed_tester(
+            A, w, radii, lambda b: psi_witness(A, (b,), psi, w, math.inf) is not None
+        )
+    w.check_budget(A.n, budget)
+    return lambda b: psi_witness(A, b, psi, w, budget) is not None
 
-        def exact_check(b: Fraction) -> bool:
-            for s in w.shells:
-                for q in (-s, s):
-                    val = A.apply((q,))[0]
-                    d = dist_to_int(val - b)
-                    if psi.lt_value(d, s):
-                        return True
-            return False
 
-        bounds = [(s, psi.value_bounds(s)) for s in w.shells]
-        if all(lo == hi for _, (lo, hi) in bounds):
-            index = UnionIndex1D(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
-            return lambda b: index.contains(b[0])
-        # irrational psi values: sandwich between two indices, exact scan
-        # only for points landing in the slack between them
-        inner_ix = UnionIndex1D(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
-        outer_ix = UnionIndex1D(line, [(s, hi) for s, (_, hi) in bounds], exact_check)
-
-        def test(b: tuple[Fraction, ...]) -> bool:
-            if inner_ix.contains(b[0]):
-                return True
-            if not outer_ix.contains(b[0]):
-                return False
-            return exact_check(b[0])
-
-        return test
-
-    _window_budget(A.n, w, budget)
-
-    def test(b: tuple[Fraction, ...]) -> bool:
-        return psi_witness(A, b, psi, w, budget) is not None
-
-    return test
+def _indexed_tester(A: ApproxMatrix, w: Window, radii: Sequence, exact_check) -> Callable:
+    """Certified 1 x 1 test of ||q alpha - b||_Z < r_s for some q = +-s over
+    the window's shells s: one union index over the radius enclosures, with
+    exact_check(b) for a target inside its margin."""
+    index = UnionIndex1D(A.line, list(zip(w.shells, radii)), exact_check)
+    return lambda b: index.contains(b[0])
 
 
 def measure_W(
@@ -495,13 +444,8 @@ def check_u_regular(params: UbiquityParams, lam: Comparable | Radical) -> bool:
         raise InvalidWindow("need at least two levels")
     m = params.m
     lam_pow_m = lam.radicand if isinstance(lam, Radical) and lam.root == m else ex_pow(lam, m)
-    for a, b in zip(params.levels, params.levels[1:]):
-        c = compare(b.rho_pow_m, lam_pow_m * a.rho_pow_m)
-        if not c.decided:
-            raise PrecisionExhausted("u-regularity comparison undecided")
-        if c.kind == "greater":
-            return False
-    return True
+    levels = params.levels
+    return all(le(b.rho_pow_m, lam_pow_m * a.rho_pow_m) for a, b in zip(levels, levels[1:]))
 
 
 @dataclass
@@ -551,40 +495,18 @@ def coverage(
         pt = sample_point(seed, i, m)
         return tuple(c + radius * (2 * t - 1) for c, t in zip(center, pt))
 
-    rc = rho.compare(Fraction(1, 2)) if isinstance(rho, Radical) else compare(rho, Fraction(1, 2))
+    rc = compare(rho, Fraction(1, 2))
     if rc.decided and rc.kind != "less":
         est = MeasureEstimate(Fraction(1), samples, Fraction(1), Fraction(1), seed, w)
         return CoverageEntry(lv.ell, dec_str(lv.l), dec_str(lv.u), dec_str(Radical(lv.rho_pow_m, m)), est)
 
-    if (A.m, A.n) == (1, 1) and not isinstance(A.rows[0][0], Fraction):
-        line = Line1D(A.rows[0][0])
-        if isinstance(rho, Radical):
-            r_lo, r_hi = rho.enclose(line.shift)
-        else:
-            r_lo = r_hi = rho
-
-        def exact_check(b: Fraction) -> bool:
-            return delta_membership(A, (b,), rho, w, budget)
-
-        if r_lo == r_hi:
-            index = UnionIndex1D(line, [(s, r_lo) for s in w.shells], exact_check)
-            test = lambda b: index.contains(b[0])  # noqa: E731
-        else:
-            inner_ix = UnionIndex1D(line, [(s, r_lo) for s in w.shells], exact_check)
-            outer_ix = UnionIndex1D(line, [(s, r_hi) for s in w.shells], exact_check)
-
-            def test(b):
-                if inner_ix.contains(b[0]):
-                    return True
-                if not outer_ix.contains(b[0]):
-                    return False
-                return exact_check(b[0])
-
+    if A.irrational_line:
+        test = _indexed_tester(
+            A, w, [rho] * len(w.shells), lambda b: delta_membership(A, (b,), rho, w, budget)
+        )
     else:
-        _window_budget(A.n, w, budget)
-
-        def test(b):
-            return delta_membership(A, b, rho, w, budget)
+        w.check_budget(A.n, budget)
+        test = lambda b: delta_membership(A, b, rho, w, budget)  # noqa: E731
 
     pts = [sample(i) for i in range(samples)]
     hits = parallel_map(test, pts, threads)

@@ -72,6 +72,10 @@ class Ordering:
             return f"Ordering.uncertain({self.width!r})"
         return f"Ordering.{self.kind.upper()}"
 
+    def reversed(self) -> "Ordering":
+        """The ordering of (y, x) given this one of (x, y)."""
+        return {"less": Ordering.GREATER, "greater": Ordering.LESS}.get(self.kind, self)
+
 
 Ordering.LESS = Ordering("less")
 Ordering.EQUAL = Ordering("equal")
@@ -373,7 +377,12 @@ def _as_interval(x: Comparable) -> tuple[Fraction, Fraction]:
 
 
 def compare(x: Comparable, y: Comparable) -> Ordering:
-    """Certified three-way comparison; Uncertain only with CF-backed operands."""
+    """Certified three-way comparison; Uncertain only with CF-backed operands.
+    Either operand may be a `Radical`."""
+    if isinstance(x, Radical):
+        return x.compare(y)
+    if isinstance(y, Radical):
+        return y.compare(x).reversed()
     fuzzy_x = isinstance(x, (CFReal, RatInterval))
     fuzzy_y = isinstance(y, (CFReal, RatInterval))
     if not fuzzy_x and not fuzzy_y:
@@ -623,14 +632,14 @@ class Radical:
                 ex_pow(self.radicand, l // self.root),
                 ex_pow(other.radicand, l // other.root),
             )
-        if sign(other) < 0:
+        # only a certainly negative operand lies below every root; powers of
+        # an enclosure reaching down to 0 (or below) still enclose its powers
+        if (other.hi < 0) if isinstance(other, RatInterval) else sign(other) < 0:
             return Ordering.GREATER
         return compare(self.radicand, ex_pow(other, self.root))
 
     def enclose(self, bits: int) -> tuple[Fraction, Fraction]:
-        lo, hi = _tight(self.radicand) if not isinstance(
-            self.radicand, (CFReal, RatInterval)
-        ) else _as_interval(self.radicand)
+        lo, hi = enclose(self.radicand, 160)
         return (_nth_root_lower(lo, self.root, bits), _nth_root_upper(hi, self.root, bits))
 
     def __float__(self) -> float:
@@ -674,16 +683,6 @@ def _nth_root_upper(x: Fraction, r: int, bits: int) -> Fraction:
     return Fraction(root, 1 << bits)
 
 
-def lt_root(x: Comparable, radicand: Comparable, root: int, strict: bool = True) -> bool:
-    """x < radicand**(1/root) (or <= with strict=False), certified."""
-    c = Radical(radicand, root).compare(x)
-    if not c.decided:
-        raise PrecisionExhausted(f"root comparison undecided (width {c.width})")
-    if strict:
-        return c is Ordering.GREATER
-    return c is not Ordering.LESS
-
-
 # ---------------------------------------------------------------------------
 # enclosures and display
 # ---------------------------------------------------------------------------
@@ -712,10 +711,7 @@ def enclose(x: Comparable, bits: int) -> tuple[Fraction, Fraction]:
 
 def dec_str(x: Comparable, digits: int = 12) -> str:
     """Decimal rendering from a certified enclosure (midpoint, rounded)."""
-    if isinstance(x, Radical):
-        lo, hi = x.enclose(4 * digits)
-    else:
-        lo, hi = enclose(x, 4 * digits)
+    lo, hi = enclose(x, 4 * digits)
     mid = (lo + hi) / 2
     scaled = mid * 10**digits
     n = scaled.numerator

@@ -6,25 +6,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded
-from .fastpath import Line1D, threshold_bounds
 from .lattice import (
     DEFAULT_BUDGET,
     ApproxMatrix,
     IntVec,
-    ReturnSequence,
-    iter_shell,
-    shell_size,
-    _solve_homogeneous_pow,
+    first_within,
+    in_return_sequence,
+    root_threshold,
 )
 from .numeric import (
     Comparable,
     ExactReal,
-    Quadratic,
     Radical,
     dec_str,
-    dist_to_int,
-    dist_to_int_vec,
     ex_pow,
     floor_exact,
     format_exact,
@@ -76,56 +70,12 @@ def _solve_inhomogeneous_pow(
     x_cap: int,
     budget: int,
 ) -> Optional[IntVec]:
-    if (A.m, A.n) == (1, 1) and not isinstance(A.rows[0][0], Fraction):
-        return _solve_inhomogeneous_1d(A, b[0], C_pow, pw, x_cap)
-    total = 0
-    for s in range(0, x_cap + 1):
-        total += shell_size(A.n, s)
-        if total > budget:
-            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
-        for q in iter_shell(A.n, s):
-            diff = [v - t for v, t in zip(A.apply(q), b)]
-            d = dist_to_int_vec(diff)
-            if le(ex_pow(d, pw), C_pow):
-                return IntVec(q)
-    return None
-
-
-def _solve_inhomogeneous_1d(
-    A: ApproxMatrix, b: Fraction, C_pow: Comparable, pw: int, x_cap: int
-) -> Optional[IntVec]:
-    """Scaled-integer prefilter with exact confirmation, preserving the
-    shell-then-lex search order of the generic scan."""
-    alpha = A.rows[0][0]
-    line = Line1D(alpha)
-    mod = line.mod
-    b_scaled = (b.numerator << line.shift) // b.denominator
-    b_err = 0 if (b.numerator << line.shift) % b.denominator == 0 else 1
-    thr_lo, thr_hi = threshold_bounds(Radical(C_pow, pw), line.shift)
-
-    def exact_ok(q: int) -> bool:
-        val = A.apply((q,))[0]
-        d = dist_to_int(val - b if q != 0 else -b + Fraction(0))
-        return le(ex_pow(d, pw), C_pow)
-
-    for s in range(0, x_cap + 1):
-        for q in ((0,) if s == 0 else (-s, s)):
-            d_lo, d_hi = line.dist_bounds(q, b_scaled, b_err) if q != 0 else (
-                _b_dist_scaled(b_scaled, mod),
-                _b_dist_scaled(b_scaled, mod) + b_err,
-            )
-            if d_hi <= thr_lo - 2:
-                return IntVec((q,))
-            if d_lo > thr_hi + 2:
-                continue
-            if exact_ok(q):
-                return IntVec((q,))
-    return None
-
-
-def _b_dist_scaled(b_scaled: int, mod: int) -> int:
-    v = b_scaled % mod
-    return min(v, mod - v)
+    """First q (shell-then-lex) with ||q|| <= x_cap and ||Aq - b||_Z^pw <=
+    C_pow, filtered by `first_within` for every shape."""
+    return first_within(
+        A, range(x_cap + 1), budget, root_threshold(C_pow, pw),
+        lambda q: le(ex_pow(A.dist(q, b), pw), C_pow), b,
+    )
 
 
 @dataclass
@@ -198,13 +148,8 @@ def verify_corollary_3_3(
     """Every target must admit an inhomogeneous witness within the
     transferred bounds; a miss is flagged as a theorem violation."""
     m, n = A.m, A.n
-    if check_level:
-        eps_m = ex_pow(epsilon, m)
-        hom = _solve_homogeneous_pow(
-            A, eps_m * Fraction(1, 1 << (n * ell)), m, 1 << ell, budget
-        )
-        if hom is not None:
-            raise ValueError(f"level {ell} is not in the return sequence")
+    if check_level and not in_return_sequence(A, ex_pow(epsilon, m), ell, budget):
+        raise ValueError(f"level {ell} is not in the return sequence")
     C1_pow_m, X1 = corollary_bounds(epsilon, ell, m, n)
     x_cap = floor_exact(X1)
     c1_float = float(Radical(C1_pow_m, m))
@@ -215,8 +160,7 @@ def verify_corollary_3_3(
         if q is None:
             out.append(Cor33Target(b, None, "", "", False))
             continue
-        diff = [v - t for v, t in zip(A.apply(q), b)]
-        d = dist_to_int_vec(diff)
+        d = A.dist(q, b)
         lhs = dec_str(d)
         slack = f"{c1_float - float(d):.12e}"
         out.append(Cor33Target(b, q, lhs, slack, True))

@@ -129,3 +129,42 @@ def test_config_hash_stable_across_runs(runner, golden_mat):
     h1 = json.loads(runner.invoke(main, args).output)["config_hash"]
     h2 = json.loads(runner.invoke(main, args).output)["config_hash"]
     assert h1 == h2
+
+
+def test_coverage_quadratic_epsilon_1x1(runner, golden_mat, monkeypatch):
+    # a quadratic epsilon gives a quadratic radius in 1 x 1; the union index
+    # takes it by enclosure, and each target agrees with delta_membership
+    from diophlab import limsup
+
+    calls = []
+
+    def recording_map(fn, items, threads=None):
+        calls.append((fn, list(items)))
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(limsup, "parallel_map", recording_map)
+    res = runner.invoke(main, [
+        "coverage", "--matrix", golden_mat, "--epsilon", "(0+1*sqrt(5))/4",
+        "--ell-max", "8", "--equid-constant", "4", "--samples", "60",
+    ])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert len(rep["levels"]) == 3 and len(calls) == 3
+    from diophlab.lattice import ApproxMatrix, return_sequence
+    from diophlab.numeric import floor_exact, parse_exact
+
+    A = ApproxMatrix.from_text(GOLDEN)
+    params = limsup.ubiquity_params(return_sequence(A, parse_exact("(0+1*sqrt(5))/4"), 8), 4)
+    for (test, pts), lv in zip(calls, params.levels[-3:]):
+        w = limsup.Window(floor_exact(lv.l), floor_exact(lv.u))
+        assert [test(b) for b in pts] == [limsup.delta_membership(A, b, lv.rho(1), w) for b in pts]
+
+
+def test_exponents_exact_homogeneous_hit(runner, tmp_path):
+    p = tmp_path / "third.mat"
+    p.write_text("1 1\n1/3\n")
+    res = runner.invoke(main, ["exponents", "--matrix", str(p), "--x-schedule", "4,8,16"])
+    assert res.exit_code == 0, res.output
+    rep = json.loads(res.output)
+    assert rep["what_hat"] == "exact_hit"
+    assert [row["what"] for row in rep["table"]] == ["exact_hit"] * 3

@@ -155,6 +155,29 @@ class TestRadical:
     def test_root_power_roundtrip(self, x, r):
         assert Radical(ex_pow(x, r), r).compare(x) is Ordering.EQUAL
 
+    def test_compare_enclosure_touching_zero(self):
+        # only a certainly negative operand short-circuits to GREATER; an
+        # enclosure reaching down to 0 is decided on powers, like d^2 vs 1/4
+        d = RatInterval(F(0), F(1, 100))
+        assert compare(ex_pow(d, 2), F(1, 4)) is Ordering.LESS
+        assert Radical(F(1, 4), 2).compare(d) is Ordering.GREATER
+        assert Radical(F(1, 4), 2).compare(RatInterval(F(-1, 100), F(1, 100))) is Ordering.GREATER
+        assert Radical(F(1, 4), 2).compare(RatInterval(F(-1), F(-1, 2))) is Ordering.GREATER
+        assert not Radical(F(1, 4), 2).compare(RatInterval(F(0), F(1))).decided
+
+    @given(x=st.fractions(min_value=-2, max_value=2, max_denominator=1000),
+           rad=st.fractions(min_value=0, max_value=4, max_denominator=1000),
+           r=st.integers(min_value=1, max_value=4))
+    def test_compare_lt_le_accept_radical(self, x, rad, r):
+        root = Radical(rad, r)
+        c = root.compare(x)
+        assert compare(root, x) is c
+        assert compare(x, root) is c.reversed()
+        assert lt(x, root) == (c is Ordering.GREATER)
+        assert le(x, root) == (c is not Ordering.LESS)
+        assert lt(root, x) == (c is Ordering.LESS)
+        assert compare(root, root) is Ordering.EQUAL
+
 
 class TestParseFormat:
     @pytest.mark.parametrize("text", ["3/4", "-7/5", "(1+2*sqrt(3))/5", "(-1+1*sqrt(5))/2", "cf:[0;1,1,1,1]"])

@@ -1,0 +1,704 @@
+"""Every search that runs on lattice.scan / lattice.first_within, and the
+single-index 1 x 1 testers, against verbatim copies of the loops they
+replaced: the outcome, including the type of a raised error, must agree."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from diophlab import analysis, limsup
+from diophlab.analysis import EXACT_HIT, estimate_exponents, verify_prop_5_1
+from diophlab.errors import (
+    BudgetExceeded,
+    DiophlabError,
+    PrecisionExhausted,
+    RankDeficient,
+)
+from diophlab.fastpath import Line1D, UnionIndex1D, threshold_bounds
+from diophlab.lattice import (
+    ApproxMatrix,
+    IntVec,
+    _best_approximations_scan,
+    bad_witness,
+    best_approximations,
+    iter_shell,
+    return_sequence,
+    scan,
+    shell_size,
+)
+from diophlab.limsup import (
+    PowerLog,
+    TablePsi,
+    Window,
+    coverage,
+    delta_membership,
+    measure_Bad,
+    measure_W,
+    psi_witness,
+    ubiquity_params,
+)
+from diophlab.numeric import (
+    CFReal,
+    Radical,
+    RatInterval,
+    compare,
+    dist_to_int,
+    dist_to_int_vec,
+    enclose,
+    ex_pow,
+    floor_exact,
+    le,
+    lt,
+    quadratic,
+)
+from diophlab.sampling import sample_point
+from diophlab.transference import _solve_inhomogeneous_pow, solve_inhomogeneous
+
+GOLDEN = quadratic(F(-1, 2), F(1, 2), 5)
+SQRT2 = quadratic(F(0), F(1), 2)
+Q12_B = quadratic(F(1, 7), F(3), 2)  # (1 + 21 sqrt 2) / 7
+
+MATRICES = {
+    "golden": ApproxMatrix([[GOLDEN]]),
+    "sqrt2": ApproxMatrix([[SQRT2]]),
+    "q12": ApproxMatrix([[SQRT2, Q12_B]]),
+    "q21": ApproxMatrix([[SQRT2], [Q12_B]]),
+    "third": ApproxMatrix([[F(1, 3)]]),
+    "half_third": ApproxMatrix([[F(1, 2), F(1, 3)]]),
+    "rat21": ApproxMatrix([[F(1, 4)], [F(2, 3)]]),
+    "cf_short": ApproxMatrix([[CFReal((0, 1, 2))]]),
+    "cf_mid": ApproxMatrix([[CFReal((0, 3, 1, 4, 1, 5))]]),
+}
+LINES = ["golden", "sqrt2", "cf_mid"]
+WITH_FIXTURE = settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+
+
+def outcome(fn, *args):
+    """A result or the type of the error it raised."""
+    try:
+        return ("ok", fn(*args))
+    except (DiophlabError, ValueError) as exc:
+        return ("raise", type(exc))
+
+
+def targets(m):
+    fracs = st.fractions(min_value=0, max_value=1, max_denominator=24)
+    return st.one_of(
+        st.lists(fracs, min_size=m, max_size=m).map(tuple),
+        st.integers(min_value=0, max_value=10**6).map(lambda i: sample_point(5, i, m)),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the loops as they were before the scan kernel
+# ---------------------------------------------------------------------------
+
+
+def old_window_budget(n, w, budget):
+    total = sum(shell_size(n, s) for s in w.shells)
+    if total > budget:
+        raise BudgetExceeded(f"window holds {total} points, budget {budget}")
+
+
+def old_bad_witness(A, Q, budget):
+    m, n = A.m, A.n
+    best_key = None
+    best_q = None
+    total = 0
+    for s in range(1, Q + 1):
+        total += shell_size(n, s)
+        if total > budget:
+            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
+        for q in iter_shell(n, s):
+            d = dist_to_int_vec(A.apply(q))
+            key = ex_pow(d, m) * F(s**n)
+            if best_key is None or lt(key, best_key):
+                best_key = key
+                best_q = IntVec(q)
+    if m == 1:
+        return best_key, best_q
+    return Radical(best_key, m), best_q
+
+
+def old_best_approximations_scan(A, Y_max, budget):
+    record = F(1, 2)
+    entries = []
+    total = 0
+    for s in range(1, Y_max + 1):
+        total += shell_size(A.m, s)
+        if total > budget:
+            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
+        shell_best = None
+        shell_y = None
+        for y in iter_shell(A.m, s):
+            d = dist_to_int_vec(A.transpose().apply(y))
+            if shell_best is None or lt(d, shell_best):
+                shell_best = d
+                shell_y = y
+        if shell_best is not None and lt(shell_best, record):
+            record = shell_best
+            entries.append((IntVec(shell_y), s, shell_best))
+    return entries
+
+
+def old_solve_inhomogeneous_generic(A, b, C_pow, pw, x_cap, budget):
+    total = 0
+    for s in range(0, x_cap + 1):
+        total += shell_size(A.n, s)
+        if total > budget:
+            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
+        for q in iter_shell(A.n, s):
+            diff = [v - t for v, t in zip(A.apply(q), b)]
+            d = dist_to_int_vec(diff)
+            if le(ex_pow(d, pw), C_pow):
+                return IntVec(q)
+    return None
+
+
+def old_solve_inhomogeneous_1d(A, b, C_pow, pw, x_cap):
+    """The former 1 x 1 prefilter: it charged no budget."""
+    alpha = A.rows[0][0]
+    line = Line1D(alpha)
+    mod = line.mod
+    b_scaled = (b.numerator << line.shift) // b.denominator
+    b_err = 0 if (b.numerator << line.shift) % b.denominator == 0 else 1
+    thr_lo, thr_hi = threshold_bounds(Radical(C_pow, pw), line.shift)
+
+    def exact_ok(q):
+        val = A.apply((q,))[0]
+        d = dist_to_int(val - b if q != 0 else -b + F(0))
+        return le(ex_pow(d, pw), C_pow)
+
+    def b_dist(b_scaled):
+        v = b_scaled % mod
+        return min(v, mod - v)
+
+    for s in range(0, x_cap + 1):
+        for q in ((0,) if s == 0 else (-s, s)):
+            d_lo, d_hi = line.dist_bounds(q, b_scaled, b_err) if q != 0 else (
+                b_dist(b_scaled),
+                b_dist(b_scaled) + b_err,
+            )
+            if d_hi <= thr_lo - 2:
+                return IntVec((q,))
+            if d_lo > thr_hi + 2:
+                continue
+            if exact_ok(q):
+                return IntVec((q,))
+    return None
+
+
+def old_lt_value(psi, d, q, strict=True):
+    """PowerLog and TablePsi lt_value as they were."""
+    if isinstance(psi, TablePsi):
+        c = compare(d, psi.value_at(q))
+        if not c.decided:
+            raise PrecisionExhausted("table psi comparison undecided")
+    elif psi.beta == 0:
+        p, r = psi.a.numerator, psi.a.denominator
+        c = compare(ex_pow(d, r) * F(q**p), psi.c**r)
+        if not c.decided:
+            raise PrecisionExhausted("psi comparison undecided")
+    else:
+        for bits in (80, 160, 320):
+            lo, hi = psi.value_bounds(q, bits)
+            c = compare(d, RatInterval(lo, hi))
+            if c.decided:
+                break
+        else:
+            raise PrecisionExhausted(f"psi({q}) enclosure too wide for comparison")
+    return c.kind == "less" if strict else c.kind != "greater"
+
+
+def old_psi_witness(A, b, psi, w, budget=1 << 22):
+    old_window_budget(A.n, w, budget)
+    b = tuple(F(x) for x in b)
+    for s in w.shells:
+        for q in iter_shell(A.n, s):
+            diff = [v - t for v, t in zip(A.apply(q), b)]
+            d = dist_to_int_vec(diff)
+            if old_lt_value(psi, d, s):
+                return IntVec(q)
+    return None
+
+
+def old_delta_membership(A, x, rho_val, w, budget=1 << 22):
+    if isinstance(rho_val, Radical):
+        c = rho_val.compare(F(1, 2))
+    else:
+        c = compare(rho_val, F(1, 2))
+    if c.decided and c.kind != "less":
+        return True
+    old_window_budget(A.n, w, budget)
+    x = tuple(F(t) for t in x)
+    for s in w.shells:
+        for q in iter_shell(A.n, s):
+            diff = [v - t for v, t in zip(A.apply(q), x)]
+            d = dist_to_int_vec(diff)
+            if isinstance(rho_val, Radical):
+                cc = rho_val.compare(d)
+                if not cc.decided:
+                    raise PrecisionExhausted("membership radius comparison undecided")
+                if cc.kind == "greater":
+                    return True
+            elif lt(d, rho_val):
+                return True
+    return False
+
+
+def old_verify_prop_5_1_scan(A, b, alpha, best, w, budget, stride):
+    """verify_prop_5_1 after its preconditions (binding, b_alpha_test)."""
+    m, n = A.m, A.n
+    thr = (F(alpha) - n) / m
+    interior = range(1, len(best.entries) - 1)
+    binding = {}
+    for s in w.shells:
+        k_bind = next(
+            (k for k in interior if analysis._u_le(best, k, m, n, s) and analysis._lt_v(best, k, m, n, s)),
+            None,
+        )
+        if k_bind is None:
+            raise analysis.CoverageGap(f"no [U_k, V_k) interval contains ||q|| = {s}")
+        binding[s] = k_bind
+    total = sum(shell_size(n, s) for s in w.shells)
+    if total > budget:
+        raise BudgetExceeded(f"{total} lattice points exceed budget {budget}")
+    b = tuple(F(x) for x in b)
+    violations = []
+    spot = 0
+    idx = 0
+    for s in w.shells:
+        for q in iter_shell(n, s):
+            diff = [v - t for v, t in zip(A.apply(q), b)]
+            d = dist_to_int_vec(diff)
+            if not lt(thr**m, F(s**n) * ex_pow(d, m)):
+                violations.append(q)
+            idx += 1
+            if idx % stride == 0:
+                k = binding[s]
+                if not analysis.key_inequality_check(A, b, IntVec(q), best.entries[k].y):
+                    violations.append(q)
+                spot += 1
+    return binding, violations, spot
+
+
+def old_best_dist_enclosure(A, b, X, budget):
+    best_d = None
+    best_q = None
+    total = 0
+    for s in range(1, X):
+        total += shell_size(A.n, s)
+        if total > budget:
+            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
+        for q in iter_shell(A.n, s):
+            vec = A.apply(q)
+            if b is not None:
+                vec = [v - t for v, t in zip(vec, b)]
+            d = dist_to_int_vec(vec)
+            if best_d is None or lt(d, best_d):
+                best_d = d
+                best_q = q
+    return best_d, best_q
+
+
+def old_exponent(d, X):
+    import math
+
+    lo, hi = enclose(d, 80) if not isinstance(d, F) else (d, d)
+    if hi == 0:
+        return None
+    mid = (lo + hi) / 2 if lo > 0 else hi
+    return math.log(1 / float(mid)) / math.log(X)
+
+
+def old_estimate_exponents(A, b, xs, budget):
+    """The exponent table as it was; it crashed with TypeError when an exact
+    homogeneous hit met a finite exponent in the tail."""
+    w_hat = None
+    hom_exps = []
+    table = []
+    best = None
+    if (A.m, A.n) == (1, 1):
+        try:
+            best = best_approximations(A, xs[-1])
+        except Exception:
+            best = None
+    for X in xs:
+        row = {"X": X}
+        if b is not None:
+            d, q = old_best_dist_enclosure(A, b, X, budget)
+            e = old_exponent(d, X)
+            if e is None:
+                w_hat = "exact_hit"
+                row["w"] = "exact_hit"
+            else:
+                row["w"] = e
+                if w_hat != "exact_hit":
+                    w_hat = e if w_hat is None else max(w_hat, e)
+        if best is not None:
+            d = None
+            for ent in best.entries:
+                if ent.Y < X:
+                    d = ent.M
+                else:
+                    break
+        else:
+            d, _ = old_best_dist_enclosure(A.transpose(), None, X, budget)
+        if d is not None:
+            e = old_exponent(d, X)
+            row["what"] = e
+            hom_exps.append(e)
+        table.append(row)
+    tail = hom_exps[len(hom_exps) // 2 :]
+    return {"w_hat": w_hat, "what_hat": min(tail) if tail else None, "horizons": xs, "table": table}
+
+
+# ---------------------------------------------------------------------------
+# the kernel itself
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_scan_order_and_budget(dim):
+    shells = range(0, 5 if dim < 3 else 3)
+    got = [(s, q) for s, shell in scan(dim, shells, 1 << 20) for q in shell]
+    assert got == [(s, q) for s in shells for q in iter_shell(dim, s)]
+    # the shell that takes the running count past the budget is never yielded
+    budget = shell_size(dim, 0) + shell_size(dim, 1) + shell_size(dim, 2) - 1
+    seen = []
+    with pytest.raises(BudgetExceeded):
+        for s, _ in scan(dim, shells, budget):
+            seen.append(s)
+    assert seen == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# differential tests of the migrated searches
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    key=st.sampled_from(sorted(MATRICES)),
+    Q=st.integers(min_value=1, max_value=40),
+    budget=st.sampled_from([30, 1 << 22]),
+)
+def test_bad_witness_matches_old_loop(key, Q, budget):
+    A = MATRICES[key]
+    Q = Q if A.n == 1 else min(Q, 6)
+
+    def norm(res):
+        key_, q = res
+        return (key_.radicand if isinstance(key_, Radical) else key_), q
+
+    got = outcome(lambda: norm(bad_witness(A, Q, budget)))
+    want = outcome(lambda: norm(old_bad_witness(A, Q, budget)))
+    assert got == want
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    key=st.sampled_from(["golden", "sqrt2", "q12", "q21", "third", "half_third", "rat21"]),
+    Y=st.integers(min_value=1, max_value=60),
+    budget=st.sampled_from([25, 1 << 22]),
+)
+def test_best_approximations_scan_matches_old_loop(key, Y, budget):
+    A = MATRICES[key]
+    Y = Y if A.m == 1 else min(Y, 8)
+    got = outcome(lambda: [(e.y, e.Y, e.M) for e in _best_approximations_scan(A, Y, budget).entries])
+    assert got == outcome(old_best_approximations_scan, A, Y, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(["golden", "sqrt2", "q12", "q21", "third", "half_third", "rat21", "cf_short", "cf_mid"]),
+    data=st.data(),
+    C=st.fractions(min_value=F(1, 3000), max_value=F(1, 2), max_denominator=3000),
+    x_cap=st.integers(min_value=0, max_value=300),
+    budget=st.sampled_from([20, 1 << 22]),
+)
+def test_solve_inhomogeneous_matches_old_loops(key, data, C, x_cap, budget):
+    A = MATRICES[key]
+    b = data.draw(targets(A.m))
+    x_cap = x_cap if A.n == 1 else min(x_cap, 6)
+    C_pow = ex_pow(C, A.m)
+    got = outcome(_solve_inhomogeneous_pow, A, b, C_pow, A.m, x_cap, budget)
+    assert got == outcome(old_solve_inhomogeneous_generic, A, b, C_pow, A.m, x_cap, budget)
+    if A.irrational_line and budget > 2 * x_cap + 1:
+        # the former 1 x 1 path, where the budget does not bind
+        assert got == outcome(old_solve_inhomogeneous_1d, A, b[0], C_pow, A.m, x_cap)
+
+
+def test_rational_inhomogeneous_exact_hits():
+    A = MATRICES["third"]
+    # ||q/3 - 1/3||_Z = 0 at q = 1 and C1 = 1/6 < ||1/3||_Z at q = 0
+    assert solve_inhomogeneous(A, (F(1, 3),), F(1, 6), F(5)) == IntVec((1,))
+    # boundary equality ||0/3 - 1/3||_Z = 1/3 <= C1 is accepted at q = 0
+    assert solve_inhomogeneous(A, (F(1, 3),), F(1, 3), F(5)) == IntVec((0,))
+
+
+PSIS = [
+    PowerLog(F(1, 2), F(1), F(0)),
+    PowerLog(F(1, 50), F(1, 2), F(0)),
+    PowerLog(F(1), F(1, 2), F(1)),
+    TablePsi([(1, F(1, 5)), (4, F(1, 20)), (9, F(1, 90))]),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.sampled_from(sorted(MATRICES)),
+    psi=st.sampled_from(PSIS),
+    data=st.data(),
+    lu=st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=24)),
+    budget=st.sampled_from([30, 1 << 22]),
+)
+def test_psi_witness_matches_old_loop(key, psi, data, lu, budget):
+    A = MATRICES[key]
+    b = data.draw(targets(A.m))
+    l, du = lu if A.n == 1 else (min(lu[0], 2), min(lu[1], 3))
+    w = Window(l, l + du)
+    assert outcome(psi_witness, A, b, psi, w, budget) == outcome(old_psi_witness, A, b, psi, w, budget)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    key=st.sampled_from(sorted(MATRICES)),
+    data=st.data(),
+    rho=st.one_of(
+        st.fractions(min_value=F(1, 500), max_value=F(3, 4), max_denominator=500),
+        st.fractions(min_value=F(1, 10**5), max_value=F(1, 2), max_denominator=10**5).map(
+            lambda r: Radical(r, 2)
+        ),
+        st.sampled_from([F(1, 3), F(1, 6), Radical(F(1, 9), 2), "field"]),
+    ),
+    lu=st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=24)),
+    budget=st.sampled_from([30, 1 << 22]),
+)
+def test_delta_membership_matches_old_loop(key, data, rho, lu, budget):
+    A = MATRICES[key]
+    if rho == "field":
+        # a radius from the matrix's own quadratic field (the exact
+        # comparison refuses to mix two fields)
+        rho = Radical(quadratic(F(1, 50), F(1, 30), A.radicand or 5), 3)
+    x = data.draw(targets(A.m))
+    l, du = lu if A.n == 1 else (min(lu[0], 2), min(lu[1], 3))
+    w = Window(l, l + du)
+    got = outcome(delta_membership, A, x, rho, w, budget)
+    assert got == outcome(old_delta_membership, A, x, rho, w, budget)
+
+
+@settings(WITH_FIXTURE, max_examples=15)
+@given(
+    key=st.sampled_from(["golden", "sqrt2", "q12"]),
+    data=st.data(),
+    alpha=st.sampled_from([F(11, 10), F(3, 2), F(5, 2), F(4)]),
+    lu=st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=10)),
+    stride=st.sampled_from([1, 7, 97]),
+    budget=st.sampled_from([20, 1 << 22]),
+)
+def test_verify_prop_5_1_matches_old_loop(monkeypatch, key, data, alpha, lu, stride, budget):
+    A = MATRICES[key]
+    b = data.draw(targets(A.m))
+    l, du = lu if A.n == 1 else (min(lu[0], 2), min(lu[1], 2))
+    w = Window(l, l + du)
+    best = best_approximations(A, 400 if A.n == 1 else 12)
+    # b_alpha_test is vacuous in 1D; bypass it so the scan itself is compared
+    monkeypatch.setattr(analysis, "b_alpha_test", lambda *args: True)
+    got = outcome(
+        lambda: (lambda r: (r.binding, r.violations, r.spot_checks))(
+            verify_prop_5_1(A, b, alpha, best, w, budget, stride)
+        )
+    )
+    want = outcome(old_verify_prop_5_1_scan, A, b, alpha, best, w, budget, stride)
+    if alpha <= A.n:
+        assert got == ("raise", ValueError)
+    else:
+        assert got == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    key=st.sampled_from(sorted(MATRICES)),
+    data=st.data(),
+    homogeneous=st.booleans(),
+    xs=st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=4, unique=True).map(sorted),
+    budget=st.sampled_from([40, 1 << 22]),
+)
+def test_estimate_exponents_matches_old_loop(key, data, homogeneous, xs, budget):
+    A = MATRICES[key]
+    b = None if homogeneous else data.draw(targets(A.m))
+    xs = xs if A.n == 1 else [min(x, 6) for x in xs]
+    if len(set(xs)) != len(xs):
+        xs = sorted(set(xs))
+    if xs[0] < 2:
+        return
+    got = outcome(lambda: estimate_exponents(A, b, xs, budget).to_json())
+    try:
+        want = ("ok", old_estimate_exponents(A, b, xs, budget))
+    except (DiophlabError, ValueError) as exc:
+        want = ("raise", type(exc))
+    except TypeError:
+        want = None  # the exact-hit crash
+    rows_hit = want is None or (want[0] == "ok" and any(r.get("what", 0) is None for r in want[1]["table"]))
+    if not rows_hit:
+        assert got == want
+        return
+    # exact homogeneous hits: recorded as "exact_hit" and counted as +oo
+    assert got[0] == "ok"
+    table = got[1]["table"]
+    exps = [r["what"] for r in table if "what" in r]
+    assert "exact_hit" in exps
+    tail = exps[len(exps) // 2 :]
+    finite = [e for e in tail if e != "exact_hit"]
+    assert got[1]["what_hat"] == (min(finite) if finite else "exact_hit")
+
+
+def test_exponents_rational_line_is_all_exact_hits():
+    est = estimate_exponents(MATRICES["third"], None, [4, 8, 16])
+    assert est.what_hat is EXACT_HIT
+    assert [r["what"] for r in est.table] == ["exact_hit"] * 3
+    assert est.to_json()["what_hat"] == "exact_hit"
+
+
+@pytest.mark.parametrize("exc", [RankDeficient, PrecisionExhausted, ZeroDivisionError])
+def test_exponents_catch_only_rank_and_precision(monkeypatch, exc):
+    def broken(*args):
+        raise exc("no records")
+
+    monkeypatch.setattr("diophlab.lattice.best_approximations", broken)
+    if exc is ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            estimate_exponents(MATRICES["golden"], None, [4, 8])
+    else:
+        # without records the homogeneous exponent comes from the shell scan
+        assert estimate_exponents(MATRICES["golden"], None, [4, 8]).what_hat is not None
+
+
+# ---------------------------------------------------------------------------
+# per-target verdicts of the single-index 1 x 1 testers
+# ---------------------------------------------------------------------------
+
+
+def captured_tester(monkeypatch, run):
+    """(tester, targets) that measure_W / measure_Bad / coverage hand to
+    parallel_map."""
+    seen = {}
+
+    def fake_map(fn, items, threads=None):
+        seen["fn"], seen["items"] = fn, list(items)
+        return [fn(x) for x in items]
+
+    monkeypatch.setattr(limsup, "parallel_map", fake_map)
+    try:
+        run()
+    except PrecisionExhausted:
+        pass  # some target is undecidable; its outcome is compared below
+    return seen["fn"], seen["items"]
+
+
+def old_witness_index(A, psi, w):
+    """The former 1 x 1 measure tester: one index for exact psi values, an
+    inner/outer pair of indices otherwise."""
+    line = Line1D(A.rows[0][0])
+
+    def exact_check(b):
+        for s in w.shells:
+            for q in (-s, s):
+                d = dist_to_int(A.apply((q,))[0] - b)
+                if old_lt_value(psi, d, s):
+                    return True
+        return False
+
+    bounds = [(s, psi.value_bounds(s)) for s in w.shells]
+    if all(lo == hi for _, (lo, hi) in bounds):
+        index = UnionIndex1D(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
+        return lambda b: index.contains(b[0])
+    inner = UnionIndex1D(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
+    outer = UnionIndex1D(line, [(s, hi) for s, (_, hi) in bounds], exact_check)
+    return lambda b: inner.contains(b[0]) or (outer.contains(b[0]) and exact_check(b[0]))
+
+
+def agree(test, old_test, generic, pts):
+    """Verdicts equal those of the former tester, and those of the generic
+    predicate wherever it decides (it scans points the index never needs)."""
+    got = [outcome(test, b) for b in pts]
+    assert got == [outcome(old_test, b) for b in pts]
+    for g, b in zip(got, pts):
+        want = outcome(generic, b)
+        if want[0] == "ok":
+            assert g == want
+
+
+@settings(WITH_FIXTURE, max_examples=12)
+@given(
+    key=st.sampled_from(LINES),
+    psi=st.sampled_from(PSIS),
+    seed=st.integers(min_value=0, max_value=10**6),
+    u=st.integers(min_value=2, max_value=32),
+)
+def test_measure_W_index_verdicts_match_generic(monkeypatch, key, psi, seed, u):
+    A = MATRICES[key]
+    w = Window(1, u)
+    test, pts = captured_tester(monkeypatch, lambda: measure_W(A, psi, w, 25, seed))
+    agree(test, old_witness_index(A, psi, w), lambda b: old_psi_witness(A, b, psi, w) is not None, pts)
+
+
+@settings(WITH_FIXTURE, max_examples=12)
+@given(
+    key=st.sampled_from(LINES),
+    delta=st.sampled_from([F(1, 100), F(1, 10), F(1, 3)]),
+    seed=st.integers(min_value=0, max_value=10**6),
+    u=st.integers(min_value=2, max_value=32),
+)
+def test_measure_Bad_index_verdicts_match_generic(monkeypatch, key, delta, seed, u):
+    A = MATRICES[key]
+    w = Window(1, u)
+    psi = PowerLog(delta, F(1), F(0))
+    test, pts = captured_tester(monkeypatch, lambda: measure_Bad(A, delta, w, 25, seed))
+    agree(test, old_witness_index(A, psi, w), lambda b: old_psi_witness(A, b, psi, w) is not None, pts)
+
+
+def test_one_dimensional_index_charges_no_budget():
+    # the index covers the window itself; only the generic m x n path
+    # checks the window against the budget
+    measure_W(MATRICES["golden"], PSIS[2], Window(1, 40), 30, seed=3, budget=10)
+    with pytest.raises(BudgetExceeded):
+        measure_W(MATRICES["q12"], PSIS[0], Window(1, 3), 3, seed=3, budget=10)
+
+
+@settings(WITH_FIXTURE, max_examples=8)
+@given(
+    key=st.sampled_from(LINES),
+    eps=st.sampled_from([F(2, 5), F(1, 3), "field"]),
+    seed=st.integers(min_value=0, max_value=10**6),
+    center=st.fractions(min_value=0, max_value=1, max_denominator=16),
+)
+def test_coverage_index_verdicts_match_generic(monkeypatch, key, eps, seed, center):
+    A = MATRICES[key]
+    if eps == "field":
+        eps = quadratic(F(0), F(1, 4), A.radicand or 5)  # quadratic radii
+    try:
+        params = ubiquity_params(return_sequence(A, eps, 6), F(4))
+    except (PrecisionExhausted, limsup.InvalidWindow):
+        return  # no return sequence to cover
+    for idx, lv in enumerate(params.levels):
+        w = Window(floor_exact(lv.l), max(floor_exact(lv.u), floor_exact(lv.l) + 1))
+        rho = lv.rho(1)
+        if floor_exact(lv.l) >= floor_exact(lv.u) or compare(rho, F(1, 2)).kind != "less":
+            continue
+        test, pts = captured_tester(
+            monkeypatch, lambda: coverage(A, params, ((center,), F(1, 8)), idx, 20, seed)
+        )
+
+        def generic(b):
+            return old_delta_membership(A, b, rho, w)
+
+        if isinstance(rho, F):
+            # the former tester: one index over the exact radius
+            index = UnionIndex1D(Line1D(A.rows[0][0]), [(s, rho) for s in w.shells], lambda x: generic((x,)))
+            agree(test, lambda b: index.contains(b[0]), generic, pts)
+        else:
+            # a quadratic radius crashed the former tester
+            assert [outcome(test, b) for b in pts] == [outcome(generic, b) for b in pts]

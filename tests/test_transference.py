@@ -75,6 +75,16 @@ class TestSolveInhomogeneous:
             assert (got.coords if got else None) == want
 
 
+    def test_budget_honoured_for_1x1(self, A_golden):
+        # the 1 x 1 search charges the budget like every other shape
+        from diophlab.errors import BudgetExceeded
+
+        with pytest.raises(BudgetExceeded):
+            solve_inhomogeneous(A_golden, (F(1, 3),), F(1, 10**6), 2000, budget=10)
+        with pytest.raises(BudgetExceeded):
+            solve_inhomogeneous(ApproxMatrix([[F(1, 7), F(2, 7)]]), (F(1, 3),), F(1, 10**6), 2000, budget=10)
+
+
 class TestCorollary33:
     def test_bounds_match_paper_shape(self):
         C1m, X1 = corollary_bounds(F(2, 5), 4, 1, 1)
