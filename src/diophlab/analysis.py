@@ -36,6 +36,7 @@ from .numeric import (
     ex_pow,
     le,
     lt,
+    _as_interval,
     _nth_root_lower,
     _nth_root_upper,
 )
@@ -176,8 +177,6 @@ def _max_pow(x: Comparable, y: Comparable) -> Comparable:
     if c.decided:
         return x if c.kind == "greater" else y
     # undecided enclosures: take the interval hull of the max
-    from .numeric import _as_interval
-
     xl, xh = _as_interval(x)
     yl, yh = _as_interval(y)
     return RatInterval(max(xl, yl), max(xh, yh))

@@ -12,10 +12,17 @@ from typing import Sequence
 
 import mpmath
 
-from .errors import BudgetExceeded
-from .fastpath import Line1D, scale_fraction, threshold_bounds
-from .lattice import ApproxMatrix, iter_shell, shell_size
-from .numeric import compare, dec_str, dist_to_int, enclose
+from .errors import BudgetExceeded, PrecisionExhausted
+from .lattice import ApproxMatrix, scan, shell_size, within
+from .numeric import (
+    Ordering,
+    _nth_root_lower,
+    _nth_root_upper,
+    compare,
+    dec_str,
+    enclose,
+    mpf_to_fraction,
+)
 
 log = logging.getLogger(__name__)
 
@@ -52,12 +59,6 @@ class WeylSumResult:
         yield (self.N, " ".join(map(str, self.c)), dec_str(mid), dec_str(rad, 18))
 
 
-def _mpf_to_fraction(v) -> Fraction:
-    sgn, man, exp, _ = v._mpf_
-    f = Fraction(-man if sgn else man)
-    return f * (1 << exp) if exp >= 0 else f / (1 << -exp)
-
-
 def weyl_sum(
     A: ApproxMatrix, c: Sequence[int], N: int, budget: int = 1 << 22
 ) -> WeylSumResult:
@@ -70,11 +71,7 @@ def weyl_sum(
     c = tuple(int(x) for x in c)
     if len(c) != A.m or all(x == 0 for x in c):
         raise ValueError("frequency c must be a nonzero vector of length m")
-    if N < 1:
-        raise ValueError("N >= 1 required")
-    count = (2 * N + 1) ** A.n
-    if count > budget:
-        raise BudgetExceeded(f"{count} lattice points exceed budget {budget}")
+    count = _check_horizon(A.n, N, budget)
 
     # phase(q) = sum_j c_j (Aq)_j = (row combination c^T A) . q; precompute
     # high-precision values of the n combined coefficients
@@ -98,23 +95,21 @@ def weyl_sum(
     re_sum = mpmath.mpf(0)
     im_sum = mpmath.mpf(0)
     with mpmath.workprec(PHASE_PREC):
-        for s in range(0, N + 1):
-            for q in iter_shell(A.n, s):
+        for _, shell in scan(A.n, range(N + 1), budget):
+            for q in shell:
                 phase = sum(m * qq for m, qq in zip(coeff_mid, q))
                 frac = phase - (phase.numerator // phase.denominator)
                 t = mpmath.mpf(frac.numerator) / frac.denominator
                 re_sum += mpmath.cospi(2 * t)
                 im_sum += mpmath.sinpi(2 * t)
 
-    re_mid = _mpf_to_fraction(re_sum)
-    im_mid = _mpf_to_fraction(im_sum)
+    re_mid = mpf_to_fraction(re_sum)
+    im_mid = mpf_to_fraction(im_sum)
     err = two_pi_err + Fraction(count, 1 << (PHASE_PREC - 8))
     re = (re_mid - err, re_mid + err)
     im = (im_mid - err, im_mid + err)
     mag_hi_sq = max(x * x for x in re) + max(x * x for x in im)
     mag_lo_sq = _min_abs(re) ** 2 + _min_abs(im) ** 2
-    from .numeric import _nth_root_lower, _nth_root_upper
-
     mag = (_nth_root_lower(mag_lo_sq, 2, 64), _nth_root_upper(mag_hi_sq, 2, 64))
     norm = (max(Fraction(0), mag[0] / count), min(Fraction(1), mag[1] / count))
     return WeylSumResult(c, N, count, re, im, mag, norm, err)
@@ -144,47 +139,34 @@ class CountingResult:
         }
 
 
-class _Ball:
-    """A torus ball B(center, radius) prepared for certified membership:
-    the scaled center (within 1 unit) and integer bounds on the radius."""
-
-    def __init__(self, line: Line1D, center: Sequence[Fraction], radius: Fraction):
-        self.center = tuple(Fraction(x) for x in center)
-        self.radius = Fraction(radius)
-        if not (0 < self.radius <= Fraction(1, 2)):
-            raise ValueError("radius must lie in (0, 1/2]")
-        self.c_scaled = tuple(scale_fraction(x, line.shift) for x in self.center)
-        self.r_lo, self.r_hi = threshold_bounds(self.radius, line.shift)
-
-    def exact_member(self, A: ApproxMatrix, q: tuple[int, ...]) -> tuple[bool, bool]:
-        """(inside, on the boundary) by exact comparison of every coordinate;
-        an undecided comparison counts as inside."""
-        hit_boundary = False
-        for v, ctr in zip(A.apply(q), self.center):
-            cmp = compare(dist_to_int(v - ctr), self.radius)
-            if cmp.kind == "greater":
-                return False, False
-            if cmp.kind == "equal":
-                hit_boundary = True
-        return True, hit_boundary
+def _ball(center: Sequence[Fraction], radius: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
+    radius = Fraction(radius)
+    if not (0 < radius <= Fraction(1, 2)):
+        raise ValueError("radius must lie in (0, 1/2]")
+    return tuple(Fraction(x) for x in center), radius
 
 
-def _shell_count(A: ApproxMatrix, line: Line1D, ball: _Ball, s: int) -> tuple[int, int]:
-    """(members, boundary hits) of the closed ball among the points of shell
-    s.  Integer bounds decide a point strictly inside or outside; a point
-    inside the margin, including every exact boundary hit, is compared
-    exactly."""
-    count = boundary = 0
-    r_lo, r_hi, c_scaled = ball.r_lo, ball.r_hi, ball.c_scaled
-    for q in iter_shell(A.n, s):
-        d_lo, d_hi = line.dist_bounds(q, c_scaled, 1)
-        if d_hi < r_lo:
-            count += 1
-        elif d_lo <= r_hi:
-            inside, hit = ball.exact_member(A, q)
-            count += inside
-            boundary += hit
-    return count, boundary
+def _ball_hits(
+    A: ApproxMatrix, center: tuple[Fraction, ...], radius: Fraction, N: int, budget: int
+) -> tuple[list[int], int]:
+    """(members of the closed ball B(center, radius) on each shell s <= N,
+    exact boundary hits), from the filtered walk.  A point inside the
+    filter's margin, including every boundary hit, is compared exactly; an
+    undecided comparison raises PrecisionExhausted."""
+    boundary = 0
+
+    def member(q: tuple[int, ...]) -> bool:
+        nonlocal boundary
+        c = compare(A.dist(q, center), radius)
+        if not c.decided:
+            raise PrecisionExhausted(f"ball membership undecided (width {c.width})")
+        boundary += c is Ordering.EQUAL
+        return c is not Ordering.GREATER
+
+    per_shell = [0] * (N + 1)
+    for s, _ in within(A, range(N + 1), budget, radius, member, center):
+        per_shell[s] += 1
+    return per_shell, boundary
 
 
 def _check_horizon(n: int, N: int, budget: int) -> int:
@@ -202,21 +184,17 @@ def counting_report(
     N: int,
     budget: int = 1 << 22,
 ) -> CountingResult:
-    """Exact #{||q|| <= N : Aq mod 1 in B} / (2N+1)^n.
+    """Exact #{||q|| <= N : Aq mod 1 in B} / (2N+1)^n for the closed ball B.
 
-    Membership is strict interior; an exact boundary hit is counted as a
-    member and logged.
+    An exact boundary hit is counted as a member and logged; an undecided
+    membership raises PrecisionExhausted.
     """
-    line = A.line
-    ball = _Ball(line, *ball)
+    center, radius = _ball(*ball)
     total = _check_horizon(A.n, N, budget)
-    if ball.radius == Fraction(1, 2):
+    if radius == Fraction(1, 2):
         return CountingResult(Fraction(1), total, total, 0)
-    count = boundary = 0
-    for s in range(0, N + 1):
-        c, h = _shell_count(A, line, ball, s)
-        count += c
-        boundary += h
+    per_shell, boundary = _ball_hits(A, center, radius, N, budget)
+    count = sum(per_shell)
     if boundary:
         log.info("counting_report: %d exact boundary hits counted as members", boundary)
     return CountingResult(Fraction(count, total), count, total, boundary)
@@ -261,19 +239,17 @@ def estimate_equid_constant(
     if not ball_family or not l_values:
         raise ValueError("need at least one ball and one horizon")
     ls = sorted(l_values)
-    line = A.line
-    balls = [_Ball(line, center, min(2 * Fraction(r), Fraction(1, 2))) for center, r in ball_family]
+    balls = [_ball(center, min(2 * Fraction(r), Fraction(1, 2))) for center, r in ball_family]
     _check_horizon(A.n, ls[0], budget)
     _check_horizon(A.n, ls[-1], budget)
     # counts[k][i]: members of ball k with ||q|| <= ls[i], from one pass per ball
     counts: list[list[int]] = []
-    for b in balls:
-        if b.radius == Fraction(1, 2):
+    for center, radius in balls:
+        if radius == Fraction(1, 2):
             counts.append([(2 * l + 1) ** A.n for l in ls])
             continue
-        shells = [_shell_count(A, line, b, s) for s in range(ls[-1] + 1)]
-        members = list(accumulate(c for c, _ in shells))
-        boundary = sum(h for _, h in shells)
+        per_shell, boundary = _ball_hits(A, center, radius, ls[-1], budget)
+        members = list(accumulate(per_shell))
         if boundary:
             log.info("estimate_equid_constant: %d exact boundary hits counted as members", boundary)
         counts.append([members[l] for l in ls])

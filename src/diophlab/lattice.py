@@ -97,6 +97,14 @@ class ApproxMatrix:
             v = [x - t for x, t in zip(v, b)]
         return dist_to_int_vec(v)
 
+    def check_field(self, x: Comparable | Radical) -> None:
+        """UnsupportedEntry if x (or the radicand of a `Radical` x) is a
+        quadratic irrational outside the field of the entries."""
+        while isinstance(x, Radical):
+            x = x.radicand
+        if isinstance(x, Quadratic) and self.radicand not in (None, x.d):
+            raise UnsupportedEntry(f"mixing radicands sqrt({self.radicand}) and sqrt({x.d})")
+
     def transpose(self) -> "ApproxMatrix":
         return ApproxMatrix(
             [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)]
@@ -182,20 +190,22 @@ def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, It
         yield s, iter_shell(dim, s)
 
 
-def first_within(
+def within(
     A: ApproxMatrix, shells: Iterable[int], budget: int, thr: Comparable | Radical,
     exact: Callable[[tuple[int, ...]], bool], b: Optional[Sequence[Fraction]] = None,
-) -> Optional[IntVec]:
-    """First q in the order of scan(A.n, shells, budget) with ||Aq - b||_Z
-    below thr, where exact(q) is the caller's certified comparison (strict
-    or not).
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """(s, q) for every q in the order of scan(A.n, shells, budget) with
+    ||Aq - b||_Z below thr, where exact(q) is the caller's certified
+    comparison (strict or not).
 
-    thr is any value `threshold_bounds` encloses.  Scaled-integer bounds
-    accept q when d_hi < thr_lo, since then d < thr and so also d <= thr,
-    and reject it when d_lo > thr_hi; only a point inside that margin runs
-    exact(q), so the first hit, BudgetExceeded and PrecisionExhausted are
-    those of the exact scan.
+    thr is any value `threshold_bounds` encloses, in the field of A's
+    entries or in Q (UnsupportedEntry otherwise, before any point is
+    scanned).  Scaled-integer bounds accept q when d_hi < thr_lo, since then
+    d < thr and so also d <= thr, and reject it when d_lo > thr_hi; only a
+    point inside that margin runs exact(q), so the hits, BudgetExceeded and
+    PrecisionExhausted are those of the exact scan.
     """
+    A.check_field(thr)
     line = A.line
     thr_lo, thr_hi = threshold_bounds(thr, line.shift)
     if b is None:
@@ -204,12 +214,11 @@ def first_within(
         b_scaled = tuple(scale_fraction(x, line.shift) for x in b)
         b_err = int(any((x.numerator << line.shift) % x.denominator for x in b))
     dist_bounds = line.dist_bounds
-    for _, shell in scan(A.n, shells, budget):
+    for s, shell in scan(A.n, shells, budget):
         for q in shell:
             d_lo, d_hi = dist_bounds(q, b_scaled, b_err)
             if d_hi < thr_lo or (d_lo <= thr_hi and exact(q)):
-                return IntVec(q)
-    return None
+                yield s, q
 
 
 def root_threshold(C_pow: Comparable, pw: int):
@@ -239,11 +248,12 @@ def _solve_homogeneous_pow(
     A: ApproxMatrix, C_pow: Comparable, pw: int, X: int, budget: int
 ) -> Optional[IntVec]:
     """Same search with the threshold given as C^pw (strict comparison),
-    filtered by `first_within`."""
-    return first_within(
+    filtered by `within`."""
+    hit = next(within(
         A, range(1, X), budget, root_threshold(C_pow, pw),
         lambda q: lt(ex_pow(A.dist(q), pw), C_pow),
-    )
+    ), None)
+    return None if hit is None else IntVec(hit[1])
 
 
 @dataclass

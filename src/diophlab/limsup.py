@@ -7,7 +7,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from itertools import repeat
+from typing import Callable, Iterable, Optional, Sequence
 
 import mpmath
 
@@ -18,9 +19,9 @@ from .lattice import (
     ApproxMatrix,
     IntVec,
     ReturnSequence,
-    first_within,
     scan,
     shell_size,
+    within,
 )
 from .numeric import (
     Comparable,
@@ -37,6 +38,7 @@ from .numeric import (
     format_exact,
     le,
     lt,
+    mpf_to_fraction,
 )
 from .sampling import binomial_ci, parallel_map, sample_point, grid_points
 
@@ -141,9 +143,7 @@ def _log_bounds(q: int, bits: int) -> tuple[Fraction, Fraction]:
     if q <= 2:  # ln 2 < 1, so the max clamps
         return Fraction(1), Fraction(1)
     with mpmath.workprec(bits + 16):
-        sgn, man, exp, _ = mpmath.log(q)._mpf_
-    f = Fraction(-man if sgn else man)
-    f = f * (1 << exp) if exp >= 0 else f / (1 << -exp)
+        f = mpf_to_fraction(mpmath.log(q))
     pad = Fraction(1, 1 << bits)
     one = Fraction(1)
     return max(f - pad, one), max(f + pad, one)
@@ -256,8 +256,8 @@ def delta_membership(
         return True  # balls of radius >= 1/2 cover the torus
     w.check_budget(A.n, budget)
     x = tuple(Fraction(t) for t in x)
-    hit = first_within(A, w.shells, budget, rho_val, lambda q: lt(A.dist(q, x), rho_val), x)
-    return hit is not None
+    hits = within(A, w.shells, budget, rho_val, lambda q: lt(A.dist(q, x), rho_val), x)
+    return next(hits, None) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +286,34 @@ class MeasureEstimate:
         }
 
 
-def _witness_tester(
-    A: ApproxMatrix, psi: ApproxFunction, w: Window, budget: int
+def _tester(
+    A: ApproxMatrix, w: Window, radii: Iterable, exact: Callable, budget: int
 ) -> Callable[[tuple[Fraction, ...]], bool]:
-    """Per-target strict-witness predicate; indexed fast path in 1D."""
+    """Per-target test of ||Aq - b||_Z < r_s for some q in the window, s =
+    ||q||, where exact(b, budget) decides it.  Other shapes check the
+    window against the budget once.  A 1 x 1 irrational matrix gets one
+    union index over the radius enclosures r_s (radii is read only then),
+    with exact for a target inside its margin; the index covers the whole
+    window, so that fallback is not charged to the budget."""
     if A.irrational_line:
-        bounds = map(psi.value_bounds, w.shells)
-        radii = [lo if lo == hi else RatInterval(lo, hi) for lo, hi in bounds]
-        # the index covers the whole window, so its exact fallback is not
-        # charged to the budget
-        return _indexed_tester(
-            A, w, radii, lambda b: psi_witness(A, (b,), psi, w, math.inf) is not None
+        index = UnionIndex1D(
+            A.line, list(zip(w.shells, radii)), lambda x: exact((x,), math.inf)
         )
+        return lambda b: index.contains(b[0])
     w.check_budget(A.n, budget)
-    return lambda b: psi_witness(A, b, psi, w, budget) is not None
+    return lambda b: exact(b, budget)
 
 
-def _indexed_tester(A: ApproxMatrix, w: Window, radii: Sequence, exact_check) -> Callable:
-    """Certified 1 x 1 test of ||q alpha - b||_Z < r_s for some q = +-s over
-    the window's shells s: one union index over the radius enclosures, with
-    exact_check(b) for a target inside its margin."""
-    index = UnionIndex1D(A.line, list(zip(w.shells, radii)), exact_check)
-    return lambda b: index.contains(b[0])
+def _witness_hits(
+    A: ApproxMatrix, psi: ApproxFunction, w: Window, samples: int, seed: int,
+    mode: str, budget: int, threads: int | None,
+) -> int:
+    """How many sampled targets have a strict psi-witness in the window."""
+    radii = (lo if lo == hi else RatInterval(lo, hi) for lo, hi in map(psi.value_bounds, w.shells))
+    test = _tester(
+        A, w, radii, lambda b, budget: psi_witness(A, b, psi, w, budget) is not None, budget
+    )
+    return sum(parallel_map(test, _points(A.m, samples, seed, mode), threads))
 
 
 def measure_W(
@@ -321,10 +327,7 @@ def measure_W(
     threads: int | None = None,
 ) -> MeasureEstimate:
     """Fraction of random targets admitting a witness in the window."""
-    test = _witness_tester(A, psi, w, budget)
-    pts = _points(A.m, samples, seed, mode)
-    hits = parallel_map(test, pts, threads)
-    k = sum(hits)
+    k = _witness_hits(A, psi, w, samples, seed, mode, budget, threads)
     lo, hi = binomial_ci(k, samples)
     return MeasureEstimate(Fraction(k, samples), samples, lo, hi, seed, w)
 
@@ -341,10 +344,7 @@ def measure_Bad(
 ) -> MeasureEstimate:
     """Fraction of targets with NO witness for psi_delta(q) = delta q^(-n/m)."""
     psi = PowerLog(Fraction(delta), Fraction(A.n, A.m), Fraction(0))
-    test = _witness_tester(A, psi, w, budget)
-    pts = _points(A.m, samples, seed, mode)
-    hits = parallel_map(test, pts, threads)
-    k = samples - sum(hits)
+    k = samples - _witness_hits(A, psi, w, samples, seed, mode, budget, threads)
     lo, hi = binomial_ci(k, samples)
     return MeasureEstimate(Fraction(k, samples), samples, lo, hi, seed, w)
 
@@ -500,14 +500,11 @@ def coverage(
         est = MeasureEstimate(Fraction(1), samples, Fraction(1), Fraction(1), seed, w)
         return CoverageEntry(lv.ell, dec_str(lv.l), dec_str(lv.u), dec_str(Radical(lv.rho_pow_m, m)), est)
 
-    if A.irrational_line:
-        test = _indexed_tester(
-            A, w, [rho] * len(w.shells), lambda b: delta_membership(A, (b,), rho, w, budget)
-        )
-    else:
-        w.check_budget(A.n, budget)
-        test = lambda b: delta_membership(A, b, rho, w, budget)  # noqa: E731
-
+    # the index alone would decide targets against a radius from another field
+    A.check_field(rho)
+    test = _tester(
+        A, w, repeat(rho), lambda b, budget: delta_membership(A, b, rho, w, budget), budget
+    )
     pts = [sample(i) for i in range(samples)]
     hits = parallel_map(test, pts, threads)
     k = sum(hits)

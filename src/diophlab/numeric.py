@@ -473,8 +473,6 @@ def floor_exact(x: Comparable) -> int:
             if hi.denominator > 1 or len(x.pq) == 1
             else hi.numerator - 1  # open upper endpoint at an integer
         )
-        if len(x.pq) > 1 and lo == flo:
-            pass  # open lower endpoint: value > lo, floor still flo
         if flo == fhi:
             return flo
         raise PrecisionExhausted("floor undecided by CF enclosure")
@@ -707,6 +705,13 @@ def enclose(x: Comparable, bits: int) -> tuple[Fraction, Fraction]:
     if isinstance(x, Radical):
         return x.enclose(bits)
     raise TypeError(x)
+
+
+def mpf_to_fraction(v) -> Fraction:
+    """The exact value of a finite mpmath mpf."""
+    sgn, man, exp, _ = v._mpf_
+    f = Fraction(-man if sgn else man)
+    return f * (1 << exp) if exp >= 0 else f / (1 << -exp)
 
 
 def dec_str(x: Comparable, digits: int = 12) -> str:

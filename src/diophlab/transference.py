@@ -10,9 +10,9 @@ from .lattice import (
     DEFAULT_BUDGET,
     ApproxMatrix,
     IntVec,
-    first_within,
     in_return_sequence,
     root_threshold,
+    within,
 )
 from .numeric import (
     Comparable,
@@ -71,11 +71,12 @@ def _solve_inhomogeneous_pow(
     budget: int,
 ) -> Optional[IntVec]:
     """First q (shell-then-lex) with ||q|| <= x_cap and ||Aq - b||_Z^pw <=
-    C_pow, filtered by `first_within` for every shape."""
-    return first_within(
+    C_pow, filtered by `within` for every shape."""
+    hit = next(within(
         A, range(x_cap + 1), budget, root_threshold(C_pow, pw),
         lambda q: le(ex_pow(A.dist(q, b), pw), C_pow), b,
-    )
+    ), None)
+    return None if hit is None else IntVec(hit[1])
 
 
 @dataclass

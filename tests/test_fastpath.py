@@ -4,7 +4,7 @@ arithmetic; these tests drive both sides on the same inputs."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diophlab import lattice
 from diophlab.equidist import counting_report, estimate_equid_constant
@@ -250,7 +250,8 @@ def test_golden_return_sequence_needs_few_fallbacks(monkeypatch):
 
 
 def exact_count(A, center, radius, N):
-    """(members, boundary hits) by exact comparison at every point."""
+    """(members, boundary hits) by exact comparison at every point;
+    PrecisionExhausted when a membership is undecided."""
     count = boundary = 0
     for s in range(N + 1):
         for q in iter_shell(A.n, s):
@@ -258,6 +259,8 @@ def exact_count(A, center, radius, N):
                 compare(dist_to_int(v - c), radius).kind for v, c in zip(A.apply(q), center)
             ]
             if "greater" not in kinds:
+                if "uncertain" in kinds:
+                    raise PrecisionExhausted(f"membership of {q} undecided")
                 count += 1
                 boundary += "equal" in kinds
     return count, boundary
@@ -270,13 +273,24 @@ def exact_count(A, center, radius, N):
     radius=st.fractions(min_value=F(1, 12), max_value=F(5, 12), max_denominator=12),
     N=st.integers(min_value=1, max_value=30),
 )
+@example(key="cf_mid", center=[F(0), F(0)], radius=F(1, 12), N=15)
 def test_counting_report_matches_exact(key, center, radius, N):
     A = MATRICES[key]
     center = tuple(center[: A.m])
     N = N if A.n == 1 else min(N, 8)
-    rep = counting_report(A, (center, radius), N)
-    assert (rep.count, rep.boundary_hits) == exact_count(A, center, radius, N)
-    assert rep.total == (2 * N + 1) ** A.n
+
+    def report():
+        rep = counting_report(A, (center, radius), N)
+        assert rep.total == (2 * N + 1) ** A.n
+        return rep.count, rep.boundary_hits
+
+    assert outcome(report) == outcome(exact_count, A, center, radius, N)
+
+
+def test_undecided_membership_raises():
+    # the enclosure of [0; 1, 2] = 2/3 is too wide to place every q/3 point
+    with pytest.raises(PrecisionExhausted):
+        counting_report(MATRICES["cf_short"], ((F(0),), F(1, 10)), 50)
 
 
 def test_counting_exact_boundary_hits():
@@ -307,14 +321,19 @@ def per_ball_constant(A, family, l_values):
     radii=st.lists(st.fractions(min_value=F(1, 40), max_value=F(3, 8), max_denominator=40), min_size=1, max_size=4),
     l_values=st.lists(st.integers(min_value=1, max_value=24), min_size=1, max_size=4),
 )
+@example(key="cf_mid", radii=[F(1, 8)], l_values=[15])
 def test_equid_constant_matches_per_ball_counts(key, radii, l_values):
     A = MATRICES[key]
     if A.n > 1:
         l_values = [min(l, 6) for l in l_values]
     family = [(tuple(F(i + 1, 7) for _ in range(A.m)), r) for i, r in enumerate(radii)]
-    est = estimate_equid_constant(A, family, l_values)
-    assert (est.c_hat, est.table) == per_ball_constant(A, family, l_values)
-    assert est.recommended == 2 * est.c_hat
+
+    def constant():
+        est = estimate_equid_constant(A, family, l_values)
+        assert est.recommended == 2 * est.c_hat
+        return est.c_hat, est.table
+
+    assert outcome(constant) == outcome(per_ball_constant, A, family, l_values)
 
 
 def test_equid_constant_budget_on_largest_horizon():
