@@ -18,10 +18,12 @@ from .errors import (
     RankDeficient,
 )
 from .lattice import (
+    DEFAULT_BUDGET,
     ApproxMatrix,
     BestApproxSequence,
     IntVec,
     ReturnSequence,
+    records,
     scan,
 )
 from .limsup import ApproxFunction, PowerLog, Window
@@ -401,7 +403,7 @@ def verify_prop_5_1(
     alpha: Fraction,
     best: BestApproxSequence,
     w: Window,
-    budget: int = 1 << 22,
+    budget: int = DEFAULT_BUDGET,
     spot_check_stride: int = 97,
 ) -> Prop51Report:
     """Exhaustively check ||q||^(n/m) ||Aq - b||_Z > (alpha - n)/m over the
@@ -499,30 +501,15 @@ class ExponentEstimate:
         }
 
 
-def _best_dist_enclosure(A: ApproxMatrix, b, X: int, budget: int):
-    """(distance enclosure, q) minimizing ||Aq - b||_Z over 0 < ||q|| < X;
-    q = 0 is excluded in both the homogeneous and inhomogeneous problems
-    (b = 0 would otherwise be a trivial exact hit)."""
-    best_d = None
-    best_q = None
-    for _, shell in scan(A.n, range(1, X), budget):
-        for q in shell:
-            d = A.dist(q, b)
-            if best_d is None or lt(d, best_d):
-                best_d = d
-                best_q = q
-    return best_d, best_q
-
-
-def _hom_dist_from_best(best: BestApproxSequence, X: int):
-    """Best homogeneous distance over 0 < ||y|| < X via the record sequence."""
-    cand = None
-    for e in best.entries:
-        if e.Y < X:
-            cand = e.M
-        else:
+def _last_below(recs, X: int):
+    """Value of the last record (s, value) with s < X, or None: the best
+    distance over 0 < ||q|| < X of a record walk in shell order."""
+    d = None
+    for s, v in recs:
+        if s >= X:
             break
-    return cand
+        d = v
+    return d
 
 
 def _exponent(d, X: int) -> Optional[float]:
@@ -537,7 +524,7 @@ def estimate_exponents(
     A: ApproxMatrix,
     b: Optional[Sequence[Fraction]],
     X_schedule: Sequence[int],
-    budget: int = 1 << 22,
+    budget: int = DEFAULT_BUDGET,
     best: Optional[BestApproxSequence] = None,
 ) -> ExponentEstimate:
     """Finite-horizon surrogates for the exponents: w_hat(A, b) is the max
@@ -557,12 +544,20 @@ def estimate_exponents(
             best = best_approximations(A, xs[-1])
         except (RankDeficient, PrecisionExhausted):
             best = None
+
+    def walk(M: ApproxMatrix, target=None) -> list:
+        """(s, distance) records over 0 < ||q|| < X for the largest X; q = 0
+        is excluded in both problems (b = 0 would be a trivial exact hit)."""
+        recs = records(M, range(1, xs[-1]), budget, lambda s, d: d, target)
+        return [(s, d) for s, _, d in recs]
+
+    if b is not None:
+        inh = walk(A, tuple(Fraction(x) if isinstance(x, (int, Fraction)) else x for x in b))
+    hom = [(e.Y, e.M) for e in best.entries] if best is not None else walk(A.transpose())
     for X in xs:
         row: dict = {"X": X}
         if b is not None:
-            bt = tuple(Fraction(x) if isinstance(x, (int, Fraction)) else x for x in b)
-            d, q = _best_dist_enclosure(A, bt, X, budget)
-            e = _exponent(d, X)
+            e = _exponent(_last_below(inh, X), X)
             if e is None:
                 w_hat = EXACT_HIT
                 row["w"] = "exact_hit"
@@ -570,10 +565,7 @@ def estimate_exponents(
                 row["w"] = e
                 if not isinstance(w_hat, ExactHit):
                     w_hat = e if w_hat is None else max(w_hat, e)
-        if best is not None:
-            d = _hom_dist_from_best(best, X)
-        else:
-            d, _ = _best_dist_enclosure(A.transpose(), None, X, budget)
+        d = _last_below(hom, X)
         if d is not None:
             e = _exponent(d, X)
             row["what"] = "exact_hit" if e is None else e

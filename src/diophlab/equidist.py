@@ -12,10 +12,11 @@ from typing import Sequence
 
 import mpmath
 
-from .errors import BudgetExceeded, PrecisionExhausted
-from .lattice import ApproxMatrix, scan, shell_size, within
+from .errors import BudgetExceeded
+from .lattice import DEFAULT_BUDGET, ApproxMatrix, scan, shell_size, within
 from .numeric import (
     Ordering,
+    _decided,
     _nth_root_lower,
     _nth_root_upper,
     compare,
@@ -60,7 +61,7 @@ class WeylSumResult:
 
 
 def weyl_sum(
-    A: ApproxMatrix, c: Sequence[int], N: int, budget: int = 1 << 22
+    A: ApproxMatrix, c: Sequence[int], N: int, budget: int = DEFAULT_BUDGET
 ) -> WeylSumResult:
     """Radial exponential sum (1/#{||q|| <= N}) sum e^{2 pi i c.Aq}.
 
@@ -157,9 +158,7 @@ def _ball_hits(
 
     def member(q: tuple[int, ...]) -> bool:
         nonlocal boundary
-        c = compare(A.dist(q, center), radius)
-        if not c.decided:
-            raise PrecisionExhausted(f"ball membership undecided (width {c.width})")
+        c = _decided(compare(A.dist(q, center), radius), "ball membership")
         boundary += c is Ordering.EQUAL
         return c is not Ordering.GREATER
 
@@ -182,7 +181,7 @@ def counting_report(
     A: ApproxMatrix,
     ball: tuple[Sequence[Fraction], Fraction],
     N: int,
-    budget: int = 1 << 22,
+    budget: int = DEFAULT_BUDGET,
 ) -> CountingResult:
     """Exact #{||q|| <= N : Aq mod 1 in B} / (2N+1)^n for the closed ball B.
 
@@ -204,7 +203,7 @@ def counting_ratio(
     A: ApproxMatrix,
     ball: tuple[Sequence[Fraction], Fraction],
     N: int,
-    budget: int = 1 << 22,
+    budget: int = DEFAULT_BUDGET,
 ) -> Fraction:
     return counting_report(A, ball, N, budget).ratio
 
@@ -231,7 +230,7 @@ def estimate_equid_constant(
     A: ApproxMatrix,
     ball_family: Sequence[tuple[Sequence[Fraction], Fraction]],
     l_values: Sequence[int],
-    budget: int = 1 << 22,
+    budget: int = DEFAULT_BUDGET,
 ) -> EquidConstant:
     """Empirical C_hat = max over the family of #{Aq in 2B : ||q|| <= l}
     divided by l^n |B|.  Multiply by the safety factor 2 before feeding

@@ -221,6 +221,24 @@ def within(
                 yield s, q
 
 
+def records(
+    A: ApproxMatrix, shells: Iterable[int], budget: int, key: Callable,
+    b: Optional[Sequence[Fraction]] = None, bound: Optional[Comparable] = None,
+) -> Iterator[tuple[int, tuple[int, ...], Comparable]]:
+    """(s, q, key(s, ||Aq - b||_Z)) for every q in the order of
+    scan(A.n, shells, budget) whose key is strictly below the keys of all
+    earlier points, and below bound when given.  Strict comparison keeps
+    each record's lexicographically first attainer; an undecided comparison
+    raises PrecisionExhausted."""
+    best = bound
+    for s, shell in scan(A.n, shells, budget):
+        for q in shell:
+            k = key(s, A.dist(q, b))
+            if best is None or lt(k, best):
+                best = k
+                yield s, q, k
+
+
 def root_threshold(C_pow: Comparable, pw: int):
     """C as a filter threshold from C^pw; 0 when C^pw <= 0, which no
     distance undercuts (the exact comparison still decides)."""
@@ -313,18 +331,10 @@ def bad_witness(
     if Q < 1:
         raise ValueError("Q >= 1 required")
     m, n = A.m, A.n
-    best_key = None
-    best_q = None
-    for s, shell in scan(n, range(1, Q + 1), budget):
-        for q in shell:
-            key = ex_pow(A.dist(q), m) * Fraction(s**n)
-            if best_key is None or lt(key, best_key):
-                best_key = key
-                best_q = IntVec(q)
-    assert best_key is not None and best_q is not None
-    if m == 1:
-        return best_key, best_q
-    return Radical(best_key, m), best_q
+    *_, (_, q, key) = records(
+        A, range(1, Q + 1), budget, lambda s, d: ex_pow(d, m) * Fraction(s**n)
+    )
+    return (key if m == 1 else Radical(key, m)), IntVec(q)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +392,17 @@ def best_approximations(
 def _best_approximations_scan(
     A: ApproxMatrix, Y_max: int, budget: int
 ) -> BestApproxSequence:
-    T = A.transpose()
-    entries: list[BestApproxEntry] = []
-    for s, shell in scan(A.m, range(1, Y_max + 1), budget):
-        for y in shell:
-            d = T.dist(y)
-            if lt(d, entries[-1].M if entries else Fraction(1, 2)):
-                # a strictly closer point of the same shell replaces its
-                # entry: each record is its shell's lexicographically first
-                # minimizer
-                if entries and entries[-1].Y == s:
-                    entries.pop()
-                entries.append(BestApproxEntry(IntVec(y), s, d))
-    return BestApproxSequence(entries, Y_max)
+    # a strictly closer point of the same shell replaces its record: each
+    # entry is its shell's lexicographically first minimizer
+    last = {
+        s: (y, d)
+        for s, y, d in records(
+            A.transpose(), range(1, Y_max + 1), budget, lambda s, d: d, bound=Fraction(1, 2)
+        )
+    }
+    return BestApproxSequence(
+        [BestApproxEntry(IntVec(y), s, d) for s, (y, d) in last.items()], Y_max
+    )
 
 
 def _best_approximations_1d(A: ApproxMatrix, Y_max: int) -> BestApproxSequence:

@@ -306,14 +306,14 @@ def _tester(
 
 def _witness_hits(
     A: ApproxMatrix, psi: ApproxFunction, w: Window, samples: int, seed: int,
-    mode: str, budget: int, threads: int | None,
+    mode: str, budget: int,
 ) -> int:
     """How many sampled targets have a strict psi-witness in the window."""
     radii = (lo if lo == hi else RatInterval(lo, hi) for lo, hi in map(psi.value_bounds, w.shells))
     test = _tester(
         A, w, radii, lambda b, budget: psi_witness(A, b, psi, w, budget) is not None, budget
     )
-    return sum(parallel_map(test, _points(A.m, samples, seed, mode), threads))
+    return sum(parallel_map(test, _points(A.m, samples, seed, mode)))
 
 
 def measure_W(
@@ -326,8 +326,9 @@ def measure_W(
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
 ) -> MeasureEstimate:
-    """Fraction of random targets admitting a witness in the window."""
-    k = _witness_hits(A, psi, w, samples, seed, mode, budget, threads)
+    """Fraction of random targets admitting a witness in the window;
+    threads has no effect (runs are serial)."""
+    k = _witness_hits(A, psi, w, samples, seed, mode, budget)
     lo, hi = binomial_ci(k, samples)
     return MeasureEstimate(Fraction(k, samples), samples, lo, hi, seed, w)
 
@@ -342,9 +343,10 @@ def measure_Bad(
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
 ) -> MeasureEstimate:
-    """Fraction of targets with NO witness for psi_delta(q) = delta q^(-n/m)."""
+    """Fraction of targets with NO witness for psi_delta(q) = delta q^(-n/m);
+    threads has no effect (runs are serial)."""
     psi = PowerLog(Fraction(delta), Fraction(A.n, A.m), Fraction(0))
-    k = samples - _witness_hits(A, psi, w, samples, seed, mode, budget, threads)
+    k = samples - _witness_hits(A, psi, w, samples, seed, mode, budget)
     lo, hi = binomial_ci(k, samples)
     return MeasureEstimate(Fraction(k, samples), samples, lo, hi, seed, w)
 
@@ -476,7 +478,8 @@ def coverage(
     budget: int = DEFAULT_BUDGET,
     threads: int | None = None,
 ) -> CoverageEntry:
-    """Monte Carlo estimate of |B cap Delta(rho, i)| / |B| at one level."""
+    """Monte Carlo estimate of |B cap Delta(rho, i)| / |B| at one level;
+    threads has no effect (runs are serial)."""
     lv = params.levels[level_index]
     m = params.m
     center, radius = ball
@@ -506,7 +509,7 @@ def coverage(
         A, w, repeat(rho), lambda b, budget: delta_membership(A, b, rho, w, budget), budget
     )
     pts = [sample(i) for i in range(samples)]
-    hits = parallel_map(test, pts, threads)
+    hits = parallel_map(test, pts)
     k = sum(hits)
     lo, hi = binomial_ci(k, samples)
     est = MeasureEstimate(Fraction(k, samples), samples, lo, hi, seed, w)

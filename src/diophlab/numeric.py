@@ -423,19 +423,20 @@ def _exact_sub(x, y):
     return x - y
 
 
+def _decided(c: Ordering, what: str = "comparison") -> Ordering:
+    """c itself, or PrecisionExhausted naming the undecided width."""
+    if not c.decided:
+        raise PrecisionExhausted(f"{what} undecided (width {float(c.width):.3g})")
+    return c
+
+
 def lt(x: Comparable, y: Comparable) -> bool:
     """Strict x < y; raises PrecisionExhausted on an undecided comparison."""
-    c = compare(x, y)
-    if not c.decided:
-        raise PrecisionExhausted(f"comparison undecided (width {c.width})")
-    return c is Ordering.LESS
+    return _decided(compare(x, y)) is Ordering.LESS
 
 
 def le(x: Comparable, y: Comparable) -> bool:
-    c = compare(x, y)
-    if not c.decided:
-        raise PrecisionExhausted(f"comparison undecided (width {c.width})")
-    return c is not Ordering.GREATER
+    return _decided(compare(x, y)) is not Ordering.GREATER
 
 
 def _floor_sqrt_mult(b_num: int, d: int) -> int:

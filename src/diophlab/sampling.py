@@ -1,13 +1,11 @@
-"""Seeded, thread-count-invariant sampling and binomial confidence intervals.
+"""Seeded sampling and binomial confidence intervals.
 
 Each sample index owns its own RNG substream derived from (seed, index), so
-serial and parallel runs produce bit-identical results."""
+a sample does not depend on the order in which targets are tested."""
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Callable, Sequence, TypeVar
 
@@ -57,22 +55,11 @@ def grid_points(samples: int, dim: int) -> list[tuple[Fraction, ...]]:
     return pts
 
 
-def thread_count(default: int = 1) -> int:
-    """Worker count from DIOPHLAB_THREADS (the only env knob)."""
-    try:
-        return max(1, int(os.environ.get("DIOPHLAB_THREADS", default)))
-    except ValueError:
-        return default
-
-
 def parallel_map(fn: Callable[[T], U], items: Sequence[T], threads: int | None = None) -> list[U]:
-    """Order-preserving map; output is independent of the thread count."""
-    if threads is None:
-        threads = thread_count()
-    if threads <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """[fn(x) for x in items], in order.  Runs are serial: every target test
+    is pure-Python exact arithmetic, which threads cannot run in parallel
+    under the GIL.  threads is accepted and has no effect."""
+    return [fn(x) for x in items]
 
 
 def binomial_ci(successes: int, samples: int, z: Fraction = Fraction(196, 100)) -> tuple[Fraction, Fraction]:

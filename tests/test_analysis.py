@@ -231,6 +231,16 @@ class TestExponents:
         w_last = est.table[-1]["w"]
         assert w_last == pytest.approx(1 / est.what_hat, rel=0.2)
 
+    def test_one_walk_per_problem(self, monkeypatch, sqrt2):
+        # one record walk to the largest horizon for each problem: the
+        # 31^2 - 1 points of q12 with ||q|| < 16, and the 30 of its transpose
+        calls = []
+        dist = ApproxMatrix.dist
+        monkeypatch.setattr(ApproxMatrix, "dist", lambda *a: calls.append(1) or dist(*a))
+        A = ApproxMatrix([[sqrt2, sqrt2 * 3 + F(1, 7)]])
+        estimate_exponents(A, (F(1, 3),), [4, 8, 16])
+        assert len(calls) == 960 + 30
+
     def test_schedule_validation(self, A_golden):
         with pytest.raises(ValueError):
             estimate_exponents(A_golden, None, [16, 8])

@@ -168,3 +168,18 @@ def test_exponents_exact_homogeneous_hit(runner, tmp_path):
     rep = json.loads(res.output)
     assert rep["what_hat"] == "exact_hit"
     assert [row["what"] for row in rep["table"]] == ["exact_hit"] * 3
+
+
+def test_undecided_width_is_short(runner, tmp_path):
+    # a CF entry too short to decide the coverage radius comparison; the
+    # width is printed as a short decimal, not a 100-digit rational
+    p = tmp_path / "cf.mat"
+    p.write_text("1 1\ncf:[0;1,2]\n")
+    res = runner.invoke(main, [
+        "coverage", "--matrix", str(p), "--epsilon", "(0+1*sqrt(5))/4",
+        "--ell-max", "6", "--equid-constant", "4",
+    ])
+    assert res.exit_code == 3
+    lines = res.stderr.splitlines()
+    assert lines and all(len(line) < 80 for line in lines)
+    assert "undecided (width " in res.stderr

@@ -1,5 +1,6 @@
-"""No module-level import in the package goes unused, and the scan kernel
-and the scaled-integer format stay behind `lattice`.
+"""No module-level import in the package goes unused, the scan kernel and
+the scaled-integer format stay behind `lattice` and a few exhaustive walks,
+and nothing imports a thread pool.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -78,11 +79,25 @@ def test_scanner_flags_an_unused_import(tmp_path):
 
 # the scaled-integer format of `fastpath`, which only `lattice` may use
 SCALED = {"scale_fraction", "threshold_bounds"}
+# the only callers of lattice.scan: the two filtered and record walks, and
+# the exhaustive walks that test or sum every point of a window
+SCAN_CALLERS = {
+    ("lattice.py", "within"),
+    ("lattice.py", "records"),
+    ("limsup.py", "psi_witness"),
+    ("analysis.py", "verify_prop_5_1"),
+    ("equidist.py", "weyl_sum"),
+}
+# all work is pure-Python exact arithmetic, which threads cannot run in
+# parallel under the GIL
+THREADS = {"concurrent", "threading"}
 
 
 def kernel_leaks(path: Path) -> list[str]:
-    """Calls of iter_shell outside lattice.scan, and imports of the
-    scaled-integer helpers outside lattice, anywhere in the module."""
+    """Calls of iter_shell outside lattice.scan and of scan outside
+    SCAN_CALLERS, imports of the scaled-integer helpers outside lattice,
+    and imports of concurrent.futures or threading, anywhere in the
+    module."""
     found = []
 
     def visit(node: ast.AST, func: str | None) -> None:
@@ -92,8 +107,15 @@ def kernel_leaks(path: Path) -> list[str]:
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
                 if name == "iter_shell" and (path.name, func) != ("lattice.py", "scan"):
                     found.append(f"{path.name}:{child.lineno} iter_shell")
-            elif isinstance(child, ast.ImportFrom) and path.name != "lattice.py":
-                found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
+                if name == "scan" and (path.name, func) not in SCAN_CALLERS:
+                    found.append(f"{path.name}:{child.lineno} scan")
+            elif isinstance(child, ast.ImportFrom):
+                if path.name != "lattice.py":
+                    found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
+                if (child.module or "").split(".")[0] in THREADS:
+                    found.append(f"{path.name}:{child.lineno} {child.module}")
+            elif isinstance(child, ast.Import):
+                found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name.split(".")[0] in THREADS)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else func)
 
@@ -109,11 +131,35 @@ def test_scan_kernel_and_scaled_format_stay_in_lattice(path):
 def test_scanner_flags_a_kernel_leak(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text(
+        "import os, concurrent.futures\n"
+        "from threading import Lock\n"
         "def f(n):\n"
         "    from .fastpath import Line1D, threshold_bounds\n"
         "    return [q for s in range(n) for q in lattice.iter_shell(n, s)]\n"
         "def scan(n):\n"
-        "    return iter_shell(n, 0)\n",
+        "    return iter_shell(n, 0)\n"
+        "def weyl_sum(n):\n"
+        "    return [s for s, _ in scan(1, range(n), 10)]\n"
+        "def bad_witness(n):\n"
+        "    return min(s for s, _ in lattice.scan(1, range(n), 10))\n",
         encoding="utf-8",
     )
-    assert kernel_leaks(mod) == ["mod.py:2 threshold_bounds", "mod.py:3 iter_shell", "mod.py:5 iter_shell"]
+    assert kernel_leaks(mod) == [
+        "mod.py:1 concurrent.futures",
+        "mod.py:2 threading",
+        "mod.py:4 threshold_bounds",
+        "mod.py:5 iter_shell",
+        "mod.py:7 iter_shell",
+        "mod.py:9 scan",
+        "mod.py:11 scan",
+    ]
+    # the allowlist is keyed by module and function
+    equidist = tmp_path / "equidist.py"
+    equidist.write_text(
+        "def weyl_sum(n):\n"
+        "    return list(scan(1, range(n), 10))\n"
+        "def bad_witness(n):\n"
+        "    return list(scan(1, range(n), 10))\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(equidist) == ["equidist.py:4 scan"]

@@ -1,6 +1,5 @@
 """Deterministic substreams, parallel reduction invariance, Wilson CI."""
 
-import os
 from fractions import Fraction as F
 
 from hypothesis import given, strategies as st
@@ -11,7 +10,6 @@ from diophlab.sampling import (
     parallel_map,
     sample_point,
     substream,
-    thread_count,
 )
 
 
@@ -41,13 +39,6 @@ def test_parallel_map_thread_invariant():
     out4 = parallel_map(fn, items, threads=4)
     out8 = parallel_map(fn, items, threads=8)
     assert out1 == out4 == out8 == [x * x - 1 for x in items]
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setenv("DIOPHLAB_THREADS", "6")
-    assert thread_count() == 6
-    monkeypatch.setenv("DIOPHLAB_THREADS", "junk")
-    assert thread_count(3) == 3
 
 
 def test_grid_points_1d():
