@@ -115,6 +115,18 @@ def _partial_sum_bounds(
     return lo, hi
 
 
+def _powerlog_verdict(psi: PowerLog, s: Fraction, n: int) -> tuple[str, str]:
+    """(status, rationale) for sum q^(n-1) psi(q)^s in closed form:
+    Converges iff a s > n, or a s = n with beta s > 1."""
+    if s <= 0:
+        raise ValueError("s > 0 required")
+    as_ = psi.a * s
+    bs = psi.beta * s
+    if as_ > n or (as_ == n and bs > 1):
+        return "Converges", f"a*s = {as_} vs n = {n}, beta*s = {bs}"
+    return "Diverges", f"a*s = {as_} vs n = {n}, beta*s = {bs} <= 1"
+
+
 def classify_series(
     psi: ApproxFunction,
     s: Fraction,
@@ -131,14 +143,7 @@ def classify_series(
         raise ValueError("s > 0 required")
     partials = [(Q, _partial_sum_bounds(psi, n, s, Q)) for Q in horizons]
     if isinstance(psi, PowerLog):
-        as_ = psi.a * s
-        bs = psi.beta * s
-        if as_ > n or (as_ == n and bs > 1):
-            status = "Converges"
-            rationale = f"a*s = {as_} vs n = {n}, beta*s = {bs}"
-        else:
-            status = "Diverges"
-            rationale = f"a*s = {as_} vs n = {n}, beta*s = {bs} <= 1"
+        status, rationale = _powerlog_verdict(psi, s, n)
         return SeriesVerdict(status, partials, rationale)
     return SeriesVerdict("Unknown", partials, "table psi: partial sums only")
 
@@ -163,9 +168,9 @@ def classify_return_series(
         partials.append((1 << ell, (lo, hi)))
     full = list(L.levels) == list(range(1, L.ell_max + 1))
     if full and isinstance(psi, PowerLog):
-        inner = classify_series(psi, s, n, horizons=(10**4,))
         # condensed and plain series converge/diverge together
-        return SeriesVerdict(inner.status, partials, "full levels: " + inner.rationale)
+        status, rationale = _powerlog_verdict(psi, s, n)
+        return SeriesVerdict(status, partials, "full levels: " + rationale)
     return SeriesVerdict("Unknown", partials, "sparse levels: partial sums only")
 
 
@@ -463,11 +468,7 @@ def key_inequality_check(
     lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y.coords)))
     d1 = A.dist(q.coords, b)
     d2 = A.transpose().dist(y.coords)
-    rhs = d1 * (m * y.norm) + d2 * (n * q.norm)
-    c = compare(lhs, rhs)
-    if not c.decided:
-        raise PrecisionExhausted("key inequality comparison undecided")
-    return c.kind != "greater"
+    return le(lhs, d1 * (m * y.norm) + d2 * (n * q.norm))
 
 
 # ---------------------------------------------------------------------------

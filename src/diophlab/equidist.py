@@ -16,10 +16,8 @@ from .errors import BudgetExceeded
 from .lattice import DEFAULT_BUDGET, ApproxMatrix, scan, shell_size, within
 from .numeric import (
     Ordering,
-    _decided,
     _nth_root_lower,
     _nth_root_upper,
-    compare,
     dec_str,
     enclose,
     mpf_to_fraction,
@@ -154,17 +152,11 @@ def _ball_hits(
     exact boundary hits), from the filtered walk.  A point inside the
     filter's margin, including every boundary hit, is compared exactly; an
     undecided comparison raises PrecisionExhausted."""
-    boundary = 0
-
-    def member(q: tuple[int, ...]) -> bool:
-        nonlocal boundary
-        c = _decided(compare(A.dist(q, center), radius), "ball membership")
-        boundary += c is Ordering.EQUAL
-        return c is not Ordering.GREATER
-
     per_shell = [0] * (N + 1)
-    for s, _ in within(A, range(N + 1), budget, radius, member, center):
+    boundary = 0
+    for s, _, c in within(A, range(N + 1), budget, radius, center, closed=True):
         per_shell[s] += 1
+        boundary += c is Ordering.EQUAL
     return per_shell, boundary
 
 

@@ -18,9 +18,12 @@ from .numeric import (
     CFReal,
     Comparable,
     ExactReal,
+    Ordering,
     Quadratic,
     Radical,
     RatInterval,
+    _decided,
+    compare,
     dec_str,
     dist_to_int_vec,
     ex_pow,
@@ -192,18 +195,20 @@ def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, It
 
 def within(
     A: ApproxMatrix, shells: Iterable[int], budget: int, thr: Comparable | Radical,
-    exact: Callable[[tuple[int, ...]], bool], b: Optional[Sequence[Fraction]] = None,
-) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """(s, q) for every q in the order of scan(A.n, shells, budget) with
-    ||Aq - b||_Z below thr, where exact(q) is the caller's certified
-    comparison (strict or not).
+    b: Optional[Sequence[Fraction]] = None, closed: bool = False,
+) -> Iterator[tuple[int, tuple[int, ...], Ordering]]:
+    """(s, q, c) for every q in the order of scan(A.n, shells, budget) with
+    ||Aq - b||_Z < thr, or <= thr when closed, where c is the ordering of
+    that distance against thr: LESS, or EQUAL on the boundary of a closed
+    threshold.
 
     thr is any value `threshold_bounds` encloses, in the field of A's
     entries or in Q (UnsupportedEntry otherwise, before any point is
-    scanned).  Scaled-integer bounds accept q when d_hi < thr_lo, since then
-    d < thr and so also d <= thr, and reject it when d_lo > thr_hi; only a
-    point inside that margin runs exact(q), so the hits, BudgetExceeded and
-    PrecisionExhausted are those of the exact scan.
+    scanned).  Scaled-integer bounds accept q with c = LESS when d_hi <
+    thr_lo and reject it when d_lo > thr_hi; only a point inside that
+    margin is compared exactly, raising PrecisionExhausted when undecided,
+    so the hits, BudgetExceeded and PrecisionExhausted are those of the
+    exact scan.
     """
     A.check_field(thr)
     line = A.line
@@ -217,8 +222,12 @@ def within(
     for s, shell in scan(A.n, shells, budget):
         for q in shell:
             d_lo, d_hi = dist_bounds(q, b_scaled, b_err)
-            if d_hi < thr_lo or (d_lo <= thr_hi and exact(q)):
-                yield s, q
+            if d_hi < thr_lo:
+                yield s, q, Ordering.LESS
+            elif d_lo <= thr_hi:
+                c = _decided(compare(A.dist(q, b), thr))
+                if c is Ordering.LESS or (closed and c is Ordering.EQUAL):
+                    yield s, q, c
 
 
 def records(
@@ -239,12 +248,6 @@ def records(
                 yield s, q, k
 
 
-def root_threshold(C_pow: Comparable, pw: int):
-    """C as a filter threshold from C^pw; 0 when C^pw <= 0, which no
-    distance undercuts (the exact comparison still decides)."""
-    return Radical(C_pow, pw) if sign(C_pow) > 0 else Fraction(0)
-
-
 # ---------------------------------------------------------------------------
 # homogeneous search and return sequences
 # ---------------------------------------------------------------------------
@@ -252,25 +255,15 @@ def root_threshold(C_pow: Comparable, pw: int):
 
 def solve_homogeneous(
     A: ApproxMatrix,
-    C: Comparable,
+    C: Comparable | Radical,
     X: int,
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[IntVec]:
-    """First q (shell-then-lex order) with 0 < ||q|| < X and ||Aq||_Z < C."""
+    """First q (shell-then-lex order) with 0 < ||q|| < X and ||Aq||_Z < C,
+    for C an exact value or a `Radical`."""
     if sign(C) <= 0 or X < 1:
         raise ValueError("need C > 0 and X >= 1")
-    return _solve_homogeneous_pow(A, ex_pow(C, 1), 1, X, budget)
-
-
-def _solve_homogeneous_pow(
-    A: ApproxMatrix, C_pow: Comparable, pw: int, X: int, budget: int
-) -> Optional[IntVec]:
-    """Same search with the threshold given as C^pw (strict comparison),
-    filtered by `within`."""
-    hit = next(within(
-        A, range(1, X), budget, root_threshold(C_pow, pw),
-        lambda q: lt(ex_pow(A.dist(q), pw), C_pow),
-    ), None)
+    hit = next(within(A, range(1, X), budget, C), None)
     return None if hit is None else IntVec(hit[1])
 
 
@@ -319,8 +312,8 @@ def return_sequence(
 def in_return_sequence(A: ApproxMatrix, eps_m: Comparable, ell: int, budget: int) -> bool:
     """Level l of L(eps), from eps^m: no q with 0 < ||q|| < 2^l and
     ||Aq||_Z^m < eps^m 2^(-n l)."""
-    C_pow = eps_m * Fraction(1, 1 << (A.n * ell))
-    return _solve_homogeneous_pow(A, C_pow, A.m, 1 << ell, budget) is None
+    thr = Radical(eps_m * Fraction(1, 1 << (A.n * ell)), A.m)
+    return solve_homogeneous(A, thr, 1 << ell, budget) is None
 
 
 def bad_witness(

@@ -86,16 +86,6 @@ class ApproxFunction:
     def to_json(self) -> dict:
         raise NotImplementedError
 
-    @staticmethod
-    def from_json(obj: dict) -> "ApproxFunction":
-        if obj.get("kind") == "table":
-            return TablePsi([(int(q), Fraction(v)) for q, v in obj["points"]])
-        return PowerLog(
-            Fraction(obj.get("c", 1)),
-            Fraction(obj.get("a", 0)),
-            Fraction(obj.get("beta", 0)),
-        )
-
 
 @dataclass(frozen=True)
 class PowerLog(ApproxFunction):
@@ -150,20 +140,12 @@ def _log_bounds(q: int, bits: int) -> tuple[Fraction, Fraction]:
 
 
 def _rat_pow_bounds(lo: Fraction, hi: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Bounds on x^e over x in [lo, hi] with lo >= 1 and rational e."""
+    """Bounds on x^e over x in [lo, hi] with lo >= 1 and rational e, from
+    the two ends, since x^e is monotone there."""
     p, r = e.numerator, e.denominator
-    vals = []
-    for x in (lo, hi):
-        xp = x**abs(p)
-        root_lo = _nth_root_lower(xp, r, bits)
-        root_hi = _nth_root_upper(xp, r, bits)
-        if p >= 0:
-            vals.append((root_lo, root_hi))
-        else:
-            vals.append((1 / root_hi, 1 / root_lo))
-    los = [v[0] for v in vals]
-    his = [v[1] for v in vals]
-    return min(los), max(his)
+    if p >= 0:
+        return _nth_root_lower(lo**p, r, bits), _nth_root_upper(hi**p, r, bits)
+    return 1 / _nth_root_upper(hi**-p, r, bits), 1 / _nth_root_lower(lo**-p, r, bits)
 
 
 @dataclass(frozen=True)
@@ -256,8 +238,7 @@ def delta_membership(
         return True  # balls of radius >= 1/2 cover the torus
     w.check_budget(A.n, budget)
     x = tuple(Fraction(t) for t in x)
-    hits = within(A, w.shells, budget, rho_val, lambda q: lt(A.dist(q, x), rho_val), x)
-    return next(hits, None) is not None
+    return next(within(A, w.shells, budget, rho_val, x), None) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -349,8 +349,11 @@ def _sign_quadratic(a: Fraction, b: Fraction, d: int) -> int:
     return sa * _sign_rational(a * a - b * b * d)
 
 
-def sign(x: Comparable) -> int:
-    """Exact sign, raising PrecisionExhausted for straddling CF enclosures."""
+def sign(x: Comparable | "Radical") -> int:
+    """Exact sign, raising PrecisionExhausted for straddling CF enclosures;
+    a `Radical` has the sign of its radicand."""
+    if isinstance(x, Radical):
+        return sign(x.radicand)
     if isinstance(x, int):
         return (x > 0) - (x < 0)
     if isinstance(x, Fraction):
@@ -365,7 +368,7 @@ def sign(x: Comparable) -> int:
         return -1
     if lo == hi == 0:
         return 0
-    raise PrecisionExhausted(f"sign undecided within enclosure [{lo}, {hi}]")
+    raise PrecisionExhausted(f"sign undecided (width {float(hi - lo):.3g})")
 
 
 def _as_interval(x: Comparable) -> tuple[Fraction, Fraction]:
@@ -389,8 +392,8 @@ def compare(x: Comparable, y: Comparable) -> Ordering:
         diff = _exact_sub(x, y)
         s = sign(diff)
         return (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)[s + 1]
-    xlo, xhi = _as_interval(x) if fuzzy_x else _tight(x)
-    ylo, yhi = _as_interval(y) if fuzzy_y else _tight(y)
+    xlo, xhi = _as_interval(x) if fuzzy_x else enclose(x, 160)
+    ylo, yhi = _as_interval(y) if fuzzy_y else enclose(y, 160)
     x_open = isinstance(x, CFReal) and len(x.pq) > 1
     y_open = isinstance(y, CFReal) and len(y.pq) > 1
     if xhi < ylo or (xhi == ylo and (x_open or y_open)):
@@ -403,16 +406,6 @@ def compare(x: Comparable, y: Comparable) -> Ordering:
         if x.pq == y.pq:
             return Ordering.EQUAL
     return Ordering.uncertain((xhi - xlo) + (yhi - ylo))
-
-
-def _tight(x: Comparable) -> tuple[Fraction, Fraction]:
-    """Tight rational enclosure of an exactly-known operand."""
-    if isinstance(x, int):
-        f = Fraction(x)
-        return f, f
-    if isinstance(x, Fraction):
-        return x, x
-    return enclose(x, 160)
 
 
 def _exact_sub(x, y):
@@ -551,10 +544,7 @@ def _cf_frac_part(x: CFReal) -> CFReal:
 
 def _cf_dist_to_int(x: CFReal) -> CFReal:
     f = _cf_frac_part(x)  # in (0, 1)
-    c = compare(f, Fraction(1, 2))
-    if not c.decided:
-        raise PrecisionExhausted("nearest integer undecided by CF enclosure")
-    if c is Ordering.LESS:
+    if lt(f, Fraction(1, 2)):
         return f
     # 1 - [0; a1, a2, ...] = [0; 1, a1-1, a2, ...]  (a1 >= 2)
     #                      = [0; a2+1, a3, ...]      (a1 == 1)

@@ -11,7 +11,6 @@ from .lattice import (
     ApproxMatrix,
     IntVec,
     in_return_sequence,
-    root_threshold,
     within,
 )
 from .numeric import (
@@ -22,7 +21,6 @@ from .numeric import (
     ex_pow,
     floor_exact,
     format_exact,
-    le,
     sign,
 )
 
@@ -48,34 +46,19 @@ def transfer_bounds(C: ExactReal, X: int, m: int, n: int) -> TransferBounds:
 def solve_inhomogeneous(
     A: ApproxMatrix,
     b: Sequence[Fraction],
-    C1: Comparable,
+    C1: Comparable | Radical,
     X1: Comparable,
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[IntVec]:
     """Minimal-norm, lexicographically-least q with ||q|| <= X1 and
-    ||Aq - b||_Z <= C1 (non-strict), or None."""
+    ||Aq - b||_Z <= C1 (non-strict), or None; C1 is an exact value or a
+    `Radical`."""
     if sign(C1) <= 0:
         raise ValueError("C1 > 0 required")
     x_cap = floor_exact(X1)
     if x_cap < 0:
         raise ValueError("X1 >= 0 required")
-    return _solve_inhomogeneous_pow(A, b, ex_pow(C1, 1), 1, x_cap, budget)
-
-
-def _solve_inhomogeneous_pow(
-    A: ApproxMatrix,
-    b: Sequence[Fraction],
-    C_pow: Comparable,
-    pw: int,
-    x_cap: int,
-    budget: int,
-) -> Optional[IntVec]:
-    """First q (shell-then-lex) with ||q|| <= x_cap and ||Aq - b||_Z^pw <=
-    C_pow, filtered by `within` for every shape."""
-    hit = next(within(
-        A, range(x_cap + 1), budget, root_threshold(C_pow, pw),
-        lambda q: le(ex_pow(A.dist(q, b), pw), C_pow), b,
-    ), None)
+    hit = next(within(A, range(x_cap + 1), budget, C1, b, closed=True), None)
     return None if hit is None else IntVec(hit[1])
 
 
@@ -148,16 +131,19 @@ def verify_corollary_3_3(
 ) -> Cor33Report:
     """Every target must admit an inhomogeneous witness within the
     transferred bounds; a miss is flagged as a theorem violation."""
+    if sign(epsilon) <= 0:
+        raise ValueError("need eps > 0")
     m, n = A.m, A.n
     if check_level and not in_return_sequence(A, ex_pow(epsilon, m), ell, budget):
         raise ValueError(f"level {ell} is not in the return sequence")
     C1_pow_m, X1 = corollary_bounds(epsilon, ell, m, n)
+    C1 = Radical(C1_pow_m, m)
     x_cap = floor_exact(X1)
-    c1_float = float(Radical(C1_pow_m, m))
+    c1_float = float(C1)
     out: list[Cor33Target] = []
     for b in targets:
         b = tuple(Fraction(x) for x in b)
-        q = _solve_inhomogeneous_pow(A, b, C1_pow_m, m, x_cap, budget)
+        q = solve_inhomogeneous(A, b, C1, x_cap, budget)
         if q is None:
             out.append(Cor33Target(b, None, "", "", False))
             continue

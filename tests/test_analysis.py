@@ -72,6 +72,16 @@ class TestReturnSeries:
         v2 = classify_return_series(PowerLog(F(1), F(2), F(0)), F(1), 1, ret)
         assert v2.status == "Converges"
 
+    def test_full_levels_take_one_term_per_level(self, monkeypatch, A_golden):
+        # the closed-form verdict needs no partial sum of the plain series
+        ret = return_sequence(A_golden, F(2, 5), 8)
+        calls = []
+        bounds = PowerLog.value_bounds
+        monkeypatch.setattr(PowerLog, "value_bounds", lambda *a: calls.append(1) or bounds(*a))
+        v = classify_return_series(PowerLog(F(1), F(1), F(1)), F(1), 1, ret)
+        assert v.status == "Diverges" and v.rationale.startswith("full levels: ")
+        assert len(calls) == len(ret.levels) == 8
+
     def test_sparse_levels_unknown(self, A_golden):
         from diophlab.lattice import ReturnSequence
 

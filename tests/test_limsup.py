@@ -20,8 +20,10 @@ from diophlab.limsup import (
     measure_W,
     psi_witness,
     ubiquity_params,
+    _log_bounds,
+    _rat_pow_bounds,
 )
-from diophlab.numeric import Radical, dist_to_int, ex_pow, lt, quadratic
+from diophlab.numeric import Radical, _nth_root_lower, _nth_root_upper, dist_to_int, ex_pow, lt, quadratic
 from diophlab.sampling import sample_point
 
 
@@ -67,6 +69,45 @@ class TestApproxFunction:
         psi = PowerLog(F(3, 2), F(2, 3), F(1, 2))
         lo, hi = psi.value_bounds(q)
         assert 0 < lo <= hi
+
+
+def old_rat_pow_bounds(lo, hi, e, bits):
+    """limsup._rat_pow_bounds as it was: four roots, then a min and a max."""
+    p, r = e.numerator, e.denominator
+    vals = []
+    for x in (lo, hi):
+        xp = x**abs(p)
+        root_lo = _nth_root_lower(xp, r, bits)
+        root_hi = _nth_root_upper(xp, r, bits)
+        if p >= 0:
+            vals.append((root_lo, root_hi))
+        else:
+            vals.append((1 / root_hi, 1 / root_lo))
+    los = [v[0] for v in vals]
+    his = [v[1] for v in vals]
+    return min(los), max(his)
+
+
+EXPONENTS = st.sampled_from([F(-3), F(-2), F(-3, 2), F(-1), F(-1, 2), F(-1, 3), F(0), F(1, 2), F(2, 3), F(1), F(5, 2)])
+BITS = st.sampled_from([50, 80, 160])
+
+
+@settings(max_examples=300)
+@given(q=st.integers(min_value=1, max_value=10**7), e=EXPONENTS, bits=BITS)
+def test_rat_pow_bounds_on_log_bounds_match_four_roots(q, e, bits):
+    lo, hi = _log_bounds(q, bits)
+    assert _rat_pow_bounds(lo, hi, e, bits) == old_rat_pow_bounds(lo, hi, e, bits)
+
+
+@settings(max_examples=200)
+@given(
+    lo=st.fractions(min_value=1, max_value=40, max_denominator=10**6),
+    width=st.fractions(min_value=0, max_value=5, max_denominator=10**6),
+    e=st.one_of(EXPONENTS, st.fractions(min_value=-4, max_value=4, max_denominator=7)),
+    bits=BITS,
+)
+def test_rat_pow_bounds_match_four_roots(lo, width, e, bits):
+    assert _rat_pow_bounds(lo, lo + width, e, bits) == old_rat_pow_bounds(lo, lo + width, e, bits)
 
 
 class TestWindowWitness:

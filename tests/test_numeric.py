@@ -65,6 +65,20 @@ class TestQuadratic:
             if abs(fx) > 1e-9:  # stay away from float noise
                 assert sign(x) == (1 if fx > 0 else -1)
 
+    def test_sign_of_radical_is_sign_of_radicand(self, golden):
+        assert sign(Radical(F(0), 3)) == 0
+        assert sign(Radical(golden, 2)) == 1
+        assert sign(Radical(RatInterval(F(1, 3), F(1, 2)), 2)) == 1
+
+    def test_undecided_sign_prints_a_short_width(self):
+        # ends with 60-digit denominators: the message names the width only
+        x = RatInterval(F(-1, 10**59 + 3), F(1, 10**59 + 7))
+        with pytest.raises(PrecisionExhausted) as exc:
+            sign(x)
+        msg = str(exc.value)
+        assert msg.startswith("sign undecided (width 2e-59")
+        assert len(msg) < 80
+
 
 class TestCompare:
     def test_sqrt2_vs_rational(self, sqrt2):

@@ -2,6 +2,7 @@
 single-index 1 x 1 testers, against verbatim copies of the loops they
 replaced: the outcome, including the type of a raised error, must agree."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from diophlab.lattice import (
     return_sequence,
     scan,
     shell_size,
+    within,
 )
 from diophlab.limsup import (
     PowerLog,
@@ -41,6 +43,7 @@ from diophlab.limsup import (
 )
 from diophlab.numeric import (
     CFReal,
+    Ordering,
     Quadratic,
     Radical,
     RatInterval,
@@ -55,7 +58,7 @@ from diophlab.numeric import (
     quadratic,
 )
 from diophlab.sampling import sample_point
-from diophlab.transference import _solve_inhomogeneous_pow, solve_inhomogeneous
+from diophlab.transference import solve_inhomogeneous
 
 GOLDEN = quadratic(F(-1, 2), F(1, 2), 5)
 SQRT2 = quadratic(F(0), F(1), 2)
@@ -375,6 +378,87 @@ def test_scan_order_and_budget(dim):
     assert seen == [0, 1]
 
 
+def brute_within(A, shells, budget, thr, b, closed):
+    """Every point of the walk compared exactly, in scan order."""
+    for s, shell in scan(A.n, shells, budget):
+        for q in shell:
+            c = compare(dist_to_int_vec([v - t for v, t in zip(A.apply(q), b)] if b else A.apply(q)), thr)
+            if not c.decided:
+                raise PrecisionExhausted(f"undecided at {q}")
+            if c is Ordering.LESS or (closed and c is Ordering.EQUAL):
+                yield s, q, c
+
+
+def walk(hits):
+    """The hits before the walk ended, and the type of the error that ended it."""
+    seen = []
+    try:
+        seen.extend(hits)
+    except DiophlabError as exc:
+        return seen, type(exc)
+    return seen, None
+
+
+def thresholds(A, points, b):
+    """A Fraction, a Quadratic in A's field (Q(sqrt 5) for a rational or CF
+    matrix), a Radical of either, and, for exact entries, the distance of a
+    scanned point or a root of its power, which that point meets exactly."""
+    fracs = st.fractions(min_value=F(1, 3000), max_value=F(1, 2), max_denominator=3000)
+    quads = st.tuples(
+        st.fractions(min_value=0, max_value=F(1, 8), max_denominator=64),
+        st.fractions(min_value=F(1, 400), max_value=F(1, 8), max_denominator=400),
+    ).map(lambda ab: quadratic(ab[0], ab[1], A.radicand or 5))
+    small = st.fractions(min_value=F(1, 10**5), max_value=F(1, 4), max_denominator=10**5)
+    radicals = st.tuples(st.one_of(small, quads), st.integers(min_value=1, max_value=3)).map(
+        lambda xk: Radical(xk[0], xk[1])
+    )
+    values = st.one_of(fracs, quads, radicals)
+    if A.has_cf or not points:
+        return values
+    dists = st.sampled_from(points).map(lambda q: A.dist(q, b))
+    roots = st.tuples(dists, st.integers(min_value=2, max_value=3)).map(
+        lambda dk: Radical(ex_pow(dk[0], dk[1]), dk[1])
+    )
+    return st.one_of(values, dists, roots)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    key=st.sampled_from(sorted(MATRICES)),
+    data=st.data(),
+    lu=st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=0, max_value=25)),
+    closed=st.booleans(),
+    budget=st.sampled_from([30, 1 << 22]),
+)
+def test_within_matches_brute_force(key, data, lu, closed, budget):
+    A = MATRICES[key]
+    lo, du = lu if A.n == 1 else (min(lu[0], 3), min(lu[1], 4))
+    shells = range(lo, lo + du)
+    b = data.draw(st.one_of(st.none(), targets(A.m)))
+    points = [q for s in shells[:3] for q in iter_shell(A.n, s)]
+    thr = data.draw(thresholds(A, points, b))
+    got = walk(within(A, shells, budget, thr, b, closed))
+    assert got == walk(brute_within(A, shells, budget, thr, b, closed))
+    for _, _, c in got[0]:
+        assert c is Ordering.LESS or (closed and c is Ordering.EQUAL)
+
+
+def test_within_refuses_a_threshold_from_another_field():
+    cases = [
+        ("golden", quadratic(F(0), F(1, 8), 2)),
+        ("q12", Radical(quadratic(F(0), F(1, 9), 5), 2)),
+        ("q21", Radical(Radical(quadratic(F(1), F(1, 9), 3), 2), 3)),
+    ]
+    for key, thr in cases:
+        # refused before any point is scanned, even on an empty walk
+        with pytest.raises(UnsupportedEntry):
+            next(within(MATRICES[key], range(0), 10, thr))
+
+
+def test_within_takes_values_not_callbacks():
+    assert list(inspect.signature(within).parameters) == ["A", "shells", "budget", "thr", "b", "closed"]
+
+
 # ---------------------------------------------------------------------------
 # differential tests of the migrated searches
 # ---------------------------------------------------------------------------
@@ -425,7 +509,7 @@ def test_solve_inhomogeneous_matches_old_loops(key, data, C, x_cap, budget):
     b = data.draw(targets(A.m))
     x_cap = x_cap if A.n == 1 else min(x_cap, 6)
     C_pow = ex_pow(C, A.m)
-    got = outcome(_solve_inhomogeneous_pow, A, b, C_pow, A.m, x_cap, budget)
+    got = outcome(solve_inhomogeneous, A, b, Radical(C_pow, A.m), x_cap, budget)
     assert got == outcome(old_solve_inhomogeneous_generic, A, b, C_pow, A.m, x_cap, budget)
     if A.irrational_line and budget > 2 * x_cap + 1:
         # the former 1 x 1 path, where the budget does not bind

@@ -59,11 +59,9 @@ class TestSolveInhomogeneous:
 
     def test_fastpath_agrees_with_generic(self, A_golden, golden):
         # the 1D scaled-integer prefilter must agree with a plain scan
-        from diophlab.transference import _solve_inhomogeneous_pow
-
         for i in range(40):
             b = sample_point(17, i, 1)[0]
-            got = _solve_inhomogeneous_pow(A_golden, (b,), F(1, 12), 1, 15, 1 << 20)
+            got = solve_inhomogeneous(A_golden, (b,), Radical(F(1, 12), 1), 15, 1 << 20)
             want = None
             for s in range(0, 16):
                 for qq in ((0,) if s == 0 else (-s, s)):
@@ -102,6 +100,16 @@ class TestCorollary33:
         A = ApproxMatrix([[F(1, 2)]])
         with pytest.raises(ValueError):
             verify_corollary_3_3(A, F(2, 5), 3, [(F(1, 3),)])
+
+    @pytest.mark.parametrize("eps", [F(0), F(-1, 2), F(-2)])
+    def test_rejects_nonpositive_epsilon(self, eps):
+        # Corollary 3.3 needs eps > 0: unchecked, eps = -1/2 reads as a
+        # theorem violation (every target missed) and eps = 0 divides by zero
+        for A in (ApproxMatrix([[F(1, 3)]]), ApproxMatrix([[F(1, 4)], [F(2, 3)]])):
+            with pytest.raises(ValueError, match="need eps > 0"):
+                verify_corollary_3_3(A, eps, 2, [(F(1, 3),) * A.m], check_level=False)
+            with pytest.raises(ValueError, match="need eps > 0"):
+                verify_corollary_3_3(A, eps, 2, [(F(1, 3),) * A.m])
 
     def test_report_json_shape(self, A_golden):
         rep = verify_corollary_3_3(A_golden, F(2, 5), 4, [(F(1, 3),)])
