@@ -7,11 +7,13 @@ comparisons; decimals in reports are display-only enclosures."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import (
+    BudgetExceeded,
     CoverageGap,
     InsufficientData,
     PrecisionExhausted,
@@ -546,15 +548,32 @@ def estimate_exponents(
         except (RankDeficient, PrecisionExhausted):
             best = None
 
-    def walk(M: ApproxMatrix, target=None) -> list:
-        """(s, distance) records over 0 < ||q|| < X for the largest X; q = 0
-        is excluded in both problems (b = 0 would be a trivial exact hit)."""
-        recs = records(M, range(1, xs[-1]), budget, lambda s, d: d, target)
-        return [(s, d) for s, _, d in recs]
+    def walk(M: ApproxMatrix, target=None) -> tuple[Optional[list], Optional[tuple]]:
+        """((s, distance) records over 0 < ||q|| < X for the largest X, None),
+        or (None, (index of the first horizon it blocks, error)) for a walk
+        ended by BudgetExceeded or PrecisionExhausted; q = 0 is excluded in
+        both problems (b = 0 would be a trivial exact hit)."""
+        reached = [0]
 
-    if b is not None:
-        inh = walk(A, tuple(Fraction(x) if isinstance(x, (int, Fraction)) else x for x in b))
-    hom = [(e.Y, e.M) for e in best.entries] if best is not None else walk(A.transpose())
+        def shells():
+            for s in range(1, xs[-1]):
+                reached[0] = s
+                yield s
+
+        try:
+            return [(s, d) for s, _, d in records(M, shells(), budget, lambda s, d: d, target)], None
+        except (BudgetExceeded, PrecisionExhausted) as exc:
+            return None, (bisect_right(xs, reached[0]), exc)
+
+    inh, inh_err = (None, None) if b is None else walk(
+        A, tuple(Fraction(x) if isinstance(x, (int, Fraction)) else x for x in b)
+    )
+    hom, hom_err = walk(A.transpose()) if best is None else ([(e.Y, e.M) for e in best.entries], None)
+    # raise the error a scan per horizon meets first: that of the earliest
+    # horizon, the inhomogeneous walk's on a tie
+    failed = [e for e in (inh_err, hom_err) if e is not None]
+    if failed:
+        raise min(failed, key=lambda e: e[0])[1]
     for X in xs:
         row: dict = {"X": X}
         if b is not None:

@@ -61,6 +61,21 @@ class Line1D:
         self.a_lo, self.unit_err = scaled[0][0]
         self.scalar = (self.m, self.n) == (1, 1)
 
+    def scale_target(self, b) -> tuple:
+        """(b_scaled, b_err) for dist_bounds from a target vector b of exact
+        values, (0, 0) when b is None: a `Fraction` is floored, with no
+        error when its denominator divides 2^shift, and any other value is
+        enclosed as an entry is."""
+        if b is None:
+            return 0, 0
+        parts = [
+            (scale_fraction(x, self.shift), int((x.numerator << self.shift) % x.denominator != 0))
+            if isinstance(x, Fraction)
+            else _scaled_entry(x, self.shift)
+            for x in b
+        ]
+        return tuple(a for a, _ in parts), max(err for _, err in parts)
+
     def center(self, q: int) -> tuple[int, int]:
         """(scaled center of q*alpha mod 1, error bound), q > 0; 1 x 1 only."""
         return (q * self.a_lo) % self.mod, q * self.unit_err

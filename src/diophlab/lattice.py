@@ -6,14 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
     RankDeficient,
     UnsupportedEntry,
 )
-from .fastpath import Line1D, scale_fraction, threshold_bounds
+from .fastpath import Line1D, threshold_bounds
 from .numeric import (
     CFReal,
     Comparable,
@@ -26,6 +26,7 @@ from .numeric import (
     compare,
     dec_str,
     dist_to_int_vec,
+    enclose,
     ex_pow,
     floor_exact,
     format_exact,
@@ -33,6 +34,9 @@ from .numeric import (
     parse_exact,
     sign,
 )
+
+if TYPE_CHECKING:
+    from .limsup import ApproxFunction
 
 DEFAULT_BUDGET = 1 << 22
 
@@ -193,58 +197,104 @@ def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, It
         yield s, iter_shell(dim, s)
 
 
+def _target(A: ApproxMatrix, b: Optional[Sequence[ExactReal]]) -> tuple:
+    """dist_bounds' (b_scaled, b_err) for the target b of a walk over A;
+    UnsupportedEntry for a coordinate outside the field of A's entries."""
+    for x in b or ():
+        A.check_field(x)
+    return A.line.scale_target(b)
+
+
 def within(
-    A: ApproxMatrix, shells: Iterable[int], budget: int, thr: Comparable | Radical,
-    b: Optional[Sequence[Fraction]] = None, closed: bool = False,
+    A: ApproxMatrix, shells: Iterable[int], budget: int, thr: Comparable | Radical | ApproxFunction,
+    b: Optional[Sequence[ExactReal]] = None, closed: bool = False,
 ) -> Iterator[tuple[int, tuple[int, ...], Ordering]]:
     """(s, q, c) for every q in the order of scan(A.n, shells, budget) with
     ||Aq - b||_Z < thr, or <= thr when closed, where c is the ordering of
     that distance against thr: LESS, or EQUAL on the boundary of a closed
     threshold.
 
-    thr is any value `threshold_bounds` encloses, in the field of A's
+    thr is either a value `threshold_bounds` encloses, in the field of A's
     entries or in Q (UnsupportedEntry otherwise, before any point is
-    scanned).  Scaled-integer bounds accept q with c = LESS when d_hi <
+    scanned), enclosed once; or a psi (an `ApproxFunction`), the strict
+    per-shell threshold psi(s) of the shell s, enclosed per shell by its
+    80-bit value_bounds(s) and decided exactly by psi.lt_value (ValueError
+    when closed).  Scaled-integer bounds accept q with c = LESS when d_hi <
     thr_lo and reject it when d_lo > thr_hi; only a point inside that
     margin is compared exactly, raising PrecisionExhausted when undecided,
     so the hits, BudgetExceeded and PrecisionExhausted are those of the
     exact scan.
     """
-    A.check_field(thr)
     line = A.line
-    thr_lo, thr_hi = threshold_bounds(thr, line.shift)
-    if b is None:
-        b_scaled = b_err = 0
+    if hasattr(thr, "lt_value"):
+        if closed:
+            raise ValueError("a psi threshold is strict")
+        psi = thr
+
+        def bounds(s: int) -> tuple[int, int]:
+            return threshold_bounds(RatInterval(*psi.value_bounds(s)), line.shift)
+
+        def exact(d, s: int) -> Optional[Ordering]:
+            return Ordering.LESS if psi.lt_value(d, s) else None
     else:
-        b_scaled = tuple(scale_fraction(x, line.shift) for x in b)
-        b_err = int(any((x.numerator << line.shift) % x.denominator for x in b))
+        A.check_field(thr)
+        fixed = threshold_bounds(thr, line.shift)
+
+        def bounds(s: int) -> tuple[int, int]:
+            return fixed
+
+        def exact(d, s: int) -> Optional[Ordering]:
+            c = _decided(compare(d, thr))
+            return c if c is Ordering.LESS or (closed and c is Ordering.EQUAL) else None
+
+    b_scaled, b_err = _target(A, b)
     dist_bounds = line.dist_bounds
     for s, shell in scan(A.n, shells, budget):
+        thr_lo, thr_hi = bounds(s)
         for q in shell:
             d_lo, d_hi = dist_bounds(q, b_scaled, b_err)
             if d_hi < thr_lo:
                 yield s, q, Ordering.LESS
             elif d_lo <= thr_hi:
-                c = _decided(compare(A.dist(q, b), thr))
-                if c is Ordering.LESS or (closed and c is Ordering.EQUAL):
+                c = exact(A.dist(q, b), s)
+                if c is not None:
                     yield s, q, c
 
 
 def records(
     A: ApproxMatrix, shells: Iterable[int], budget: int, key: Callable,
-    b: Optional[Sequence[Fraction]] = None, bound: Optional[Comparable] = None,
+    b: Optional[Sequence[ExactReal]] = None, bound: Optional[Comparable] = None,
 ) -> Iterator[tuple[int, tuple[int, ...], Comparable]]:
     """(s, q, key(s, ||Aq - b||_Z)) for every q in the order of
     scan(A.n, shells, budget) whose key is strictly below the keys of all
     earlier points, and below bound when given.  Strict comparison keeps
     each record's lexicographically first attainer; an undecided comparison
-    raises PrecisionExhausted."""
+    raises PrecisionExhausted.
+
+    key must be nondecreasing in the distance d, as d and d^m s^n are: a
+    point whose scaled lower bound d_lo gives key(s, d_lo 2^-shift) above
+    the upper end of the current record's enclosure cannot set a record and
+    is skipped without an exact distance.  Without a target, a q whose
+    first nonzero coordinate is positive is skipped too: -q comes earlier
+    in its shell at the same distance, an exact tie (a CF entry leaves the
+    tie undecided, and such a walk compares it).  Every other tie and
+    overlap reaches the exact comparison, so the records, BudgetExceeded
+    and PrecisionExhausted are those of the exact walk."""
+    line = A.line
+    b_scaled, b_err = _target(A, b)
+    dist_bounds = line.dist_bounds
+    mirrored = b is None and not A.has_cf
     best = bound
+    best_hi = None if bound is None else enclose(bound, line.shift)[1]
     for s, shell in scan(A.n, shells, budget):
         for q in shell:
+            if mirrored and next(filter(None, q), 0) > 0:
+                continue
+            if best_hi is not None and key(s, Fraction(dist_bounds(q, b_scaled, b_err)[0], line.mod)) > best_hi:
+                continue
             k = key(s, A.dist(q, b))
             if best is None or lt(k, best):
-                best = k
+                best, best_hi = k, enclose(k, line.shift)[1]
                 yield s, q, k
 
 

@@ -19,7 +19,6 @@ from .lattice import (
     ApproxMatrix,
     IntVec,
     ReturnSequence,
-    scan,
     shell_size,
     within,
 )
@@ -217,12 +216,8 @@ def psi_witness(
 ) -> Optional[IntVec]:
     """First q (shell-then-lex) in the annulus with ||Aq - b||_Z < psi(||q||)."""
     w.check_budget(A.n, budget)
-    b = tuple(Fraction(x) for x in b)
-    for s, shell in scan(A.n, w.shells, budget):
-        for q in shell:
-            if psi.lt_value(A.dist(q, b), s):
-                return IntVec(q)
-    return None
+    hit = next(within(A, w.shells, budget, psi, tuple(Fraction(x) for x in b)), None)
+    return None if hit is None else IntVec(hit[1])
 
 
 def delta_membership(

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diophlab import lattice
 from diophlab.errors import CoverageGap, InsufficientData
 from diophlab.lattice import ApproxMatrix, IntVec, best_approximations, return_sequence
 from diophlab.limsup import PowerLog, TablePsi, Window
@@ -243,13 +244,17 @@ class TestExponents:
 
     def test_one_walk_per_problem(self, monkeypatch, sqrt2):
         # one record walk to the largest horizon for each problem: the
-        # 31^2 - 1 points of q12 with ||q|| < 16, and the 30 of its transpose
-        calls = []
-        dist = ApproxMatrix.dist
-        monkeypatch.setattr(ApproxMatrix, "dist", lambda *a: calls.append(1) or dist(*a))
+        # 31^2 - 1 points of q12 with ||q|| < 16, and the 30 of its
+        # transpose; the record filter computes an exact distance only for
+        # the 9 + 3 records of the two walks, 1.2% of the points
+        points, exact = [], []
+        shell, dist = lattice.iter_shell, ApproxMatrix.dist
+        monkeypatch.setattr(lattice, "iter_shell", lambda *a: (points.append(q) or q for q in shell(*a)))
+        monkeypatch.setattr(ApproxMatrix, "dist", lambda *a: exact.append(1) or dist(*a))
         A = ApproxMatrix([[sqrt2, sqrt2 * 3 + F(1, 7)]])
         estimate_exponents(A, (F(1, 3),), [4, 8, 16])
-        assert len(calls) == 960 + 30
+        assert len(points) == 960 + 30
+        assert len(exact) == 9 + 3
 
     def test_schedule_validation(self, A_golden):
         with pytest.raises(ValueError):

@@ -84,7 +84,6 @@ SCALED = {"scale_fraction", "threshold_bounds"}
 SCAN_CALLERS = {
     ("lattice.py", "within"),
     ("lattice.py", "records"),
-    ("limsup.py", "psi_witness"),
     ("analysis.py", "verify_prop_5_1"),
     ("equidist.py", "weyl_sum"),
 }
@@ -163,3 +162,11 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(equidist) == ["equidist.py:4 scan"]
+    # psi_witness is a walk of within; a scan of its own is a leak
+    limsup = tmp_path / "limsup.py"
+    limsup.write_text(
+        "def psi_witness(n):\n"
+        "    return [q for s, shell in scan(1, range(n), 10) for q in shell]\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(limsup) == ["limsup.py:2 scan"]

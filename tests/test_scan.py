@@ -3,12 +3,13 @@ single-index 1 x 1 testers, against verbatim copies of the loops they
 replaced: the outcome, including the type of a raised error, must agree."""
 
 import inspect
+from contextlib import contextmanager
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from diophlab import analysis, limsup
+from diophlab import analysis, lattice, limsup
 from diophlab.analysis import EXACT_HIT, estimate_exponents, verify_prop_5_1
 from diophlab.errors import (
     BudgetExceeded,
@@ -25,6 +26,7 @@ from diophlab.lattice import (
     bad_witness,
     best_approximations,
     iter_shell,
+    records,
     return_sequence,
     scan,
     shell_size,
@@ -455,8 +457,24 @@ def test_within_refuses_a_threshold_from_another_field():
             next(within(MATRICES[key], range(0), 10, thr))
 
 
+
+def test_walks_refuse_a_target_from_another_field():
+    # the bounds of a sqrt(5) target would decide points of a sqrt(2)
+    # matrix that exact arithmetic refuses to subtract
+    b = (quadratic(F(0), F(1, 9), 5),)
+    with pytest.raises(UnsupportedEntry):
+        next(within(MATRICES["q12"], range(0), 10, F(1, 3), b))
+    with pytest.raises(UnsupportedEntry):
+        next(records(MATRICES["sqrt2"], range(0), 10, lambda s, d: d, b))
+
 def test_within_takes_values_not_callbacks():
     assert list(inspect.signature(within).parameters) == ["A", "shells", "budget", "thr", "b", "closed"]
+
+
+def test_within_refuses_a_closed_psi_threshold():
+    # psi(s) is a strict per-shell threshold: psi.lt_value decides < only
+    with pytest.raises(ValueError):
+        next(within(MATRICES["q12"], range(1, 3), 100, PSIS[0], closed=True))
 
 
 # ---------------------------------------------------------------------------
@@ -523,6 +541,56 @@ def test_rational_inhomogeneous_exact_hits():
     # boundary equality ||0/3 - 1/3||_Z = 1/3 <= C1 is accepted at q = 0
     assert solve_inhomogeneous(A, (F(1, 3),), F(1, 3), F(5)) == IntVec((0,))
 
+
+
+def quadratic_targets(A):
+    """Targets in the field of A's entries (Q(sqrt 5) for a rational
+    matrix), among them Aq for a small q, which that q meets exactly."""
+    d = A.radicand or 5
+    coord = st.tuples(
+        st.fractions(min_value=-1, max_value=1, max_denominator=24),
+        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=24).filter(bool),
+    ).map(lambda ab: quadratic(ab[0], ab[1], d))
+    orbit = st.lists(st.integers(min_value=-4, max_value=4), min_size=A.n, max_size=A.n).map(
+        lambda q: tuple(A.apply(q))
+    )
+    return st.one_of(st.lists(coord, min_size=A.m, max_size=A.m).map(tuple), orbit)
+
+
+def brute_records(A, shells, budget, b):
+    """Every point of the walk at its exact distance, in scan order."""
+    best = None
+    for s, shell in scan(A.n, shells, budget):
+        for q in shell:
+            d = A.dist(q, b)
+            if best is None or lt(d, best):
+                best = d
+                yield s, q, d
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    key=st.sampled_from(["golden", "sqrt2", "q12", "q21", "third", "half_third", "rat21"]),
+    data=st.data(),
+    C=st.fractions(min_value=F(1, 3000), max_value=F(1, 2), max_denominator=3000),
+    x_cap=st.integers(min_value=0, max_value=60),
+    closed=st.booleans(),
+    budget=st.sampled_from([20, 1 << 22]),
+)
+def test_quadratic_targets_match_brute_force(key, data, C, x_cap, closed, budget):
+    # a quadratic b is enclosed as an entry is, in within (and so in
+    # solve_inhomogeneous) and in the record walk of estimate_exponents
+    A = MATRICES[key]
+    b = data.draw(quadratic_targets(A))
+    x_cap = x_cap if A.n == 1 else min(x_cap, 5)
+    C_pow = ex_pow(C, A.m)
+    got = outcome(solve_inhomogeneous, A, b, Radical(C_pow, A.m), x_cap, budget)
+    assert got == outcome(old_solve_inhomogeneous_generic, A, b, C_pow, A.m, x_cap, budget)
+    shells = range(x_cap + 1)
+    # thresholds a scanned point meets exactly put it on the filter's margin
+    thr = data.draw(thresholds(A, [q for s in shells[:3] for q in iter_shell(A.n, s)], b))
+    assert walk(within(A, shells, budget, thr, b, closed)) == walk(brute_within(A, shells, budget, thr, b, closed))
+    assert walk(records(A, shells[1:], budget, lambda s, d: d, b)) == walk(brute_records(A, shells[1:], budget, b))
 
 PSIS = [
     PowerLog(F(1, 2), F(1), F(0)),
@@ -641,6 +709,17 @@ def test_estimate_exponents_matches_old_loop(key, data, homogeneous, xs, budget)
     assert got[1]["what_hat"] == (min(finite) if finite else "exact_hit")
 
 
+
+def test_exponent_walk_errors_come_in_horizon_order():
+    # cf_mid's CF records to 22 are undecided, and its transpose walk stops
+    # undecided at shell 1 (-1 and 1 tie within one enclosure), a horizon
+    # before the inhomogeneous walk runs out of budget at shell 21: a scan
+    # per horizon meets the undecided comparison first
+    A, b = MATRICES["cf_mid"], sample_point(5, 0, 1)
+    with pytest.raises(PrecisionExhausted):
+        estimate_exponents(A, b, [2, 22], 40)
+    assert outcome(old_estimate_exponents, A, b, [2, 22], 40) == ("raise", PrecisionExhausted)
+
 def test_exponents_rational_line_is_all_exact_hits():
     est = estimate_exponents(MATRICES["third"], None, [4, 8, 16])
     assert est.what_hat is EXACT_HIT
@@ -661,6 +740,67 @@ def test_exponents_catch_only_rank_and_precision(monkeypatch, exc):
         # without records the homogeneous exponent comes from the shell scan
         assert estimate_exponents(MATRICES["golden"], None, [4, 8]).what_hat is not None
 
+
+
+# ---------------------------------------------------------------------------
+# exact fallbacks of the filtered walks
+# ---------------------------------------------------------------------------
+
+
+DIST = ApproxMatrix.dist
+
+
+@contextmanager
+def counted():
+    """Counts of the points walked, the exact distances and the records
+    yielded while the block runs."""
+    n = {"points": 0, "exact": 0, "records": 0}
+
+    def shell(dim, s):
+        for q in iter_shell(dim, s):
+            n["points"] += 1
+            yield q
+
+    def dist(*args):
+        n["exact"] += 1
+        return DIST(*args)
+
+    def recs(*args, **kwargs):
+        for r in records(*args, **kwargs):
+            n["records"] += 1
+            yield r
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice, "iter_shell", shell)
+        mp.setattr(ApproxMatrix, "dist", dist)
+        mp.setattr(lattice, "records", recs)
+        yield n
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    key=st.sampled_from(["q12", "q21"]),
+    delta=st.sampled_from([F(1, 1000), F(1, 100), F(1, 10)]),
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+def test_psi_witness_falls_back_on_under_1_percent(key, delta, seed):
+    A = MATRICES[key]
+    psi = PowerLog(delta, F(A.n, A.m), F(0))
+    with counted() as n:
+        for i in range(10):
+            psi_witness(A, sample_point(seed, i, A.m), psi, Window(1, 8))
+    assert n["points"] > 0 and 100 * n["exact"] < n["points"]
+
+
+@settings(max_examples=20, deadline=None)
+@given(key=st.sampled_from(["q12", "q21"]), Q=st.integers(min_value=1, max_value=12))
+def test_record_walks_compute_records_and_at_most_two_more(key, Q):
+    A = MATRICES[key]
+    # the scan itself: q21's transpose fails best_approximations' rank check
+    for run in (lambda: bad_witness(A, Q), lambda: _best_approximations_scan(A, 2 * Q, 1 << 22)):
+        with counted() as n:
+            run()
+        assert n["exact"] <= n["records"] + 2
 
 # ---------------------------------------------------------------------------
 # per-target verdicts of the single-index 1 x 1 testers
