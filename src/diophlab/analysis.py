@@ -528,7 +528,6 @@ def estimate_exponents(
     b: Optional[Sequence[Fraction]],
     X_schedule: Sequence[int],
     budget: int = DEFAULT_BUDGET,
-    best: Optional[BestApproxSequence] = None,
 ) -> ExponentEstimate:
     """Finite-horizon surrogates for the exponents: w_hat(A, b) is the max
     per-horizon best exponent; what_hat(tA) is the min over the schedule
@@ -540,13 +539,16 @@ def estimate_exponents(
     table = []
     w_hat: "float | ExactHit | None" = None
     hom_exps = []
-    if best is None and (A.m, A.n) == (1, 1):
+    best = None
+    if (A.m, A.n) == (1, 1):
+        # looked up at call time: test_exponents_catch_only_rank_and_precision
+        # monkeypatches diophlab.lattice.best_approximations
         from .lattice import best_approximations
 
         try:
             best = best_approximations(A, xs[-1])
         except (RankDeficient, PrecisionExhausted):
-            best = None
+            pass
 
     def walk(M: ApproxMatrix, target=None) -> tuple[Optional[list], Optional[tuple]]:
         """((s, distance) records over 0 < ||q|| < X for the largest X, None),

@@ -6,10 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import cycle, islice, pairwise
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
+    PrecisionExhausted,
     RankDeficient,
     UnsupportedEntry,
 )
@@ -24,9 +26,11 @@ from .numeric import (
     RatInterval,
     _decided,
     compare,
+    convergents,
     dec_str,
     dist_to_int_vec,
     enclose,
+    ex_abs,
     ex_pow,
     floor_exact,
     format_exact,
@@ -420,8 +424,9 @@ def best_approximations(
 ) -> BestApproxSequence:
     """Record-improving ||(t)A y||_Z minimizers over shells ||y|| = 1..Y_max.
 
-    For 1 x 1 irrational matrices the records are the CF convergent
-    denominators; a CF fast path avoids the shell scan at large horizons.
+    For 1 x 1 irrational matrices the records are the CF convergents, read
+    off without a shell scan; a CF entry raises PrecisionExhausted past the
+    horizon its partial quotients certify.
     """
     if Y_max < 1:
         raise ValueError("Y_max >= 1 required")
@@ -449,64 +454,39 @@ def _best_approximations_scan(
 
 
 def _best_approximations_1d(A: ApproxMatrix, Y_max: int) -> BestApproxSequence:
-    """CF convergent denominators q_k are exactly the record norms in 1D."""
+    """The records of an irrational alpha are its convergents (Lagrange):
+    ||q_k alpha||_Z = |q_k alpha - p_k| strictly decreases for k >= 1, and
+    q_0 = q_1 = 1 when a_1 = 1, so convergent k is a record iff
+    q_k < q_(k+1).  The lexicographic tie-break over the shell {-q, q}
+    picks -q.
+
+    M is exact for a quadratic alpha.  A CF entry with n convergents in
+    budget is any real between the last two, so only its tails
+    alpha_(k+1) in (a_(k+1), a_(k+1) + 1) for k <= n - 3 are known, giving
+    M = 1/(alpha_(k+1) q_k + q_(k-1)) in (1/(q_(k+1) + q_k), 1/q_(k+1));
+    Y_max >= q_(n-2) raises PrecisionExhausted."""
     alpha = A.rows[0][0]
-    entries: list[BestApproxEntry] = []
-    if isinstance(alpha, Quadratic):
-        gen = _quadratic_convergents(alpha, Y_max)
+    if isinstance(alpha, CFReal):
+        conv = alpha.convergents()
+        horizon = conv[-2][1] if len(conv) > 1 else 0
+        if Y_max >= horizon:
+            raise PrecisionExhausted(
+                f"CF entry certifies best approximations only for Y_max < {horizon}"
+            )
     else:
-        gen = _cf_convergents_bounded(alpha, Y_max)
-    record: Comparable = Fraction(1, 2)
-    for p, q, M in gen:
-        if lt(M, record):
-            record = M
-            # lexicographic tie-break over the shell {-q, q} picks -q
+        conv = convergents(a for a, _ in _quotients(alpha))
+    entries: list[BestApproxEntry] = []
+    for (p, q), (_, q_next) in pairwise(conv):
+        if q > Y_max:
+            break
+        if q < q_next:
+            M = (
+                RatInterval(Fraction(1, q_next + q), Fraction(1, q_next))
+                if isinstance(alpha, CFReal)
+                else ex_abs(alpha * q - p)
+            )
             entries.append(BestApproxEntry(IntVec((-q,)), q, M))
     return BestApproxSequence(entries, Y_max)
-
-
-def _quadratic_convergents(alpha: Quadratic, Y_max: int):
-    for a, p, q in _cf_steps(alpha, Y_max):
-        if q > Y_max:
-            return
-        val = alpha * q - p
-        M = val if sign(val) >= 0 else -val
-        yield p, q, M
-
-
-def _cf_steps(alpha, Y_max: int):
-    """(a_k, p_k, q_k) from the exact CF algorithm while q_k <= Y_max."""
-    x = alpha
-    p0, q0, p1, q1 = 1, 0, 0, 1  # (p_{k-1}, q_{k-1}), (p_{k-2}, q_{k-2})
-    while True:
-        a = floor_exact(x)
-        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
-        yield a, p0, q0
-        if q0 > Y_max:
-            return
-        frac = x - a
-        if isinstance(frac, Fraction) and frac == 0:
-            return
-        frac_inv = 1 / frac if isinstance(frac, Fraction) else frac.inverse()
-        x = frac_inv
-
-
-def _cf_convergents_bounded(alpha: CFReal, Y_max: int):
-    conv = alpha.convergents()
-    n_pq = min(len(alpha.pq), alpha.precision_budget)
-    for k, (p, q) in enumerate(conv):
-        if q > Y_max:
-            return
-        # |q_k alpha - p_k| = 1/(alpha_{k+1} q_k + q_{k-1}) with the tail
-        # alpha_{k+1} in (a_{k+1}, a_{k+1} + 1); the last convergent has no
-        # tail bound, so it is withheld rather than guessed.
-        if k + 1 >= n_pq:
-            return
-        q_prev = conv[k - 1][1] if k >= 1 else 0
-        a_next = alpha.pq[k + 1]
-        lo = Fraction(1, (a_next + 1) * q + q_prev)
-        hi = Fraction(1, a_next * q + q_prev)
-        yield p, q, RatInterval(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -566,46 +546,36 @@ class CFExpansion:
     preperiod: int = 0
 
 
+def _quotients(alpha: Fraction | Quadratic) -> Iterator[tuple[int, Fraction | Quadratic]]:
+    """(a_k, alpha_k), the partial and complete quotients of the exact CF
+    algorithm alpha_0 = alpha, alpha_(k+1) = 1/(alpha_k - a_k): finite for a
+    rational alpha, endless (and eventually periodic) for a quadratic one."""
+    x = alpha
+    while True:
+        a = floor_exact(x)
+        yield a, x
+        if x == a:
+            return
+        x = 1 / (x - a)
+
+
 def continued_fraction(alpha: ExactReal, k: int) -> CFExpansion:
-    """First k partial quotients; detects the period for quadratics."""
+    """First k partial quotients; the period of a quadratic starts at the
+    first complete quotient that repeats among those k."""
     if k < 1:
         raise ValueError("k >= 1 required")
-    if isinstance(alpha, Fraction):
-        qs = []
-        x = alpha
-        while len(qs) < k:
-            a = x.numerator // x.denominator
-            qs.append(a)
-            x -= a
-            if x == 0:
-                return CFExpansion(qs, terminated=True)
-            x = 1 / x
-        return CFExpansion(qs)
-    if isinstance(alpha, Quadratic):
-        qs: list[int] = []
-        seen: dict[Quadratic, int] = {}
-        period: Optional[list[int]] = None
-        preperiod = 0
-        x: Comparable = alpha
-        while len(qs) < k:
-            if isinstance(x, Quadratic) and period is None:
-                if x in seen:
-                    preperiod = seen[x]
-                    period = qs[preperiod:]
-                    break
-                seen[x] = len(qs)
-            a = floor_exact(x)
-            qs.append(a)
-            frac = x - a
-            if isinstance(frac, Fraction):
-                if frac == 0:
-                    return CFExpansion(qs, terminated=True)
-                x = 1 / frac
-            else:
-                x = frac.inverse()
-        if period is not None:
-            while len(qs) < k:
-                qs.append(period[(len(qs) - preperiod) % len(period)])
-            return CFExpansion(qs[:k], period=period, preperiod=preperiod)
-        return CFExpansion(qs)
-    raise UnsupportedEntry("continued_fraction needs a rational or quadratic")
+    if not isinstance(alpha, (Fraction, Quadratic)):
+        raise UnsupportedEntry("continued_fraction needs a rational or quadratic")
+    qs: list[int] = []
+    seen: dict[Fraction | Quadratic, int] = {}
+    for a, x in _quotients(alpha):
+        if len(qs) == k:
+            return CFExpansion(qs)
+        if x in seen:
+            pre = seen[x]
+            period = qs[pre:]
+            qs += islice(cycle(period), k - len(qs))
+            return CFExpansion(qs, period=period, preperiod=pre)
+        seen[x] = len(qs)
+        qs.append(a)
+    return CFExpansion(qs, terminated=True)

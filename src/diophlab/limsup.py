@@ -71,15 +71,14 @@ class ApproxFunction:
     def value_bounds(self, q: int, bits: int = 80) -> tuple[Fraction, Fraction]:
         raise NotImplementedError
 
-    def lt_value(self, d: Comparable, q: int, strict: bool = True) -> bool:
-        """Certified d < psi(q) (or <= with strict=False), refining the
-        enclosure of psi(q) from 80 to 160 to 320 bits; a psi(q) known
-        exactly is compared exactly."""
+    def lt_value(self, d: Comparable, q: int) -> bool:
+        """Certified d < psi(q), refining the enclosure of psi(q) from 80 to
+        160 to 320 bits; a psi(q) known exactly is compared exactly."""
         for bits in (80, 160, 320):
             lo, hi = self.value_bounds(q, bits)
             c = compare(d, lo if lo == hi else RatInterval(lo, hi))
             if c.decided:
-                return c is Ordering.LESS if strict else c is not Ordering.GREATER
+                return c is Ordering.LESS
         raise PrecisionExhausted(f"psi({q}) enclosure too wide for comparison")
 
     def to_json(self) -> dict:
@@ -116,12 +115,12 @@ class PowerLog(ApproxFunction):
             lo, hi = lo * flo[0], hi * flo[1]
         return lo, hi
 
-    def lt_value(self, d: Comparable, q: int, strict: bool = True) -> bool:
+    def lt_value(self, d: Comparable, q: int) -> bool:
         if self.beta != 0:
-            return super().lt_value(d, q, strict)
+            return super().lt_value(d, q)
         # d < c q^(-p/r)  <=>  d^r q^p < c^r, exact in the field
         p, r = self.a.numerator, self.a.denominator
-        return (lt if strict else le)(ex_pow(d, r) * Fraction(q**p), self.c**r)
+        return lt(ex_pow(d, r) * Fraction(q**p), self.c**r)
 
     def to_json(self) -> dict:
         return {"kind": "powerlog", "c": str(self.c), "a": str(self.a), "beta": str(self.beta)}
@@ -250,6 +249,11 @@ class MeasureEstimate:
     seed: int
     window: Window
 
+    @classmethod
+    def from_hits(cls, k: int, samples: int, seed: int, window: Window) -> "MeasureEstimate":
+        """The fraction k / samples with its Wilson interval."""
+        return cls(Fraction(k, samples), samples, *binomial_ci(k, samples), seed, window)
+
     def to_json(self) -> dict:
         return {
             "fraction": str(self.fraction),
@@ -304,9 +308,9 @@ def measure_W(
 ) -> MeasureEstimate:
     """Fraction of random targets admitting a witness in the window;
     threads has no effect (runs are serial)."""
-    k = _witness_hits(A, psi, w, samples, seed, mode, budget)
-    lo, hi = binomial_ci(k, samples)
-    return MeasureEstimate(Fraction(k, samples), samples, lo, hi, seed, w)
+    return MeasureEstimate.from_hits(
+        _witness_hits(A, psi, w, samples, seed, mode, budget), samples, seed, w
+    )
 
 
 def measure_Bad(
@@ -322,9 +326,9 @@ def measure_Bad(
     """Fraction of targets with NO witness for psi_delta(q) = delta q^(-n/m);
     threads has no effect (runs are serial)."""
     psi = PowerLog(Fraction(delta), Fraction(A.n, A.m), Fraction(0))
-    k = samples - _witness_hits(A, psi, w, samples, seed, mode, budget)
-    lo, hi = binomial_ci(k, samples)
-    return MeasureEstimate(Fraction(k, samples), samples, lo, hi, seed, w)
+    return MeasureEstimate.from_hits(
+        samples - _witness_hits(A, psi, w, samples, seed, mode, budget), samples, seed, w
+    )
 
 
 def _points(dim: int, samples: int, seed: int, mode: str) -> list[tuple[Fraction, ...]]:
@@ -477,18 +481,14 @@ def coverage(
     rc = compare(rho, Fraction(1, 2))
     if rc.decided and rc.kind != "less":
         est = MeasureEstimate(Fraction(1), samples, Fraction(1), Fraction(1), seed, w)
-        return CoverageEntry(lv.ell, dec_str(lv.l), dec_str(lv.u), dec_str(Radical(lv.rho_pow_m, m)), est)
-
-    # the index alone would decide targets against a radius from another field
-    A.check_field(rho)
-    test = _tester(
-        A, w, repeat(rho), lambda b, budget: delta_membership(A, b, rho, w, budget), budget
-    )
-    pts = [sample(i) for i in range(samples)]
-    hits = parallel_map(test, pts)
-    k = sum(hits)
-    lo, hi = binomial_ci(k, samples)
-    est = MeasureEstimate(Fraction(k, samples), samples, lo, hi, seed, w)
+    else:
+        # the index alone would decide targets against a radius from another field
+        A.check_field(rho)
+        test = _tester(
+            A, w, repeat(rho), lambda b, budget: delta_membership(A, b, rho, w, budget), budget
+        )
+        k = sum(parallel_map(test, [sample(i) for i in range(samples)]))
+        est = MeasureEstimate.from_hits(k, samples, seed, w)
     return CoverageEntry(lv.ell, dec_str(lv.l), dec_str(lv.u), dec_str(Radical(lv.rho_pow_m, m)), est)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd, isqrt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PrecisionExhausted, UnsupportedEntry
 
@@ -22,6 +22,7 @@ __all__ = [
     "Radical",
     "RatInterval",
     "compare",
+    "convergents",
     "dec_str",
     "dist_to_int",
     "dist_to_int_vec",
@@ -213,6 +214,15 @@ def quadratic(a, b, d: int) -> "ExactReal":
     return Quadratic(a, b, d)
 
 
+def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(p_k, q_k) of [a_0; a_1, ...] for each partial quotient a_k in turn:
+    p_k = a_k p_(k-1) + p_(k-2), and q_k likewise."""
+    p0, q0, p1, q1 = 1, 0, 0, 1  # (p_(k-1), q_(k-1)), (p_(k-2), q_(k-2))
+    for a in quotients:
+        p0, q0, p1, q1 = a * p0 + p1, a * q0 + q1, p0, q0
+        yield p0, q0
+
+
 class CFReal:
     """A real specified by finitely many continued-fraction partial quotients.
 
@@ -237,12 +247,7 @@ class CFReal:
     def convergents(self) -> list[tuple[int, int]]:
         """(p_k, q_k) for the partial quotients within budget."""
         if self._conv is None:
-            p0, q0, p1, q1 = 1, 0, self.pq[0], 1
-            out = [(p1, q1)]
-            for a in self.pq[1 : self.precision_budget]:
-                p0, q0, p1, q1 = p1, q1, a * p1 + p0, a * q1 + q0
-                out.append((p1, q1))
-            self._conv = out
+            self._conv = list(convergents(self.pq[: self.precision_budget]))
         return self._conv
 
     def enclosure(self) -> tuple[Fraction, Fraction]:

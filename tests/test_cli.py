@@ -1,5 +1,6 @@
 """CLI contract: exit codes, report shape, reproducibility."""
 
+import hashlib
 import json
 import os
 
@@ -183,3 +184,40 @@ def test_undecided_width_is_short(runner, tmp_path):
     lines = res.stderr.splitlines()
     assert lines and all(len(line) < 80 for line in lines)
     assert "undecided (width " in res.stderr
+
+
+# (exit code, sha256 of stdout) of reports on the benchmark's input
+# matrices; a report may change only together with its digest here
+REPORTS = {
+    "best-approx": ["best-approx", "--y-max", "1000"],
+    "counterpart": ["counterpart", "--y-max", "1000"],
+    "exponents": ["exponents", "--x-schedule", "8,16,32,64"],
+    "exponents-b": ["exponents", "--x-schedule", "8,16,32,64", "--b", "1/3"],
+}
+REPORT_DIGESTS = {
+    ("best-approx", "golden"): (0, "b276752bcff5c15b144a77e50e8260f1bbb7eac8b5bd0968073319d2c3660a05"),
+    ("counterpart", "golden"): (0, "b42824199cf83c5d32b961b9c79c41e0a075a94afe06087765e4ca6af899abc9"),
+    ("exponents", "golden"): (0, "11c539f6bc23127b59a2abc947c19a89cf9f9753e73f487215881251538fea9b"),
+    ("exponents-b", "golden"): (0, "397e6fc94bb17be5332b1b62e7ae5519e87cd28f08b3b5898c1c01611d3f5cc2"),
+    ("best-approx", "sqrt2"): (0, "800458964fe8332ad1aaa93476a11863dfb4cb65b3195703b53cca2d466ee6cd"),
+    ("counterpart", "sqrt2"): (0, "4b74e11743be8f7fe13f3a7e9bc5e3c796f7c249f9e6e5d8febcc05d84a5f767"),
+    ("exponents", "sqrt2"): (0, "a45809560964ba88a310adf2caa65b008d1a09301d8b1ea77c55dee8ab703ae2"),
+    ("exponents-b", "sqrt2"): (0, "909d0a393b9ba26a52a0fd5224fbdb25ce99e85ab69001586f73d68a7785c051"),
+    ("best-approx", "q12"): (0, "3fa3798bf8236b182e53b645d9325cc35d2d15731816e131a5dc3fb4298dd8bc"),
+    ("counterpart", "q12"): (0, "6ed27148b3363ca7642cce76ea6add5a747846f7d9ebf0c387f8b29ce31742dd"),
+    ("exponents", "q12"): (0, "2810bf41cf59787a83f9ec9c251fdf401f07cd3a864ba97550353cb77e0c334f"),
+    ("exponents-b", "q12"): (0, "1ba410ec498e7e86c00891f4089af05eb7787c95d89d39c7b1d8ead804d4430c"),
+    ("best-approx", "cf_fast"): (0, "ba6f5fcf63565978a12b2144915780427c41dda62a6d248655e5de3f663354c9"),
+    ("counterpart", "cf_fast"): (0, "b33d4659c47f7f4dca3749a642e4f009409a974dde71d12d4940673459b363f4"),
+    ("exponents", "cf_fast"): (0, "6f00f2699fab64d1c944e5be8feeff364d8315de4efe259661df1efa41e3a1b5"),
+    ("exponents-b", "cf_fast"): (0, "8fc0df707f4027e1dee3978ed914e0ec6113d67424eddc380d953b291c944539"),
+}
+
+
+@pytest.mark.parametrize("report, name", sorted(REPORT_DIGESTS))
+def test_reports_match_recorded_digests(runner, monkeypatch, report, name):
+    # the matrix path is part of the report, so it is given relative to the
+    # repository root
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
+    res = runner.invoke(main, [*REPORTS[report], "--matrix", f"perfbench/inputs/{name}.mat"])
+    assert (res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest()) == REPORT_DIGESTS[report, name]

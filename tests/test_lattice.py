@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diophlab.errors import RankDeficient, UnsupportedEntry
+from diophlab.errors import PrecisionExhausted, RankDeficient, UnsupportedEntry
 from diophlab.lattice import (
     ApproxMatrix,
     IntVec,
+    _best_approximations_scan,
     bad_witness,
     best_approximations,
     check_rank,
@@ -19,7 +20,7 @@ from diophlab.lattice import (
     shell_size,
     solve_homogeneous,
 )
-from diophlab.numeric import CFReal, Quadratic, dist_to_int, enclose, lt, quadratic
+from diophlab.numeric import CFReal, Quadratic, dist_to_int, enclose, lt, parse_exact, quadratic
 
 
 class TestShells:
@@ -174,6 +175,48 @@ class TestBestApproximations:
         assert [e.Y for e in fast.entries] == [e.Y for e in slow.entries]
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        a0=st.integers(min_value=-3, max_value=3),
+        tail=st.lists(st.integers(min_value=1, max_value=5), min_size=2, max_size=8).filter(lambda t: 1 in t),
+        t=st.fractions(min_value=0, max_value=1, max_denominator=60).filter(lambda t: 0 < t < 1),
+        Y=st.integers(min_value=1, max_value=300),
+    )
+    def test_cf_records_hold_for_every_real_in_the_enclosure(self, a0, tail, t, Y):
+        # the CF entry stands for every x strictly between its last two
+        # convergents, rational ones included: its records must be those of
+        # each such x, or PrecisionExhausted past the certified horizon
+        cf = CFReal((a0, *tail))
+        lo, hi = cf.enclosure()
+        x = lo + (hi - lo) * t
+        horizon = cf.convergents()[-2][1]
+        try:
+            got = best_approximations(ApproxMatrix([[cf]]), Y).entries
+        except PrecisionExhausted:
+            assert Y >= horizon
+            return
+        assert Y < horizon
+        want = _best_approximations_scan(ApproxMatrix([[x]]), Y, 1 << 22).entries
+        assert [(e.y, e.Y) for e in got] == [(e.y, e.Y) for e in want]
+        assert all(g.M.lo < w.M < g.M.hi for g, w in zip(got, want))
+
+    def test_cf_record_past_the_horizon_raises(self):
+        # 33/100 = [0; 3, 33] lies in the enclosure (3/10, 1/3) of [0; 3, 3],
+        # and ||3 * 33/100|| = 1/100: the tail a_2 = 3 bounds nothing
+        A = ApproxMatrix([[parse_exact("cf:[0;3,3]")]])
+        for Y in (3, 6):
+            with pytest.raises(PrecisionExhausted, match="Y_max < 3"):
+                best_approximations(A, Y)
+        assert best_approximations(A, 2).Y == [1]
+
+    def test_cf_first_quotient_one(self):
+        # a_1 = 1 gives q_0 = q_1 = 1: the record at Y = 1 is convergent 1
+        A = ApproxMatrix([[parse_exact("cf:[0;1,2,3,4,5,6,7]")]])
+        seq = best_approximations(A, 2)
+        assert [(e.y, e.Y) for e in seq.entries] == [(IntVec((-1,)), 1)]
+        assert (seq.entries[0].M.lo, seq.entries[0].M.hi) == (F(1, 4), F(1, 3))
+
+
 class TestRank:
     def test_single_irrational(self, A_sqrt2):
         assert check_rank(A_sqrt2)
@@ -200,6 +243,11 @@ class TestRank:
 class TestContinuedFraction:
     def test_rational_terminates(self):
         cf = continued_fraction(F(7, 3), 20)
+        assert cf.quotients == [2, 3] and cf.terminated
+
+    def test_rational_terminates_at_k(self):
+        # the last quotient ends the expansion even when it is the k-th
+        cf = continued_fraction(F(7, 3), 2)
         assert cf.quotients == [2, 3] and cf.terminated
 
     def test_golden_period(self, golden):

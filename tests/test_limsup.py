@@ -49,7 +49,6 @@ class TestApproxFunction:
         psi = PowerLog(F(1), F(2), F(0))
         assert psi.lt_value(F(1, 101), 10)
         assert not psi.lt_value(F(1, 100), 10)  # equality, strict
-        assert psi.lt_value(F(1, 100), 10, strict=False)
 
     def test_lt_value_with_log(self):
         psi = PowerLog(F(1), F(1), F(1))  # 1/(q ln q)

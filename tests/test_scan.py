@@ -711,14 +711,21 @@ def test_estimate_exponents_matches_old_loop(key, data, homogeneous, xs, budget)
 
 
 def test_exponent_walk_errors_come_in_horizon_order():
-    # cf_mid's CF records to 22 are undecided, and its transpose walk stops
-    # undecided at shell 1 (-1 and 1 tie within one enclosure), a horizon
-    # before the inhomogeneous walk runs out of budget at shell 21: a scan
-    # per horizon meets the undecided comparison first
+    # q21's inhomogeneous walk (dimension 1) runs out of budget at shell 21,
+    # its transpose walk (dimension 2) at shell 3: a scan per horizon meets
+    # the error of the earliest horizon either walk blocks first, the
+    # inhomogeneous walk's on a tie
+    A, b = MATRICES["q21"], (F(1, 3), F(1, 3))
+    for xs, total in (([2, 22], 42), ([4, 22], 48)):
+        with pytest.raises(BudgetExceeded, match=f"enumeration of {total} points exceeds 40"):
+            estimate_exponents(A, b, xs, 40)
+        assert outcome(old_estimate_exponents, A, b, xs, 40) == ("raise", BudgetExceeded)
+    # cf_mid's CF records to 22 are certified, so only the budget of its
+    # inhomogeneous walk stops it
     A, b = MATRICES["cf_mid"], sample_point(5, 0, 1)
-    with pytest.raises(PrecisionExhausted):
+    with pytest.raises(BudgetExceeded):
         estimate_exponents(A, b, [2, 22], 40)
-    assert outcome(old_estimate_exponents, A, b, [2, 22], 40) == ("raise", PrecisionExhausted)
+    assert outcome(old_estimate_exponents, A, b, [2, 22], 40) == ("raise", BudgetExceeded)
 
 def test_exponents_rational_line_is_all_exact_hits():
     est = estimate_exponents(MATRICES["third"], None, [4, 8, 16])
