@@ -10,6 +10,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import (
@@ -27,6 +28,7 @@ from .lattice import (
     ReturnSequence,
     records,
     scan,
+    within,
 )
 from .limsup import ApproxFunction, PowerLog, Window
 from .numeric import (
@@ -413,8 +415,10 @@ def verify_prop_5_1(
     budget: int = DEFAULT_BUDGET,
     spot_check_stride: int = 97,
 ) -> Prop51Report:
-    """Exhaustively check ||q||^(n/m) ||Aq - b||_Z > (alpha - n)/m over the
-    window, recording the binding k with U_k <= ||q|| < V_k per norm.
+    """Check ||q||^(n/m) ||Aq - b||_Z > (alpha - n)/m at every q of the
+    window, recording the binding k with U_k <= ||q|| < V_k per norm.  The
+    violations are the q where it fails, in scan order, then those of every
+    spot_check_stride-th point where key_inequality_check fails.
 
     Preconditions: alpha > n; the [U_k, V_k) intervals must cover the
     window (CoverageGap otherwise); b must pass b_alpha_test on the ks
@@ -439,21 +443,15 @@ def verify_prop_5_1(
         raise ValueError("b fails b_alpha_test on the binding k range")
     w.check_budget(n, budget)
     b = tuple(Fraction(x) for x in b)
-    violations: list[tuple[int, ...]] = []
-    spot = 0
-    idx = 0
-    for s, shell in scan(n, w.shells, budget):
-        for q in shell:
-            # ||q||^(n/m) d > thr  <=>  ||q||^n d^m > thr^m
-            if not lt(thr**m, Fraction(s**n) * ex_pow(A.dist(q, b), m)):
-                violations.append(q)
-            idx += 1
-            if idx % spot_check_stride == 0:
-                k = binding[s]
-                if not key_inequality_check(A, b, IntVec(q), best.entries[k].y):
-                    violations.append(q)
-                spot += 1
-    return Prop51Report(alpha, w, thr, ks, binding, violations, spot)
+    # ||q||^(n/m) d > thr fails exactly where d <= thr ||q||^(-n/m)
+    psi = PowerLog(thr, Fraction(n, m), Fraction(0))
+    violations = [q for _, q, _ in within(A, w.shells, budget, psi, b, closed=True)]
+    points = ((s, q) for s, shell in scan(n, w.shells, budget) for q in shell)
+    checked = list(islice(points, spot_check_stride - 1, None, spot_check_stride))
+    violations += [
+        q for s, q in checked if not key_inequality_check(A, b, IntVec(q), best.entries[binding[s]].y)
+    ]
+    return Prop51Report(alpha, w, thr, ks, binding, violations, len(checked))
 
 
 def key_inequality_check(

@@ -28,7 +28,7 @@ def threshold_bounds(thr, shift: int = SHIFT) -> tuple[int, int]:
     """Integers [lo, hi] with lo <= thr * 2^shift <= hi, for a threshold given
     as an exact value or a `Radical` (e.g. Radical(C_pow, m))."""
     t_lo, t_hi = enclose(thr, shift)
-    return scale_fraction(t_lo, shift), -scale_fraction(-t_hi, shift)
+    return scale_fraction(t_lo, shift), -((-t_hi.numerator << shift) // t_hi.denominator)
 
 
 def _scaled_entry(x, shift: int) -> tuple[int, int]:
@@ -151,12 +151,12 @@ def _covers(spans: Sequence[tuple[int, int]], x: int) -> bool:
 class UnionIndex1D:
     """Certified membership in U_q B(q*alpha, r_q) mod 1 over a fixed q set.
 
-    A radius r_q is a `Fraction` or any value `threshold_bounds` encloses
-    (`Quadratic`, `Radical`, a `RatInterval` holding r_q).  Queries are
+    A radius r_q is any value `threshold_bounds` encloses (`Fraction`,
+    `Quadratic`, `Radical`, a `RatInterval` holding r_q).  Queries are
     decided by an inner (definitely covered) and an outer (possibly
-    covered) merged union, built from the lower and upper radius bounds;
-    the sliver between them goes to the exact checker supplied by the
-    caller.
+    covered) merged union, built from the lower and upper scaled bounds of
+    each radius; the sliver between them goes to the exact checker
+    supplied by the caller.
     """
 
     def __init__(
@@ -171,15 +171,9 @@ class UnionIndex1D:
         outer: list[tuple[int, int]] = []
         inner: list[tuple[int, int]] = []
         for q, r in q_radii:
-            if isinstance(r, Fraction):
-                if r <= 0:
-                    continue
-                r_lo = scale_fraction(r, line.shift)
-                r_hi = r_lo + 1
-            else:
-                r_lo, r_hi = threshold_bounds(r, line.shift)
-                if r_hi <= 0:
-                    continue
+            r_lo, r_hi = threshold_bounds(r, line.shift)
+            if r_hi <= 0:
+                continue
             c, err = line.center(q)
             # the true center lies within err of c (and of mod - c for -q)
             for cc in (c, (-c) % mod):

@@ -220,48 +220,32 @@ def within(
 
     thr is either a value `threshold_bounds` encloses, in the field of A's
     entries or in Q (UnsupportedEntry otherwise, before any point is
-    scanned), enclosed once; or a psi (an `ApproxFunction`), the strict
-    per-shell threshold psi(s) of the shell s, enclosed per shell by its
-    80-bit value_bounds(s) and decided exactly by psi.lt_value (ValueError
-    when closed).  Scaled-integer bounds accept q with c = LESS when d_hi <
-    thr_lo and reject it when d_lo > thr_hi; only a point inside that
-    margin is compared exactly, raising PrecisionExhausted when undecided,
-    so the hits, BudgetExceeded and PrecisionExhausted are those of the
-    exact scan.
+    scanned), enclosed once; or a psi (an `ApproxFunction`), the per-shell
+    threshold psi(s) of the shell s, enclosed per shell by its 80-bit
+    value_bounds(s) and compared exactly by psi.compare_value.
+    Scaled-integer bounds accept q with c = LESS when d_hi < thr_lo and
+    reject it when d_lo > thr_hi; only a point inside that margin is
+    compared exactly, raising PrecisionExhausted when undecided, so the
+    hits, BudgetExceeded and PrecisionExhausted are those of the exact scan.
     """
     line = A.line
-    if hasattr(thr, "lt_value"):
-        if closed:
-            raise ValueError("a psi threshold is strict")
-        psi = thr
-
-        def bounds(s: int) -> tuple[int, int]:
-            return threshold_bounds(RatInterval(*psi.value_bounds(s)), line.shift)
-
-        def exact(d, s: int) -> Optional[Ordering]:
-            return Ordering.LESS if psi.lt_value(d, s) else None
-    else:
+    psi = thr if hasattr(thr, "compare_value") else None
+    if psi is None:
         A.check_field(thr)
-        fixed = threshold_bounds(thr, line.shift)
-
-        def bounds(s: int) -> tuple[int, int]:
-            return fixed
-
-        def exact(d, s: int) -> Optional[Ordering]:
-            c = _decided(compare(d, thr))
-            return c if c is Ordering.LESS or (closed and c is Ordering.EQUAL) else None
-
+        thr_lo, thr_hi = threshold_bounds(thr, line.shift)
     b_scaled, b_err = _target(A, b)
     dist_bounds = line.dist_bounds
     for s, shell in scan(A.n, shells, budget):
-        thr_lo, thr_hi = bounds(s)
+        if psi is not None:
+            thr_lo, thr_hi = threshold_bounds(RatInterval(*psi.value_bounds(s)), line.shift)
         for q in shell:
             d_lo, d_hi = dist_bounds(q, b_scaled, b_err)
             if d_hi < thr_lo:
                 yield s, q, Ordering.LESS
             elif d_lo <= thr_hi:
-                c = exact(A.dist(q, b), s)
-                if c is not None:
+                d = A.dist(q, b)
+                c = _decided(compare(d, thr)) if psi is None else psi.compare_value(d, s)
+                if c is Ordering.LESS or (closed and c is Ordering.EQUAL):
                     yield s, q, c
 
 

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import mpmath
 
@@ -28,6 +28,7 @@ from .numeric import (
     Ordering,
     Radical,
     RatInterval,
+    _decided,
     _nth_root_lower,
     _nth_root_upper,
     compare,
@@ -71,15 +72,20 @@ class ApproxFunction:
     def value_bounds(self, q: int, bits: int = 80) -> tuple[Fraction, Fraction]:
         raise NotImplementedError
 
-    def lt_value(self, d: Comparable, q: int) -> bool:
-        """Certified d < psi(q), refining the enclosure of psi(q) from 80 to
-        160 to 320 bits; a psi(q) known exactly is compared exactly."""
+    def compare_value(self, d: Comparable, q: int) -> Ordering:
+        """The certified ordering of d against psi(q), refining the enclosure
+        of psi(q) from 80 to 160 to 320 bits; a psi(q) known exactly is
+        compared exactly.  PrecisionExhausted when still undecided."""
         for bits in (80, 160, 320):
             lo, hi = self.value_bounds(q, bits)
             c = compare(d, lo if lo == hi else RatInterval(lo, hi))
             if c.decided:
-                return c is Ordering.LESS
+                return c
         raise PrecisionExhausted(f"psi({q}) enclosure too wide for comparison")
+
+    def lt_value(self, d: Comparable, q: int) -> bool:
+        """Certified d < psi(q)."""
+        return self.compare_value(d, q) is Ordering.LESS
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -115,12 +121,12 @@ class PowerLog(ApproxFunction):
             lo, hi = lo * flo[0], hi * flo[1]
         return lo, hi
 
-    def lt_value(self, d: Comparable, q: int) -> bool:
+    def compare_value(self, d: Comparable, q: int) -> Ordering:
         if self.beta != 0:
-            return super().lt_value(d, q)
-        # d < c q^(-p/r)  <=>  d^r q^p < c^r, exact in the field
+            return super().compare_value(d, q)
+        # d against c q^(-p/r) as d^r q^p against c^r, exact in the field
         p, r = self.a.numerator, self.a.denominator
-        return lt(ex_pow(d, r) * Fraction(q**p), self.c**r)
+        return _decided(compare(ex_pow(d, r) * Fraction(q**p), self.c**r))
 
     def to_json(self) -> dict:
         return {"kind": "powerlog", "c": str(self.c), "a": str(self.a), "beta": str(self.beta)}
@@ -266,34 +272,30 @@ class MeasureEstimate:
         }
 
 
-def _tester(
-    A: ApproxMatrix, w: Window, radii: Iterable, exact: Callable, budget: int
-) -> Callable[[tuple[Fraction, ...]], bool]:
-    """Per-target test of ||Aq - b||_Z < r_s for some q in the window, s =
-    ||q||, where exact(b, budget) decides it.  Other shapes check the
-    window against the budget once.  A 1 x 1 irrational matrix gets one
-    union index over the radius enclosures r_s (radii is read only then),
-    with exact for a target inside its margin; the index covers the whole
-    window, so that fallback is not charged to the budget."""
-    if A.irrational_line:
-        index = UnionIndex1D(
-            A.line, list(zip(w.shells, radii)), lambda x: exact((x,), math.inf)
-        )
-        return lambda b: index.contains(b[0])
-    w.check_budget(A.n, budget)
-    return lambda b: exact(b, budget)
-
-
-def _witness_hits(
-    A: ApproxMatrix, psi: ApproxFunction, w: Window, samples: int, seed: int,
-    mode: str, budget: int,
+def _hits(
+    A: ApproxMatrix, w: Window, thr: Comparable | Radical | ApproxFunction,
+    targets: Iterable[tuple[Fraction, ...]], budget: int,
 ) -> int:
-    """How many sampled targets have a strict psi-witness in the window."""
-    radii = (lo if lo == hi else RatInterval(lo, hi) for lo, hi in map(psi.value_bounds, w.shells))
-    test = _tester(
-        A, w, radii, lambda b, budget: psi_witness(A, b, psi, w, budget) is not None, budget
-    )
-    return sum(parallel_map(test, _points(A.m, samples, seed, mode)))
+    """How many targets b have ||Aq - b||_Z below thr, or below psi(||q||)
+    for a psi thr, for some q in the window, as `within` decides it.
+    Other shapes check the window against the budget once and walk
+    `within` per target.  A 1 x 1 irrational matrix gets one union index
+    over the radius enclosures of thr per shell, with `within` for a target
+    inside its margin; the index covers the whole window, so that fallback
+    is not charged to the budget."""
+
+    def exact(b: tuple[Fraction, ...], budget: float = budget) -> bool:
+        return next(within(A, w.shells, budget, thr, b), None) is not None
+
+    if not A.irrational_line:
+        w.check_budget(A.n, budget)
+        return sum(parallel_map(exact, targets))
+    if isinstance(thr, ApproxFunction):
+        radii = [lo if lo == hi else RatInterval(lo, hi) for lo, hi in map(thr.value_bounds, w.shells)]
+    else:
+        radii = repeat(thr)
+    index = UnionIndex1D(A.line, list(zip(w.shells, radii)), lambda x: exact((x,), math.inf))
+    return sum(parallel_map(lambda b: index.contains(b[0]), targets))
 
 
 def measure_W(
@@ -309,7 +311,7 @@ def measure_W(
     """Fraction of random targets admitting a witness in the window;
     threads has no effect (runs are serial)."""
     return MeasureEstimate.from_hits(
-        _witness_hits(A, psi, w, samples, seed, mode, budget), samples, seed, w
+        _hits(A, w, psi, _points(A.m, samples, seed, mode), budget), samples, seed, w
     )
 
 
@@ -327,18 +329,21 @@ def measure_Bad(
     threads has no effect (runs are serial)."""
     psi = PowerLog(Fraction(delta), Fraction(A.n, A.m), Fraction(0))
     return MeasureEstimate.from_hits(
-        samples - _witness_hits(A, psi, w, samples, seed, mode, budget), samples, seed, w
+        samples - _hits(A, w, psi, _points(A.m, samples, seed, mode), budget), samples, seed, w
     )
 
 
-def _points(dim: int, samples: int, seed: int, mode: str) -> list[tuple[Fraction, ...]]:
+def _points(dim: int, samples: int, seed: int, mode: str) -> Iterator[tuple[Fraction, ...]]:
+    """The sampled targets, generated lazily: a window over budget is
+    reported before a bad samples or mode."""
     if samples < 1:
         raise ValueError("samples >= 1 required")
     if mode == "grid":
-        return grid_points(samples, dim)
-    if mode != "mc":
+        yield from grid_points(samples, dim)
+    elif mode == "mc":
+        yield from (sample_point(seed, i, dim) for i in range(samples))
+    else:
         raise ValueError(f"unknown sampling mode {mode!r}")
-    return [sample_point(seed, i, dim) for i in range(samples)]
 
 
 # ---------------------------------------------------------------------------
@@ -484,10 +489,7 @@ def coverage(
     else:
         # the index alone would decide targets against a radius from another field
         A.check_field(rho)
-        test = _tester(
-            A, w, repeat(rho), lambda b, budget: delta_membership(A, b, rho, w, budget), budget
-        )
-        k = sum(parallel_map(test, [sample(i) for i in range(samples)]))
+        k = _hits(A, w, rho, [sample(i) for i in range(samples)], budget)
         est = MeasureEstimate.from_hits(k, samples, seed, w)
     return CoverageEntry(lv.ell, dec_str(lv.l), dec_str(lv.u), dec_str(Radical(lv.rho_pow_m, m)), est)
 

@@ -579,7 +579,8 @@ def dist_to_int_vec(v: Iterable[Comparable]):
 
 
 def ex_pow(x: Comparable, k: int):
-    """x**k for integer k (k >= 0 unless x is invertible)."""
+    """x**k for integer k (k >= 0 unless x is invertible); UnsupportedEntry
+    for a CF real, which has no exact powers."""
     if isinstance(x, Quadratic):
         return x**k
     if isinstance(x, int):
@@ -593,6 +594,8 @@ def ex_pow(x: Comparable, k: int):
         for _ in range(k):
             out = out * x
         return out
+    if isinstance(x, CFReal):
+        raise UnsupportedEntry(f"no exact powers of the CF real {x!r}")
     raise TypeError(x)
 
 

@@ -81,6 +81,24 @@ def test_transfer_invalid_level_exit_2(runner, half_mat):
     assert res.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["return-seq", "--ell-max", "4"],
+        ["transfer", "--ell", "3", "--targets", "2"],
+        ["coverage", "--ell-max", "4", "--samples", "2"],
+        ["series", "--ell-max", "4"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_cf_epsilon_exit_2(runner, golden_mat, args):
+    # a CF real has no exact powers, which every return level compares
+    res = runner.invoke(main, args + ["--matrix", golden_mat, "--epsilon", "cf:[0;2,3]"])
+    assert res.exit_code == 2
+    assert res.output.startswith("error: ")
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_measure_w_reproducible(runner, golden_mat):
     args = ["measure-w", "--matrix", golden_mat, "--window-l", "1", "--window-u", "64",
             "--samples", "50", "--seed", "7"]

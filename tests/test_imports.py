@@ -1,6 +1,7 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
-and nothing imports a thread pool.
+psi comparisons stay behind `lattice.within`, and nothing imports a thread
+pool.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -79,24 +80,28 @@ def test_scanner_flags_an_unused_import(tmp_path):
 
 # the scaled-integer format of `fastpath`, which only `lattice` may use
 SCALED = {"scale_fraction", "threshold_bounds"}
-# the only callers of lattice.scan: the two filtered and record walks, and
-# the exhaustive walks that test or sum every point of a window
+# the only callers of lattice.scan: the filtered and record walks, the
+# exhaustive Weyl sum, and verify_prop_5_1, which takes from it only the
+# indices of its spot checks (its threshold is a walk of within)
 SCAN_CALLERS = {
     ("lattice.py", "within"),
     ("lattice.py", "records"),
     ("analysis.py", "verify_prop_5_1"),
     ("equidist.py", "weyl_sum"),
 }
+# the exact psi comparisons, which limsup defines and lattice.within alone
+# calls: anywhere else a psi threshold would be decided outside the filter
+PSI_CALLS = {"compare_value", "lt_value"}
 # all work is pure-Python exact arithmetic, which threads cannot run in
 # parallel under the GIL
 THREADS = {"concurrent", "threading"}
 
 
 def kernel_leaks(path: Path) -> list[str]:
-    """Calls of iter_shell outside lattice.scan and of scan outside
-    SCAN_CALLERS, imports of the scaled-integer helpers outside lattice,
-    and imports of concurrent.futures or threading, anywhere in the
-    module."""
+    """Calls of iter_shell outside lattice.scan, of scan outside
+    SCAN_CALLERS and of PSI_CALLS outside limsup and lattice.within,
+    imports of the scaled-integer helpers outside lattice, and imports of
+    concurrent.futures or threading, anywhere in the module."""
     found = []
 
     def visit(node: ast.AST, func: str | None) -> None:
@@ -108,6 +113,8 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} iter_shell")
                 if name == "scan" and (path.name, func) not in SCAN_CALLERS:
                     found.append(f"{path.name}:{child.lineno} scan")
+                if name in PSI_CALLS and path.name != "limsup.py" and (path.name, func) != ("lattice.py", "within"):
+                    found.append(f"{path.name}:{child.lineno} {name}")
             elif isinstance(child, ast.ImportFrom):
                 if path.name != "lattice.py":
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
@@ -170,3 +177,26 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(limsup) == ["limsup.py:2 scan"]
+    # psi comparisons: limsup defines them, and lattice.within alone calls them
+    limsup.write_text(
+        "def lt_value(self, d, q):\n"
+        "    return self.compare_value(d, q)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(limsup) == []
+    lattice = tmp_path / "lattice.py"
+    lattice.write_text(
+        "def within(psi, d):\n"
+        "    return psi.compare_value(d, 1)\n"
+        "def records(psi, d):\n"
+        "    return psi.compare_value(d, 1)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:4 compare_value"]
+    analysis = tmp_path / "analysis.py"
+    analysis.write_text(
+        "def verify_prop_5_1(psi, d):\n"
+        "    return psi.lt_value(d, 1) or compare_value(d, 1)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(analysis) == ["analysis.py:2 lt_value", "analysis.py:2 compare_value"]

@@ -5,6 +5,7 @@ replaced: the outcome, including the type of a raised error, must agree."""
 import inspect
 from contextlib import contextmanager
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -380,11 +381,29 @@ def test_scan_order_and_budget(dim):
     assert seen == [0, 1]
 
 
+def brute_order(d, s, thr):
+    """d against thr, or against psi(s) for a psi thr: a table's value
+    exactly, c s^-a on cross-powers, and enclosures of c s^-a max(ln s, 1)^-beta
+    at 80, 160 and 320 bits otherwise."""
+    if isinstance(thr, TablePsi):
+        return compare(d, thr.value_at(s))
+    if not isinstance(thr, PowerLog):
+        return compare(d, thr)
+    if thr.beta == 0:
+        p, r = thr.a.numerator, thr.a.denominator
+        return compare(ex_pow(d, r) * F(s**p), thr.c**r)
+    for bits in (80, 160, 320):
+        c = compare(d, RatInterval(*thr.value_bounds(s, bits)))
+        if c.decided:
+            break
+    return c
+
+
 def brute_within(A, shells, budget, thr, b, closed):
     """Every point of the walk compared exactly, in scan order."""
     for s, shell in scan(A.n, shells, budget):
         for q in shell:
-            c = compare(dist_to_int_vec([v - t for v, t in zip(A.apply(q), b)] if b else A.apply(q)), thr)
+            c = brute_order(dist_to_int_vec([v - t for v, t in zip(A.apply(q), b)] if b else A.apply(q)), s, thr)
             if not c.decided:
                 raise PrecisionExhausted(f"undecided at {q}")
             if c is Ordering.LESS or (closed and c is Ordering.EQUAL):
@@ -424,7 +443,30 @@ def thresholds(A, points, b):
     return st.one_of(values, dists, roots)
 
 
-@settings(max_examples=120, deadline=None)
+def psi_thresholds(A, points, b):
+    """PowerLog psis with beta = 0 (a in {1/2, 1, 2}) and beta != 0, and
+    tables; for rational entries, also a table or a PowerLog with beta = 0
+    whose value at a scanned point's shell is that point's distance."""
+    powerlogs = st.builds(
+        PowerLog,
+        st.fractions(min_value=F(1, 1000), max_value=F(2), max_denominator=1000),
+        st.sampled_from([F(1, 2), F(1), F(2)]),
+        st.sampled_from([F(0), F(1), F(1, 2)]),
+    )
+    psis = st.one_of(powerlogs, st.sampled_from([p for p in PSIS if isinstance(p, TablePsi)]))
+    if A.radicand is not None or A.has_cf:
+        return psis
+    met = []
+    for q in points:
+        s, d = max(map(abs, q)), A.dist(q, b)
+        if s and d:
+            met += [TablePsi([(0, d + F(1, 7)), (s, d)]), PowerLog(d * s, F(1), F(0)), PowerLog(d * s * s, F(2), F(0))]
+            if isqrt(s) ** 2 == s:
+                met.append(PowerLog(d * isqrt(s), F(1, 2), F(0)))
+    return st.one_of(st.sampled_from(met), psis) if met else psis
+
+
+@settings(max_examples=200, deadline=None)
 @given(
     key=st.sampled_from(sorted(MATRICES)),
     data=st.data(),
@@ -438,7 +480,11 @@ def test_within_matches_brute_force(key, data, lu, closed, budget):
     shells = range(lo, lo + du)
     b = data.draw(st.one_of(st.none(), targets(A.m)))
     points = [q for s in shells[:3] for q in iter_shell(A.n, s)]
-    thr = data.draw(thresholds(A, points, b))
+    if data.draw(st.booleans()):
+        thr = data.draw(psi_thresholds(A, points, b))
+        shells = range(max(lo, 1), lo + du)  # a psi is defined on [1, oo)
+    else:
+        thr = data.draw(thresholds(A, points, b))
     got = walk(within(A, shells, budget, thr, b, closed))
     assert got == walk(brute_within(A, shells, budget, thr, b, closed))
     for _, _, c in got[0]:
@@ -471,10 +517,15 @@ def test_within_takes_values_not_callbacks():
     assert list(inspect.signature(within).parameters) == ["A", "shells", "budget", "thr", "b", "closed"]
 
 
-def test_within_refuses_a_closed_psi_threshold():
-    # psi(s) is a strict per-shell threshold: psi.lt_value decides < only
-    with pytest.raises(ValueError):
-        next(within(MATRICES["q12"], range(1, 3), 100, PSIS[0], closed=True))
+def test_within_closed_psi_keeps_its_boundary():
+    # ||+-1/3||_Z = 1/3 = psi(1); ||+-2/3||_Z = 1/3 > psi(2) = 1/6
+    A = MATRICES["third"]
+    for psi in (PowerLog(F(1, 3), F(1), F(0)), TablePsi([(0, F(1, 2)), (1, F(1, 3)), (2, F(1, 6))])):
+        assert list(within(A, range(1, 3), 100, psi)) == []
+        assert list(within(A, range(1, 3), 100, psi, closed=True)) == [
+            (1, (-1,), Ordering.EQUAL),
+            (1, (1,), Ordering.EQUAL),
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +850,31 @@ def test_psi_witness_falls_back_on_under_1_percent(key, delta, seed):
     assert n["points"] > 0 and 100 * n["exact"] < n["points"]
 
 
+def test_verify_prop_5_1_counts_the_boundary_as_a_violation(monkeypatch):
+    # ||q|| ||q/3||_Z = 4/3 = alpha - 1 at q = +-4 for alpha = 7/3: the
+    # inequality is strict, so these fail it; golden's records supply the
+    # binding k, which the scan itself does not read
+    monkeypatch.setattr(analysis, "b_alpha_test", lambda *args: True)
+    best = best_approximations(MATRICES["golden"], 144)
+    args = (MATRICES["third"], (F(0),), F(7, 3), best, Window(3, 6), 1 << 22, 97)
+    _, want, _ = old_verify_prop_5_1_scan(*args)
+    assert verify_prop_5_1(*args).violations == want == [(-4,), (4,), (-6,), (6,)]
+
+
+@pytest.mark.parametrize("alpha", [F(3, 2), F(5, 2)])
+def test_verify_prop_5_1_computes_under_1_percent_of_distances(monkeypatch, alpha):
+    # the threshold walk is filtered, and the spot checks take only indices
+    monkeypatch.setattr(analysis, "b_alpha_test", lambda *args: True)
+    monkeypatch.setattr(analysis, "key_inequality_check", lambda *args: True)
+    A = MATRICES["golden"]
+    best = best_approximations(A, 1000)
+    w = Window(10, 200)
+    with counted() as n:
+        report = verify_prop_5_1(A, sample_point(3, 0, 1), alpha, best, w)
+    assert report.spot_checks == 380 // 97
+    assert 100 * n["exact"] <= 380
+
+
 @settings(max_examples=20, deadline=None)
 @given(key=st.sampled_from(["q12", "q21"]), Q=st.integers(min_value=1, max_value=12))
 def test_record_walks_compute_records_and_at_most_two_more(key, Q):
@@ -891,6 +967,22 @@ def test_measure_Bad_index_verdicts_match_generic(monkeypatch, key, delta, seed,
     psi = PowerLog(delta, F(1), F(0))
     test, pts = captured_tester(monkeypatch, lambda: measure_Bad(A, delta, w, 25, seed))
     agree(test, old_witness_index(A, psi, w), lambda b: old_psi_witness(A, b, psi, w) is not None, pts)
+
+
+def test_index_radii_enclose_psi():
+    # targets 2^-120 inside and outside psi(3) for q = 3, well within the
+    # gap of psi's 80-bit enclosure: an index built from either end of that
+    # enclosure alone gets one of them wrong
+    A, w = MATRICES["golden"], Window(2, 3)
+    psi = PowerLog(F(1, 4), F(1, 2), F(1))
+    lo80, hi80 = psi.value_bounds(3)
+    lo, hi = psi.value_bounds(3, 320)
+    center = enclose(GOLDEN * 3, 200)[0]
+    for r, hit in ((lo - F(1, 2**120), True), (hi + F(1, 2**120), False)):
+        assert lo80 < r < hi80
+        b = (center - r,)
+        assert (next(within(A, w.shells, 100, psi, b), None) is not None) is hit
+        assert limsup._hits(A, w, psi, [b], 100) == hit
 
 
 def test_one_dimensional_index_charges_no_budget():
