@@ -45,6 +45,7 @@ from .numeric import (
     _as_interval,
     _nth_root_lower,
     _nth_root_upper,
+    _scaled_pow,
 )
 
 __all__ = [
@@ -93,30 +94,49 @@ def _term_pow_bounds(
     return _nth_root_lower(vlo**p, r, bits), _nth_root_upper(vhi**p, r, bits)
 
 
-def _partial_sum_bounds(
-    psi: ApproxFunction, n: int, s: Fraction, Q: int, exact_upto: int = 1024
-) -> tuple[Fraction, Fraction]:
-    """Enclosure of sum_{q=1}^{Q} q^(n-1) psi(q)^s.
+# binary scale of the term enclosures of a partial sum
+SERIES_SHIFT = 64
 
-    Terms up to exact_upto are summed individually; beyond that, geometric
-    blocks (ratio 17/16, tight enough for log-critical trend checks) are
-    bracketed using monotonicity of psi and of q^(n-1)."""
-    lo = hi = Fraction(0)
-    head = min(Q, exact_upto)
-    for q in range(1, head + 1):
-        tlo, thi = _term_pow_bounds(psi, q, s)
-        lo += q ** (n - 1) * tlo
-        hi += q ** (n - 1) * thi
+
+def _blocks(Q: int, head: int) -> list[tuple[int, int]]:
+    """The geometric blocks (start, end) of (head, Q], ratio 17/16."""
+    out = []
     start = head + 1
     while start <= Q:
         end = min(max(start, start * 17 // 16 - 1), Q)
-        count = end - start + 1
-        blo, _ = _term_pow_bounds(psi, end, s)
-        _, bhi = _term_pow_bounds(psi, start, s)
-        lo += count * start ** (n - 1) * blo
-        hi += count * end ** (n - 1) * bhi
+        out.append((start, end))
         start = end + 1
-    return lo, hi
+    return out
+
+
+def _partial_sum_bounds(
+    psi: ApproxFunction, n: int, s: Fraction, horizons: Sequence[int], exact_upto: int = 1024
+) -> list[tuple[Fraction, Fraction]]:
+    """Enclosures of sum_{q=1}^{Q} q^(n-1) psi(q)^s for each Q of horizons.
+
+    Terms up to exact_upto are summed individually; beyond that, geometric
+    blocks (ratio 17/16, tight enough for log-critical trend checks) are
+    bracketed using monotonicity of psi and of q^(n-1).  One increasing
+    pass of psi.scaled_bounds encloses every head term and block end that
+    any horizon needs once, at 2^-SERIES_SHIFT; psi^s is an integer power
+    and root of each end (`_scaled_pow`), and the sums are exact integers."""
+    shift = SERIES_SHIFT
+    plans = [(min(Q, exact_upto), _blocks(Q, min(Q, exact_upto))) for Q in horizons]
+    qs = sorted({
+        *range(1, max((head for head, _ in plans), default=0) + 1),
+        *(q for _, blocks in plans for block in blocks for q in block),
+    })
+    terms = {q: _scaled_pow(lo, hi, s, shift) for q, (lo, hi) in zip(qs, psi.scaled_bounds(qs, shift))}
+    out = []
+    for head, blocks in plans:
+        lo = sum(q ** (n - 1) * terms[q][0] for q in range(1, head + 1))
+        hi = sum(q ** (n - 1) * terms[q][1] for q in range(1, head + 1))
+        for start, end in blocks:
+            count = end - start + 1
+            lo += count * start ** (n - 1) * terms[end][0]
+            hi += count * end ** (n - 1) * terms[start][1]
+        out.append((Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)))
+    return out
 
 
 def _powerlog_verdict(psi: PowerLog, s: Fraction, n: int) -> tuple[str, str]:
@@ -145,7 +165,7 @@ def classify_series(
     s = Fraction(s)
     if s <= 0:
         raise ValueError("s > 0 required")
-    partials = [(Q, _partial_sum_bounds(psi, n, s, Q)) for Q in horizons]
+    partials = list(zip(horizons, _partial_sum_bounds(psi, n, s, horizons)))
     if isinstance(psi, PowerLog):
         status, rationale = _powerlog_verdict(psi, s, n)
         return SeriesVerdict(status, partials, rationale)

@@ -152,7 +152,9 @@ class UnionIndex1D:
     """Certified membership in U_q B(q*alpha, r_q) mod 1 over a fixed q set.
 
     A radius r_q is any value `threshold_bounds` encloses (`Fraction`,
-    `Quadratic`, `Radical`, a `RatInterval` holding r_q).  Queries are
+    `Quadratic`, `Radical`, a `RatInterval` holding r_q), or a tuple of
+    integers (lo, hi) with lo <= r_q * 2^shift <= hi, as
+    `ApproxFunction.scaled_bounds` yields them.  Queries are
     decided by an inner (definitely covered) and an outer (possibly
     covered) merged union, built from the lower and upper scaled bounds of
     each radius; the sliver between them goes to the exact checker
@@ -171,7 +173,7 @@ class UnionIndex1D:
         outer: list[tuple[int, int]] = []
         inner: list[tuple[int, int]] = []
         for q, r in q_radii:
-            r_lo, r_hi = threshold_bounds(r, line.shift)
+            r_lo, r_hi = r if isinstance(r, tuple) else threshold_bounds(r, line.shift)
             if r_hi <= 0:
                 continue
             c, err = line.center(q)

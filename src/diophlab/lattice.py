@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import cycle, islice, pairwise
+from itertools import cycle, islice, pairwise, tee
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -221,8 +221,11 @@ def within(
     thr is either a value `threshold_bounds` encloses, in the field of A's
     entries or in Q (UnsupportedEntry otherwise, before any point is
     scanned), enclosed once; or a psi (an `ApproxFunction`), the per-shell
-    threshold psi(s) of the shell s, enclosed per shell by its 80-bit
-    value_bounds(s) and compared exactly by psi.compare_value.
+    threshold psi(s) of the shell s, compared exactly by psi.compare_value.
+    A psi's scaled bounds come from psi.scaled_bounds(shells, shift),
+    drawn in step with the scan, so a walk that stops at a hit encloses no
+    later shell; for a `PowerLog` they are integer roots over a running
+    fixed-point ln s whose every rounding is counted in its width.
     Scaled-integer bounds accept q with c = LESS when d_hi < thr_lo and
     reject it when d_lo > thr_hi; only a point inside that margin is
     compared exactly, raising PrecisionExhausted when undecided, so the
@@ -233,11 +236,14 @@ def within(
     if psi is None:
         A.check_field(thr)
         thr_lo, thr_hi = threshold_bounds(thr, line.shift)
+    else:
+        shells, drawn = tee(shells)
+        psi_bounds = psi.scaled_bounds(drawn, line.shift)
     b_scaled, b_err = _target(A, b)
     dist_bounds = line.dist_bounds
     for s, shell in scan(A.n, shells, budget):
         if psi is not None:
-            thr_lo, thr_hi = threshold_bounds(RatInterval(*psi.value_bounds(s)), line.shift)
+            thr_lo, thr_hi = next(psi_bounds)
         for q in shell:
             d_lo, d_hi = dist_bounds(q, b_scaled, b_err)
             if d_hi < thr_lo:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
@@ -28,9 +29,12 @@ from .numeric import (
     Ordering,
     Radical,
     RatInterval,
+    _ceil_root,
     _decided,
+    _floor_root,
     _nth_root_lower,
     _nth_root_upper,
+    _scaled_pow,
     compare,
     dec_str,
     ex_pow,
@@ -71,6 +75,15 @@ class ApproxFunction:
 
     def value_bounds(self, q: int, bits: int = 80) -> tuple[Fraction, Fraction]:
         raise NotImplementedError
+
+    def scaled_bounds(self, qs: Iterable[int], shift: int) -> Iterator[tuple[int, int]]:
+        """Integers (lo, hi) with lo <= psi(q) * 2^shift <= hi for each q of
+        the increasing sequence qs in turn, drawn lazily: a consumer that
+        stops early encloses no later q.  Here, the floor and ceiling of
+        the scaled 80-bit value_bounds(q)."""
+        for q in qs:
+            lo, hi = self.value_bounds(q)
+            yield (lo.numerator << shift) // lo.denominator, -((-hi.numerator << shift) // hi.denominator)
 
     def compare_value(self, d: Comparable, q: int) -> Ordering:
         """The certified ordering of d against psi(q), refining the enclosure
@@ -121,10 +134,39 @@ class PowerLog(ApproxFunction):
             lo, hi = lo * flo[0], hi * flo[1]
         return lo, hi
 
+    def scaled_bounds(self, qs: Iterable[int], shift: int) -> Iterator[tuple[int, int]]:
+        """Integer arithmetic only.  With R the least common denominator
+        of a and beta, a R = P and beta R = U, and L = max(ln q, 1),
+        (psi(q) 2^shift)^R = c^R 2^(shift R) / (q^P L^U): one floored and
+        one ceiled integer R-th root of that rational, L taken from either
+        end of `_ln_scaled`'s running fixed-point ln q at _GUARD bits below
+        the scale, clamped to 1 (exactly, where q <= 2).  With beta = 0
+        no logarithm is taken, and the pair is the floor and ceiling of
+        psi(q) 2^shift."""
+        R = math.lcm(self.a.denominator, self.beta.denominator)
+        P = self.a.numerator * (R // self.a.denominator)
+        U = self.beta.numerator * (R // self.beta.denominator)
+        w = shift + _GUARD
+        one = 1 << w
+        # L^-U = 2^(w U) / (L 2^w)^U
+        num = self.c.numerator**R << (shift * R + max(w * U, 0))
+        den = self.c.denominator**R << max(-w * U, 0)
+        logs = _ln_scaled(qs, w) if U else ((q, one, one) for q in qs)
+        for q, l_lo, l_hi in logs:
+            if q < 1:
+                raise ValueError("q >= 1 required")
+            l_lo, l_hi = max(l_lo, one), max(l_hi, one)
+            d = den * q**P
+            if U > 0:  # psi falls as L grows: its lower end takes L's upper
+                yield _floor_root(num, d * l_hi**U, R), _ceil_root(num, d * l_lo**U, R)
+            else:
+                yield _floor_root(num * l_lo**-U, d, R), _ceil_root(num * l_hi**-U, d, R)
+
     def compare_value(self, d: Comparable, q: int) -> Ordering:
-        if self.beta != 0:
+        if self.beta != 0 and q > 2:
             return super().compare_value(d, q)
-        # d against c q^(-p/r) as d^r q^p against c^r, exact in the field
+        # max(ln q, 1) = 1 here: d against c q^(-p/r) as d^r q^p against
+        # c^r, exact in the field
         p, r = self.a.numerator, self.a.denominator
         return _decided(compare(ex_pow(d, r) * Fraction(q**p), self.c**r))
 
@@ -141,6 +183,60 @@ def _log_bounds(q: int, bits: int) -> tuple[Fraction, Fraction]:
     pad = Fraction(1, 1 << bits)
     one = Fraction(1)
     return max(f - pad, one), max(f + pad, one)
+
+
+# guard bits of the fixed-point ln q below the scale of a psi enclosure
+_GUARD = 40
+
+
+def _atanh_scaled(n: int, d: int, w: int) -> tuple[int, int]:
+    """(lo, hi) with lo <= atanh(n/d) * 2^w < hi, for 0 <= n/d <= 1/3.
+
+    The series sum_k x^(2k+1)/(2k+1) is summed as floored terms
+    t_k // (2k+1) with t_0 = floor(x 2^w) and t_k = floor(t_(k-1) x^2),
+    up to the first t_k = 0.  Each t_k lies below x^(2k+1) 2^w by less
+    than 1 + 1/9 + 1/81 + ... = 9/8, so each term falls short by less than
+    2, and the dropped tail, below (9/8)^2, is less than 2 as well."""
+    n2, d2 = n * n, d * d
+    t = (n << w) // d
+    s, k = 0, 1
+    while t:
+        s += t // k
+        t = t * n2 // d2
+        k += 2
+    return s, s + k + 1  # (k - 1)/2 terms taken
+
+
+@cache
+def _ln2_scaled(w: int) -> tuple[int, int]:
+    """Bounds on ln 2 * 2^w from ln 2 = 2 atanh(1/3), made on first use."""
+    lo, hi = _atanh_scaled(1, 3, w)
+    return 2 * lo, 2 * hi
+
+
+def _ln_scaled(qs: Iterable[int], w: int) -> Iterator[tuple[int, int, int]]:
+    """(q, lo, hi) with lo <= ln(q) * 2^w <= hi for each q of qs in turn.
+
+    A q above the one before it, a, and at most 2a advances the running
+    bounds by ln q - ln a = 2 atanh((q - a)/(q + a)), summing the errors
+    of `_atanh_scaled`; any other q, and a q reached once the running
+    width passes 2^(_GUARD / 2), is seeded as k ln 2 + ln(q / 2^k) with
+    2^k <= q < 2^(k+1), ln(q / 2^k) = 2 atanh((q - 2^k)/(q + 2^k)).  No
+    atanh argument exceeds 1/3."""
+    a = lo = hi = 0
+    for q in qs:
+        if a < q <= 2 * a and hi - lo < 1 << (_GUARD // 2):
+            t_lo, t_hi = _atanh_scaled(q - a, q + a, w)
+            lo, hi = lo + 2 * t_lo, hi + 2 * t_hi
+        elif q != a:
+            if q < 1:
+                raise ValueError("q >= 1 required")
+            k = q.bit_length() - 1
+            l2_lo, l2_hi = _ln2_scaled(w)
+            t_lo, t_hi = _atanh_scaled(q - (1 << k), q + (1 << k), w)
+            lo, hi = k * l2_lo + 2 * t_lo, k * l2_hi + 2 * t_hi
+        a = q
+        yield q, lo, hi
 
 
 def _rat_pow_bounds(lo: Fraction, hi: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -282,7 +378,9 @@ def _hits(
     `within` per target.  A 1 x 1 irrational matrix gets one union index
     over the radius enclosures of thr per shell, with `within` for a target
     inside its margin; the index covers the whole window, so that fallback
-    is not charged to the budget."""
+    is not charged to the budget.  A psi's radii are its scaled_bounds over
+    the window's shells at the index's scale, integer pairs the index takes
+    as they are."""
 
     def exact(b: tuple[Fraction, ...], budget: float = budget) -> bool:
         return next(within(A, w.shells, budget, thr, b), None) is not None
@@ -291,7 +389,7 @@ def _hits(
         w.check_budget(A.n, budget)
         return sum(parallel_map(exact, targets))
     if isinstance(thr, ApproxFunction):
-        radii = [lo if lo == hi else RatInterval(lo, hi) for lo, hi in map(thr.value_bounds, w.shells)]
+        radii = thr.scaled_bounds(w.shells, A.line.shift)
     else:
         radii = repeat(thr)
     index = UnionIndex1D(A.line, list(zip(w.shells, radii)), lambda x: exact((x,), math.inf))
@@ -503,18 +601,14 @@ def diameter_sum(
     psi: ApproxFunction, w: Window, n: int, s: Fraction, bits: int = 60
 ) -> tuple[Fraction, Fraction]:
     """Enclosure of sum over the annulus of diam(B(Aq, psi(||q||)))^s,
-    grouping the (2k+1)^n - (2k-1)^n points of each shell."""
-    lo_total = Fraction(0)
-    hi_total = Fraction(0)
-    p, r = s.numerator, s.denominator
-    for k in w.shells:
+    grouping the (2k+1)^n - (2k-1)^n points of each shell: psi comes from
+    one pass of psi.scaled_bounds over the shells at 2^-bits, (2 psi)^s is
+    an integer power and root of each end (`_scaled_pow`), and the sums are
+    exact integers at that scale."""
+    lo_total = hi_total = 0
+    for k, (lo, hi) in zip(w.shells, psi.scaled_bounds(w.shells, bits)):
         cnt = shell_size(n, k)
-        vlo, vhi = psi.value_bounds(k, bits)
-        dlo, dhi = 2 * vlo, 2 * vhi
-        if s == 1:
-            lo_total += cnt * dlo
-            hi_total += cnt * dhi
-        else:
-            lo_total += cnt * _nth_root_lower(dlo**p, r, bits)
-            hi_total += cnt * _nth_root_upper(dhi**p, r, bits)
-    return lo_total, hi_total
+        dlo, dhi = _scaled_pow(2 * lo, 2 * hi, s, bits)
+        lo_total += cnt * dlo
+        hi_total += cnt * dhi
+    return Fraction(lo_total, 1 << bits), Fraction(hi_total, 1 << bits)

@@ -653,6 +653,8 @@ def _inth_root(x: int, r: int) -> int:
         raise ValueError
     if x == 0 or r == 1:
         return x
+    if r == 2:
+        return isqrt(x)
     g = 1 << (-(-x.bit_length() // r))
     while True:
         nxt = ((r - 1) * g + x // g ** (r - 1)) // r
@@ -661,23 +663,42 @@ def _inth_root(x: int, r: int) -> int:
         g = nxt
 
 
+def _floor_root(num: int, den: int, r: int) -> int:
+    """floor((num / den)^(1/r)) for num >= 0 and den > 0: the floor of the
+    root of a rational is the floor of the root of its floor."""
+    return num // den if r == 1 else _inth_root(num // den, r)
+
+
+def _ceil_root(num: int, den: int, r: int) -> int:
+    """ceil((num / den)^(1/r)) for num >= 0 and den > 0."""
+    x = -(-num // den)
+    if r == 1:
+        return x
+    t = _inth_root(x, r)
+    return t if t**r == x else t + 1
+
+
+def _scaled_pow(lo: int, hi: int, e: Fraction, shift: int) -> tuple[int, int]:
+    """Integers bounding x^e * 2^shift for every x with lo <= x * 2^shift
+    <= hi, 0 <= lo, rational e >= 0: (x^e 2^shift)^r = X^p 2^(shift (r - p))
+    for X = x 2^shift and e = p/r, so each end takes one integer power and
+    one floored or ceiled integer root, x^e being nondecreasing."""
+    p, r = e.numerator, e.denominator
+    k = shift * (r - p)
+    num, den = (1 << k, 1) if k >= 0 else (1, 1 << -k)
+    return _floor_root(lo**p * num, den, r), _ceil_root(hi**p * num, den, r)
+
+
 def _nth_root_lower(x: Fraction, r: int, bits: int) -> Fraction:
     if x <= 0:
         return Fraction(0)
-    scale = 1 << (bits * r)
-    num = x.numerator * scale // x.denominator
-    return Fraction(_inth_root(num, r), 1 << bits)
+    return Fraction(_floor_root(x.numerator << (bits * r), x.denominator, r), 1 << bits)
 
 
 def _nth_root_upper(x: Fraction, r: int, bits: int) -> Fraction:
     if x <= 0:
         return Fraction(0)
-    scale = 1 << (bits * r)
-    num = -(-x.numerator * scale // x.denominator)
-    root = _inth_root(num, r)
-    if root**r < num:
-        root += 1
-    return Fraction(root, 1 << bits)
+    return Fraction(_ceil_root(x.numerator << (bits * r), x.denominator, r), 1 << bits)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from diophlab.analysis import (
     key_inequality_check,
     verify_prop_5_1,
 )
+from diophlab.numeric import _nth_root_lower, _nth_root_upper
 from diophlab.sampling import sample_point
 
 
@@ -54,15 +55,81 @@ class TestClassifySeries:
         assert los == sorted(los)
 
     def test_partial_sum_brackets_truth(self):
-        # harmonic sum to 1000 ~ 7.485
+        # the harmonic sum to 1000, 7.4854708605503449..., exactly
         v = classify_series(PowerLog(F(1), F(1), F(0)), F(1), 1, horizons=(1000,))
         (q, (lo, hi)) = v.partial_sums[0]
-        assert float(lo) <= 7.48547086055 <= float(hi)
+        assert lo <= sum(F(1, q) for q in range(1, 1001)) <= hi
 
     def test_table_is_unknown(self):
         t = TablePsi([(1, F(1, 2)), (100, F(1, 4))])
         v = classify_series(t, F(1), 1, horizons=(50,))
         assert v.status == "Unknown" and v.partial_sums
+
+
+def old_term_pow_bounds(psi, q, s, bits=50):
+    """analysis._term_pow_bounds as it was."""
+    vlo, vhi = psi.value_bounds(q, bits)
+    p, r = s.numerator, s.denominator
+    return _nth_root_lower(vlo**p, r, bits), _nth_root_upper(vhi**p, r, bits)
+
+
+def old_partial_sum_bounds(psi, n, s, Q, exact_upto=1024):
+    """analysis._partial_sum_bounds as it was: one horizon per call, each
+    term enclosed by value_bounds."""
+    lo = hi = F(0)
+    head = min(Q, exact_upto)
+    for q in range(1, head + 1):
+        tlo, thi = old_term_pow_bounds(psi, q, s)
+        lo += q ** (n - 1) * tlo
+        hi += q ** (n - 1) * thi
+    start = head + 1
+    while start <= Q:
+        end = min(max(start, start * 17 // 16 - 1), Q)
+        count = end - start + 1
+        blo, _ = old_term_pow_bounds(psi, end, s)
+        _, bhi = old_term_pow_bounds(psi, start, s)
+        lo += count * start ** (n - 1) * blo
+        hi += count * end ** (n - 1) * bhi
+        start = end + 1
+    return lo, hi
+
+
+# the twelve cases of acceptance criterion 12, (n, s, a, beta)
+CRITERION_12 = [
+    (1, F(1), F(1, 2), F(0)), (1, F(1), F(1, 2), F(9)), (2, F(1), F(1), F(0)),
+    (1, F(1), F(1), F(0)), (1, F(1), F(1), F(1)), (2, F(2), F(1), F(1, 2)),
+    (1, F(1), F(1), F(2)), (1, F(2), F(1, 2), F(1)), (2, F(2), F(1), F(3, 4)),
+    (1, F(1), F(2), F(0)), (2, F(1), F(3), F(0)), (1, F(2), F(1), F(-1, 4)),
+]
+
+
+@pytest.mark.parametrize("n,s,a,beta", CRITERION_12)
+def test_partial_sums_lie_inside_the_old_enclosures(n, s, a, beta):
+    psi = PowerLog(F(1), a, beta)
+    horizons = (10**2, 10**4, 10**6)
+    partials = classify_series(psi, s, n, horizons).partial_sums
+    assert [Q for Q, _ in partials] == list(horizons)
+    for Q, (lo, hi) in partials:
+        old_lo, old_hi = old_partial_sum_bounds(psi, n, s, Q)
+        assert old_lo <= lo <= hi <= old_hi
+
+
+def test_partial_sums_enclose_each_term_once(monkeypatch):
+    # one increasing pass over the union of the horizons: the 1,024 head
+    # terms and each block end are enclosed once, not once per horizon
+    drawn = []
+    scaled_bounds = PowerLog.scaled_bounds
+
+    def spy(self, qs, shift):
+        return scaled_bounds(self, (drawn.append(q) or q for q in qs), shift)
+
+    monkeypatch.setattr(PowerLog, "scaled_bounds", spy)
+    monkeypatch.setattr(PowerLog, "value_bounds", lambda *a: pytest.fail("value_bounds called"))
+    classify_series(PowerLog(F(1), F(1), F(1)), F(1), 1, horizons=(10**2, 10**4, 10**6))
+    assert drawn == sorted(set(drawn))
+    assert drawn[:1024] == list(range(1, 1025))
+    # 1 + log(10^6 / 1025) / log(17/16) blocks give at most 2 q each
+    assert len(drawn) - 1024 <= 2 * 115 + 2
 
 
 class TestReturnSeries:

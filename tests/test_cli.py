@@ -229,7 +229,19 @@ REPORT_DIGESTS = {
     ("counterpart", "cf_fast"): (0, "b33d4659c47f7f4dca3749a642e4f009409a974dde71d12d4940673459b363f4"),
     ("exponents", "cf_fast"): (0, "6f00f2699fab64d1c944e5be8feeff364d8315de4efe259661df1efa41e3a1b5"),
     ("exponents-b", "cf_fast"): (0, "8fc0df707f4027e1dee3978ed914e0ec6113d67424eddc380d953b291c944539"),
+    ("series", "n1-s1-a1-b0"): (0, "ea94ffb21430980c6dd1f073bdcaf8871b04e5282abff78601c3df6adc11a9e9"),
+    ("series", "n1-s1-a1/2-b9"): (0, "46c33a1f8a4b8b80e6d9f865442489e98dafbb55bf09a68052c132162797a6b6"),
+    ("series", "n2-s2-a1-b1/2"): (0, "15cb159a6a3159abffac3c9a79680964e937b680c8592a1dd6b6ac8a2506ee54"),
+    ("series", "n1-s2-a1-b-1/4"): (0, "aabe708bbedc8e0186325a515ca8a7cd927516e3323791bea2b1a373b20e7ca3"),
 }
+
+
+def report_args(report, name):
+    """A series report takes no matrix: its name is its case n-s-a-beta."""
+    if report == "series":
+        n, s, a, beta = (part[1:] for part in name.split("-", 3))
+        return ["series", "--n", n, "--s", s, "--psi-a", a, "--psi-beta", beta]
+    return [*REPORTS[report], "--matrix", f"perfbench/inputs/{name}.mat"]
 
 
 @pytest.mark.parametrize("report, name", sorted(REPORT_DIGESTS))
@@ -237,5 +249,5 @@ def test_reports_match_recorded_digests(runner, monkeypatch, report, name):
     # the matrix path is part of the report, so it is given relative to the
     # repository root
     monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
-    res = runner.invoke(main, [*REPORTS[report], "--matrix", f"perfbench/inputs/{name}.mat"])
+    res = runner.invoke(main, report_args(report, name))
     assert (res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest()) == REPORT_DIGESTS[report, name]

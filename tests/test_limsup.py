@@ -3,10 +3,13 @@ and coverage."""
 
 from fractions import Fraction as F
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diophlab import limsup
 from diophlab.errors import InvalidWindow, PrecisionExhausted
+from diophlab.fastpath import threshold_bounds
 from diophlab.lattice import ApproxMatrix, return_sequence
 from diophlab.limsup import (
     PowerLog,
@@ -23,7 +26,17 @@ from diophlab.limsup import (
     _log_bounds,
     _rat_pow_bounds,
 )
-from diophlab.numeric import Radical, _nth_root_lower, _nth_root_upper, dist_to_int, ex_pow, lt, quadratic
+from diophlab.numeric import (
+    Radical,
+    RatInterval,
+    _nth_root_lower,
+    _nth_root_upper,
+    dist_to_int,
+    ex_pow,
+    lt,
+    mpf_to_fraction,
+    quadratic,
+)
 from diophlab.sampling import sample_point
 
 
@@ -107,6 +120,109 @@ def test_rat_pow_bounds_on_log_bounds_match_four_roots(q, e, bits):
 )
 def test_rat_pow_bounds_match_four_roots(lo, width, e, bits):
     assert _rat_pow_bounds(lo, lo + width, e, bits) == old_rat_pow_bounds(lo, lo + width, e, bits)
+
+
+def mp_psi(psi, q):
+    """psi(q) = c q^-a max(ln q, 1)^-beta in mpmath's working precision."""
+    c, a, beta = (mpmath.mpf(x.numerator) / x.denominator for x in (psi.c, psi.a, psi.beta))
+    return c * mpmath.power(q, -a) * mpmath.power(max(mpmath.log(q), 1), -beta)
+
+
+@st.composite
+def increasing_qs(draw, top=10**7):
+    """Increasing q <= top from a first q in {1, 2, 3, large}: consecutive
+    runs, 17/16 block ends and sparse jumps (past 2q, where the running
+    ln q is seeded again)."""
+    qs = [draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=4, max_value=top)))]
+    for kind in draw(st.lists(st.sampled_from(["run", "block", "jump"]), max_size=6)):
+        q = qs[-1]
+        if kind == "run":
+            qs += range(q + 1, q + 1 + draw(st.integers(min_value=1, max_value=30)))
+        elif kind == "block":
+            qs.append(max(q + 1, q * 17 // 16))
+        else:
+            qs.append(q + draw(st.integers(min_value=1, max_value=10**6)))
+    return [q for q in qs if q <= top]
+
+
+POWERLOGS = st.builds(
+    PowerLog,
+    st.fractions(min_value=F(1, 1000), max_value=16, max_denominator=1000).filter(lambda c: c > 0),
+    st.sampled_from([F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(3)]),
+    st.sampled_from([F(-2), F(-1), F(-1, 2), F(-1, 4), F(0), F(1, 3), F(1, 2), F(3, 4), F(1), F(2), F(9)]),
+)
+SHIFTS = st.sampled_from([32, 60, 64, 96])
+
+
+def assert_scaled_enclosures(psi, qs, shift, width=2):
+    """Every scaled_bounds pair holds psi(q) 2^shift, from 300-bit mpmath
+    (its rounding allowed for), and is at most width units wide."""
+    pairs = list(psi.scaled_bounds(qs, shift))
+    assert len(pairs) == len(qs)
+    slack = F(1, 1 << 250)
+    for q, (lo, hi) in zip(qs, pairs):
+        with mpmath.workprec(300):
+            v = mpf_to_fraction(mp_psi(psi, q)) * (1 << shift)
+        assert lo <= v * (1 + slack) and v * (1 - slack) <= hi, (q, lo, hi)
+        assert 0 <= hi - lo <= (width if width is not None else hi - lo), (q, hi - lo)
+
+
+@settings(max_examples=150, deadline=None)
+@given(psi=POWERLOGS, qs=increasing_qs(), shift=SHIFTS, guard=st.sampled_from([limsup._GUARD, 0]))
+def test_powerlog_scaled_bounds_hold_psi(psi, qs, shift, guard):
+    # with no guard bits the error of ln q reaches the output scale, so an
+    # enclosure taken from the wrong end of it shows; only the default
+    # guard promises 2 units of width
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(limsup, "_GUARD", guard)
+        assert_scaled_enclosures(psi, qs, shift, 2 if guard else None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(qs=increasing_qs(), w=st.sampled_from([60, 104, 136]))
+def test_running_ln_holds_ln_q(qs, w):
+    for q, lo, hi in limsup._ln_scaled(qs, w):
+        with mpmath.workprec(300):
+            v = mpf_to_fraction(mpmath.log(q)) * (1 << w)
+        assert lo <= v + F(1, 1 << 200) and v - F(1, 1 << 200) <= hi, q
+        assert hi - lo < 1 << 21
+
+
+def test_powerlog_scaled_bounds_on_a_long_run():
+    # 70,000 consecutive q: the running ln q is seeded again once its width
+    # passes its limit, so the pairs stay 2 units wide; a sample is checked
+    # against mpmath, every pair against value_bounds' 320-bit enclosure
+    psi = PowerLog(F(1), F(1), F(1))
+    qs = range(1, 70001)
+    pairs = list(psi.scaled_bounds(qs, 96))
+    assert max(hi - lo for lo, hi in pairs) <= 2
+    assert_scaled_enclosures(psi, qs[::997], 96)
+    for q in qs[::97]:
+        vlo, vhi = psi.value_bounds(q, 320)
+        lo, hi = pairs[q - 1]
+        assert lo <= vhi * (1 << 96) and vlo * (1 << 96) <= hi
+
+
+def test_powerlog_scaled_bounds_are_exact_without_logs():
+    # beta = 0, or q <= 2 where max(ln q, 1) = 1: the floor and ceiling of
+    # the exact value, as threshold_bounds gives them
+    for psi in (PowerLog(F(1, 3), F(1), F(0)), PowerLog(F(2, 7), F(2), F(0)), PowerLog(F(1, 5), F(1), F(3))):
+        assert list(psi.scaled_bounds([1, 2], 96)) == [threshold_bounds(psi.c / q**psi.a) for q in (1, 2)]
+    assert list(PowerLog(F(1, 3), F(1), F(0)).scaled_bounds(range(1, 500), 96)) == [
+        threshold_bounds(F(1, 3 * q)) for q in range(1, 500)
+    ]
+    with pytest.raises(ValueError):
+        next(PowerLog(F(1), F(1), F(1)).scaled_bounds([0], 96))
+
+
+TABLE = TablePsi([(1, F(1, 2)), (10, F(1, 3)), (1000, F(1, 7)), (10**6, F(1, 10**7))])
+
+
+@settings(max_examples=50, deadline=None)
+@given(qs=increasing_qs(), shift=SHIFTS)
+def test_table_scaled_bounds_scale_its_value_bounds(qs, shift):
+    want = [threshold_bounds(RatInterval(*TABLE.value_bounds(q)), shift) for q in qs]
+    assert list(TABLE.scaled_bounds(qs, shift)) == want
 
 
 class TestWindowWitness:
@@ -222,3 +338,14 @@ def test_diameter_sum_harmonic():
     target = 2 * (sum(1 / (2 * q) for q in range(2, 1001)))
     assert float(lo) <= target * 2 + 1e-9  # counts each shell's 2 points
     assert float(lo) <= float(hi)
+
+
+def test_diameter_sum_holds_the_sum():
+    # sum over shells 1 < k <= 300 of (8k) (2 psi(k))^(1/2) in Z^2, psi(k) =
+    # 1/(k ln k), against the same sum from 300-bit mpmath
+    psi = PowerLog(F(1), F(1), F(1))
+    w = Window(1, 300)
+    lo, hi = diameter_sum(psi, w, 2, F(1, 2))
+    with mpmath.workprec(300):
+        total = mpf_to_fraction(mpmath.fsum(8 * k * mpmath.sqrt(2 * mp_psi(psi, k)) for k in w.shells))
+    assert lo <= total <= hi and hi - lo < F(1, 10**9)

@@ -528,6 +528,31 @@ def test_within_closed_psi_keeps_its_boundary():
         ]
 
 
+def test_within_decides_psi_exactly_where_the_log_clamps():
+    # max(ln 2, 1) = 1, so with beta = 1 psi(2) = 2^(-1/2) / 2 = sqrt(2)/4,
+    # which equals ||2 sqrt 2 - 7 sqrt 2 / 4||_Z: a boundary the 80 -> 320-bit
+    # enclosures of psi(2) could never decide
+    A, b = MATRICES["sqrt2"], (quadratic(F(0), F(7, 4), 2),)
+    want = [(2, (-2,), Ordering.LESS), (2, (2,), Ordering.EQUAL)]
+    for beta in (F(1), F(0)):
+        assert list(within(A, range(2, 3), 100, PowerLog(F(1, 2), F(1, 2), beta), b, closed=True)) == want
+
+
+def test_psi_walk_encloses_no_shell_past_its_hit(monkeypatch):
+    # psi's per-shell bounds are drawn in step with the scan: a witness at
+    # shell 323 of Window(1, 4096) encloses shells 2..323 once each
+    drawn = []
+    scaled_bounds = PowerLog.scaled_bounds
+
+    def spy(self, qs, shift):
+        return scaled_bounds(self, (drawn.append(q) or q for q in qs), shift)
+
+    monkeypatch.setattr(PowerLog, "scaled_bounds", spy)
+    q = psi_witness(MATRICES["golden"], (F(3, 8),), PowerLog(F(1, 4), F(1), F(1)), Window(1, 4096))
+    assert q.norm == 323
+    assert drawn == list(range(2, 324))
+
+
 # ---------------------------------------------------------------------------
 # differential tests of the migrated searches
 # ---------------------------------------------------------------------------
