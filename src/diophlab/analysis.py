@@ -43,8 +43,6 @@ from .numeric import (
     le,
     lt,
     _as_interval,
-    _nth_root_lower,
-    _nth_root_upper,
     _scaled_pow,
 )
 
@@ -83,15 +81,6 @@ class SeriesVerdict:
                 for q, (lo, hi) in self.partial_sums
             ],
         }
-
-
-def _term_pow_bounds(
-    psi: ApproxFunction, q: int, s: Fraction, bits: int = 50
-) -> tuple[Fraction, Fraction]:
-    """Bounds on psi(q)^s."""
-    vlo, vhi = psi.value_bounds(q, bits)
-    p, r = s.numerator, s.denominator
-    return _nth_root_lower(vlo**p, r, bits), _nth_root_upper(vhi**p, r, bits)
 
 
 # binary scale of the term enclosures of a partial sum
@@ -179,17 +168,22 @@ def classify_return_series(
 
     A closed-form verdict is claimed only when the level set is the full
     range [1, ell_max] (condensation then ties it to classify_series);
-    sparse level sets get partial sums with status Unknown."""
+    sparse level sets get partial sums with status Unknown.  The terms
+    psi(2^l) come from one increasing pass of psi.scaled_bounds, summed as
+    in `_partial_sum_bounds`."""
     s = Fraction(s)
     if not L.levels:
         raise InsufficientData("empty return sequence")
-    lo = hi = Fraction(0)
+    if s <= 0:
+        raise ValueError("s > 0 required")
+    shift = SERIES_SHIFT
+    lo = hi = 0
     partials = []
-    for ell in L.levels:
-        tlo, thi = _term_pow_bounds(psi, 1 << ell, s)
-        lo += (1 << (ell * n)) * tlo
-        hi += (1 << (ell * n)) * thi
-        partials.append((1 << ell, (lo, hi)))
+    for ell, (tlo, thi) in zip(L.levels, psi.scaled_bounds([1 << ell for ell in L.levels], shift)):
+        tlo, thi = _scaled_pow(tlo, thi, s, shift)
+        lo += tlo << (ell * n)
+        hi += thi << (ell * n)
+        partials.append((1 << ell, (Fraction(lo, 1 << shift), Fraction(hi, 1 << shift))))
     full = list(L.levels) == list(range(1, L.ell_max + 1))
     if full and isinstance(psi, PowerLog):
         # condensed and plain series converge/diverge together

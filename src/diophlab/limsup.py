@@ -11,8 +11,6 @@ from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
-import mpmath
-
 from .errors import BudgetExceeded, InvalidWindow, PrecisionExhausted
 from .fastpath import UnionIndex1D
 from .lattice import (
@@ -32,8 +30,6 @@ from .numeric import (
     _ceil_root,
     _decided,
     _floor_root,
-    _nth_root_lower,
-    _nth_root_upper,
     _scaled_pow,
     compare,
     dec_str,
@@ -42,7 +38,6 @@ from .numeric import (
     format_exact,
     le,
     lt,
-    mpf_to_fraction,
 )
 from .sampling import binomial_ci, parallel_map, sample_point, grid_points
 
@@ -119,20 +114,15 @@ class PowerLog(ApproxFunction):
             raise ValueError("psi must be nonincreasing: a > 0, or a = 0, beta >= 0")
 
     def value_bounds(self, q: int, bits: int = 80) -> tuple[Fraction, Fraction]:
+        """psi(q) exactly where it is rational (integer a, and beta = 0 or
+        q <= 2), else scaled_bounds at 2^-bits."""
         if q < 1:
             raise ValueError("q >= 1 required")
-        p, r = self.a.numerator, self.a.denominator
-        base = Fraction(1, q**p)
-        if r == 1:
-            lo = hi = self.c * base
-        else:
-            lo = self.c * _nth_root_lower(base, r, bits)
-            hi = self.c * _nth_root_upper(base, r, bits)
-        if self.beta != 0:
-            llo, lhi = _log_bounds(q, bits)
-            flo = _rat_pow_bounds(llo, lhi, -self.beta, bits)
-            lo, hi = lo * flo[0], hi * flo[1]
-        return lo, hi
+        if self.a.denominator == 1 and (self.beta == 0 or q <= 2):
+            v = self.c / q**self.a.numerator
+            return v, v
+        lo, hi = next(self.scaled_bounds((q,), bits))
+        return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
     def scaled_bounds(self, qs: Iterable[int], shift: int) -> Iterator[tuple[int, int]]:
         """Integer arithmetic only.  With R the least common denominator
@@ -172,17 +162,6 @@ class PowerLog(ApproxFunction):
 
     def to_json(self) -> dict:
         return {"kind": "powerlog", "c": str(self.c), "a": str(self.a), "beta": str(self.beta)}
-
-
-def _log_bounds(q: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational bounds on max(ln q, 1)."""
-    if q <= 2:  # ln 2 < 1, so the max clamps
-        return Fraction(1), Fraction(1)
-    with mpmath.workprec(bits + 16):
-        f = mpf_to_fraction(mpmath.log(q))
-    pad = Fraction(1, 1 << bits)
-    one = Fraction(1)
-    return max(f - pad, one), max(f + pad, one)
 
 
 # guard bits of the fixed-point ln q below the scale of a psi enclosure
@@ -237,15 +216,6 @@ def _ln_scaled(qs: Iterable[int], w: int) -> Iterator[tuple[int, int, int]]:
             lo, hi = k * l2_lo + 2 * t_lo, k * l2_hi + 2 * t_hi
         a = q
         yield q, lo, hi
-
-
-def _rat_pow_bounds(lo: Fraction, hi: Fraction, e: Fraction, bits: int) -> tuple[Fraction, Fraction]:
-    """Bounds on x^e over x in [lo, hi] with lo >= 1 and rational e, from
-    the two ends, since x^e is monotone there."""
-    p, r = e.numerator, e.denominator
-    if p >= 0:
-        return _nth_root_lower(lo**p, r, bits), _nth_root_upper(hi**p, r, bits)
-    return 1 / _nth_root_upper(hi**-p, r, bits), 1 / _nth_root_lower(lo**-p, r, bits)
 
 
 @dataclass(frozen=True)

@@ -282,7 +282,10 @@ class RatInterval:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: Fraction, hi: Fraction):
-        lo, hi = Fraction(lo), Fraction(hi)
+        if type(lo) is not Fraction:
+            lo = Fraction(lo)
+        if type(hi) is not Fraction:
+            hi = Fraction(hi)
         if hi < lo:
             raise ValueError("empty interval")
         self.lo = lo

@@ -21,6 +21,7 @@ from diophlab.analysis import (
 )
 from diophlab.numeric import _nth_root_lower, _nth_root_upper
 from diophlab.sampling import sample_point
+from psi_reference import old_value_bounds
 
 
 # the closed-form criterion: Converges iff a s > n, or a s = n and beta s > 1
@@ -67,15 +68,15 @@ class TestClassifySeries:
 
 
 def old_term_pow_bounds(psi, q, s, bits=50):
-    """analysis._term_pow_bounds as it was."""
-    vlo, vhi = psi.value_bounds(q, bits)
+    """analysis._term_pow_bounds as it was, on the former value_bounds."""
+    vlo, vhi = old_value_bounds(psi, q, bits)
     p, r = s.numerator, s.denominator
     return _nth_root_lower(vlo**p, r, bits), _nth_root_upper(vhi**p, r, bits)
 
 
 def old_partial_sum_bounds(psi, n, s, Q, exact_upto=1024):
     """analysis._partial_sum_bounds as it was: one horizon per call, each
-    term enclosed by value_bounds."""
+    term enclosed by the former value_bounds."""
     lo = hi = F(0)
     head = min(Q, exact_upto)
     for q in range(1, head + 1):
@@ -114,6 +115,33 @@ def test_partial_sums_lie_inside_the_old_enclosures(n, s, a, beta):
         assert old_lo <= lo <= hi <= old_hi
 
 
+def old_return_partial_sums(psi, s, n, levels):
+    """classify_return_series' partial sums as they were: each term 2^(l n)
+    psi(2^l)^s from old_term_pow_bounds."""
+    lo = hi = F(0)
+    out = []
+    for ell in levels:
+        tlo, thi = old_term_pow_bounds(psi, 1 << ell, s)
+        lo += (1 << (ell * n)) * tlo
+        hi += (1 << (ell * n)) * thi
+        out.append((1 << ell, (lo, hi)))
+    return out
+
+
+@pytest.mark.parametrize("n,s,a,beta", CRITERION_12)
+@pytest.mark.parametrize("levels", [list(range(1, 17)), [2, 3, 5, 8, 13, 21, 34], [1, 40, 41, 70]])
+def test_return_partial_sums_lie_inside_the_old_enclosures(n, s, a, beta, levels):
+    from diophlab.lattice import ReturnSequence
+
+    ret = ReturnSequence(F(2, 5), max(levels), levels, 1, n)
+    for psi in (PowerLog(F(1), a, beta), PowerLog(F(3, 7), a, beta)):
+        got = classify_return_series(psi, s, n, ret).partial_sums
+        want = old_return_partial_sums(psi, s, n, levels)
+        assert [Q for Q, _ in got] == [Q for Q, _ in want] == [1 << ell for ell in levels]
+        for (_, (lo, hi)), (_, (old_lo, old_hi)) in zip(got, want):
+            assert old_lo <= lo <= hi <= old_hi
+
+
 def test_partial_sums_enclose_each_term_once(monkeypatch):
     # one increasing pass over the union of the horizons: the 1,024 head
     # terms and each block end are enclosed once, not once per horizon
@@ -141,14 +169,22 @@ class TestReturnSeries:
         assert v2.status == "Converges"
 
     def test_full_levels_take_one_term_per_level(self, monkeypatch, A_golden):
-        # the closed-form verdict needs no partial sum of the plain series
+        # the closed-form verdict needs no partial sum of the plain series:
+        # one increasing pass of scaled_bounds draws psi(2^l) for each level
         ret = return_sequence(A_golden, F(2, 5), 8)
-        calls = []
-        bounds = PowerLog.value_bounds
-        monkeypatch.setattr(PowerLog, "value_bounds", lambda *a: calls.append(1) or bounds(*a))
+        passes = []
+        scaled_bounds = PowerLog.scaled_bounds
+
+        def spy(self, qs, shift):
+            passes.append([])
+            return scaled_bounds(self, (passes[-1].append(q) or q for q in qs), shift)
+
+        monkeypatch.setattr(PowerLog, "scaled_bounds", spy)
+        monkeypatch.setattr(PowerLog, "value_bounds", lambda *a: pytest.fail("value_bounds called"))
         v = classify_return_series(PowerLog(F(1), F(1), F(1)), F(1), 1, ret)
         assert v.status == "Diverges" and v.rationale.startswith("full levels: ")
-        assert len(calls) == len(ret.levels) == 8
+        assert passes == [[2**l for l in ret.levels]]
+        assert len(ret.levels) == 8
 
     def test_sparse_levels_unknown(self, A_golden):
         from diophlab.lattice import ReturnSequence

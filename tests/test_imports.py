@@ -1,7 +1,7 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
-psi comparisons stay behind `lattice.within`, and nothing imports a thread
-pool.
+psi comparisons stay behind `lattice.within`, only `equidist` imports
+mpmath, and nothing imports a thread pool.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -95,14 +95,18 @@ PSI_CALLS = {"compare_value", "lt_value"}
 # all work is pure-Python exact arithmetic, which threads cannot run in
 # parallel under the GIL
 THREADS = {"concurrent", "threading"}
+# floating point serves only weyl_sum's phases; psi is enclosed in integers
+MPMATH_USERS = {"equidist.py"}
 
 
 def kernel_leaks(path: Path) -> list[str]:
     """Calls of iter_shell outside lattice.scan, of scan outside
     SCAN_CALLERS and of PSI_CALLS outside limsup and lattice.within,
-    imports of the scaled-integer helpers outside lattice, and imports of
-    concurrent.futures or threading, anywhere in the module."""
+    imports of the scaled-integer helpers outside lattice, of mpmath
+    outside MPMATH_USERS, and of concurrent.futures or threading, anywhere
+    in the module."""
     found = []
+    banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
 
     def visit(node: ast.AST, func: str | None) -> None:
         for child in ast.iter_child_nodes(node):
@@ -118,10 +122,10 @@ def kernel_leaks(path: Path) -> list[str]:
             elif isinstance(child, ast.ImportFrom):
                 if path.name != "lattice.py":
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
-                if (child.module or "").split(".")[0] in THREADS:
+                if (child.module or "").split(".")[0] in banned:
                     found.append(f"{path.name}:{child.lineno} {child.module}")
             elif isinstance(child, ast.Import):
-                found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name.split(".")[0] in THREADS)
+                found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name.split(".")[0] in banned)
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else func)
 
@@ -200,3 +204,14 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(analysis) == ["analysis.py:2 lt_value", "analysis.py:2 compare_value"]
+    # mpmath: equidist alone may import it, at any depth
+    limsup.write_text(
+        "import mpmath\n"
+        "def value_bounds(q):\n"
+        "    from mpmath import log\n"
+        "    return log(q)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(limsup) == ["limsup.py:1 mpmath", "limsup.py:3 mpmath"]
+    equidist.write_text("import mpmath\nfrom mpmath import mpf\n", encoding="utf-8")
+    assert kernel_leaks(equidist) == []

@@ -23,14 +23,11 @@ from diophlab.limsup import (
     measure_W,
     psi_witness,
     ubiquity_params,
-    _log_bounds,
-    _rat_pow_bounds,
 )
 from diophlab.numeric import (
+    Ordering,
     Radical,
     RatInterval,
-    _nth_root_lower,
-    _nth_root_upper,
     dist_to_int,
     ex_pow,
     lt,
@@ -38,6 +35,7 @@ from diophlab.numeric import (
     quadratic,
 )
 from diophlab.sampling import sample_point
+from psi_reference import old_value_bounds
 
 
 class TestApproxFunction:
@@ -81,45 +79,6 @@ class TestApproxFunction:
         psi = PowerLog(F(3, 2), F(2, 3), F(1, 2))
         lo, hi = psi.value_bounds(q)
         assert 0 < lo <= hi
-
-
-def old_rat_pow_bounds(lo, hi, e, bits):
-    """limsup._rat_pow_bounds as it was: four roots, then a min and a max."""
-    p, r = e.numerator, e.denominator
-    vals = []
-    for x in (lo, hi):
-        xp = x**abs(p)
-        root_lo = _nth_root_lower(xp, r, bits)
-        root_hi = _nth_root_upper(xp, r, bits)
-        if p >= 0:
-            vals.append((root_lo, root_hi))
-        else:
-            vals.append((1 / root_hi, 1 / root_lo))
-    los = [v[0] for v in vals]
-    his = [v[1] for v in vals]
-    return min(los), max(his)
-
-
-EXPONENTS = st.sampled_from([F(-3), F(-2), F(-3, 2), F(-1), F(-1, 2), F(-1, 3), F(0), F(1, 2), F(2, 3), F(1), F(5, 2)])
-BITS = st.sampled_from([50, 80, 160])
-
-
-@settings(max_examples=300)
-@given(q=st.integers(min_value=1, max_value=10**7), e=EXPONENTS, bits=BITS)
-def test_rat_pow_bounds_on_log_bounds_match_four_roots(q, e, bits):
-    lo, hi = _log_bounds(q, bits)
-    assert _rat_pow_bounds(lo, hi, e, bits) == old_rat_pow_bounds(lo, hi, e, bits)
-
-
-@settings(max_examples=200)
-@given(
-    lo=st.fractions(min_value=1, max_value=40, max_denominator=10**6),
-    width=st.fractions(min_value=0, max_value=5, max_denominator=10**6),
-    e=st.one_of(EXPONENTS, st.fractions(min_value=-4, max_value=4, max_denominator=7)),
-    bits=BITS,
-)
-def test_rat_pow_bounds_match_four_roots(lo, width, e, bits):
-    assert _rat_pow_bounds(lo, lo + width, e, bits) == old_rat_pow_bounds(lo, lo + width, e, bits)
 
 
 def mp_psi(psi, q):
@@ -191,14 +150,14 @@ def test_running_ln_holds_ln_q(qs, w):
 def test_powerlog_scaled_bounds_on_a_long_run():
     # 70,000 consecutive q: the running ln q is seeded again once its width
     # passes its limit, so the pairs stay 2 units wide; a sample is checked
-    # against mpmath, every pair against value_bounds' 320-bit enclosure
+    # against mpmath, every pair against a 320-bit mpmath enclosure
     psi = PowerLog(F(1), F(1), F(1))
     qs = range(1, 70001)
     pairs = list(psi.scaled_bounds(qs, 96))
     assert max(hi - lo for lo, hi in pairs) <= 2
     assert_scaled_enclosures(psi, qs[::997], 96)
     for q in qs[::97]:
-        vlo, vhi = psi.value_bounds(q, 320)
+        vlo, vhi = old_value_bounds(psi, q, 320)
         lo, hi = pairs[q - 1]
         assert lo <= vhi * (1 << 96) and vlo * (1 << 96) <= hi
 
@@ -213,6 +172,58 @@ def test_powerlog_scaled_bounds_are_exact_without_logs():
     ]
     with pytest.raises(ValueError):
         next(PowerLog(F(1), F(1), F(1)).scaled_bounds([0], 96))
+
+
+def rational_psi(psi, q):
+    """psi(q) where it is rational by its form: integer a, and beta = 0 or
+    q <= 2, so that max(ln q, 1) = 1; else None."""
+    if psi.a.denominator == 1 and (psi.beta == 0 or q <= 2):
+        return psi.c / q**psi.a
+    return None
+
+
+def mp_psi_fraction(psi, q):
+    with mpmath.workprec(300):
+        return mpf_to_fraction(mp_psi(psi, q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(psi=POWERLOGS, q=st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=10**7)),
+       bits=st.sampled_from([50, 80, 160, 320]))
+def test_powerlog_value_bounds_hold_psi(psi, q, bits):
+    # psi(q) exactly where it is rational, else an enclosure of the 300-bit
+    # mpmath value at most 2^(1 - bits) wide
+    lo, hi = psi.value_bounds(q, bits)
+    exact = rational_psi(psi, q)
+    if exact is not None:
+        assert lo == hi == exact
+    else:
+        v, slack = mp_psi_fraction(psi, q), F(1, 1 << 250)
+        assert lo <= v * (1 + slack) and v * (1 - slack) <= hi
+        assert 0 <= hi - lo <= F(2, 1 << bits)
+
+
+@pytest.mark.parametrize("psi", [PowerLog(F(1), F(1), F(0)), PowerLog(F(1), F(1, 2), F(0)), PowerLog(F(1), F(1), F(1))])
+def test_value_bounds_refuse_q_zero(psi):
+    with pytest.raises(ValueError):
+        psi.value_bounds(0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(psi=POWERLOGS, q=st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=10**7)),
+       k=st.integers(min_value=1, max_value=150), sign=st.sampled_from([-1, 0, 1]))
+def test_powerlog_compare_value_near_psi(psi, q, k, sign):
+    # d = psi(q) (1 + sign 2^-k): its ordering against psi(q) is sign's,
+    # far above the 300-bit reference's rounding; d = psi(q) itself only
+    # where psi(q) is rational
+    exact = rational_psi(psi, q)
+    if exact is None and sign == 0:
+        sign = 1
+    v = exact if exact is not None else mp_psi_fraction(psi, q)
+    d = v * (1 + sign * F(1, 1 << k))
+    want = {-1: Ordering.LESS, 0: Ordering.EQUAL, 1: Ordering.GREATER}[sign]
+    assert psi.compare_value(d, q) is want
+    assert psi.lt_value(d, q) is (sign < 0)
 
 
 TABLE = TablePsi([(1, F(1, 2)), (10, F(1, 3)), (1000, F(1, 7)), (10**6, F(1, 10**7))])

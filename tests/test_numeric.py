@@ -220,6 +220,18 @@ class TestRatInterval:
         p = a * b
         assert p.lo == F(-2) and p.hi == F(2)
 
+    def test_endpoints_become_fractions(self):
+        # a Fraction endpoint is kept as it is; any other is converted
+        lo = F(1, 3)
+        for iv in (RatInterval(1, 2), RatInterval(lo, 2), RatInterval(-3, lo)):
+            assert type(iv.lo) is F and type(iv.hi) is F
+        assert RatInterval(lo, 2).lo is lo
+        assert (RatInterval(1, 2).lo, RatInterval(1, 2).hi) == (1, 2)
+        with pytest.raises(ValueError):
+            RatInterval(2, 1)
+        with pytest.raises(ValueError):
+            RatInterval(F(1, 2), F(1, 3))
+
     def test_dist_straddling_integer(self):
         iv = RatInterval(F(9, 10), F(11, 10))
         d = dist_to_int(iv)

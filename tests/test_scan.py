@@ -62,6 +62,7 @@ from diophlab.numeric import (
 )
 from diophlab.sampling import sample_point
 from diophlab.transference import solve_inhomogeneous
+from psi_reference import old_value_bounds
 
 GOLDEN = quadratic(F(-1, 2), F(1, 2), 5)
 SQRT2 = quadratic(F(0), F(1), 2)
@@ -210,7 +211,7 @@ def old_lt_value(psi, d, q, strict=True):
             raise PrecisionExhausted("psi comparison undecided")
     else:
         for bits in (80, 160, 320):
-            lo, hi = psi.value_bounds(q, bits)
+            lo, hi = old_value_bounds(psi, q, bits)
             c = compare(d, RatInterval(lo, hi))
             if c.decided:
                 break
@@ -393,7 +394,7 @@ def brute_order(d, s, thr):
         p, r = thr.a.numerator, thr.a.denominator
         return compare(ex_pow(d, r) * F(s**p), thr.c**r)
     for bits in (80, 160, 320):
-        c = compare(d, RatInterval(*thr.value_bounds(s, bits)))
+        c = compare(d, RatInterval(*old_value_bounds(thr, s, bits)))
         if c.decided:
             break
     return c
@@ -945,7 +946,7 @@ def old_witness_index(A, psi, w):
                     return True
         return False
 
-    bounds = [(s, psi.value_bounds(s)) for s in w.shells]
+    bounds = [(s, old_value_bounds(psi, s)) for s in w.shells]
     if all(lo == hi for _, (lo, hi) in bounds):
         index = UnionIndex1D(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
         return lambda b: index.contains(b[0])
@@ -1001,7 +1002,7 @@ def test_index_radii_enclose_psi():
     A, w = MATRICES["golden"], Window(2, 3)
     psi = PowerLog(F(1, 4), F(1, 2), F(1))
     lo80, hi80 = psi.value_bounds(3)
-    lo, hi = psi.value_bounds(3, 320)
+    lo, hi = old_value_bounds(psi, 3, 320)
     center = enclose(GOLDEN * 3, 200)[0]
     for r, hit in ((lo - F(1, 2**120), True), (hi + F(1, 2**120), False)):
         assert lo80 < r < hi80
