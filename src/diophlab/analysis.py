@@ -273,23 +273,39 @@ def _gamma_pow(best: BestApproxSequence, k: int, m: int, n: int) -> Comparable:
     return _max_pow(a, b)
 
 
+def _counterparts(
+    best: BestApproxSequence, m: int, n: int
+) -> list[tuple[int, Comparable, Radical, Radical]]:
+    """(k, gamma_k^(m+n), U_k, V_k) for every interior k, where
+    U_k = (Y_k/gamma_k)^(m/n) and V_k = gamma_k/M_k are exact radicals:
+    U_k^(n(m+n)) = Y_k^(m(m+n)) / gamma_k^(m(m+n)) and
+    V_k^(m+n) = gamma_k^(m+n) / M_k^(m+n)."""
+    mn = m + n
+    table = []
+    for k in range(1, len(best.entries) - 1):
+        g = _gamma_pow(best, k, m, n)
+        e = best.entries[k]
+        U = Radical(_div_pow(Fraction(e.Y ** (m * mn)), ex_pow(g, m)), n * mn)
+        V = Radical(_div_pow(g, ex_pow(e.M, mn)), mn)
+        table.append((k, g, U, V))
+    return table
+
+
 def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartReport:
     """gamma_k, U_k = (Y_k/gamma_k)^(m/n), V_k = gamma_k/M_k for interior k,
     with the two proof obligations U_k < V_k and U_(k+1) <= V_k decided by
     integer cross-powers."""
     ents = best.entries
-    K = len(ents)
-    if K < 3:
+    if len(ents) < 3:
         raise InsufficientData("need at least 3 best approximations")
     mn = m + n
-    gpows = {k: _gamma_pow(best, k, m, n) for k in range(1, K - 1)}
+    table = _counterparts(best, m, n)
     rows: list[CounterpartEntry] = []
     gsum_lo = gsum_hi = Fraction(0)
     gsums = []
     v_prev = None
     v_increasing = True
-    for k in range(1, K - 1):
-        g = gpows[k]
+    for (k, g, u_rad, v_rad), nxt in zip(table, [*table[1:], None]):
         Yk, Mk = ents[k].Y, ents[k].M
         # (2) U_k < V_k  <=>  (Y_k^m M_k^n)^(m+n) < g_k^(m+n).  When the
         # enclosure is too fuzzy to decide, fall back to the structural
@@ -301,9 +317,9 @@ def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartRepor
         # (3) U_(k+1) <= V_k  <=>  (Y_(k+1)^m M_k^n)^(m+n) <= g_k^n g_(k+1)^m;
         # both maxima dominate the shared branch Y_(k+1)^m M_k^n, so the
         # inequality is an algebraic consequence of the max construction.
-        if k + 1 in gpows:
+        if nxt is not None:
             lhs = ex_pow(Fraction(ents[k + 1].Y**m) * ex_pow(Mk, n), mn)
-            rhs = ex_pow(g, n) * ex_pow(gpows[k + 1], m)
+            rhs = ex_pow(g, n) * ex_pow(nxt[1], m)
             try:
                 u_next_le_v = le(lhs, rhs)
             except PrecisionExhausted:
@@ -314,11 +330,6 @@ def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartRepor
         gsum_lo += glo
         gsum_hi += ghi
         gsums.append((k, (gsum_lo, gsum_hi)))
-        # U_k^(n(m+n)) = Y_k^(m(m+n)) / g_k^m ; V_k^(m+n) = g_k / M_k^(m+n)
-        u_rad = Radical(
-            _div_pow(Fraction(Yk ** (m * mn)), ex_pow(g, m)), n * mn
-        )
-        v_rad = Radical(_div_pow(g, ex_pow(Mk, mn)), mn)
         if v_prev is not None:
             c = v_rad.compare(v_prev)
             if not (c.decided and c.kind == "greater"):
@@ -406,20 +417,6 @@ class Prop51Report:
         }
 
 
-def _u_le(best: BestApproxSequence, k: int, m: int, n: int, s: int) -> bool:
-    """U_k <= s, exact: Y_k^(m(m+n)) <= s^(n(m+n)) g_k^m."""
-    g = _gamma_pow(best, k, m, n)
-    mn = m + n
-    return le(Fraction(best.entries[k].Y ** (m * mn)), Fraction(s ** (n * mn)) * ex_pow(g, m))
-
-
-def _lt_v(best: BestApproxSequence, k: int, m: int, n: int, s: int) -> bool:
-    """s < V_k, exact: s^(m+n) M_k^(m+n) < g_k."""
-    g = _gamma_pow(best, k, m, n)
-    mn = m + n
-    return lt(Fraction(s**mn) * ex_pow(best.entries[k].M, mn), g)
-
-
 def verify_prop_5_1(
     A: ApproxMatrix,
     b: Sequence[Fraction],
@@ -442,13 +439,10 @@ def verify_prop_5_1(
     if alpha <= n:
         raise ValueError("alpha > n required for a positive threshold")
     thr = (alpha - n) / m
-    interior = range(1, len(best.entries) - 1)
+    table = _counterparts(best, m, n)
     binding: dict[int, int] = {}
     for s in w.shells:
-        k_bind = next(
-            (k for k in interior if _u_le(best, k, m, n, s) and _lt_v(best, k, m, n, s)),
-            None,
-        )
+        k_bind = next((k for k, _, U, V in table if le(U, s) and lt(s, V)), None)
         if k_bind is None:
             raise CoverageGap(f"no [U_k, V_k) interval contains ||q|| = {s}")
         binding[s] = k_bind
@@ -558,7 +552,7 @@ def estimate_exponents(
         from .lattice import best_approximations
 
         try:
-            best = best_approximations(A, xs[-1])
+            best = best_approximations(A, xs[-1] - 1)
         except (RankDeficient, PrecisionExhausted):
             pass
 

@@ -270,14 +270,15 @@ def records(
     the upper end of the current record's enclosure cannot set a record and
     is skipped without an exact distance.  Without a target, a q whose
     first nonzero coordinate is positive is skipped too: -q comes earlier
-    in its shell at the same distance, an exact tie (a CF entry leaves the
-    tie undecided, and such a walk compares it).  Every other tie and
-    overlap reaches the exact comparison, so the records, BudgetExceeded
-    and PrecisionExhausted are those of the exact walk."""
+    in its shell at exactly the same distance, so q cannot set a strict
+    record, even where a CF entry's enclosures could not decide the tie.
+    Every other tie and overlap reaches the exact comparison, so the
+    records, BudgetExceeded and PrecisionExhausted are those of the exact
+    walk with mirror points skipped."""
     line = A.line
     b_scaled, b_err = _target(A, b)
     dist_bounds = line.dist_bounds
-    mirrored = b is None and not A.has_cf
+    mirrored = b is None
     best = bound
     best_hi = None if bound is None else enclose(bound, line.shift)[1]
     for s, shell in scan(A.n, shells, budget):

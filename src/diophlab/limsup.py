@@ -300,8 +300,8 @@ def delta_membership(
 ) -> bool:
     """x within distance rho_val of some resonant point Aq, q in the annulus."""
     c = compare(rho_val, Fraction(1, 2))
-    if c.decided and c.kind != "less":
-        return True  # balls of radius >= 1/2 cover the torus
+    if c.decided and c.kind == "greater":
+        return True  # open balls of radius > 1/2 cover the torus
     w.check_budget(A.n, budget)
     x = tuple(Fraction(t) for t in x)
     return next(within(A, w.shells, budget, rho_val, x), None) is not None

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from diophlab import lattice
 from diophlab.errors import CoverageGap, InsufficientData
-from diophlab.lattice import ApproxMatrix, IntVec, best_approximations, return_sequence
+from diophlab.lattice import (
+    ApproxMatrix,
+    BestApproxEntry,
+    BestApproxSequence,
+    IntVec,
+    best_approximations,
+    return_sequence,
+)
 from diophlab.limsup import PowerLog, TablePsi, Window
 from diophlab.analysis import (
     ExactHit,
@@ -19,7 +26,7 @@ from diophlab.analysis import (
     key_inequality_check,
     verify_prop_5_1,
 )
-from diophlab.numeric import _nth_root_lower, _nth_root_upper
+from diophlab.numeric import RatInterval, _nth_root_lower, _nth_root_upper, compare, ex_pow
 from diophlab.sampling import sample_point
 from psi_reference import old_value_bounds
 
@@ -229,6 +236,20 @@ class TestGammaSequence:
         assert rep.all_checks
         for e in rep.entries:
             assert float(e.gamma_dec) > 0.7
+
+    def test_structural_fallbacks(self):
+        # every M_k = [1/10, 1/2]: neither obligation is decided by the
+        # enclosures, so U_lt_V falls back to Y_(k+1) > Y_k and
+        # U_next_le_V to True (None for the last interior k)
+        M = RatInterval(F(1, 10), F(1, 2))
+        best = BestApproxSequence([BestApproxEntry(IntVec((Y,)), Y, M) for Y in range(1, 6)], 5)
+        rep = gamma_sequence(best, 1, 1)
+        for e, nxt in zip(rep.entries, [*rep.entries[1:], None]):
+            assert not compare(M * F(e.Y), e.gamma_pow).decided
+            if nxt is not None:
+                assert not compare(ex_pow(M * F(e.Y + 1), 2), e.gamma_pow * nxt.gamma_pow).decided
+        assert [e.U_lt_V for e in rep.entries] == [True, True, True]
+        assert [e.U_next_le_V for e in rep.entries] == [True, True, None]
 
     def test_insufficient_data(self, A_golden):
         best = best_approximations(A_golden, 2)

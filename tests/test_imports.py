@@ -1,7 +1,8 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
-psi comparisons stay behind `lattice.within`, only `equidist` imports
-mpmath, and nothing imports a thread pool.
+psi comparisons stay behind `lattice.within`, gamma_k is computed only by
+the counterpart table and `b_alpha_test`, only `equidist` imports mpmath,
+and nothing imports a thread pool.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -97,14 +98,17 @@ PSI_CALLS = {"compare_value", "lt_value"}
 THREADS = {"concurrent", "threading"}
 # floating point serves only weyl_sum's phases; psi is enclosed in integers
 MPMATH_USERS = {"equidist.py"}
+# gamma_k^(m+n) is computed once per k in the counterpart table, which
+# gamma_sequence and verify_prop_5_1 read; b_alpha_test takes its own k range
+GAMMA_CALLERS = {("analysis.py", "_counterparts"), ("analysis.py", "b_alpha_test")}
 
 
 def kernel_leaks(path: Path) -> list[str]:
     """Calls of iter_shell outside lattice.scan, of scan outside
-    SCAN_CALLERS and of PSI_CALLS outside limsup and lattice.within,
-    imports of the scaled-integer helpers outside lattice, of mpmath
-    outside MPMATH_USERS, and of concurrent.futures or threading, anywhere
-    in the module."""
+    SCAN_CALLERS, of PSI_CALLS outside limsup and lattice.within and of
+    _gamma_pow outside GAMMA_CALLERS, imports of the scaled-integer helpers
+    outside lattice, of mpmath outside MPMATH_USERS, and of
+    concurrent.futures or threading, anywhere in the module."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
 
@@ -119,6 +123,8 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} scan")
                 if name in PSI_CALLS and path.name != "limsup.py" and (path.name, func) != ("lattice.py", "within"):
                     found.append(f"{path.name}:{child.lineno} {name}")
+                if name == "_gamma_pow" and (path.name, func) not in GAMMA_CALLERS:
+                    found.append(f"{path.name}:{child.lineno} _gamma_pow")
             elif isinstance(child, ast.ImportFrom):
                 if path.name != "lattice.py":
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
@@ -204,6 +210,20 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(analysis) == ["analysis.py:2 lt_value", "analysis.py:2 compare_value"]
+    # gamma_k: the counterpart table computes it once, b_alpha_test for its
+    # own k range; a per-shell recomputation is a leak
+    analysis.write_text(
+        "def _counterparts(best, m, n):\n"
+        "    return [_gamma_pow(best, k, m, n) for k in range(1, 4)]\n"
+        "def b_alpha_test(best, k):\n"
+        "    return _gamma_pow(best, k, 1, 1)\n"
+        "def verify_prop_5_1(best, k, s):\n"
+        "    return s < _gamma_pow(best, k, 1, 1)\n"
+        "def gamma_sequence(best):\n"
+        "    return {k: analysis._gamma_pow(best, k, 1, 1) for k in range(3)}\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(analysis) == ["analysis.py:6 _gamma_pow", "analysis.py:8 _gamma_pow"]
     # mpmath: equidist alone may import it, at any depth
     limsup.write_text(
         "import mpmath\n"

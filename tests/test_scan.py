@@ -110,7 +110,15 @@ def old_window_budget(n, w, budget):
         raise BudgetExceeded(f"window holds {total} points, budget {budget}")
 
 
+def mirror(q):
+    """q is the mirror of -q, which comes earlier in its shell at exactly
+    the same distance to Z^m."""
+    return next(filter(None, q), 0) > 0
+
+
 def old_bad_witness(A, Q, budget):
+    """The exhaustive loop, with the mirror q of -q skipped: a tie that a
+    CF entry cannot decide, and which q can never win."""
     m, n = A.m, A.n
     best_key = None
     best_q = None
@@ -120,6 +128,8 @@ def old_bad_witness(A, Q, budget):
         if total > budget:
             raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
         for q in iter_shell(n, s):
+            if mirror(q):
+                continue
             d = dist_to_int_vec(A.apply(q))
             key = ex_pow(d, m) * F(s**n)
             if best_key is None or lt(key, best_key):
@@ -233,11 +243,13 @@ def old_psi_witness(A, b, psi, w, budget=1 << 22):
 
 
 def old_delta_membership(A, x, rho_val, w, budget=1 << 22):
+    """The membership loop; it takes the covering shortcut only for a
+    radius decidedly above 1/2, since the comparison is strict."""
     if isinstance(rho_val, Radical):
         c = rho_val.compare(F(1, 2))
     else:
         c = compare(rho_val, F(1, 2))
-    if c.decided and c.kind != "less":
+    if c.decided and c.kind == "greater":
         return True
     old_window_budget(A.n, w, budget)
     x = tuple(F(t) for t in x)
@@ -256,6 +268,20 @@ def old_delta_membership(A, x, rho_val, w, budget=1 << 22):
     return False
 
 
+def old_u_le(best, k, m, n, s):
+    """U_k <= s, exact: Y_k^(m(m+n)) <= s^(n(m+n)) g_k^m."""
+    g = analysis._gamma_pow(best, k, m, n)
+    mn = m + n
+    return le(F(best.entries[k].Y ** (m * mn)), F(s ** (n * mn)) * ex_pow(g, m))
+
+
+def old_lt_v(best, k, m, n, s):
+    """s < V_k, exact: s^(m+n) M_k^(m+n) < g_k."""
+    g = analysis._gamma_pow(best, k, m, n)
+    mn = m + n
+    return lt(F(s**mn) * ex_pow(best.entries[k].M, mn), g)
+
+
 def old_verify_prop_5_1_scan(A, b, alpha, best, w, budget, stride):
     """verify_prop_5_1 after its preconditions (binding, b_alpha_test)."""
     m, n = A.m, A.n
@@ -264,7 +290,7 @@ def old_verify_prop_5_1_scan(A, b, alpha, best, w, budget, stride):
     binding = {}
     for s in w.shells:
         k_bind = next(
-            (k for k in interior if analysis._u_le(best, k, m, n, s) and analysis._lt_v(best, k, m, n, s)),
+            (k for k in interior if old_u_le(best, k, m, n, s) and old_lt_v(best, k, m, n, s)),
             None,
         )
         if k_bind is None:
@@ -293,6 +319,7 @@ def old_verify_prop_5_1_scan(A, b, alpha, best, w, budget, stride):
 
 
 def old_best_dist_enclosure(A, b, X, budget):
+    """The exhaustive minimum; without a target it skips the mirror q of -q."""
     best_d = None
     best_q = None
     total = 0
@@ -301,6 +328,8 @@ def old_best_dist_enclosure(A, b, X, budget):
         if total > budget:
             raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
         for q in iter_shell(A.n, s):
+            if b is None and mirror(q):
+                continue
             vec = A.apply(q)
             if b is not None:
                 vec = [v - t for v, t in zip(vec, b)]
@@ -322,15 +351,16 @@ def old_exponent(d, X):
 
 
 def old_estimate_exponents(A, b, xs, budget):
-    """The exponent table as it was; it crashed with TypeError when an exact
-    homogeneous hit met a finite exponent in the tail."""
+    """The exponent table as it was, with records read to X - 1 for the
+    largest horizon X; it crashed with TypeError when an exact homogeneous
+    hit met a finite exponent in the tail."""
     w_hat = None
     hom_exps = []
     table = []
     best = None
     if (A.m, A.n) == (1, 1):
         try:
-            best = best_approximations(A, xs[-1])
+            best = best_approximations(A, xs[-1] - 1)
         except Exception:
             best = None
     for X in xs:
@@ -571,11 +601,20 @@ def test_bad_witness_matches_old_loop(key, Q, budget):
 
     def norm(res):
         key_, q = res
-        return (key_.radicand if isinstance(key_, Radical) else key_), q
+        key_ = key_.radicand if isinstance(key_, Radical) else key_
+        return ((key_.lo, key_.hi) if isinstance(key_, RatInterval) else key_), q
 
     got = outcome(lambda: norm(bad_witness(A, Q, budget)))
     want = outcome(lambda: norm(old_bad_witness(A, Q, budget)))
     assert got == want
+
+
+def test_bad_witness_skips_the_cf_mirror_tie():
+    # q and -q tie exactly, which a CF entry's enclosures cannot decide;
+    # q comes later in its shell, so it can never set a strict record
+    A = MATRICES["cf_mid"]
+    for key, q in (bad_witness(A, 10), old_bad_witness(A, 10, 1 << 22)):
+        assert (key.lo, key.hi, q) == (F(4, 23), F(12, 67), IntVec((-4,)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -720,21 +759,47 @@ def test_delta_membership_matches_old_loop(key, data, rho, lu, budget):
     assert got == outcome(old_delta_membership, A, x, rho, w, budget)
 
 
-@settings(WITH_FIXTURE, max_examples=15)
+def test_delta_membership_radius_one_half_is_strict():
+    # q = +-1 lie at distance exactly 1/2 from x = 0, which an open ball of
+    # radius 1/2 does not reach; one of radius 3/4 covers the torus
+    A, x, w = ApproxMatrix([[F(1, 2)]]), (F(0),), Window(0, 1)
+    assert delta_membership(A, x, F(1, 2), w) is old_delta_membership(A, x, F(1, 2), w) is False
+    assert delta_membership(A, x, F(3, 4), w) is old_delta_membership(A, x, F(3, 4), w) is True
+
+
+# the CF of criterion 10, a_k = 2^(2^k), whose records reach 2^63
+CF_FAST = ApproxMatrix([[CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128), precision_budget=1024)]])
+# records to the certified horizon of each CF, to 400 (12 for q12) otherwise
+PROP51_BEST = {
+    key: best_approximations(A, Y)
+    for key, A, Y in [
+        ("golden", MATRICES["golden"], 400),
+        ("sqrt2", MATRICES["sqrt2"], 400),
+        ("q12", MATRICES["q12"], 12),
+        ("cf_mid", MATRICES["cf_mid"], 22),
+        ("cf_fast", CF_FAST, 2**63),
+    ]
+}
+
+
+@settings(WITH_FIXTURE, max_examples=25)
 @given(
-    key=st.sampled_from(["golden", "sqrt2", "q12"]),
+    key=st.sampled_from(sorted(PROP51_BEST)),
     data=st.data(),
     alpha=st.sampled_from([F(11, 10), F(3, 2), F(5, 2), F(4)]),
     lu=st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=10)),
     stride=st.sampled_from([1, 7, 97]),
     budget=st.sampled_from([20, 1 << 22]),
 )
+@example(key="cf_fast", data=None, alpha=F(11, 10), lu=(4, 60), stride=97, budget=1 << 22)
+@example(key="cf_fast", data=None, alpha=F(3, 2), lu=(0, 9), stride=7, budget=1 << 22)
+@example(key="cf_mid", data=None, alpha=F(3, 2), lu=(0, 22), stride=7, budget=1 << 22)
 def test_verify_prop_5_1_matches_old_loop(monkeypatch, key, data, alpha, lu, stride, budget):
-    A = MATRICES[key]
-    b = data.draw(targets(A.m))
+    A = CF_FAST if key == "cf_fast" else MATRICES[key]
+    b = sample_point(13, lu[0], A.m) if data is None else data.draw(targets(A.m))
     l, du = lu if A.n == 1 else (min(lu[0], 2), min(lu[1], 2))
     w = Window(l, l + du)
-    best = best_approximations(A, 400 if A.n == 1 else 12)
+    best = PROP51_BEST[key]
     # b_alpha_test is vacuous in 1D; bypass it so the scan itself is compared
     monkeypatch.setattr(analysis, "b_alpha_test", lambda *args: True)
     got = outcome(
@@ -803,6 +868,19 @@ def test_exponent_walk_errors_come_in_horizon_order():
     with pytest.raises(BudgetExceeded):
         estimate_exponents(A, b, [2, 22], 40)
     assert outcome(old_estimate_exponents, A, b, [2, 22], 40) == ("raise", BudgetExceeded)
+
+
+def test_exponents_read_records_below_the_largest_horizon():
+    # cf_mid certifies its records to 22, and a horizon of 23 reads only
+    # those with Y < 23
+    A = MATRICES["cf_mid"]
+    with pytest.raises(PrecisionExhausted):
+        best_approximations(A, 23)
+    est = estimate_exponents(A, None, [2, 23])
+    M = [e.M for e in best_approximations(A, 22).entries if e.Y < 23][-1]
+    assert est.table[-1] == {"X": 23, "what": analysis._exponent(M, 23)}
+    assert round(est.table[-1]["what"], 4) == 1.0818
+
 
 def test_exponents_rational_line_is_all_exact_hits():
     est = estimate_exponents(MATRICES["third"], None, [4, 8, 16])
