@@ -2,7 +2,8 @@
 counterpart machinery (gamma_k, U_k, V_k, B_alpha), and exponent estimates.
 
 All theorem-critical inequalities are decided by integer cross-power
-comparisons; decimals in reports are display-only enclosures."""
+comparisons, or by certified enclosures that decide only what those decide
+(`_order`); decimals in reports are display-only enclosures."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -33,6 +34,7 @@ from .lattice import (
 from .limsup import ApproxFunction, PowerLog, Window
 from .numeric import (
     Comparable,
+    Ordering,
     Radical,
     RatInterval,
     compare,
@@ -42,7 +44,10 @@ from .numeric import (
     ex_pow,
     le,
     lt,
+    nearest_int,
+    sign,
     _as_interval,
+    _decided,
     _scaled_pow,
 )
 
@@ -197,6 +202,21 @@ def classify_return_series(
 # ---------------------------------------------------------------------------
 
 
+def _order(x: Fraction | int, box: tuple[Fraction, Fraction], exact: Callable[[], object]) -> Ordering:
+    """The ordering of the rational x against a value v with box[0] <= v
+    <= box[1]: LESS when x < box[0], GREATER when x > box[1], and only
+    otherwise compare(x, exact()), v computed then, with PrecisionExhausted
+    when that is undecided.  A box that holds every value of v's own
+    enclosure decides only comparisons that compare decides, and the same
+    way, so the outcome is that of the exact comparison."""
+    lo, hi = box
+    if x < lo:
+        return Ordering.LESS
+    if x > hi:
+        return Ordering.GREATER
+    return _decided(compare(x, exact()))
+
+
 def _max_pow(x: Comparable, y: Comparable) -> Comparable:
     c = compare(x, y)
     if c.decided:
@@ -218,6 +238,24 @@ class CounterpartEntry:
     V_dec: str
     U_lt_V: bool
     U_next_le_V: Optional[bool]
+    # the obligations an undecided comparison left to their structural
+    # argument, by name
+    structural: list[str] = field(default_factory=list)
+
+    def to_json(self) -> dict:
+        out = {
+            "k": self.k,
+            "Y": self.Y,
+            "M": self.M_dec,
+            "gamma": self.gamma_dec,
+            "U": self.U_dec,
+            "V": self.V_dec,
+            "U_lt_V": self.U_lt_V,
+            "U_next_le_V": self.U_next_le_V,
+        }
+        if self.structural:
+            out["structural"] = self.structural
+        return out
 
 
 @dataclass
@@ -240,19 +278,7 @@ class CounterpartReport:
             "n": self.n,
             "V_increasing_trend": self.V_increasing,
             "all_checks": self.all_checks,
-            "entries": [
-                {
-                    "k": e.k,
-                    "Y": e.Y,
-                    "M": e.M_dec,
-                    "gamma": e.gamma_dec,
-                    "U": e.U_dec,
-                    "V": e.V_dec,
-                    "U_lt_V": e.U_lt_V,
-                    "U_next_le_V": e.U_next_le_V,
-                }
-                for e in self.entries
-            ],
+            "entries": [e.to_json() for e in self.entries],
             "gamma_partial_sums": [
                 {"k": k, "lo": dec_str(lo), "hi": dec_str(hi)}
                 for k, (lo, hi) in self.gamma_partial_sums
@@ -273,13 +299,30 @@ def _gamma_pow(best: BestApproxSequence, k: int, m: int, n: int) -> Comparable:
     return _max_pow(a, b)
 
 
-def _counterparts(
-    best: BestApproxSequence, m: int, n: int
-) -> list[tuple[int, Comparable, Radical, Radical]]:
-    """(k, gamma_k^(m+n), U_k, V_k) for every interior k, where
-    U_k = (Y_k/gamma_k)^(m/n) and V_k = gamma_k/M_k are exact radicals:
-    U_k^(n(m+n)) = Y_k^(m(m+n)) / gamma_k^(m(m+n)) and
-    V_k^(m+n) = gamma_k^(m+n) / M_k^(m+n)."""
+# binary precision of the boxes of the counterpart table
+COUNTERPART_BITS = 64
+
+
+class Counterpart(NamedTuple):
+    """gamma_k^(m+n), U_k and V_k of one interior k, each with its box
+    (lo, hi) from `numeric.enclose` at COUNTERPART_BITS."""
+
+    k: int
+    g: Comparable
+    U: Radical
+    V: Radical
+    g_box: tuple[Fraction, Fraction]
+    U_box: tuple[Fraction, Fraction]
+    V_box: tuple[Fraction, Fraction]
+
+
+def _counterparts(best: BestApproxSequence, m: int, n: int) -> list[Counterpart]:
+    """The table of every interior k, built once per (m, n) and kept in
+    best.counterparts, where U_k = (Y_k/gamma_k)^(m/n) and V_k =
+    gamma_k/M_k are exact radicals: U_k^(n(m+n)) = Y_k^(m(m+n)) /
+    gamma_k^(m(m+n)) and V_k^(m+n) = gamma_k^(m+n) / M_k^(m+n)."""
+    if (m, n) in best.counterparts:
+        return best.counterparts[m, n]
     mn = m + n
     table = []
     for k in range(1, len(best.entries) - 1):
@@ -287,7 +330,8 @@ def _counterparts(
         e = best.entries[k]
         U = Radical(_div_pow(Fraction(e.Y ** (m * mn)), ex_pow(g, m)), n * mn)
         V = Radical(_div_pow(g, ex_pow(e.M, mn)), mn)
-        table.append((k, g, U, V))
+        table.append(Counterpart(k, g, U, V, *(enclose(x, COUNTERPART_BITS) for x in (g, U, V))))
+    best.counterparts[m, n] = table
     return table
 
 
@@ -305,8 +349,9 @@ def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartRepor
     gsums = []
     v_prev = None
     v_increasing = True
-    for (k, g, u_rad, v_rad), nxt in zip(table, [*table[1:], None]):
+    for (k, g, u_rad, v_rad, *_), nxt in zip(table, [*table[1:], None]):
         Yk, Mk = ents[k].Y, ents[k].M
+        structural = []
         # (2) U_k < V_k  <=>  (Y_k^m M_k^n)^(m+n) < g_k^(m+n).  When the
         # enclosure is too fuzzy to decide, fall back to the structural
         # argument: g_k >= Y_(k+1)^m M_k^n > Y_k^m M_k^n since Y increases.
@@ -314,16 +359,18 @@ def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartRepor
             u_lt_v = lt(Fraction(Yk**m) * ex_pow(Mk, n), g)
         except PrecisionExhausted:
             u_lt_v = ents[k + 1].Y > Yk
+            structural.append("U_lt_V")
         # (3) U_(k+1) <= V_k  <=>  (Y_(k+1)^m M_k^n)^(m+n) <= g_k^n g_(k+1)^m;
         # both maxima dominate the shared branch Y_(k+1)^m M_k^n, so the
         # inequality is an algebraic consequence of the max construction.
         if nxt is not None:
             lhs = ex_pow(Fraction(ents[k + 1].Y**m) * ex_pow(Mk, n), mn)
-            rhs = ex_pow(g, n) * ex_pow(nxt[1], m)
+            rhs = ex_pow(g, n) * ex_pow(nxt.g, m)
             try:
                 u_next_le_v = le(lhs, rhs)
             except PrecisionExhausted:
                 u_next_le_v = True
+                structural.append("U_next_le_V")
         else:
             u_next_le_v = None
         glo, ghi = Radical(g, mn).enclose(64)
@@ -346,6 +393,7 @@ def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartRepor
                 V_dec=dec_str(v_rad),
                 U_lt_V=u_lt_v,
                 U_next_le_V=u_next_le_v,
+                structural=structural,
             )
         )
     return CounterpartReport(m, n, rows, gsums, v_increasing)
@@ -368,19 +416,25 @@ def b_alpha_test(
     m: int = 1,
     n: int = 1,
 ) -> bool:
-    """||b . y_k||_Z > alpha gamma_k for every k in k_range (exact)."""
+    """||b . y_k||_Z > alpha gamma_k for every k in k_range, decided as
+    the exact comparison decides it: gamma_k^(m+n) and its box come from
+    the counterpart table, and only an lhs^(m+n) inside the box of
+    alpha^(m+n) gamma_k^(m+n) is compared exactly."""
     alpha = Fraction(alpha)
     b = tuple(Fraction(x) for x in b)
     ents = best.entries
     mn = m + n
+    a = alpha**mn
+    table = _counterparts(best, m, n)
     for k in k_range:
         if not 1 <= k <= len(ents) - 2:
             raise InsufficientData(f"k = {k} outside interior range")
         y = ents[k].y.coords
         lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y)))
         # lhs > alpha gamma_k  <=>  lhs^(m+n) > alpha^(m+n) gamma_k^(m+n)
-        g = _gamma_pow(best, k, m, n)
-        if not lt(ex_pow(g, 1) * alpha**mn, lhs**mn):
+        g, (g_lo, g_hi) = table[k - 1].g, table[k - 1].g_box
+        box = (g_lo * a, g_hi * a) if a >= 0 else (g_hi * a, g_lo * a)
+        if _order(lhs**mn, box, lambda: g * a) is not Ordering.GREATER:
             return False
     return True
 
@@ -441,8 +495,18 @@ def verify_prop_5_1(
     thr = (alpha - n) / m
     table = _counterparts(best, m, n)
     binding: dict[int, int] = {}
+    # U_k <= s < V_k, each side decided by the boxes of the table where s
+    # falls outside them; the comparisons and their order are the exact ones
     for s in w.shells:
-        k_bind = next((k for k, _, U, V in table if le(U, s) and lt(s, V)), None)
+        k_bind = next(
+            (
+                c.k
+                for c in table
+                if _order(s, c.U_box, lambda: c.U) is not Ordering.LESS
+                and _order(s, c.V_box, lambda: c.V) is Ordering.LESS
+            ),
+            None,
+        )
         if k_bind is None:
             raise CoverageGap(f"no [U_k, V_k) interval contains ||q|| = {s}")
         binding[s] = k_bind
@@ -465,18 +529,59 @@ def verify_prop_5_1(
 def key_inequality_check(
     A: ApproxMatrix, b: Sequence[Fraction], q: IntVec, y: IntVec
 ) -> bool:
-    """||b.y||_Z <= m ||y|| ||Aq - b||_Z + n ||q|| ||tA y||_Z, exactly.
+    """||b.y||_Z <= m ||y|| ||Aq - b||_Z + n ||q|| ||tA y||_Z.
 
     Holds for every integer q, y by the transference identity; a False
-    return is a bug detector, not a mathematical possibility."""
+    return is a bug detector, not a mathematical possibility.  Both
+    distances are enclosed by `ApproxMatrix.dist_enclosure`, and only an
+    lhs inside the enclosure of the right-hand side is compared exactly,
+    so the outcome is that of the exact comparison.  Where that raises
+    PrecisionExhausted on a 1 x 1 CF entry, the tight case of the identity
+    decides it (`_cf_tight`); otherwise it still raises."""
     m, n = A.m, A.n
     b = tuple(Fraction(x) for x in b)
     if len(y.coords) != m or len(q.coords) != n:
         raise ValueError("dimension mismatch")
     lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y.coords)))
-    d1 = A.dist(q.coords, b)
-    d2 = A.transpose().dist(y.coords)
-    return le(lhs, d1 * (m * y.norm) + d2 * (n * q.norm))
+    tA = A.transpose()
+    wy, wq = m * y.norm, n * q.norm
+    lo1, hi1 = A.dist_enclosure(q.coords, b)
+    lo2, hi2 = tA.dist_enclosure(y.coords)
+    box = (lo1 * wy + lo2 * wq, hi1 * wy + hi2 * wq)
+    try:
+        c = _order(lhs, box, lambda: A.dist(q.coords, b) * wy + tA.dist(y.coords) * wq)
+        return c is not Ordering.GREATER
+    except PrecisionExhausted:
+        if A.has_cf and _cf_tight(A, b, q, y, box):
+            return True
+        raise
+
+
+def _cf_tight(
+    A: ApproxMatrix, b: tuple[Fraction, ...], q: IntVec, y: IntVec, box: tuple[Fraction, Fraction]
+) -> bool:
+    """The tight key inequality of a 1 x 1 CF entry alpha, which its
+    enclosures cannot separate.  With the signed residues r1 = q alpha - b
+    - p1 and r2 = alpha y - p2 (p1, p2 the nearest integers),
+    E = b y + y p1 - q p2 = -y r1 + q r2 is an exact rational, and
+    ||b y||_Z <= |E|.  When -y r1 and q r2 have the same sign, |E| is the
+    right-hand side |y| |r1| + |q| |r2|, so the inequality holds.  True
+    only when |E| lies in box, the right-hand side's enclosure, |E| <= 1/2
+    and both signs are decided equal; False when any of this fails or is
+    undecided."""
+    (qv,), (yv,), (bv,) = q.coords, y.coords, b
+    v1 = A.apply(q.coords)[0] - bv
+    v2 = A.apply(y.coords)[0]
+    try:
+        p1, p2 = nearest_int(v1), nearest_int(v2)
+        E = abs(bv * yv + yv * p1 - qv * p2)
+        return (
+            box[0] <= E <= box[1]
+            and E <= Fraction(1, 2)
+            and sign(-yv) * sign(v1 - p1) == sign(qv) * sign(v2 - p2)
+        )
+    except PrecisionExhausted:
+        return False
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ best-approximation records, badly-approximable witnesses, rank check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, islice, pairwise, tee
@@ -108,6 +108,17 @@ class ApproxMatrix:
             v = [x - t for x, t in zip(v, b)]
         return dist_to_int_vec(v)
 
+    def dist_enclosure(
+        self, q: Sequence[int], b: Optional[Sequence[ExactReal]] = None
+    ) -> tuple[Fraction, Fraction]:
+        """Dyadic (lo, hi) with lo <= ||Aq - b||_Z <= hi, from the
+        scaled-integer `line` model.  The interval holds every value of the
+        exact `dist`'s enclosure too, so a comparison it decides, `dist`
+        decides the same way, CF entries included."""
+        line = self.line
+        lo, hi = line.dist_bounds(q, *_target(self, b))
+        return Fraction(lo, line.mod), Fraction(hi, line.mod)
+
     def check_field(self, x: Comparable | Radical) -> None:
         """UnsupportedEntry if x (or the radicand of a `Radical` x) is a
         quadratic irrational outside the field of the entries."""
@@ -116,10 +127,15 @@ class ApproxMatrix:
         if isinstance(x, Quadratic) and self.radicand not in (None, x.d):
             raise UnsupportedEntry(f"mixing radicands sqrt({self.radicand}) and sqrt({x.d})")
 
-    def transpose(self) -> "ApproxMatrix":
+    @cached_property
+    def _transposed(self) -> "ApproxMatrix":
         return ApproxMatrix(
             [[self.rows[i][j] for i in range(self.m)] for j in range(self.n)]
         )
+
+    def transpose(self) -> "ApproxMatrix":
+        """The transposed matrix, built once, so its `line` model is too."""
+        return self._transposed
 
     def to_text(self) -> str:
         head = f"{self.m} {self.n}"
@@ -391,6 +407,9 @@ class BestApproxEntry:
 class BestApproxSequence:
     entries: list[BestApproxEntry]
     y_max: int
+    # the counterpart tables of `analysis._counterparts`, by (m, n), each
+    # built on first use; valid because no caller changes entries
+    counterparts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def Y(self) -> list[int]:

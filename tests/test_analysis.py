@@ -219,6 +219,10 @@ class TestGammaSequence:
         assert rep.entries[1].gamma_dec == "0.854101966250"
         assert rep.all_checks
         assert rep.V_increasing
+        # every obligation is decided by its comparison, and the report
+        # carries no structural key
+        assert all(e.structural == [] for e in rep.entries)
+        assert all("structural" not in e for e in rep.to_json()["entries"])
 
     def test_gamma_bounded_below_badly_approximable(self, A_golden):
         from diophlab.numeric import lt
@@ -250,6 +254,23 @@ class TestGammaSequence:
                 assert not compare(ex_pow(M * F(e.Y + 1), 2), e.gamma_pow * nxt.gamma_pow).decided
         assert [e.U_lt_V for e in rep.entries] == [True, True, True]
         assert [e.U_next_le_V for e in rep.entries] == [True, True, None]
+        assert [e.structural for e in rep.entries] == [
+            ["U_lt_V", "U_next_le_V"],
+            ["U_lt_V", "U_next_le_V"],
+            ["U_lt_V"],
+        ]
+        assert [e["structural"] for e in rep.to_json()["entries"]] == [e.structural for e in rep.entries]
+
+    def test_cf_structural_entries(self, A_cf):
+        # records 1, 4, 65, 16644, 1090781249, 4684869791545049348: the
+        # enclosures decide every U_k < V_k but none of the three
+        # U_(k+1) <= V_k, which the max construction settles
+        best = best_approximations(A_cf, 2**63)
+        rep = gamma_sequence(best, 1, 1)
+        assert [e.structural for e in rep.entries] == [["U_next_le_V"]] * 3 + [[]]
+        assert rep.all_checks
+        entries = rep.to_json()["entries"]
+        assert [e.get("structural") for e in entries] == [["U_next_le_V"]] * 3 + [None]
 
     def test_insufficient_data(self, A_golden):
         best = best_approximations(A_golden, 2)

@@ -209,6 +209,8 @@ def test_undecided_width_is_short(runner, tmp_path):
 REPORTS = {
     "best-approx": ["best-approx", "--y-max", "1000"],
     "counterpart": ["counterpart", "--y-max", "1000"],
+    # records to 2^63: cf_fast's three structural U_(k+1) <= V_k obligations
+    "counterpart-far": ["counterpart", "--y-max", str(2**63)],
     "exponents": ["exponents", "--x-schedule", "8,16,32,64"],
     "exponents-b": ["exponents", "--x-schedule", "8,16,32,64", "--b", "1/3"],
 }
@@ -227,6 +229,7 @@ REPORT_DIGESTS = {
     ("exponents-b", "q12"): (0, "1ba410ec498e7e86c00891f4089af05eb7787c95d89d39c7b1d8ead804d4430c"),
     ("best-approx", "cf_fast"): (0, "ba6f5fcf63565978a12b2144915780427c41dda62a6d248655e5de3f663354c9"),
     ("counterpart", "cf_fast"): (0, "b33d4659c47f7f4dca3749a642e4f009409a974dde71d12d4940673459b363f4"),
+    ("counterpart-far", "cf_fast"): (0, "429ca5d61ad8c50474dace8506e26046551de830a6490db0bdd77beab0883df6"),
     ("exponents", "cf_fast"): (0, "6f00f2699fab64d1c944e5be8feeff364d8315de4efe259661df1efa41e3a1b5"),
     ("exponents-b", "cf_fast"): (0, "8fc0df707f4027e1dee3978ed914e0ec6113d67424eddc380d953b291c944539"),
     ("series", "n1-s1-a1-b0"): (0, "ea94ffb21430980c6dd1f073bdcaf8871b04e5282abff78601c3df6adc11a9e9"),

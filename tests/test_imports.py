@@ -1,8 +1,8 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
 psi comparisons stay behind `lattice.within`, gamma_k is computed only by
-the counterpart table and `b_alpha_test`, only `equidist` imports mpmath,
-and nothing imports a thread pool.
+the counterpart table, only `equidist` imports mpmath, and nothing imports
+a thread pool.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -99,8 +99,8 @@ THREADS = {"concurrent", "threading"}
 # floating point serves only weyl_sum's phases; psi is enclosed in integers
 MPMATH_USERS = {"equidist.py"}
 # gamma_k^(m+n) is computed once per k in the counterpart table, which
-# gamma_sequence and verify_prop_5_1 read; b_alpha_test takes its own k range
-GAMMA_CALLERS = {("analysis.py", "_counterparts"), ("analysis.py", "b_alpha_test")}
+# gamma_sequence, b_alpha_test and verify_prop_5_1 read
+GAMMA_CALLERS = {("analysis.py", "_counterparts")}
 
 
 def kernel_leaks(path: Path) -> list[str]:
@@ -210,8 +210,8 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(analysis) == ["analysis.py:2 lt_value", "analysis.py:2 compare_value"]
-    # gamma_k: the counterpart table computes it once, b_alpha_test for its
-    # own k range; a per-shell recomputation is a leak
+    # gamma_k: the counterpart table alone computes it; a recomputation per
+    # target or per shell is a leak
     analysis.write_text(
         "def _counterparts(best, m, n):\n"
         "    return [_gamma_pow(best, k, m, n) for k in range(1, 4)]\n"
@@ -223,7 +223,11 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         "    return {k: analysis._gamma_pow(best, k, 1, 1) for k in range(3)}\n",
         encoding="utf-8",
     )
-    assert kernel_leaks(analysis) == ["analysis.py:6 _gamma_pow", "analysis.py:8 _gamma_pow"]
+    assert kernel_leaks(analysis) == [
+        "analysis.py:4 _gamma_pow",
+        "analysis.py:6 _gamma_pow",
+        "analysis.py:8 _gamma_pow",
+    ]
     # mpmath: equidist alone may import it, at any depth
     limsup.write_text(
         "import mpmath\n"

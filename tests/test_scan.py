@@ -11,10 +11,17 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from diophlab import analysis, lattice, limsup
-from diophlab.analysis import EXACT_HIT, estimate_exponents, verify_prop_5_1
+from diophlab.analysis import (
+    EXACT_HIT,
+    b_alpha_test,
+    estimate_exponents,
+    key_inequality_check,
+    verify_prop_5_1,
+)
 from diophlab.errors import (
     BudgetExceeded,
     DiophlabError,
+    InsufficientData,
     PrecisionExhausted,
     RankDeficient,
     UnsupportedEntry,
@@ -282,6 +289,39 @@ def old_lt_v(best, k, m, n, s):
     return lt(F(s**mn) * ex_pow(best.entries[k].M, mn), g)
 
 
+def old_b_alpha_test(b, best, alpha, k_range, m=1, n=1):
+    """||b . y_k||_Z > alpha gamma_k for every k in k_range (exact)."""
+    alpha = F(alpha)
+    b = tuple(F(x) for x in b)
+    ents = best.entries
+    mn = m + n
+    for k in k_range:
+        if not 1 <= k <= len(ents) - 2:
+            raise InsufficientData(f"k = {k} outside interior range")
+        y = ents[k].y.coords
+        lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y)))
+        # lhs > alpha gamma_k  <=>  lhs^(m+n) > alpha^(m+n) gamma_k^(m+n)
+        g = analysis._gamma_pow(best, k, m, n)
+        if not lt(ex_pow(g, 1) * alpha**mn, lhs**mn):
+            return False
+    return True
+
+
+def old_key_inequality_check(A, b, q, y):
+    """||b.y||_Z <= m ||y|| ||Aq - b||_Z + n ||q|| ||tA y||_Z, exactly.
+
+    Holds for every integer q, y by the transference identity; a False
+    return is a bug detector, not a mathematical possibility."""
+    m, n = A.m, A.n
+    b = tuple(F(x) for x in b)
+    if len(y.coords) != m or len(q.coords) != n:
+        raise ValueError("dimension mismatch")
+    lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y.coords)))
+    d1 = A.dist(q.coords, b)
+    d2 = A.transpose().dist(y.coords)
+    return le(lhs, d1 * (m * y.norm) + d2 * (n * q.norm))
+
+
 def old_verify_prop_5_1_scan(A, b, alpha, best, w, budget, stride):
     """verify_prop_5_1 after its preconditions (binding, b_alpha_test)."""
     m, n = A.m, A.n
@@ -312,7 +352,10 @@ def old_verify_prop_5_1_scan(A, b, alpha, best, w, budget, stride):
             idx += 1
             if idx % stride == 0:
                 k = binding[s]
-                if not analysis.key_inequality_check(A, b, IntVec(q), best.entries[k].y):
+                # the library check: it mends the CF ties that the old one
+                # raises on, and test_key_inequality_matches_old_check
+                # compares it with old_key_inequality_check
+                if not key_inequality_check(A, b, IntVec(q), best.entries[k].y):
                     violations.append(q)
                 spot += 1
     return binding, violations, spot
@@ -769,7 +812,14 @@ def test_delta_membership_radius_one_half_is_strict():
 
 # the CF of criterion 10, a_k = 2^(2^k), whose records reach 2^63
 CF_FAST = ApproxMatrix([[CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128), precision_budget=1024)]])
-# records to the certified horizon of each CF, to 400 (12 for q12) otherwise
+# records Y = 1, 2, 7 with gamma_1^2 = 1, U_1 = 2 and V_1 = 7: rational
+# values that land inside their own boxes, so the exact margin of every
+# counterpart comparison runs
+THREE_SEVENTHS = ApproxMatrix([[F(3, 7)]])
+COUNTERPART_MATRICES = {**MATRICES, "cf_fast": CF_FAST, "three_sevenths": THREE_SEVENTHS}
+# records to the certified horizon of each CF, to 400 (12 for q12 and q21)
+# otherwise; q21's transpose fails the rank check and 3/7 is rational, so
+# theirs come from the record scan itself
 PROP51_BEST = {
     key: best_approximations(A, Y)
     for key, A, Y in [
@@ -779,6 +829,9 @@ PROP51_BEST = {
         ("cf_mid", MATRICES["cf_mid"], 22),
         ("cf_fast", CF_FAST, 2**63),
     ]
+} | {
+    "q21": _best_approximations_scan(MATRICES["q21"], 12, 1 << 22),
+    "three_sevenths": _best_approximations_scan(THREE_SEVENTHS, 7, 1 << 22),
 }
 
 
@@ -794,8 +847,10 @@ PROP51_BEST = {
 @example(key="cf_fast", data=None, alpha=F(11, 10), lu=(4, 60), stride=97, budget=1 << 22)
 @example(key="cf_fast", data=None, alpha=F(3, 2), lu=(0, 9), stride=7, budget=1 << 22)
 @example(key="cf_mid", data=None, alpha=F(3, 2), lu=(0, 22), stride=7, budget=1 << 22)
+@example(key="three_sevenths", data=None, alpha=F(3, 2), lu=(1, 5), stride=1, budget=1 << 22)
+@example(key="three_sevenths", data=None, alpha=F(5, 2), lu=(1, 6), stride=7, budget=1 << 22)
 def test_verify_prop_5_1_matches_old_loop(monkeypatch, key, data, alpha, lu, stride, budget):
-    A = CF_FAST if key == "cf_fast" else MATRICES[key]
+    A = COUNTERPART_MATRICES[key]
     b = sample_point(13, lu[0], A.m) if data is None else data.draw(targets(A.m))
     l, du = lu if A.n == 1 else (min(lu[0], 2), min(lu[1], 2))
     w = Window(l, l + du)
@@ -812,6 +867,129 @@ def test_verify_prop_5_1_matches_old_loop(monkeypatch, key, data, alpha, lu, str
         assert got == ("raise", ValueError)
     else:
         assert got == want
+
+
+def holds_at_both_ends(A, b, q, y):
+    """The old check on the two rational ends of a 1 x 1 CF entry's
+    enclosure.  Where each residue keeps its nearest integer and its sign
+    over the enclosure, the right-hand side is affine in the entry, so
+    holding at both ends it holds for every value between them."""
+    return all(old_key_inequality_check(ApproxMatrix([[x]]), b, q, y) for x in A.rows[0][0].enclosure())
+
+
+def agrees_with_old_key_check(A, b, q, y):
+    """The library check's outcome is the old one's, except that a CF tie
+    the old one raises on may now hold, which its two ends must confirm."""
+    got = outcome(key_inequality_check, A, b, q, y)
+    want = outcome(old_key_inequality_check, A, b, q, y)
+    if got != want:
+        assert A.has_cf and want == ("raise", PrecisionExhausted) and got == ("ok", True)
+        assert holds_at_both_ends(A, b, q, y)
+    return got
+
+
+@contextmanager
+def exact_compares():
+    """Count of the exact comparisons analysis makes while the block runs."""
+    n = [0]
+
+    def counting(*args):
+        n[0] += 1
+        return compare(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "compare", counting)
+        yield n
+
+
+@settings(max_examples=80, deadline=None)
+@given(key=st.sampled_from(sorted(PROP51_BEST)), data=st.data(), record=st.booleans())
+def test_key_inequality_matches_old_check(key, data, record):
+    A = COUNTERPART_MATRICES[key]
+    b = data.draw(targets(A.m))
+    q = IntVec(tuple(data.draw(st.lists(st.integers(-60, 60), min_size=A.n, max_size=A.n))))
+    if record:
+        y = data.draw(st.sampled_from(PROP51_BEST[key].entries)).y
+    else:
+        y = IntVec(tuple(data.draw(st.lists(st.integers(-30, 30), min_size=A.m, max_size=A.m))))
+    agrees_with_old_key_check(A, b, q, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    key=st.sampled_from(sorted(PROP51_BEST)),
+    data=st.data(),
+    alpha=st.sampled_from([F(1, 10), F(1, 2), F(11, 10), F(3, 2), F(-1, 3)]),
+)
+def test_b_alpha_test_matches_old_loop(key, data, alpha):
+    A, best = COUNTERPART_MATRICES[key], PROP51_BEST[key]
+    b = data.draw(targets(A.m))
+    ks = data.draw(st.lists(st.integers(0, len(best.entries)), max_size=4))
+    got = outcome(b_alpha_test, b, best, alpha, ks, A.m, A.n)
+    assert got == outcome(old_b_alpha_test, b, best, alpha, ks, A.m, A.n)
+
+
+def test_exact_margins_run_only_inside_the_boxes(monkeypatch):
+    # key inequality: Aq = b, and q = 0 with y = 1, are ties of both sides
+    golden = MATRICES["golden"]
+    for A, b, q, y, exact in [
+        (THREE_SEVENTHS, (F(3, 7),), (1,), (1,), 1),
+        (golden, sample_point(1, 0, 1), (0,), (1,), 1),
+        (golden, sample_point(1, 0, 1), (5,), (2,), 0),
+    ]:
+        with exact_compares() as n:
+            got = key_inequality_check(A, b, IntVec(q), IntVec(y))
+        assert got is old_key_inequality_check(A, b, IntVec(q), IntVec(y)) is True
+        assert n[0] == exact
+    # b_alpha: ||(1/4) y_1||_Z = 1/2 gamma_1 exactly for the records of 3/7
+    best = PROP51_BEST["three_sevenths"]
+    analysis._counterparts(best, 1, 1)  # its gamma_k are compared while built
+    for b, alpha, exact in [((F(1, 4),), F(1, 2), 1), ((F(1, 5),), F(1, 2), 0), ((F(1, 4),), F(1, 3), 0)]:
+        with exact_compares() as n:
+            got = b_alpha_test(b, best, alpha, [1])
+        assert got is old_b_alpha_test(b, best, alpha, [1])
+        assert n[0] == exact
+    # Prop. 5.1: the shells s = 2 = U_1 and s = 7 = V_1 are compared
+    # exactly, no other
+    monkeypatch.setattr(analysis, "b_alpha_test", lambda *args: True)
+    b = (F(1, 3),)
+    for w, exact in [(Window(1, 6), 1), (Window(2, 6), 0), (Window(5, 7), 1)]:
+        with exact_compares() as n:
+            got = outcome(lambda: verify_prop_5_1(THREE_SEVENTHS, b, F(3, 2), best, w, 1 << 22, 10**6).binding)
+        want = outcome(lambda: old_verify_prop_5_1_scan(THREE_SEVENTHS, b, F(3, 2), best, w, 1 << 22, 10**6)[0])
+        assert got == want
+        assert n[0] == exact
+    # golden's binding is decided by the boxes alone
+    best = best_approximations(golden, 10**6)
+    analysis._counterparts(best, 1, 1)
+    with exact_compares() as n:
+        report = verify_prop_5_1(golden, b, F(3, 2), best, Window(100, 1000), 1 << 22, 10**6)
+    assert n[0] == 0 and report.k_range == [8, 9, 10, 11, 12, 13]
+
+
+def test_key_inequality_decides_the_cf_ties():
+    # the benchmark's key_inequality draws at seed 1, on the CF of
+    # criterion 10 with records to 10^6: the old check raised on the
+    # 11 tight ones, among them q = -2, y = -4
+    A = ApproxMatrix([[CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128))]])
+    ents = best_approximations(A, 10**6).entries
+    mended = []
+    for i in range(1500):
+        t0, t1, t2 = sample_point(1, i, 3)
+        q = IntVec((int(t1 * 400) - 200,))
+        y = ents[min(int(t2 * len(ents)), len(ents) - 1)].y
+        if agrees_with_old_key_check(A, (t0,), q, y) != outcome(old_key_inequality_check, A, (t0,), q, y):
+            mended.append((q.coords, y.coords))
+    assert len(mended) == 11 and ((-2,), (-4,)) in mended
+    # [0; 2, 3, 1] is any real in (3/7, 4/9): the sign of a residue (first
+    # case) or a nearest integer (second) is undecided, so both still raise
+    A = ApproxMatrix([[CFReal((0, 2, 3, 1))]])
+    for q, y, b in [(-12, -9, F(5, 8)), (1, -8, F(3, 7))]:
+        args = (A, (b,), IntVec((q,)), IntVec((y,)))
+        assert outcome(key_inequality_check, *args) == outcome(old_key_inequality_check, *args) == (
+            "raise",
+            PrecisionExhausted,
+        )
 
 
 @settings(max_examples=30, deadline=None)
