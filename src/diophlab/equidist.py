@@ -8,9 +8,11 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
+from operator import mul
 from typing import Sequence
 
-import mpmath
+from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_shift, round_nearest
 
 from .errors import BudgetExceeded
 from .lattice import DEFAULT_BUDGET, ApproxMatrix, scan, shell_size, within
@@ -20,12 +22,13 @@ from .numeric import (
     _nth_root_upper,
     dec_str,
     enclose,
-    mpf_to_fraction,
 )
 
 log = logging.getLogger(__name__)
 
 PHASE_PREC = 120
+# Weyl terms are summed as integer multiples of 2^-GRID
+GRID = PHASE_PREC + 16
 
 
 @dataclass
@@ -63,9 +66,17 @@ def weyl_sum(
 ) -> WeylSumResult:
     """Radial exponential sum (1/#{||q|| <= N}) sum e^{2 pi i c.Aq}.
 
-    Phases are reduced mod 1 exactly where the entries allow and evaluated
-    at PHASE_PREC bits; the reported error budget bounds the accumulated
-    rounding over all terms.
+    The phase of q is (c^T A) . q with c^T A enclosed at PHASE_PREC bits and
+    replaced by its midpoint; the error budget's first part bounds what that
+    costs over the whole box.  Over one common denominator D the phase is
+    an integer mod D, reduced exactly.  Each point's half-turn count
+    t = 2 (phase mod 1) < 2 is rounded to PHASE_PREC bits, once or twice,
+    and one cos-sin evaluation of pi t, rounded to PHASE_PREC bits, gives
+    both terms.  The terms are summed exactly as integers on the grid
+    2^-GRID, each floored onto it.  Per term the argument rounding costs at
+    most pi (2^-118 + 2^-239), the value rounding less than 2^-120 and the
+    flooring less than 2^-136: below 2^-116 together, against the
+    2^-(PHASE_PREC - 8) = 2^-112 per term of the budget's second part.
     """
     c = tuple(int(x) for x in c)
     if len(c) != A.m or all(x == 0 for x in c):
@@ -91,19 +102,29 @@ def weyl_sum(
     # |d/dx e^{2 pi i x}| = 2 pi < 7, and the phase error at ||q|| = s is at
     # most n s coeff_err: the sum over all points in closed form
     two_pi_err = 7 * A.n * coeff_err * sum(s * shell_size(A.n, s) for s in range(1, N + 1))
-    re_sum = mpmath.mpf(0)
-    im_sum = mpmath.mpf(0)
-    with mpmath.workprec(PHASE_PREC):
-        for _, shell in scan(A.n, range(N + 1), budget):
-            for q in shell:
-                phase = sum(m * qq for m, qq in zip(coeff_mid, q))
-                frac = phase - (phase.numerator // phase.denominator)
-                t = mpmath.mpf(frac.numerator) / frac.denominator
-                re_sum += mpmath.cospi(2 * t)
-                im_sum += mpmath.sinpi(2 * t)
+    # the phase of q is sum_j nums_j q_j / D; t = 2 r / D for r the phase
+    # numerator mod D, rounded as mpf(r) / D would be: once when D is a power
+    # of two, otherwise numerator and quotient of the reduced fraction
+    D = lcm(*(x.denominator for x in coeff_mid))
+    nums = [x.numerator * (D // x.denominator) for x in coeff_mid]
+    dyadic = D & (D - 1) == 0
+    two_over_D = 2 - D.bit_length()  # 2 / D = 2^two_over_D when D is dyadic
+    re_sum = im_sum = 0
+    for _, shell in scan(A.n, range(N + 1), budget):
+        for q in shell:
+            r = sum(map(mul, nums, q)) % D
+            if dyadic:
+                t = from_man_exp(r, two_over_D, PHASE_PREC, round_nearest)
+            else:
+                g = gcd(r, D)
+                t = from_int(r // g, PHASE_PREC, round_nearest)
+                t = mpf_shift(mpf_div(t, from_int(D // g), PHASE_PREC, round_nearest), 1)
+            cos_t, sin_t = mpf_cos_sin(t, PHASE_PREC, round_nearest, 0, True)
+            re_sum += _on_grid(cos_t)
+            im_sum += _on_grid(sin_t)
 
-    re_mid = mpf_to_fraction(re_sum)
-    im_mid = mpf_to_fraction(im_sum)
+    re_mid = Fraction(re_sum, 1 << GRID)
+    im_mid = Fraction(im_sum, 1 << GRID)
     err = two_pi_err + Fraction(count, 1 << (PHASE_PREC - 8))
     re = (re_mid - err, re_mid + err)
     im = (im_mid - err, im_mid + err)
@@ -112,6 +133,14 @@ def weyl_sum(
     mag = (_nth_root_lower(mag_lo_sq, 2, 64), _nth_root_upper(mag_hi_sq, 2, 64))
     norm = (max(Fraction(0), mag[0] / count), min(Fraction(1), mag[1] / count))
     return WeylSumResult(c, N, count, re, im, mag, norm, err)
+
+
+def _on_grid(v: tuple) -> int:
+    """floor(v 2^GRID) for a finite raw mpf v."""
+    sign, man, exp, _ = v
+    e = exp + GRID
+    m = -man if sign else man
+    return m << e if e >= 0 else m >> -e
 
 
 def _min_abs(iv: tuple[Fraction, Fraction]) -> Fraction:

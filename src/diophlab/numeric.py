@@ -730,13 +730,6 @@ def enclose(x: Comparable, bits: int) -> tuple[Fraction, Fraction]:
     raise TypeError(x)
 
 
-def mpf_to_fraction(v) -> Fraction:
-    """The exact value of a finite mpmath mpf."""
-    sgn, man, exp, _ = v._mpf_
-    f = Fraction(-man if sgn else man)
-    return f * (1 << exp) if exp >= 0 else f / (1 << -exp)
-
-
 def dec_str(x: Comparable, digits: int = 12) -> str:
     """Decimal rendering from a certified enclosure (midpoint, rounded)."""
     lo, hi = enclose(x, 4 * digits)

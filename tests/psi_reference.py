@@ -2,14 +2,23 @@
 as it was before it became scaled_bounds at 2^-bits, with max(ln q, 1)
 from mpmath's ln and rational powers from integer roots.  The tests that
 compare the library against copies of its former loops take psi from here,
-so that a fault in scaled_bounds cannot hide on both sides."""
+so that a fault in scaled_bounds cannot hide on both sides.  The library
+uses mpmath only through libmp's raw tuples, so the converter from an mpf to
+its exact rational lives here with its users."""
 
 from fractions import Fraction
 
 import mpmath
 
 from diophlab.limsup import TablePsi
-from diophlab.numeric import _nth_root_lower, _nth_root_upper, mpf_to_fraction
+from diophlab.numeric import _nth_root_lower, _nth_root_upper
+
+
+def mpf_to_fraction(v) -> Fraction:
+    """The exact value of a finite mpmath mpf."""
+    sgn, man, exp, _ = v._mpf_
+    f = Fraction(-man if sgn else man)
+    return f * (1 << exp) if exp >= 0 else f / (1 << -exp)
 
 
 def old_value_bounds(psi, q, bits=80):

@@ -213,6 +213,10 @@ REPORTS = {
     "counterpart-far": ["counterpart", "--y-max", str(2**63)],
     "exponents": ["exponents", "--x-schedule", "8,16,32,64"],
     "exponents-b": ["exponents", "--x-schedule", "8,16,32,64", "--b", "1/3"],
+    "weyl": ["equidist", "--op", "weyl", "--n-horizon", "20"],
+    "weyl-far": ["equidist", "--op", "weyl", "--n-horizon", "2000"],
+    # a frequency with a negative component, so c^T A mixes both rows
+    "weyl-c": ["equidist", "--op", "weyl", "--c", "1,-2", "--n-horizon", "20"],
 }
 REPORT_DIGESTS = {
     ("best-approx", "golden"): (0, "b276752bcff5c15b144a77e50e8260f1bbb7eac8b5bd0968073319d2c3660a05"),
@@ -232,6 +236,14 @@ REPORT_DIGESTS = {
     ("counterpart-far", "cf_fast"): (0, "429ca5d61ad8c50474dace8506e26046551de830a6490db0bdd77beab0883df6"),
     ("exponents", "cf_fast"): (0, "6f00f2699fab64d1c944e5be8feeff364d8315de4efe259661df1efa41e3a1b5"),
     ("exponents-b", "cf_fast"): (0, "8fc0df707f4027e1dee3978ed914e0ec6113d67424eddc380d953b291c944539"),
+    ("weyl", "golden"): (0, "8b9968ac6e6a766f484f71a0829a898685b3e566a95233e4e9458d3062089d15"),
+    ("weyl", "sqrt2"): (0, "befece5baffad7c9cec5b6b4562005c7ef52ba56ee26e5d3c4301b38a8636378"),
+    ("weyl", "q12"): (0, "785f2c7b11d6237ba473d20e76912355b1cec4d76d8e184efed40c39c126a586"),
+    ("weyl", "cf_fast"): (0, "3c34bbf502caaed5c9fa185a00f4b47b6276f5f08058e3c7abb6f1c2250f6971"),
+    ("weyl-c", "q21"): (0, "2b592d943367bd9834aee0c555a41422e64a2a29678d60801a99f412067ee708"),
+    ("weyl-far", "golden"): (0, "db4f247b9fddadec288275552c9a14538ce0167fcd1c01aa195adb26b554270a"),
+    ("weyl-far", "sqrt2"): (0, "5601c8f6c8056ec920dda73b87af9b2a4ffeadb1f81c0bb3a28aa1299cb20abc"),
+    ("weyl-far", "cf_fast"): (0, "77a22f65b27dc6420dc40a82f42bfb1cad9aa6da7acfb2d1e0974701191911f5"),
     ("series", "n1-s1-a1-b0"): (0, "ea94ffb21430980c6dd1f073bdcaf8871b04e5282abff78601c3df6adc11a9e9"),
     ("series", "n1-s1-a1/2-b9"): (0, "46c33a1f8a4b8b80e6d9f865442489e98dafbb55bf09a68052c132162797a6b6"),
     ("series", "n2-s2-a1-b1/2"): (0, "15cb159a6a3159abffac3c9a79680964e937b680c8592a1dd6b6ac8a2506ee54"),

@@ -1,18 +1,120 @@
 """Exponential sums, exact counting, empirical counting constant."""
 
+import json
 import math
 from fractions import Fraction as F
+from pathlib import Path
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diophlab.errors import BudgetExceeded
-from diophlab.lattice import ApproxMatrix
+from diophlab.lattice import DEFAULT_BUDGET, ApproxMatrix, scan, shell_size
 from diophlab.equidist import (
+    GRID,
+    PHASE_PREC,
+    WeylSumResult,
+    _check_horizon,
+    _min_abs,
     counting_ratio,
     counting_report,
     estimate_equid_constant,
     weyl_sum,
 )
+from diophlab.numeric import _nth_root_lower, _nth_root_upper, enclose, quadratic
+from psi_reference import mpf_to_fraction
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def bench_matrix(name):
+    return ApproxMatrix.from_text((ROOT / "perfbench" / "inputs" / f"{name}.mat").read_text())
+
+
+def old_weyl_sum(A, c, N, budget=DEFAULT_BUDGET):
+    """weyl_sum as it was before its terms were summed exactly: the phases
+    in Fractions, cospi and sinpi each at PHASE_PREC bits under workprec,
+    and 120-bit mpf sums, whose rounding the budget does not cover."""
+    c = tuple(int(x) for x in c)
+    if len(c) != A.m or all(x == 0 for x in c):
+        raise ValueError("frequency c must be a nonzero vector of length m")
+    count = _check_horizon(A.n, N, budget)
+
+    # phase(q) = sum_j c_j (Aq)_j = (row combination c^T A) . q; precompute
+    # high-precision values of the n combined coefficients
+    coeff_mid: list[F] = []
+    coeff_err = F(0)
+    for j in range(A.n):
+        acc_lo = acc_hi = F(0)
+        for i in range(A.m):
+            if c[i]:
+                lo, hi = enclose(A.rows[i][j], PHASE_PREC)
+                lo, hi = lo * c[i], hi * c[i]
+                if c[i] < 0:
+                    lo, hi = hi, lo
+                acc_lo, acc_hi = acc_lo + lo, acc_hi + hi
+        coeff_mid.append((acc_lo + acc_hi) / 2)
+        coeff_err = max(coeff_err, (acc_hi - acc_lo) / 2)
+
+    # |d/dx e^{2 pi i x}| = 2 pi < 7, and the phase error at ||q|| = s is at
+    # most n s coeff_err: the sum over all points in closed form
+    two_pi_err = 7 * A.n * coeff_err * sum(s * shell_size(A.n, s) for s in range(1, N + 1))
+    re_sum = mpmath.mpf(0)
+    im_sum = mpmath.mpf(0)
+    with mpmath.workprec(PHASE_PREC):
+        for _, shell in scan(A.n, range(N + 1), budget):
+            for q in shell:
+                phase = sum(m * qq for m, qq in zip(coeff_mid, q))
+                frac = phase - (phase.numerator // phase.denominator)
+                t = mpmath.mpf(frac.numerator) / frac.denominator
+                re_sum += mpmath.cospi(2 * t)
+                im_sum += mpmath.sinpi(2 * t)
+
+    re_mid = mpf_to_fraction(re_sum)
+    im_mid = mpf_to_fraction(im_sum)
+    err = two_pi_err + F(count, 1 << (PHASE_PREC - 8))
+    re = (re_mid - err, re_mid + err)
+    im = (im_mid - err, im_mid + err)
+    mag_hi_sq = max(x * x for x in re) + max(x * x for x in im)
+    mag_lo_sq = _min_abs(re) ** 2 + _min_abs(im) ** 2
+    mag = (_nth_root_lower(mag_lo_sq, 2, 64), _nth_root_upper(mag_hi_sq, 2, 64))
+    norm = (max(F(0), mag[0] / count), min(F(1), mag[1] / count))
+    return WeylSumResult(c, N, count, re, im, mag, norm, err)
+
+
+def old_terms(A, c, N):
+    """The old loop's terms cospi(2t), sinpi(2t) at PHASE_PREC bits."""
+    mids = []
+    for j in range(A.n):
+        lo = hi = F(0)
+        for ci, row in zip(c, A.rows):
+            if ci:
+                a, b = sorted(x * ci for x in enclose(row[j], PHASE_PREC))
+                lo, hi = lo + a, hi + b
+        mids.append((lo + hi) / 2)
+    with mpmath.workprec(PHASE_PREC):
+        for _, shell in scan(A.n, range(N + 1), DEFAULT_BUDGET):
+            for q in shell:
+                phase = sum(m * x for m, x in zip(mids, q))
+                frac = phase - math.floor(phase)
+                t = mpmath.mpf(frac.numerator) / frac.denominator
+                yield mpmath.cospi(2 * t), mpmath.sinpi(2 * t)
+
+
+def dirichlet_product(thetas, N):
+    """sum over ||q|| <= N of e(theta . q) = prod_j D_N(theta_j), with
+    D_N(theta) = sin((2N+1) pi theta) / sin(pi theta), or 2N+1 at an
+    integer theta; evaluated at 400 bits for rational thetas."""
+    with mpmath.workprec(400):
+        total = mpmath.mpf(1)
+        for th in thetas:
+            if th.denominator == 1:
+                total *= 2 * N + 1
+            else:
+                x = mpmath.mpf(th.numerator) / th.denominator
+                total *= mpmath.sin((2 * N + 1) * mpmath.pi * x) / mpmath.sin(mpmath.pi * x)
+        return mpf_to_fraction(total)
 
 
 class TestWeylSum:
@@ -53,6 +155,94 @@ class TestWeylSum:
     def test_budget(self, A_sqrt2):
         with pytest.raises(BudgetExceeded):
             weyl_sum(A_sqrt2, (1,), 10**8)
+
+    def test_budget_covers_a_long_sum(self):
+        # 120001 terms near 1: 120-bit running sums of size ~10^5 once lost
+        # more than the budget, and the interval missed the closed form
+        p, N = 4000037, 60000
+        res = weyl_sum(ApproxMatrix([[F(1, p)]]), (1,), N)
+        assert res.re[0] <= dirichlet_product([F(1, p)], N) <= res.re[1]
+        assert res.im[0] <= 0 <= res.im[1]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        data=st.data(),
+        m=st.integers(1, 2),
+        n=st.integers(1, 2),
+        p=st.integers(2, 10**6),
+    )
+    def test_rational_closed_form(self, data, m, n, p):
+        # entries a/p: the sum is a product of Dirichlet kernels, real
+        # because the box ||q|| <= N is symmetric
+        rows = [[F(data.draw(st.integers(0, p - 1)), p) for _ in range(n)] for _ in range(m)]
+        c = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m).filter(any))
+        N = data.draw(st.integers(1, 300 if n == 1 else 12))
+        thetas = [sum(ci * row[j] for ci, row in zip(c, rows)) for j in range(n)]
+        res = weyl_sum(ApproxMatrix(rows), c, N)
+        assert res.re[0] <= dirichlet_product(thetas, N) <= res.re[1]
+        assert res.im[0] <= 0 <= res.im[1]
+
+
+@pytest.mark.parametrize(
+    "name, c, N",
+    [
+        ("golden", (1,), 300),
+        ("sqrt2", (1,), 300),
+        ("sqrt2", (3,), 40),
+        ("q12", (1,), 8),
+        ("q21", (1, -2), 40),
+        ("cf_fast", (1,), 200),
+    ],
+)
+def test_weyl_report_matches_old_loop(name, c, N):
+    A = bench_matrix(name)
+    assert weyl_sum(A, c, N).to_json() == old_weyl_sum(A, c, N).to_json()
+
+
+def test_weyl_integral_phase_matches_old_loop():
+    A = ApproxMatrix([[F(1, 2)]])
+    assert weyl_sum(A, (2,), 50).to_json() == old_weyl_sum(A, (2,), 50).to_json()
+
+
+@pytest.mark.parametrize(
+    "workload, name, N", [("golden-1d", "golden", 2500), ("quad-mxn", "q12", 30)]
+)
+def test_weyl_benchmark_sizes_match_references(workload, name, N):
+    refs = json.loads((ROOT / "perfbench" / "references.json").read_text())
+    res = weyl_sum(bench_matrix(name), (1,), N)
+    assert refs[workload]["weyl_sum"] == {
+        "count": res.count,
+        "normalized": [str(x) for x in res.normalized],
+    }
+
+
+def entries(d):
+    """Rationals and elements of Q(sqrt d): a matrix takes one radicand."""
+    return st.one_of(
+        st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+        st.builds(
+            quadratic,
+            st.fractions(-2, 2, max_denominator=100),
+            st.fractions(-2, 2, max_denominator=100).filter(bool),
+            st.just(d),
+        ),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 2), n=st.integers(1, 2), d=st.sampled_from([2, 3, 5, 13]))
+def test_weyl_midpoints_match_old_loop(data, m, n, d):
+    # at most 15 terms: every partial sum of the old loop lies below 16 in
+    # absolute value, so each 120-bit addition rounded it by at most 2^-117,
+    # and the new sum floors each term by less than 2^-136; the terms
+    # themselves are the same numbers
+    A = ApproxMatrix([[data.draw(entries(d)) for _ in range(n)] for _ in range(m)])
+    c = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m).filter(any))
+    N = data.draw(st.integers(1, 7 if n == 1 else 1))
+    new, old = weyl_sum(A, c, N), old_weyl_sum(A, c, N)
+    tol = F(new.count, 1 << 116)
+    assert abs(sum(new.re) - sum(old.re)) / 2 <= tol
+    assert abs(sum(new.im) - sum(old.im)) / 2 <= tol
 
 
 class TestCounting:
@@ -104,3 +294,32 @@ class TestEquidConstant:
         fam = [((F(i, 16),), F(1, 8)) for i in range(16)]
         est = estimate_equid_constant(A_golden, fam, [512])
         assert F(3) < est.c_hat < F(6)
+
+
+def assert_old_terms_summed_exactly(A, c, N):
+    """weyl_sum's midpoints are the old loop's terms, bit for bit, each
+    floored onto the grid 2^-GRID and summed exactly."""
+    res = weyl_sum(A, c, N)
+    re = im = 0
+    for cos_t, sin_t in old_terms(A, c, N):
+        re += math.floor(mpf_to_fraction(cos_t) * (1 << GRID))
+        im += math.floor(mpf_to_fraction(sin_t) * (1 << GRID))
+    assert sum(res.re) / 2 == F(re, 1 << GRID)
+    assert sum(res.im) / 2 == F(im, 1 << GRID)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 2), n=st.integers(1, 2), d=st.sampled_from([2, 3, 5, 13]))
+def test_weyl_terms_match_old_loop(data, m, n, d):
+    A = ApproxMatrix([[data.draw(entries(d)) for _ in range(n)] for _ in range(m)])
+    c = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m).filter(any))
+    N = data.draw(st.integers(1, 40 if n == 1 else 4))
+    assert_old_terms_summed_exactly(A, c, N)
+
+
+@pytest.mark.parametrize("a", [F(1, 4) + F(1, 2**30), F(1, 4) - F(1, 3 * 2**30)])
+def test_weyl_floors_terms_below_the_grid(a):
+    # 0 < |cos(2 pi a)| < 2^-27, far below 2^-16, so the 120-bit mantissa
+    # of that term reaches past the grid and is floored onto it, once
+    # negative and once positive
+    assert_old_terms_summed_exactly(ApproxMatrix([[a]]), (1,), 1)

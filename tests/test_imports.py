@@ -1,8 +1,8 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
 psi comparisons stay behind `lattice.within`, gamma_k is computed only by
-the counterpart table, only `equidist` imports mpmath, and nothing imports
-a thread pool.
+the counterpart table, only `equidist` imports mpmath and no module touches
+mpmath's global precision, and nothing imports a thread pool.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -98,6 +98,10 @@ PSI_CALLS = {"compare_value", "lt_value"}
 THREADS = {"concurrent", "threading"}
 # floating point serves only weyl_sum's phases; psi is enclosed in integers
 MPMATH_USERS = {"equidist.py"}
+# mpmath's global working precision: a library call passes precision and
+# rounding explicitly instead, so no caller's context can change a result
+GLOBAL_PREC = {"workprec", "workdps"}
+MP_FIELDS = {"prec", "dps"}
 # gamma_k^(m+n) is computed once per k in the counterpart table, which
 # gamma_sequence, b_alpha_test and verify_prop_5_1 read
 GAMMA_CALLERS = {("analysis.py", "_counterparts")}
@@ -108,7 +112,8 @@ def kernel_leaks(path: Path) -> list[str]:
     SCAN_CALLERS, of PSI_CALLS outside limsup and lattice.within and of
     _gamma_pow outside GAMMA_CALLERS, imports of the scaled-integer helpers
     outside lattice, of mpmath outside MPMATH_USERS, and of
-    concurrent.futures or threading, anywhere in the module."""
+    concurrent.futures or threading, and any use of mpmath's global
+    precision (GLOBAL_PREC, mp.prec, mp.dps), anywhere in the module."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
 
@@ -130,8 +135,18 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
                 if (child.module or "").split(".")[0] in banned:
                     found.append(f"{path.name}:{child.lineno} {child.module}")
+                found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in GLOBAL_PREC)
             elif isinstance(child, ast.Import):
                 found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name.split(".")[0] in banned)
+            elif isinstance(child, ast.Name) and child.id in GLOBAL_PREC:
+                found.append(f"{path.name}:{child.lineno} {child.id}")
+            elif isinstance(child, ast.Attribute):
+                # the owner of .prec is `mp` in both mp.prec and mpmath.mp.prec
+                owner = getattr(child.value, "id", getattr(child.value, "attr", None))
+                if child.attr in GLOBAL_PREC:
+                    found.append(f"{path.name}:{child.lineno} {child.attr}")
+                elif child.attr in MP_FIELDS and owner == "mp":
+                    found.append(f"{path.name}:{child.lineno} mp.{child.attr}")
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else func)
 
@@ -239,3 +254,23 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
     assert kernel_leaks(limsup) == ["limsup.py:1 mpmath", "limsup.py:3 mpmath"]
     equidist.write_text("import mpmath\nfrom mpmath import mpf\n", encoding="utf-8")
     assert kernel_leaks(equidist) == []
+    # mpmath's global precision, read or set, is a leak even where mpmath
+    # may be imported; a local precision argument is not
+    equidist.write_text(
+        "import mpmath\n"
+        "from mpmath import mp, workdps\n"
+        "def weyl_sum(t):\n"
+        "    with mpmath.workprec(120):\n"
+        "        mp.dps = 30\n"
+        "        return mpmath.mp.prec + workdps(t)\n"
+        "def phase(t, prec):\n"
+        "    return mpmath.libmp.mpf_cos_sin(t, prec, 'n', 0, True), t.prec\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(equidist) == [
+        "equidist.py:2 workdps",
+        "equidist.py:4 workprec",
+        "equidist.py:5 mp.dps",
+        "equidist.py:6 mp.prec",
+        "equidist.py:6 workdps",
+    ]

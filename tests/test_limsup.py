@@ -31,11 +31,10 @@ from diophlab.numeric import (
     dist_to_int,
     ex_pow,
     lt,
-    mpf_to_fraction,
     quadratic,
 )
 from diophlab.sampling import sample_point
-from psi_reference import old_value_bounds
+from psi_reference import mpf_to_fraction, old_value_bounds
 
 
 class TestApproxFunction:
