@@ -12,7 +12,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Sequence
 
-from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin, mpf_div, mpf_shift, round_nearest
+from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_shift, round_nearest
 
 from .errors import BudgetExceeded
 from .lattice import DEFAULT_BUDGET, ApproxMatrix, scan, shell_size, within
@@ -70,13 +70,16 @@ def weyl_sum(
     replaced by its midpoint; the error budget's first part bounds what that
     costs over the whole box.  Over one common denominator D the phase is
     an integer mod D, reduced exactly.  Each point's half-turn count
-    t = 2 (phase mod 1) < 2 is rounded to PHASE_PREC bits, once or twice,
-    and one cos-sin evaluation of pi t, rounded to PHASE_PREC bits, gives
-    both terms.  The terms are summed exactly as integers on the grid
-    2^-GRID, each floored onto it.  Per term the argument rounding costs at
-    most pi (2^-118 + 2^-239), the value rounding less than 2^-120 and the
-    flooring less than 2^-136: below 2^-116 together, against the
-    2^-(PHASE_PREC - 8) = 2^-112 per term of the budget's second part.
+    t = 2 (phase mod 1) < 2 is rounded twice, as mpf(numerator) /
+    denominator of the reduced fraction is: the numerator to PHASE_PREC
+    bits, then the quotient.  Two relative errors of at most 2^-120 on
+    t < 2 are why the argument rounding costs at most pi (2^-118 + 2^-239)
+    per term.  One cos-sin evaluation of pi t, rounded to PHASE_PREC bits,
+    gives both terms, so the value rounding costs less than 2^-120.  The
+    terms are summed exactly as integers on the grid 2^-GRID, each floored
+    onto it, at a cost below 2^-136.  Together that is below 2^-116 per
+    term, against the 2^-(PHASE_PREC - 8) = 2^-112 per term of the budget's
+    second part.
     """
     c = tuple(int(x) for x in c)
     if len(c) != A.m or all(x == 0 for x in c):
@@ -103,22 +106,17 @@ def weyl_sum(
     # most n s coeff_err: the sum over all points in closed form
     two_pi_err = 7 * A.n * coeff_err * sum(s * shell_size(A.n, s) for s in range(1, N + 1))
     # the phase of q is sum_j nums_j q_j / D; t = 2 r / D for r the phase
-    # numerator mod D, rounded as mpf(r) / D would be: once when D is a power
-    # of two, otherwise numerator and quotient of the reduced fraction
+    # numerator mod D, rounded as mpf(r) / D would be: numerator and
+    # quotient of the reduced fraction
     D = lcm(*(x.denominator for x in coeff_mid))
     nums = [x.numerator * (D // x.denominator) for x in coeff_mid]
-    dyadic = D & (D - 1) == 0
-    two_over_D = 2 - D.bit_length()  # 2 / D = 2^two_over_D when D is dyadic
     re_sum = im_sum = 0
     for _, shell in scan(A.n, range(N + 1), budget):
         for q in shell:
             r = sum(map(mul, nums, q)) % D
-            if dyadic:
-                t = from_man_exp(r, two_over_D, PHASE_PREC, round_nearest)
-            else:
-                g = gcd(r, D)
-                t = from_int(r // g, PHASE_PREC, round_nearest)
-                t = mpf_shift(mpf_div(t, from_int(D // g), PHASE_PREC, round_nearest), 1)
+            g = gcd(r, D)
+            t = from_int(r // g, PHASE_PREC, round_nearest)
+            t = mpf_shift(mpf_div(t, from_int(D // g), PHASE_PREC, round_nearest), 1)
             cos_t, sin_t = mpf_cos_sin(t, PHASE_PREC, round_nearest, 0, True)
             re_sum += _on_grid(cos_t)
             im_sum += _on_grid(sin_t)

@@ -102,6 +102,8 @@ MPMATH_USERS = {"equidist.py"}
 # rounding explicitly instead, so no caller's context can change a result
 GLOBAL_PREC = {"workprec", "workdps"}
 MP_FIELDS = {"prec", "dps"}
+# mpmath's shared contexts: multiprecision, interval and double
+MP_CONTEXTS = {"mp", "iv", "fp"}
 # gamma_k^(m+n) is computed once per k in the counterpart table, which
 # gamma_sequence, b_alpha_test and verify_prop_5_1 read
 GAMMA_CALLERS = {("analysis.py", "_counterparts")}
@@ -113,9 +115,23 @@ def kernel_leaks(path: Path) -> list[str]:
     _gamma_pow outside GAMMA_CALLERS, imports of the scaled-integer helpers
     outside lattice, of mpmath outside MPMATH_USERS, and of
     concurrent.futures or threading, and any use of mpmath's global
-    precision (GLOBAL_PREC, mp.prec, mp.dps), anywhere in the module."""
+    precision (GLOBAL_PREC, or .prec and .dps of an mpmath context or of
+    anything read off the mpmath module, under any alias), anywhere in the
+    module."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    contexts, modules = set(MP_CONTEXTS), {"mpmath"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "mpmath":
+            contexts.update(a.asname or a.name for a in node.names if a.name in MP_CONTEXTS)
+        elif isinstance(node, ast.Import):
+            modules.update(a.asname for a in node.names if a.name == "mpmath" and a.asname)
+
+    def global_field(owner: ast.AST) -> bool:
+        if isinstance(owner, ast.Name):
+            return owner.id in contexts | modules
+        return isinstance(owner, ast.Attribute) and getattr(owner.value, "id", None) in modules
 
     def visit(node: ast.AST, func: str | None) -> None:
         for child in ast.iter_child_nodes(node):
@@ -141,16 +157,16 @@ def kernel_leaks(path: Path) -> list[str]:
             elif isinstance(child, ast.Name) and child.id in GLOBAL_PREC:
                 found.append(f"{path.name}:{child.lineno} {child.id}")
             elif isinstance(child, ast.Attribute):
-                # the owner of .prec is `mp` in both mp.prec and mpmath.mp.prec
+                # the owner of .prec is `iv` in both iv.prec and mpmath.iv.prec
                 owner = getattr(child.value, "id", getattr(child.value, "attr", None))
                 if child.attr in GLOBAL_PREC:
                     found.append(f"{path.name}:{child.lineno} {child.attr}")
-                elif child.attr in MP_FIELDS and owner == "mp":
-                    found.append(f"{path.name}:{child.lineno} mp.{child.attr}")
+                elif child.attr in MP_FIELDS and global_field(child.value):
+                    found.append(f"{path.name}:{child.lineno} {owner}.{child.attr}")
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_def else func)
 
-    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    visit(tree, None)
     return found
 
 
@@ -273,4 +289,24 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         "equidist.py:5 mp.dps",
         "equidist.py:6 mp.prec",
         "equidist.py:6 workdps",
+    ]
+    # the interval and double contexts share the state too, under any alias
+    equidist.write_text(
+        "import mpmath as mm\n"
+        "from mpmath import iv, mp as ctx\n"
+        "def weyl_sum(t):\n"
+        "    iv.prec = 200\n"
+        "    mm.iv.dps = 60\n"
+        "    ctx.prec = 120\n"
+        "    return mm.fp.dps, mpmath.fp.prec\n"
+        "def phase(iv, mp):\n"
+        "    return mpf_cos_sin(iv, mp.rounding.prec, 'n'), mp.precision\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(equidist) == [
+        "equidist.py:4 iv.prec",
+        "equidist.py:5 iv.dps",
+        "equidist.py:6 ctx.prec",
+        "equidist.py:7 fp.dps",
+        "equidist.py:7 fp.prec",
     ]
