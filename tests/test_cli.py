@@ -217,6 +217,24 @@ REPORTS = {
     "weyl-far": ["equidist", "--op", "weyl", "--n-horizon", "2000"],
     # a frequency with a negative component, so c^T A mixes both rows
     "weyl-c": ["equidist", "--op", "weyl", "--c", "1,-2", "--n-horizon", "20"],
+    "return-seq": ["return-seq", "--epsilon", "2/5", "--ell-max", "12"],
+    "return-seq-csv": ["return-seq", "--epsilon", "2/5", "--ell-max", "12", "--format", "csv"],
+    "transfer": ["transfer", "--epsilon", "2/5", "--ell", "5", "--targets", "20", "--seed", "1"],
+    "measure-w": ["measure-w", "--window-l", "1", "--window-u", "64", "--samples", "50", "--seed", "7"],
+    "measure-w-grid": [
+        "measure-w", "--window-l", "1", "--window-u", "64", "--samples", "50", "--mode", "grid",
+        "--psi-c", "1/2", "--psi-beta", "1",
+    ],
+    "measure-bad": ["measure-bad", "--window-l", "1", "--window-u", "8", "--samples", "20", "--seed", "3"],
+    "coverage": ["coverage", "--epsilon", "2/5", "--ell-max", "8", "--equid-constant", "4", "--samples", "40"],
+    # the equidistribution constant estimated from the ball family
+    "coverage-est": ["coverage", "--epsilon", "2/5", "--ell-max", "8", "--samples", "40"],
+    "count": ["equidist", "--op", "count", "--n-horizon", "200"],
+    "constant": ["equidist", "--op", "constant", "--l-values", "16,32"],
+    "series-matrix": ["series", "--epsilon", "2/5", "--ell-max", "10"],
+    "best-approx-csv": ["best-approx", "--y-max", "1000", "--format", "csv"],
+    "counterpart-csv": ["counterpart", "--y-max", "1000", "--format", "csv"],
+    "weyl-csv": ["equidist", "--op", "weyl", "--n-horizon", "20", "--format", "csv"],
 }
 REPORT_DIGESTS = {
     ("best-approx", "golden"): (0, "b276752bcff5c15b144a77e50e8260f1bbb7eac8b5bd0968073319d2c3660a05"),
@@ -248,6 +266,21 @@ REPORT_DIGESTS = {
     ("series", "n1-s1-a1/2-b9"): (0, "46c33a1f8a4b8b80e6d9f865442489e98dafbb55bf09a68052c132162797a6b6"),
     ("series", "n2-s2-a1-b1/2"): (0, "15cb159a6a3159abffac3c9a79680964e937b680c8592a1dd6b6ac8a2506ee54"),
     ("series", "n1-s2-a1-b-1/4"): (0, "aabe708bbedc8e0186325a515ca8a7cd927516e3323791bea2b1a373b20e7ca3"),
+    ("return-seq", "golden"): (0, "f59786e4802fd38095e6178ee886353110e1a49ab8e5aa1e2791b64b447c0b93"),
+    ("return-seq-csv", "golden"): (0, "5af644c9d56cb33bc4fdedd42c13a0c4f58e3003ed408519079bbe681161b345"),
+    ("transfer", "golden"): (0, "ab286bda21bd515f54cf19f3a6b480160b82ebf5ee4de07cc5ae6c123c685225"),
+    ("transfer", "q21"): (0, "a61852943da654dc236dfc2811dc89a07c63bf98ec60b9341b671e04abc869a0"),
+    ("measure-w", "golden"): (0, "5370cec03c59e4ff95403699ce9dbe7065fcdd19363bb6ec707ee1cce36f8637"),
+    ("measure-w-grid", "golden"): (0, "7c45b0a68d6007c6b5858303ddd8ba7ab20f190ba36f9ed19bce3ffa6a868e32"),
+    ("measure-bad", "q12"): (0, "bdee17f684d2aa8fd490f6ecd80a452677b286bbe0013f29e15ba507188920e6"),
+    ("coverage", "golden"): (0, "38e9867d532998ceccfad474dc472d43f69169e2f5a537a3b07bb4a203246636"),
+    ("coverage-est", "golden"): (0, "dae7adef1034b342fe7dc4b063977007607a584485565e66e5f4f350cbc3f539"),
+    ("count", "sqrt2"): (0, "e8dc2b67221ac3853ec330e58b48f004b454990f79f956f3b4b7c0896ab28209"),
+    ("constant", "golden"): (0, "adfb181315f0457cee35baacde254c06094790005fd0abaafe8e6b83eb6aaca3"),
+    ("series-matrix", "golden"): (0, "b4d0b55f15f3b00366cdb3c631da7ff7980997b5eff09c5fa8181fa07c78c11d"),
+    ("best-approx-csv", "golden"): (0, "c84e3d9b7e7140c1be865c61d50ffc8c3b8bb41265cdf7dabd8afde67affffe0"),
+    ("counterpart-csv", "golden"): (0, "79ed5822b5656c95f831eaf70a9e0813cf518b13a35fe954c6d8ad45dd7b1f2a"),
+    ("weyl-csv", "golden"): (0, "8891cacd0abc8870bec232319d7296942836f28195b2998969bac2b87b3e1e06"),
 }
 
 
@@ -266,3 +299,33 @@ def test_reports_match_recorded_digests(runner, monkeypatch, report, name):
     monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
     res = runner.invoke(main, report_args(report, name))
     assert (res.exit_code, hashlib.sha256(res.stdout_bytes).hexdigest()) == REPORT_DIGESTS[report, name]
+
+
+# (exit code, first stderr line) of invalid input and of an exhausted budget
+ERRORS = {
+    "series-without-epsilon": (
+        ["series", "--matrix", "perfbench/inputs/golden.mat"],
+        (2, "error: --epsilon and --ell-max required with --matrix"),
+    ),
+    "cf-epsilon": (
+        ["return-seq", "--matrix", "perfbench/inputs/golden.mat", "--epsilon", "cf:[0;2,3]", "--ell-max", "4"],
+        (2, "error: no exact powers of the CF real CFReal([0, 2, 3])"),
+    ),
+    "transfer-level-outside": (
+        ["transfer", "--matrix", "perfbench/inputs/q21.mat", "--epsilon", "2/5", "--ell", "3", "--targets", "2"],
+        (2, "error: level 3 is not in the return sequence"),
+    ),
+    "exponents-budget": (
+        ["exponents", "--matrix", "perfbench/inputs/q12.mat", "--budget", "100"],
+        (3, "error: enumeration of 102 points exceeds 100"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERRORS))
+def test_error_exits_match_recorded(runner, monkeypatch, case):
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
+    args, want = ERRORS[case]
+    res = runner.invoke(main, args)
+    assert (res.exit_code, res.stderr.splitlines()[0]) == want
+    assert res.stdout == ""
