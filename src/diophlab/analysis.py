@@ -90,6 +90,8 @@ class SeriesVerdict:
 
 # binary scale of the term enclosures of a partial sum
 SERIES_SHIFT = 64
+# a partial sum adds its first EXACT_UPTO terms one by one, then blocks
+EXACT_UPTO = 1024
 
 
 def _blocks(Q: int, head: int) -> list[tuple[int, int]]:
@@ -104,18 +106,18 @@ def _blocks(Q: int, head: int) -> list[tuple[int, int]]:
 
 
 def _partial_sum_bounds(
-    psi: ApproxFunction, n: int, s: Fraction, horizons: Sequence[int], exact_upto: int = 1024
+    psi: ApproxFunction, n: int, s: Fraction, horizons: Sequence[int]
 ) -> list[tuple[Fraction, Fraction]]:
     """Enclosures of sum_{q=1}^{Q} q^(n-1) psi(q)^s for each Q of horizons.
 
-    Terms up to exact_upto are summed individually; beyond that, geometric
+    Terms up to EXACT_UPTO are summed individually; beyond that, geometric
     blocks (ratio 17/16, tight enough for log-critical trend checks) are
     bracketed using monotonicity of psi and of q^(n-1).  One increasing
     pass of psi.scaled_bounds encloses every head term and block end that
     any horizon needs once, at 2^-SERIES_SHIFT; psi^s is an integer power
     and root of each end (`_scaled_pow`), and the sums are exact integers."""
     shift = SERIES_SHIFT
-    plans = [(min(Q, exact_upto), _blocks(Q, min(Q, exact_upto))) for Q in horizons]
+    plans = [(min(Q, EXACT_UPTO), _blocks(Q, min(Q, EXACT_UPTO))) for Q in horizons]
     qs = sorted({
         *range(1, max((head for head, _ in plans), default=0) + 1),
         *(q for _, blocks in plans for block in blocks for q in block),
@@ -328,8 +330,8 @@ def _counterparts(best: BestApproxSequence, m: int, n: int) -> list[Counterpart]
     for k in range(1, len(best.entries) - 1):
         g = _gamma_pow(best, k, m, n)
         e = best.entries[k]
-        U = Radical(_div_pow(Fraction(e.Y ** (m * mn)), ex_pow(g, m)), n * mn)
-        V = Radical(_div_pow(g, ex_pow(e.M, mn)), mn)
+        U = Radical(Fraction(e.Y ** (m * mn)) * ex_pow(g, -m), n * mn)
+        V = Radical(g * ex_pow(e.M, -mn), mn)
         table.append(Counterpart(k, g, U, V, *(enclose(x, COUNTERPART_BITS) for x in (g, U, V))))
     best.counterparts[m, n] = table
     return table
@@ -397,15 +399,6 @@ def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartRepor
             )
         )
     return CounterpartReport(m, n, rows, gsums, v_increasing)
-
-
-def _div_pow(num: Comparable, den: Comparable) -> Comparable:
-    if isinstance(num, Fraction) and isinstance(den, Fraction):
-        return num / den
-    if isinstance(den, RatInterval):
-        inv = RatInterval(1 / den.hi, 1 / den.lo)
-        return inv * num if isinstance(num, RatInterval) else inv * Fraction(num)
-    return num * den.inverse() if hasattr(den, "inverse") else num / den
 
 
 def b_alpha_test(

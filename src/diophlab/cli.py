@@ -17,16 +17,7 @@ from fractions import Fraction
 import click
 
 from . import __version__
-from .errors import (
-    BudgetExceeded,
-    CoverageGap,
-    DiophlabError,
-    InsufficientData,
-    InvalidWindow,
-    PrecisionExhausted,
-    RankDeficient,
-    UnsupportedEntry,
-)
+from .errors import BudgetExceeded, DiophlabError, PrecisionExhausted
 from .lattice import (
     DEFAULT_BUDGET,
     ApproxMatrix,
@@ -71,7 +62,7 @@ def _config_hash(payload: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _emit(report: dict, config: dict, out: str | None, fmt: str, csv_rows=None):
+def _emit(report: dict, config: dict, out: str | None, fmt: str, csv_rows):
     report = dict(report)
     report["config"] = config
     report["config_hash"] = _config_hash(config)
@@ -80,7 +71,7 @@ def _emit(report: dict, config: dict, out: str | None, fmt: str, csv_rows=None):
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["# config_hash", report["config_hash"], "version", __version__])
-        for row in csv_rows if csv_rows is not None else []:
+        for row in csv_rows or []:
             writer.writerow(row)
         text = buf.getvalue()
     else:
@@ -92,33 +83,42 @@ def _emit(report: dict, config: dict, out: str | None, fmt: str, csv_rows=None):
         click.echo(text, nl=False)
 
 
-def _run(fn):
-    """Map exceptions to the exit-code contract."""
-    try:
-        code = fn()
-    except (BudgetExceeded, PrecisionExhausted) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
-    except (
-        ValueError,
-        OSError,
-        InvalidWindow,
-        UnsupportedEntry,
-        RankDeficient,
-        InsufficientData,
-        CoverageGap,
-        DiophlabError,
-    ) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_VALIDATION)
-    sys.exit(code if code is not None else EXIT_OK)
+def _theorem_violation(msg: str) -> int:
+    click.echo(f"theorem violation: {msg}", err=True)
+    return EXIT_THEOREM
 
 
-def _common(fn):
-    fn = click.option("--out", type=click.Path(), default=None, help="Report path (stdout default)")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")(fn)
-    fn = click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)(fn)
-    return fn
+def _ball_family(m: int) -> list:
+    """Eight balls of radius 1/8 centred at (i/8, ..., i/8), i = 0..7."""
+    return [((Fraction(i, 8),) * m, Fraction(1, 8)) for i in range(8)]
+
+
+def _mk_psi(psi_c, psi_a, psi_beta) -> PowerLog:
+    return PowerLog(Fraction(psi_c), Fraction(psi_a), Fraction(psi_beta))
+
+
+# options that several subcommands take alike; a tuple is listed in help order
+MATRIX = click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
+EPSILON = click.option("--epsilon", required=True)
+ELL_MAX = click.option("--ell-max", type=int, required=True)
+Y_MAX = click.option("--y-max", type=int, required=True)
+PSI = (
+    click.option("--psi-beta", default="0", show_default=True, help="log exponent beta (rational)"),
+    click.option("--psi-a", default="1", show_default=True, help="power exponent a (rational)"),
+    click.option("--psi-c", default="1", show_default=True, help="psi scale c (rational)"),
+)
+WINDOW = (
+    click.option("--window-l", type=int, required=True),
+    click.option("--window-u", type=int, required=True),
+)
+SAMPLES = click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True)
+SEED = click.option("--seed", type=int, default=0, show_default=True)
+MODE = click.option("--mode", type=click.Choice(["mc", "grid"]), default="mc", show_default=True)
+REPORT = (
+    click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True),
+    click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json"),
+    click.option("--out", type=click.Path(), default=None, help="Report path (stdout default)"),
+)
 
 
 @click.group()
@@ -127,286 +127,202 @@ def main():
     """Exact-arithmetic experiments in inhomogeneous Diophantine approximation."""
 
 
-@main.command("return-seq")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--epsilon", required=True, help="Exact literal, e.g. 2/5")
-@click.option("--ell-max", type=int, required=True)
-@_common
-def return_seq(matrix_path, epsilon, ell_max, out, fmt, budget):
-    def go():
-        A = _load_matrix(matrix_path)
-        eps = parse_exact(epsilon)
-        ret = return_sequence(A, eps, ell_max, budget)
-        cfg = {"command": "return-seq", "matrix": matrix_path, "epsilon": epsilon, "ell_max": ell_max}
-        _emit(
-            {"levels": list(ret.levels), "epsilon": format_exact(eps), "ell_max": ell_max},
-            cfg, out, fmt, ret.csv_rows(),
-        )
+def _subcommand(name: str, *options, matrix: bool = True):
+    """Register the decorated body as `diophlab <name>`.
 
-    _run(go)
+    Its options are --matrix (unless matrix=False), then `options`, then
+    --budget, --format and --out.  The body is called as body(emit, A=...,
+    **options) with the loaded matrix as A (no A when matrix=False), and
+    emit(report, rows=None, **config) writes the report under a config
+    that starts with the command and the matrix path; rows are the CSV
+    rows.  The body's return value is the exit code; budget or precision
+    exhaustion exits 3 and invalid input 2."""
 
+    def register(body):
+        def command(out, fmt, **kwargs):
+            head = {"command": name}
+            if matrix:
+                head["matrix"] = kwargs.pop("matrix_path")
 
-@main.command("best-approx")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--y-max", type=int, required=True)
-@_common
-def best_approx(matrix_path, y_max, out, fmt, budget):
-    def go():
-        A = _load_matrix(matrix_path)
-        seq = best_approximations(A, y_max, budget)
-        cfg = {"command": "best-approx", "matrix": matrix_path, "y_max": y_max}
-        _emit(
-            {
-                "entries": [
-                    {"y": list(e.y.coords), "Y": e.Y, "M": dec_str(e.M)} for e in seq.entries
-                ]
-            },
-            cfg, out, fmt, seq.csv_rows(),
-        )
+            def emit(report, rows=None, **config):
+                _emit(report, head | config, out, fmt, rows)
 
-    _run(go)
+            try:
+                if matrix:
+                    kwargs["A"] = _load_matrix(head["matrix"])
+                code = body(emit, **kwargs)
+            except (ValueError, OSError, DiophlabError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                exhausted = isinstance(exc, (BudgetExceeded, PrecisionExhausted))
+                sys.exit(EXIT_BUDGET if exhausted else EXIT_VALIDATION)
+            sys.exit(code or EXIT_OK)
+
+        for option in reversed(((MATRIX,) if matrix else ()) + options + REPORT):
+            command = option(command)
+        return main.command(name, help=body.__doc__)(command)
+
+    return register
 
 
-@main.command("transfer")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--epsilon", required=True)
-@click.option("--ell", type=int, required=True)
-@click.option("--targets", type=int, default=1000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_common
-def transfer(matrix_path, epsilon, ell, targets, seed, out, fmt, budget):
+@_subcommand("return-seq", click.option("--epsilon", required=True, help="Exact literal, e.g. 2/5"), ELL_MAX)
+def return_seq(emit, A, epsilon, ell_max, budget):
+    eps = parse_exact(epsilon)
+    ret = return_sequence(A, eps, ell_max, budget)
+    emit(
+        {"levels": list(ret.levels), "epsilon": format_exact(eps), "ell_max": ell_max},
+        ret.csv_rows(), epsilon=epsilon, ell_max=ell_max,
+    )
+
+
+@_subcommand("best-approx", Y_MAX)
+def best_approx(emit, A, y_max, budget):
+    seq = best_approximations(A, y_max, budget)
+    entries = [{"y": list(e.y.coords), "Y": e.Y, "M": dec_str(e.M)} for e in seq.entries]
+    emit({"entries": entries}, seq.csv_rows(), y_max=y_max)
+
+
+@_subcommand(
+    "transfer", EPSILON,
+    click.option("--ell", type=int, required=True),
+    click.option("--targets", type=int, default=1000, show_default=True),
+    SEED,
+)
+def transfer(emit, A, epsilon, ell, targets, seed, budget):
     """Verify the inhomogeneous transference guarantee at one level."""
-
-    def go():
-        A = _load_matrix(matrix_path)
-        eps = parse_exact(epsilon)
-        pts = [sample_point(seed, i, A.m) for i in range(targets)]
-        rep = verify_corollary_3_3(A, eps, ell, pts, budget)
-        cfg = {
-            "command": "transfer", "matrix": matrix_path, "epsilon": epsilon,
-            "ell": ell, "targets": targets, "seed": seed,
-        }
-        _emit(rep.to_json(), cfg, out, fmt)
-        if not rep.all_ok:
-            click.echo(
-                f"theorem violation: {targets - rep.successes} targets without witness",
-                err=True,
-            )
-            return EXIT_THEOREM
-        return EXIT_OK
-
-    _run(go)
+    eps = parse_exact(epsilon)
+    pts = [sample_point(seed, i, A.m) for i in range(targets)]
+    rep = verify_corollary_3_3(A, eps, ell, pts, budget)
+    emit(rep.to_json(), epsilon=epsilon, ell=ell, targets=targets, seed=seed)
+    if not rep.all_ok:
+        return _theorem_violation(f"{targets - rep.successes} targets without witness")
 
 
-def _psi_options(fn):
-    fn = click.option("--psi-c", default="1", show_default=True, help="psi scale c (rational)")(fn)
-    fn = click.option("--psi-a", default="1", show_default=True, help="power exponent a (rational)")(fn)
-    fn = click.option("--psi-beta", default="0", show_default=True, help="log exponent beta (rational)")(fn)
-    return fn
+@_subcommand("measure-w", *PSI, *WINDOW, SAMPLES, SEED, MODE)
+def measure_w(emit, A, psi_c, psi_a, psi_beta, window_l, window_u, samples, seed, mode, budget):
+    psi = _mk_psi(psi_c, psi_a, psi_beta)
+    est = measure_W(A, psi, Window(window_l, window_u), samples, seed, mode, budget)
+    emit(
+        est.to_json(), psi=psi.to_json(), window={"l": window_l, "u": window_u},
+        samples=samples, seed=seed, mode=mode,
+    )
 
 
-def _mk_psi(psi_c, psi_a, psi_beta) -> PowerLog:
-    return PowerLog(Fraction(psi_c), Fraction(psi_a), Fraction(psi_beta))
+@_subcommand(
+    "measure-bad", click.option("--delta", default="1/100", show_default=True), *WINDOW, SAMPLES, SEED, MODE,
+)
+def measure_bad(emit, A, delta, window_l, window_u, samples, seed, mode, budget):
+    est = measure_Bad(A, Fraction(delta), Window(window_l, window_u), samples, seed, mode, budget)
+    emit(
+        est.to_json(), delta=delta, window={"l": window_l, "u": window_u},
+        samples=samples, seed=seed, mode=mode,
+    )
 
 
-@main.command("measure-w")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@_psi_options
-@click.option("--window-l", type=int, required=True)
-@click.option("--window-u", type=int, required=True)
-@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--mode", type=click.Choice(["mc", "grid"]), default="mc", show_default=True)
-@_common
-def measure_w(matrix_path, psi_c, psi_a, psi_beta, window_l, window_u, samples, seed, mode, out, fmt, budget):
-    def go():
-        A = _load_matrix(matrix_path)
-        psi = _mk_psi(psi_c, psi_a, psi_beta)
-        est = measure_W(A, psi, Window(window_l, window_u), samples, seed, mode, budget)
-        cfg = {
-            "command": "measure-w", "matrix": matrix_path, "psi": psi.to_json(),
-            "window": {"l": window_l, "u": window_u}, "samples": samples,
-            "seed": seed, "mode": mode,
-        }
-        _emit(est.to_json(), cfg, out, fmt)
-
-    _run(go)
-
-
-@main.command("measure-bad")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--delta", default="1/100", show_default=True)
-@click.option("--window-l", type=int, required=True)
-@click.option("--window-u", type=int, required=True)
-@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--mode", type=click.Choice(["mc", "grid"]), default="mc", show_default=True)
-@_common
-def measure_bad(matrix_path, delta, window_l, window_u, samples, seed, mode, out, fmt, budget):
-    def go():
-        A = _load_matrix(matrix_path)
-        est = measure_Bad(A, Fraction(delta), Window(window_l, window_u), samples, seed, mode, budget)
-        cfg = {
-            "command": "measure-bad", "matrix": matrix_path, "delta": delta,
-            "window": {"l": window_l, "u": window_u}, "samples": samples,
-            "seed": seed, "mode": mode,
-        }
-        _emit(est.to_json(), cfg, out, fmt)
-
-    _run(go)
-
-
-@main.command("coverage")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--epsilon", required=True)
-@click.option("--ell-max", type=int, required=True)
-@click.option("--equid-constant", default=None, help="Rational C; estimated (x2 safety) if omitted")
-@click.option("--ball-center", default="1/2", show_default=True, help="Comma-separated rationals")
-@click.option("--ball-radius", default="1/8", show_default=True)
-@click.option("--levels", default="3", show_default=True, help="How many of the largest levels to test")
-@click.option("--samples", type=int, default=DEFAULT_SAMPLES, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@_common
-def coverage_cmd(matrix_path, epsilon, ell_max, equid_constant, ball_center, ball_radius, levels, samples, seed, out, fmt, budget):
+@_subcommand(
+    "coverage", EPSILON, ELL_MAX,
+    click.option("--equid-constant", default=None, help="Rational C; estimated (x2 safety) if omitted"),
+    click.option("--ball-center", default="1/2", show_default=True, help="Comma-separated rationals"),
+    click.option("--ball-radius", default="1/8", show_default=True),
+    click.option("--levels", default="3", show_default=True, help="How many of the largest levels to test"),
+    SAMPLES, SEED,
+)
+def coverage_cmd(
+    emit, A, epsilon, ell_max, equid_constant, ball_center, ball_radius, levels, samples, seed, budget,
+):
     """Covered fraction of a ball by resonant neighborhoods, largest levels."""
+    eps = parse_exact(epsilon)
+    ret = return_sequence(A, eps, ell_max, budget)
+    if equid_constant is None:
+        C = estimate_equid_constant(A, _ball_family(A.m), [2**j for j in range(4, 9)], budget).recommended
+    else:
+        C = Fraction(equid_constant)
+    params = ubiquity_params(ret, C)
+    center = tuple(Fraction(x) for x in ball_center.split(","))
+    entries = []
+    lam_ok = check_u_regular(params, Radical(Fraction(1, 1 << A.n), A.m))
+    below_half = []
+    for idx in range(max(0, len(params.levels) - int(levels)), len(params.levels)):
+        ce = coverage(A, params, (center, Fraction(ball_radius)), idx, samples, seed, budget)
+        entries.append(ce.to_json())
+        if ce.estimate.ci_high < Fraction(1, 2):
+            below_half.append(ce.ell)
+    emit(
+        {"params": params.to_json(), "u_regular": lam_ok, "levels": entries},
+        epsilon=epsilon, ell_max=ell_max, equid_constant=str(C),
+        ball={"center": ball_center, "radius": ball_radius},
+        levels=levels, samples=samples, seed=seed,
+    )
+    if below_half:
+        return _theorem_violation(f"coverage below 1/2 at levels {below_half}")
 
-    def go():
-        A = _load_matrix(matrix_path)
-        eps = parse_exact(epsilon)
-        ret = return_sequence(A, eps, ell_max, budget)
-        if equid_constant is None:
-            fam = [((Fraction(i, 8),) * A.m, Fraction(1, 8)) for i in range(8)]
-            C = estimate_equid_constant(A, fam, [2**j for j in range(4, 9)], budget).recommended
-        else:
-            C = Fraction(equid_constant)
-        params = ubiquity_params(ret, C)
+
+@_subcommand(
+    "equidist",
+    click.option("--op", type=click.Choice(["weyl", "count", "constant"]), required=True),
+    click.option("--c", "freq", default="1", show_default=True, help="Weyl frequency vector, comma-separated"),
+    click.option("--n-horizon", "N", type=int, default=1000, show_default=True),
+    click.option("--ball-center", default="0", show_default=True),
+    click.option("--ball-radius", default="1/10", show_default=True),
+    click.option("--l-values", default="16,64,256", show_default=True),
+)
+def equidist_cmd(emit, A, op, freq, N, ball_center, ball_radius, l_values, budget):
+    if op == "weyl":
+        c = tuple(int(x) for x in freq.split(","))
+        res = weyl_sum(A, c, N, budget)
+        emit(res.to_json(), res.csv_rows(), op=op, N=N, c=list(c))
+    elif op == "count":
         center = tuple(Fraction(x) for x in ball_center.split(","))
-        entries = []
-        lam_ok = check_u_regular(params, Radical(Fraction(1, 1 << A.n), A.m))
-        below_half = []
-        for idx in range(max(0, len(params.levels) - int(levels)), len(params.levels)):
-            ce = coverage(A, params, (center, Fraction(ball_radius)), idx, samples, seed, budget)
-            entries.append(ce.to_json())
-            if ce.estimate.ci_high < Fraction(1, 2):
-                below_half.append(ce.ell)
-        cfg = {
-            "command": "coverage", "matrix": matrix_path, "epsilon": epsilon,
-            "ell_max": ell_max, "equid_constant": str(C),
-            "ball": {"center": ball_center, "radius": ball_radius},
-            "levels": levels, "samples": samples, "seed": seed,
-        }
-        _emit(
-            {"params": params.to_json(), "u_regular": lam_ok, "levels": entries},
-            cfg, out, fmt,
-        )
-        if below_half:
-            click.echo(f"theorem violation: coverage below 1/2 at levels {below_half}", err=True)
-            return EXIT_THEOREM
-        return EXIT_OK
-
-    _run(go)
+        rep = counting_report(A, (center, Fraction(ball_radius)), N, budget)
+        emit(rep.to_json(), op=op, N=N, ball={"center": ball_center, "radius": ball_radius})
+    else:
+        ls = [int(x) for x in l_values.split(",")]
+        est = estimate_equid_constant(A, _ball_family(A.m), ls, budget)
+        emit(est.to_json(), op=op, N=N, l_values=ls)
 
 
-@main.command("equidist")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--op", type=click.Choice(["weyl", "count", "constant"]), required=True)
-@click.option("--c", "freq", default="1", show_default=True, help="Weyl frequency vector, comma-separated")
-@click.option("--n-horizon", "N", type=int, default=1000, show_default=True)
-@click.option("--ball-center", default="0", show_default=True)
-@click.option("--ball-radius", default="1/10", show_default=True)
-@click.option("--l-values", default="16,64,256", show_default=True)
-@_common
-def equidist_cmd(matrix_path, op, freq, N, ball_center, ball_radius, l_values, out, fmt, budget):
-    def go():
-        A = _load_matrix(matrix_path)
-        cfg = {"command": "equidist", "matrix": matrix_path, "op": op, "N": N}
-        if op == "weyl":
-            c = tuple(int(x) for x in freq.split(","))
-            res = weyl_sum(A, c, N, budget)
-            cfg["c"] = list(c)
-            _emit(res.to_json(), cfg, out, fmt, res.csv_rows())
-        elif op == "count":
-            center = tuple(Fraction(x) for x in ball_center.split(","))
-            rep = counting_report(A, (center, Fraction(ball_radius)), N, budget)
-            cfg["ball"] = {"center": ball_center, "radius": ball_radius}
-            _emit(rep.to_json(), cfg, out, fmt)
-        else:
-            ls = [int(x) for x in l_values.split(",")]
-            fam = [((Fraction(i, 8),) * A.m, Fraction(1, 8)) for i in range(8)]
-            est = estimate_equid_constant(A, fam, ls, budget)
-            cfg["l_values"] = ls
-            _emit(est.to_json(), cfg, out, fmt)
-
-    _run(go)
+@_subcommand(
+    "series", *PSI,
+    click.option("--s", "s_str", default="1", show_default=True),
+    click.option("--n", type=int, default=1, show_default=True),
+    click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True),
+                 help="With --epsilon/--ell-max: classify the return-level series instead"),
+    click.option("--epsilon", default=None),
+    click.option("--ell-max", type=int, default=None),
+    matrix=False,
+)
+def series(emit, psi_c, psi_a, psi_beta, s_str, n, matrix_path, epsilon, ell_max, budget):
+    psi = _mk_psi(psi_c, psi_a, psi_beta)
+    s = Fraction(s_str)
+    config = {"psi": psi.to_json(), "s": s_str, "n": n}
+    if matrix_path is not None:
+        if epsilon is None or ell_max is None:
+            raise ValueError("--epsilon and --ell-max required with --matrix")
+        ret = return_sequence(_load_matrix(matrix_path), parse_exact(epsilon), ell_max, budget)
+        config |= {"matrix": matrix_path, "epsilon": epsilon, "ell_max": ell_max}
+        verdict = classify_return_series(psi, s, n, ret)
+    else:
+        verdict = classify_series(psi, s, n)
+    emit(verdict.to_json(), **config)
 
 
-@main.command("series")
-@_psi_options
-@click.option("--s", "s_str", default="1", show_default=True)
-@click.option("--n", type=int, default=1, show_default=True)
-@click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True),
-              help="With --epsilon/--ell-max: classify the return-level series instead")
-@click.option("--epsilon", default=None)
-@click.option("--ell-max", type=int, default=None)
-@_common
-def series(psi_c, psi_a, psi_beta, s_str, n, matrix_path, epsilon, ell_max, out, fmt, budget):
-    def go():
-        psi = _mk_psi(psi_c, psi_a, psi_beta)
-        s = Fraction(s_str)
-        cfg = {"command": "series", "psi": psi.to_json(), "s": s_str, "n": n}
-        if matrix_path is not None:
-            if epsilon is None or ell_max is None:
-                raise ValueError("--epsilon and --ell-max required with --matrix")
-            A = _load_matrix(matrix_path)
-            ret = return_sequence(A, parse_exact(epsilon), ell_max, budget)
-            cfg |= {"matrix": matrix_path, "epsilon": epsilon, "ell_max": ell_max}
-            verdict = classify_return_series(psi, s, n, ret)
-        else:
-            verdict = classify_series(psi, s, n)
-        _emit(verdict.to_json(), cfg, out, fmt)
-
-    _run(go)
-
-
-@main.command("counterpart")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--y-max", type=int, required=True)
-@_common
-def counterpart(matrix_path, y_max, out, fmt, budget):
+@_subcommand("counterpart", Y_MAX)
+def counterpart(emit, A, y_max, budget):
     """Best-approximation counterpart sequences gamma_k, U_k, V_k."""
-
-    def go():
-        A = _load_matrix(matrix_path)
-        seq = best_approximations(A, y_max, budget)
-        rep = gamma_sequence(seq, A.m, A.n)
-        cfg = {"command": "counterpart", "matrix": matrix_path, "y_max": y_max}
-        _emit(rep.to_json(), cfg, out, fmt, rep.csv_rows())
-        if not rep.all_checks:
-            click.echo("theorem violation: U/V interval checks failed", err=True)
-            return EXIT_THEOREM
-        return EXIT_OK
-
-    _run(go)
+    rep = gamma_sequence(best_approximations(A, y_max, budget), A.m, A.n)
+    emit(rep.to_json(), rep.csv_rows(), y_max=y_max)
+    if not rep.all_checks:
+        return _theorem_violation("U/V interval checks failed")
 
 
-@main.command("exponents")
-@click.option("--matrix", "matrix_path", required=True, type=click.Path(exists=True))
-@click.option("--b", "b_str", default=None, help="Target vector, comma-separated rationals")
-@click.option("--x-schedule", default="8,16,32,64,128,256", show_default=True)
-@_common
-def exponents(matrix_path, b_str, x_schedule, out, fmt, budget):
-    def go():
-        A = _load_matrix(matrix_path)
-        b = None if b_str is None else tuple(Fraction(x) for x in b_str.split(","))
-        xs = [int(x) for x in x_schedule.split(",")]
-        est = estimate_exponents(A, b, xs, budget)
-        cfg = {
-            "command": "exponents", "matrix": matrix_path,
-            "b": b_str, "x_schedule": xs,
-        }
-        _emit(est.to_json(), cfg, out, fmt)
-
-    _run(go)
+@_subcommand(
+    "exponents",
+    click.option("--b", "b_str", default=None, help="Target vector, comma-separated rationals"),
+    click.option("--x-schedule", default="8,16,32,64,128,256", show_default=True),
+)
+def exponents(emit, A, b_str, x_schedule, budget):
+    b = None if b_str is None else tuple(Fraction(x) for x in b_str.split(","))
+    xs = [int(x) for x in x_schedule.split(",")]
+    emit(estimate_exponents(A, b, xs, budget).to_json(), b=b_str, x_schedule=xs)
 
 
 if __name__ == "__main__":

@@ -49,11 +49,11 @@ class Line1D:
     `ApproxMatrix`; CF entries are enclosed by their convergent interval.
     """
 
-    def __init__(self, a, shift: int = SHIFT):
-        self.shift = shift
-        self.mod = 1 << shift
+    def __init__(self, a):
+        self.shift = SHIFT
+        self.mod = MOD
         rows = getattr(a, "rows", None) or ((a,),)
-        scaled = [[_scaled_entry(x, shift) for x in row] for row in rows]
+        scaled = [[_scaled_entry(x, SHIFT) for x in row] for row in rows]
         self.m, self.n = len(scaled), len(scaled[0])
         self.a_rows = tuple(tuple(lo for lo, _ in row) for row in scaled)
         self.err_rows = tuple(tuple(err for _, err in row) for row in scaled)

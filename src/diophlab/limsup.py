@@ -566,19 +566,20 @@ def coverage(
 # Borel-Cantelli diameter sums
 # ---------------------------------------------------------------------------
 
+# binary scale of the psi and diameter enclosures of a diameter sum
+DIAMETER_BITS = 60
 
-def diameter_sum(
-    psi: ApproxFunction, w: Window, n: int, s: Fraction, bits: int = 60
-) -> tuple[Fraction, Fraction]:
+
+def diameter_sum(psi: ApproxFunction, w: Window, n: int, s: Fraction) -> tuple[Fraction, Fraction]:
     """Enclosure of sum over the annulus of diam(B(Aq, psi(||q||)))^s,
     grouping the (2k+1)^n - (2k-1)^n points of each shell: psi comes from
-    one pass of psi.scaled_bounds over the shells at 2^-bits, (2 psi)^s is
-    an integer power and root of each end (`_scaled_pow`), and the sums are
-    exact integers at that scale."""
+    one pass of psi.scaled_bounds over the shells at 2^-DIAMETER_BITS,
+    (2 psi)^s is an integer power and root of each end (`_scaled_pow`), and
+    the sums are exact integers at that scale."""
     lo_total = hi_total = 0
-    for k, (lo, hi) in zip(w.shells, psi.scaled_bounds(w.shells, bits)):
+    for k, (lo, hi) in zip(w.shells, psi.scaled_bounds(w.shells, DIAMETER_BITS)):
         cnt = shell_size(n, k)
-        dlo, dhi = _scaled_pow(2 * lo, 2 * hi, s, bits)
+        dlo, dhi = _scaled_pow(2 * lo, 2 * hi, s, DIAMETER_BITS)
         lo_total += cnt * dlo
         hi_total += cnt * dhi
-    return Fraction(lo_total, 1 << bits), Fraction(hi_total, 1 << bits)
+    return Fraction(lo_total, 1 << DIAMETER_BITS), Fraction(hi_total, 1 << DIAMETER_BITS)

@@ -582,8 +582,9 @@ def dist_to_int_vec(v: Iterable[Comparable]):
 
 
 def ex_pow(x: Comparable, k: int):
-    """x**k for integer k (k >= 0 unless x is invertible); UnsupportedEntry
-    for a CF real, which has no exact powers."""
+    """x**k for integer k (k >= 0 unless x is invertible; an interval is
+    invertible when it excludes 0); UnsupportedEntry for a CF real, which
+    has no exact powers."""
     if isinstance(x, Quadratic):
         return x**k
     if isinstance(x, int):
@@ -592,7 +593,9 @@ def ex_pow(x: Comparable, k: int):
         return x**k
     if isinstance(x, RatInterval):
         if k < 0:
-            raise ValueError("negative powers of intervals unsupported")
+            if x.lo <= 0 <= x.hi:
+                raise ValueError(f"negative power of an interval that reaches 0: {x!r}")
+            x, k = RatInterval(1 / x.hi, 1 / x.lo), -k
         out = RatInterval(Fraction(1), Fraction(1))
         for _ in range(k):
             out = out * x

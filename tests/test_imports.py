@@ -2,7 +2,8 @@
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
 psi comparisons stay behind `lattice.within`, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
-mpmath's global precision, and nothing imports a thread pool.
+mpmath's global precision, nothing imports a thread pool, and in the CLI only
+the subcommand frame exits the process or loads the --matrix file.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -107,6 +108,10 @@ MP_CONTEXTS = {"mp", "iv", "fp"}
 # gamma_k^(m+n) is computed once per k in the counterpart table, which
 # gamma_sequence, b_alpha_test and verify_prop_5_1 read
 GAMMA_CALLERS = {("analysis.py", "_counterparts")}
+# the CLI's one subcommand frame: it alone exits the process and loads the
+# --matrix file; series, whose matrix is optional, loads its own.  Keyed by
+# the top-level function of cli.py the call sits in, at any depth
+FRAME_CALLS = {"exit": {"_subcommand"}, "_load_matrix": {"_subcommand", "series"}}
 
 
 def kernel_leaks(path: Path) -> list[str]:
@@ -114,10 +119,10 @@ def kernel_leaks(path: Path) -> list[str]:
     SCAN_CALLERS, of PSI_CALLS outside limsup and lattice.within and of
     _gamma_pow outside GAMMA_CALLERS, imports of the scaled-integer helpers
     outside lattice, of mpmath outside MPMATH_USERS, and of
-    concurrent.futures or threading, and any use of mpmath's global
-    precision (GLOBAL_PREC, or .prec and .dps of an mpmath context or of
-    anything read off the mpmath module, under any alias), anywhere in the
-    module."""
+    concurrent.futures or threading, any use of mpmath's global precision
+    (GLOBAL_PREC, or .prec and .dps of an mpmath context or of anything
+    read off the mpmath module, under any alias), anywhere in the module,
+    and in cli.py the FRAME_CALLS outside their top-level functions."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -133,11 +138,13 @@ def kernel_leaks(path: Path) -> list[str]:
             return owner.id in contexts | modules
         return isinstance(owner, ast.Attribute) and getattr(owner.value, "id", None) in modules
 
-    def visit(node: ast.AST, func: str | None) -> None:
+    def visit(node: ast.AST, func: str | None, top: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 f = child.func
                 name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                if path.name == "cli.py" and name in FRAME_CALLS and top not in FRAME_CALLS[name]:
+                    found.append(f"{path.name}:{child.lineno} {name}")
                 if name == "iter_shell" and (path.name, func) != ("lattice.py", "scan"):
                     found.append(f"{path.name}:{child.lineno} iter_shell")
                 if name == "scan" and (path.name, func) not in SCAN_CALLERS:
@@ -164,9 +171,9 @@ def kernel_leaks(path: Path) -> list[str]:
                 elif child.attr in MP_FIELDS and global_field(child.value):
                     found.append(f"{path.name}:{child.lineno} {owner}.{child.attr}")
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_def else func)
+            visit(child, child.name if is_def else func, top or (child.name if is_def else None))
 
-    visit(tree, None)
+    visit(tree, None, None)
     return found
 
 
@@ -310,3 +317,24 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         "equidist.py:7 fp.dps",
         "equidist.py:7 fp.prec",
     ]
+    # the CLI frame alone exits and loads the matrix, at any depth inside it
+    cli = tmp_path / "cli.py"
+    cli.write_text(
+        "import sys\n"
+        "def _subcommand(name):\n"
+        "    def register(body):\n"
+        "        def command(**kw):\n"
+        "            kw['A'] = _load_matrix(kw.pop('matrix_path'))\n"
+        "            sys.exit(body(**kw))\n"
+        "        return command\n"
+        "    return register\n"
+        "def series(emit, matrix_path):\n"
+        "    return _load_matrix(matrix_path)\n"
+        "def coverage_cmd(emit, matrix_path):\n"
+        "    A = _load_matrix(matrix_path)\n"
+        "    sys.exit(4)\n"
+        "if __name__ == '__main__':\n"
+        "    exit(main())\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(cli) == ["cli.py:12 _load_matrix", "cli.py:13 exit", "cli.py:15 exit"]

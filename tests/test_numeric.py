@@ -232,6 +232,13 @@ class TestRatInterval:
         with pytest.raises(ValueError):
             RatInterval(F(1, 2), F(1, 3))
 
+    def test_negative_power_inverts_then_raises(self):
+        p = ex_pow(RatInterval(F(1, 3), F(1, 2)), -2)
+        assert (p.lo, p.hi) == (4, 9)
+        for reaches_zero in (RatInterval(F(0), F(1, 2)), RatInterval(F(-1, 3), F(0)), RatInterval(F(-1), F(1))):
+            with pytest.raises(ValueError):
+                ex_pow(reaches_zero, -1)
+
     def test_dist_straddling_integer(self):
         iv = RatInterval(F(9, 10), F(11, 10))
         d = dist_to_int(iv)
