@@ -71,7 +71,7 @@ def _emit(report: dict, config: dict, out: str | None, fmt: str, csv_rows):
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["# config_hash", report["config_hash"], "version", __version__])
-        for row in csv_rows or []:
+        for row in csv_rows:
             writer.writerow(row)
         text = buf.getvalue()
     else:
@@ -95,6 +95,14 @@ def _ball_family(m: int) -> list:
 
 def _mk_psi(psi_c, psi_a, psi_beta) -> PowerLog:
     return PowerLog(Fraction(psi_c), Fraction(psi_a), Fraction(psi_beta))
+
+
+def _ints(ctx, param, value: str) -> list[int]:
+    """The click callback of the comma-separated integer options."""
+    try:
+        return [int(x) for x in value.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"expected comma-separated integers, got {value!r}") from None
 
 
 # options that several subcommands take alike; a tuple is listed in help order
@@ -135,7 +143,8 @@ def _subcommand(name: str, *options, matrix: bool = True):
     **options) with the loaded matrix as A (no A when matrix=False), and
     emit(report, rows=None, **config) writes the report under a config
     that starts with the command and the matrix path; rows are the CSV
-    rows.  The body's return value is the exit code; budget or precision
+    rows, and a report without them under --format csv is invalid input.
+    The body's return value is the exit code; budget or precision
     exhaustion exits 3 and invalid input 2."""
 
     def register(body):
@@ -145,6 +154,8 @@ def _subcommand(name: str, *options, matrix: bool = True):
                 head["matrix"] = kwargs.pop("matrix_path")
 
             def emit(report, rows=None, **config):
+                if fmt == "csv" and rows is None:
+                    raise ValueError(f"{name} has no CSV report; use --format json")
                 _emit(report, head | config, out, fmt, rows)
 
             try:
@@ -223,13 +234,16 @@ def measure_bad(emit, A, delta, window_l, window_u, samples, seed, mode, budget)
     click.option("--equid-constant", default=None, help="Rational C; estimated (x2 safety) if omitted"),
     click.option("--ball-center", default="1/2", show_default=True, help="Comma-separated rationals"),
     click.option("--ball-radius", default="1/8", show_default=True),
-    click.option("--levels", default="3", show_default=True, help="How many of the largest levels to test"),
+    click.option("--levels", default="3", show_default=True, callback=_ints,
+                 help="How many of the largest levels to test"),
     SAMPLES, SEED,
 )
 def coverage_cmd(
     emit, A, epsilon, ell_max, equid_constant, ball_center, ball_radius, levels, samples, seed, budget,
 ):
     """Covered fraction of a ball by resonant neighborhoods, largest levels."""
+    if len(levels) != 1:
+        raise ValueError("--levels takes one integer")
     eps = parse_exact(epsilon)
     ret = return_sequence(A, eps, ell_max, budget)
     if equid_constant is None:
@@ -241,7 +255,7 @@ def coverage_cmd(
     entries = []
     lam_ok = check_u_regular(params, Radical(Fraction(1, 1 << A.n), A.m))
     below_half = []
-    for idx in range(max(0, len(params.levels) - int(levels)), len(params.levels)):
+    for idx in range(max(0, len(params.levels) - levels[0]), len(params.levels)):
         ce = coverage(A, params, (center, Fraction(ball_radius)), idx, samples, seed, budget)
         entries.append(ce.to_json())
         if ce.estimate.ci_high < Fraction(1, 2):
@@ -250,7 +264,7 @@ def coverage_cmd(
         {"params": params.to_json(), "u_regular": lam_ok, "levels": entries},
         epsilon=epsilon, ell_max=ell_max, equid_constant=str(C),
         ball={"center": ball_center, "radius": ball_radius},
-        levels=levels, samples=samples, seed=seed,
+        levels=str(levels[0]), samples=samples, seed=seed,
     )
     if below_half:
         return _theorem_violation(f"coverage below 1/2 at levels {below_half}")
@@ -259,25 +273,24 @@ def coverage_cmd(
 @_subcommand(
     "equidist",
     click.option("--op", type=click.Choice(["weyl", "count", "constant"]), required=True),
-    click.option("--c", "freq", default="1", show_default=True, help="Weyl frequency vector, comma-separated"),
+    click.option("--c", "freq", default="1", show_default=True, callback=_ints,
+                 help="Weyl frequency vector, comma-separated"),
     click.option("--n-horizon", "N", type=int, default=1000, show_default=True),
     click.option("--ball-center", default="0", show_default=True),
     click.option("--ball-radius", default="1/10", show_default=True),
-    click.option("--l-values", default="16,64,256", show_default=True),
+    click.option("--l-values", default="16,64,256", show_default=True, callback=_ints),
 )
 def equidist_cmd(emit, A, op, freq, N, ball_center, ball_radius, l_values, budget):
     if op == "weyl":
-        c = tuple(int(x) for x in freq.split(","))
-        res = weyl_sum(A, c, N, budget)
-        emit(res.to_json(), res.csv_rows(), op=op, N=N, c=list(c))
+        res = weyl_sum(A, tuple(freq), N, budget)
+        emit(res.to_json(), res.csv_rows(), op=op, N=N, c=freq)
     elif op == "count":
         center = tuple(Fraction(x) for x in ball_center.split(","))
         rep = counting_report(A, (center, Fraction(ball_radius)), N, budget)
         emit(rep.to_json(), op=op, N=N, ball={"center": ball_center, "radius": ball_radius})
     else:
-        ls = [int(x) for x in l_values.split(",")]
-        est = estimate_equid_constant(A, _ball_family(A.m), ls, budget)
-        emit(est.to_json(), op=op, N=N, l_values=ls)
+        est = estimate_equid_constant(A, _ball_family(A.m), l_values, budget)
+        emit(est.to_json(), op=op, N=N, l_values=l_values)
 
 
 @_subcommand(
@@ -317,12 +330,11 @@ def counterpart(emit, A, y_max, budget):
 @_subcommand(
     "exponents",
     click.option("--b", "b_str", default=None, help="Target vector, comma-separated rationals"),
-    click.option("--x-schedule", default="8,16,32,64,128,256", show_default=True),
+    click.option("--x-schedule", default="8,16,32,64,128,256", show_default=True, callback=_ints),
 )
 def exponents(emit, A, b_str, x_schedule, budget):
     b = None if b_str is None else tuple(Fraction(x) for x in b_str.split(","))
-    xs = [int(x) for x in x_schedule.split(",")]
-    emit(estimate_exponents(A, b, xs, budget).to_json(), b=b_str, x_schedule=xs)
+    emit(estimate_exponents(A, b, x_schedule, budget).to_json(), b=b_str, x_schedule=x_schedule)
 
 
 if __name__ == "__main__":

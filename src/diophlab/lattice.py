@@ -7,6 +7,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, islice, pairwise, tee
+from math import lcm
+from operator import mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -25,6 +27,8 @@ from .numeric import (
     Radical,
     RatInterval,
     _decided,
+    _floor_sqrt_mult,
+    _sign_surd,
     compare,
     convergents,
     dec_str,
@@ -36,6 +40,7 @@ from .numeric import (
     format_exact,
     lt,
     parse_exact,
+    quadratic,
     sign,
 )
 
@@ -97,16 +102,63 @@ class ApproxMatrix:
         """The scaled-integer model of the matrix, built once."""
         return Line1D(self)
 
+    @cached_property
+    def _surd_rows(self) -> tuple:
+        """(U, V, D, d): integer rows with a_ij = (U_ij + V_ij sqrt d) / D
+        for a rational or quadratic matrix, d its radicand (0 when
+        rational), built once."""
+        parts = [[(e.a, e.b) if isinstance(e, Quadratic) else (e, Fraction(0)) for e in r] for r in self.rows]
+        D = lcm(*(x.denominator for r in parts for e in r for x in e))
+        U, V = (tuple(tuple(e[k].numerator * (D // e[k].denominator) for e in r) for r in parts) for k in (0, 1))
+        return U, V, D, self.radicand or 0
+
     def apply(self, q: Sequence[int]):
         """A q as a list of m exact values (intervals for CF entries)."""
         return [_dot(row, q) for row in self.rows]
 
-    def dist(self, q: Sequence[int], b: Optional[Sequence[Fraction]] = None):
-        """||Aq - b||_Z in the sup norm, exactly (b = 0 when omitted)."""
-        v = self.apply(q)
-        if b is not None:
-            v = [x - t for x, t in zip(v, b)]
-        return dist_to_int_vec(v)
+    def dist(self, q: Sequence[int], b: Optional[Sequence[ExactReal]] = None):
+        """||Aq - b||_Z in the sup norm, exactly (b = 0 when omitted).
+
+        A CF matrix takes the distances of its enclosures.  Otherwise each
+        row of Aq - b is (P + W sqrt d) / E in the integer model
+        `_surd_rows`, with E = D times the common denominator of b, which
+        may be quadratic in the entries' field (or, for a rational matrix,
+        give the radicand).  The nearest integer n = floor(x + 1/2), the
+        upper one on ties, is one integer floor after one isqrt; the
+        residue's sign and the sup over rows, the first row kept on ties,
+        are integer sign tests of p + w sqrt d.  One value is built at the
+        end, of the type and value of the distances of `apply`."""
+        if self.has_cf:
+            v = self.apply(q)
+            if b is not None:
+                v = [x - t for x, t in zip(v, b)]
+            return dist_to_int_vec(v)
+        U, V, D, d = self._surd_rows
+        if b is None:
+            b = (0,) * self.m
+        parts = []
+        for t in b:
+            if isinstance(t, Quadratic):
+                if d and t.d != d:
+                    raise UnsupportedEntry(f"mixing radicands sqrt({d}) and sqrt({t.d})")
+                d = t.d
+                parts.append((t.a, t.b))
+            else:
+                parts.append((t, 0))
+        b_den = lcm(*(x.denominator for t in parts for x in t))
+        E, E2 = D * b_den, 2 * D * b_den
+        best = None
+        for u, v, (ta, tw) in zip(U, V, parts):
+            P = b_den * sum(map(mul, u, q)) - ta.numerator * (E // ta.denominator)
+            W = b_den * sum(map(mul, v, q)) - tw.numerator * (E // tw.denominator)
+            p = P - E * ((2 * P + E + _floor_sqrt_mult(2 * W, d)) // E2)
+            if _sign_surd(p, W, d) < 0:
+                p, W = -p, -W
+            if best is None or _sign_surd(p - best[0], W - best[1], d) > 0:
+                best = p, W
+        if best is None:
+            raise ValueError("empty vector")
+        return quadratic(Fraction(best[0], E), Fraction(best[1], E), d)
 
     def dist_enclosure(
         self, q: Sequence[int], b: Optional[Sequence[ExactReal]] = None

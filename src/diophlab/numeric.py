@@ -104,8 +104,8 @@ class Quadratic:
             raise ValueError("use quadratic() which normalizes b == 0 to Fraction")
         if not _squarefree(d):
             raise ValueError(f"radicand {d} is not squarefree >= 2")
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = _fraction(a)
+        self.b = _fraction(b)
         self.d = d
 
     def _coerce(self, other) -> "Quadratic | None":
@@ -208,10 +208,15 @@ class Quadratic:
 
 def quadratic(a, b, d: int) -> "ExactReal":
     """Build a + b*sqrt(d), collapsing to Fraction when b == 0."""
-    a, b = Fraction(a), Fraction(b)
+    a, b = _fraction(a), _fraction(b)
     if b == 0:
         return a
     return Quadratic(a, b, d)
+
+
+def _fraction(x) -> Fraction:
+    """x as a Fraction; a Fraction itself, which Fraction(x) would rebuild."""
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
@@ -345,18 +350,6 @@ def _sign_rational(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_quadratic(a: Fraction, b: Fraction, d: int) -> int:
-    if b == 0:
-        return _sign_rational(a)
-    if a == 0:
-        return _sign_rational(b)
-    sa, sb = _sign_rational(a), _sign_rational(b)
-    if sa == sb:
-        return sa
-    # a and b of opposite sign: sign(a + b sqrt d) = sa * sign(a^2 - b^2 d)
-    return sa * _sign_rational(a * a - b * b * d)
-
-
 def sign(x: Comparable | "Radical") -> int:
     """Exact sign, raising PrecisionExhausted for straddling CF enclosures;
     a `Radical` has the sign of its radicand."""
@@ -367,7 +360,9 @@ def sign(x: Comparable | "Radical") -> int:
     if isinstance(x, Fraction):
         return _sign_rational(x)
     if isinstance(x, Quadratic):
-        return _sign_quadratic(x.a, x.b, x.d)
+        # a + b sqrt d times the positive a.denominator * b.denominator
+        a, b = x.a, x.b
+        return _sign_surd(a.numerator * b.denominator, b.numerator * a.denominator, x.d)
     lo, hi = _as_interval(x)
     if lo > 0 or (lo == 0 and isinstance(x, CFReal)):
         # CF enclosures are open intervals, so lo == 0 still means positive.
@@ -449,6 +444,18 @@ def _floor_sqrt_mult(b_num: int, d: int) -> int:
     return -t if t * t == t2 else -t - 1
 
 
+def _sign_surd(p: int, w: int, d: int) -> int:
+    """The exact sign of p + w*sqrt(d) for integers p, w and d >= 0."""
+    sp, sw = (p > 0) - (p < 0), (w > 0) - (w < 0)
+    if sp == sw or not sw:
+        return sp
+    if not sp:
+        return sw
+    # p and w of opposite sign: sign(p + w sqrt d) = sign(p) * sign(p^2 - w^2 d)
+    p2, w2d = p * p, w * w * d
+    return sp * ((p2 > w2d) - (p2 < w2d))
+
+
 def floor_exact(x: Comparable) -> int:
     if isinstance(x, int):
         return x
@@ -460,13 +467,8 @@ def floor_exact(x: Comparable) -> int:
         )
         av = x.a.numerator * (q // x.a.denominator)
         bv = x.b.numerator * (q // x.b.denominator)
-        n = (av + _floor_sqrt_mult(bv, x.d)) // q
-        # candidate can be off by one because of the nested floor; fix exactly
-        while _sign_quadratic(x.a - n, x.b, x.d) < 0:
-            n -= 1
-        while _sign_quadratic(x.a - (n + 1), x.b, x.d) >= 0:
-            n += 1
-        return n
+        # floor((av + y) / q) = floor((av + floor(y)) / q) for integers av, q > 0
+        return (av + _floor_sqrt_mult(bv, x.d)) // q
     if isinstance(x, CFReal):
         lo, hi = x.enclosure()
         flo = lo.numerator // lo.denominator

@@ -319,6 +319,12 @@ ERRORS = {
         ["exponents", "--matrix", "perfbench/inputs/q12.mat", "--budget", "100"],
         (3, "error: enumeration of 102 points exceeds 100"),
     ),
+    # a report without CSV rows is refused, not written as a bare header
+    "measure-w-csv": (
+        ["measure-w", "--matrix", "perfbench/inputs/golden.mat", "--window-l", "1", "--window-u", "8",
+         "--samples", "10", "--format", "csv"],
+        (2, "error: measure-w has no CSV report; use --format json"),
+    ),
 }
 
 
@@ -329,3 +335,27 @@ def test_error_exits_match_recorded(runner, monkeypatch, case):
     res = runner.invoke(main, args)
     assert (res.exit_code, res.stderr.splitlines()[0]) == want
     assert res.stdout == ""
+
+
+# each comma-separated integer option, given a malformed value
+BAD_LISTS = {
+    "--levels": ["coverage", "--epsilon", "2/5", "--ell-max", "8", "--levels", "x"],
+    "--c": ["equidist", "--op", "weyl", "--c", "1,a"],
+    "--l-values": ["equidist", "--op", "constant", "--l-values", "16,x"],
+    "--x-schedule": ["exponents", "--x-schedule", "4,a"],
+}
+
+
+@pytest.mark.parametrize("option", sorted(BAD_LISTS))
+def test_integer_lists_are_usage_errors(runner, golden_mat, option):
+    args = BAD_LISTS[option]
+    res = runner.invoke(main, [args[0], "--matrix", golden_mat, *args[1:]])
+    assert res.exit_code == 2 and res.stdout == ""
+    assert res.stderr.splitlines()[0].startswith("Usage: ")
+    assert f"Invalid value for '{option}': expected comma-separated integers, got " in res.stderr
+
+
+def test_levels_takes_one_integer(runner, golden_mat):
+    res = runner.invoke(main, ["coverage", "--matrix", golden_mat, "--epsilon", "2/5", "--ell-max", "8",
+                               "--levels", "3,4"])
+    assert (res.exit_code, res.stderr) == (2, "error: --levels takes one integer\n")

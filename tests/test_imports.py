@@ -1,6 +1,7 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
-psi comparisons stay behind `lattice.within`, gamma_k is computed only by
+psi comparisons stay behind `lattice.within`, exact distances of a
+matrix stay behind `ApproxMatrix.dist`, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
 mpmath's global precision, nothing imports a thread pool, and in the CLI only
 the subcommand frame exits the process or loads the --matrix file.
@@ -108,6 +109,13 @@ MP_CONTEXTS = {"mp", "iv", "fp"}
 # gamma_k^(m+n) is computed once per k in the counterpart table, which
 # gamma_sequence, b_alpha_test and verify_prop_5_1 read
 GAMMA_CALLERS = {("analysis.py", "_counterparts")}
+# the exact distance of a matrix is ApproxMatrix.dist's integer model; only
+# its CF path, and the tight key inequality of a 1 x 1 CF entry, may build
+# Aq from `apply` or take dist_to_int_vec of it
+DIST_CALLERS = {
+    "dist_to_int_vec": {("lattice.py", "dist")},
+    "apply": {("lattice.py", "dist"), ("analysis.py", "_cf_tight")},
+}
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
 # the top-level function of cli.py the call sits in, at any depth
@@ -116,8 +124,9 @@ FRAME_CALLS = {"exit": {"_subcommand"}, "_load_matrix": {"_subcommand", "series"
 
 def kernel_leaks(path: Path) -> list[str]:
     """Calls of iter_shell outside lattice.scan, of scan outside
-    SCAN_CALLERS, of PSI_CALLS outside limsup and lattice.within and of
-    _gamma_pow outside GAMMA_CALLERS, imports of the scaled-integer helpers
+    SCAN_CALLERS, of PSI_CALLS outside limsup and lattice.within, of
+    DIST_CALLERS outside their functions and of _gamma_pow outside
+    GAMMA_CALLERS, imports of the scaled-integer helpers
     outside lattice, of mpmath outside MPMATH_USERS, and of
     concurrent.futures or threading, any use of mpmath's global precision
     (GLOBAL_PREC, or .prec and .dps of an mpmath context or of anything
@@ -150,6 +159,8 @@ def kernel_leaks(path: Path) -> list[str]:
                 if name == "scan" and (path.name, func) not in SCAN_CALLERS:
                     found.append(f"{path.name}:{child.lineno} scan")
                 if name in PSI_CALLS and path.name != "limsup.py" and (path.name, func) != ("lattice.py", "within"):
+                    found.append(f"{path.name}:{child.lineno} {name}")
+                if name in DIST_CALLERS and (path.name, func) not in DIST_CALLERS[name]:
                     found.append(f"{path.name}:{child.lineno} {name}")
                 if name == "_gamma_pow" and (path.name, func) not in GAMMA_CALLERS:
                     found.append(f"{path.name}:{child.lineno} _gamma_pow")
@@ -266,6 +277,24 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         "analysis.py:6 _gamma_pow",
         "analysis.py:8 _gamma_pow",
     ]
+    # exact distances: ApproxMatrix.dist alone builds them from apply, and
+    # _cf_tight alone reads the residues of a CF entry
+    lattice.write_text(
+        "def dist(self, q):\n"
+        "    return dist_to_int_vec(self.apply(q))\n"
+        "def records(A, q):\n"
+        "    return numeric.dist_to_int_vec(A.apply(q))\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:4 dist_to_int_vec", "lattice.py:4 apply"]
+    analysis.write_text(
+        "def _cf_tight(A, q):\n"
+        "    return A.apply(q)[0]\n"
+        "def key_inequality_check(A, q):\n"
+        "    return dist_to_int_vec(A.apply(q))\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(analysis) == ["analysis.py:4 dist_to_int_vec", "analysis.py:4 apply"]
     # mpmath: equidist alone may import it, at any depth
     limsup.write_text(
         "import mpmath\n"

@@ -4,7 +4,7 @@ oracle, return sequences, best approximations vs continued fractions."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diophlab.errors import PrecisionExhausted, RankDeficient, UnsupportedEntry
 from diophlab.lattice import (
@@ -20,7 +20,91 @@ from diophlab.lattice import (
     shell_size,
     solve_homogeneous,
 )
-from diophlab.numeric import CFReal, Quadratic, dist_to_int, enclose, lt, parse_exact, quadratic
+from diophlab.numeric import (
+    CFReal,
+    Quadratic,
+    dist_to_int,
+    dist_to_int_vec,
+    enclose,
+    lt,
+    parse_exact,
+    quadratic,
+)
+from diophlab.sampling import sample_point
+
+
+@st.composite
+def dist_cases(draw):
+    """(A, q, b): a rational, quadratic or mixed matrix up to 2 x 2, and
+    a target that is None, rational (k/8 for half-integer ties, or a
+    sampled point) or quadratic in the entries' field, which for a
+    rational matrix gives the radicand.  A second row may repeat the
+    first or negate it with its target, so the two rows tie in the sup
+    norm."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["rational", "quadratic", "mixed"]))
+    eighths = st.integers(-24, 24).map(lambda k: F(k, 8))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+
+    def entry():
+        if kind == "rational" or (kind == "mixed" and draw(st.booleans())):
+            return draw(st.one_of(eighths, small))
+        return quadratic(draw(small), draw(small.filter(bool)), d)
+
+    def coord(target):
+        if target == "eighths":
+            return draw(eighths)
+        if target == "quadratic":
+            return quadratic(draw(eighths), draw(small), d)
+        return draw(small)
+
+    rows = [[entry() for _ in range(n)] for _ in range(m)]
+    q = draw(st.one_of(
+        st.just((0,) * n),
+        st.tuples(*[st.integers(-30, 30)] * n),
+        st.tuples(*[st.integers(-3000, 3000)] * n),
+    ))
+    target = draw(st.sampled_from(["none", "eighths", "small", "sampled", "quadratic"]))
+    if target == "none":
+        b = None
+    elif target == "sampled":
+        b = sample_point(draw(st.integers(0, 10)), draw(st.integers(0, 10**6)), m)
+    else:
+        b = tuple(coord(target) for _ in range(m))
+    tie = m == 2 and draw(st.sampled_from([None, 1, -1]))
+    if tie:
+        rows[1] = [tie * e for e in rows[0]]
+        if b is not None:
+            b = (b[0], tie * b[0])
+    return ApproxMatrix(rows), q, b
+
+
+def old_dist(A, q, b):
+    v = A.apply(q)
+    return dist_to_int_vec(v if b is None else [x - t for x, t in zip(v, b)])
+
+
+class TestIntegerDist:
+    """`ApproxMatrix.dist` in integer coordinates against the exact values
+    of `apply`: the same type and value."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=dist_cases())
+    @example(case=(ApproxMatrix([[F(1, 2)]]), (1,), None))
+    @example(case=(ApproxMatrix([[F(3, 8), F(1, 8)], [F(-3, 8), F(-1, 8)]]), (1, 1), (F(0), F(0))))
+    @example(case=(ApproxMatrix([[quadratic(0, 1, 2)]]), (0,), (F(1, 2),)))
+    @example(case=(ApproxMatrix([[F(1, 3)], [F(1, 3)]]), (2,), (quadratic(0, 1, 5), quadratic(0, 1, 5))))
+    def test_matches_exact_values(self, case):
+        A, q, b = case
+        got, want = A.dist(q, b), old_dist(A, q, b)
+        assert (type(got), got) == (type(want), want)
+
+    def test_target_outside_the_field(self, sqrt2):
+        with pytest.raises(UnsupportedEntry):
+            ApproxMatrix([[sqrt2]]).dist((1,), (quadratic(0, 1, 3),))
+        with pytest.raises(UnsupportedEntry):
+            ApproxMatrix([[F(1, 3)], [F(1, 5)]]).dist((1,), (quadratic(0, 1, 3), quadratic(0, 1, 2)))
 
 
 class TestShells:
