@@ -415,6 +415,8 @@ def b_alpha_test(
     alpha^(m+n) gamma_k^(m+n) is compared exactly."""
     alpha = Fraction(alpha)
     b = tuple(Fraction(x) for x in b)
+    if len(b) != m:
+        raise ValueError(f"target needs {m} coordinates, got {len(b)}")
     ents = best.entries
     mn = m + n
     a = alpha**mn
@@ -482,6 +484,7 @@ def verify_prop_5_1(
     window (CoverageGap otherwise); b must pass b_alpha_test on the ks
     used."""
     m, n = A.m, A.n
+    b = A.target(b)
     alpha = Fraction(alpha)
     if alpha <= n:
         raise ValueError("alpha > n required for a positive threshold")
@@ -507,7 +510,6 @@ def verify_prop_5_1(
     if not b_alpha_test(b, best, alpha, ks, m, n):
         raise ValueError("b fails b_alpha_test on the binding k range")
     w.check_budget(n, budget)
-    b = tuple(Fraction(x) for x in b)
     # ||q||^(n/m) d > thr fails exactly where d <= thr ||q||^(-n/m)
     psi = PowerLog(thr, Fraction(n, m), Fraction(0))
     violations = [q for _, q, _ in within(A, w.shells, budget, psi, b, closed=True)]
@@ -532,7 +534,7 @@ def key_inequality_check(
     PrecisionExhausted on a 1 x 1 CF entry, the tight case of the identity
     decides it (`_cf_tight`); otherwise it still raises."""
     m, n = A.m, A.n
-    b = tuple(Fraction(x) for x in b)
+    b = A.target(b)
     if len(y.coords) != m or len(q.coords) != n:
         raise ValueError("dimension mismatch")
     lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y.coords)))
@@ -671,9 +673,7 @@ def estimate_exponents(
         except (BudgetExceeded, PrecisionExhausted) as exc:
             return None, (bisect_right(xs, reached[0]), exc)
 
-    inh, inh_err = (None, None) if b is None else walk(
-        A, tuple(Fraction(x) if isinstance(x, (int, Fraction)) else x for x in b)
-    )
+    inh, inh_err = (None, None) if b is None else walk(A, b)
     hom, hom_err = walk(A.transpose()) if best is None else ([(e.Y, e.M) for e in best.entries], None)
     # raise the error a scan per horizon meets first: that of the earliest
     # horizon, the inhomogeneous walk's on a tie

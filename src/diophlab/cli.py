@@ -251,12 +251,11 @@ def coverage_cmd(
     else:
         C = Fraction(equid_constant)
     params = ubiquity_params(ret, C)
-    center = tuple(Fraction(x) for x in ball_center.split(","))
     entries = []
     lam_ok = check_u_regular(params, Radical(Fraction(1, 1 << A.n), A.m))
     below_half = []
     for idx in range(max(0, len(params.levels) - levels[0]), len(params.levels)):
-        ce = coverage(A, params, (center, Fraction(ball_radius)), idx, samples, seed, budget)
+        ce = coverage(A, params, (ball_center.split(","), ball_radius), idx, samples, seed, budget)
         entries.append(ce.to_json())
         if ce.estimate.ci_high < Fraction(1, 2):
             below_half.append(ce.ell)
@@ -285,8 +284,7 @@ def equidist_cmd(emit, A, op, freq, N, ball_center, ball_radius, l_values, budge
         res = weyl_sum(A, tuple(freq), N, budget)
         emit(res.to_json(), res.csv_rows(), op=op, N=N, c=freq)
     elif op == "count":
-        center = tuple(Fraction(x) for x in ball_center.split(","))
-        rep = counting_report(A, (center, Fraction(ball_radius)), N, budget)
+        rep = counting_report(A, (ball_center.split(","), ball_radius), N, budget)
         emit(rep.to_json(), op=op, N=N, ball={"center": ball_center, "radius": ball_radius})
     else:
         est = estimate_equid_constant(A, _ball_family(A.m), l_values, budget)
@@ -333,7 +331,7 @@ def counterpart(emit, A, y_max, budget):
     click.option("--x-schedule", default="8,16,32,64,128,256", show_default=True, callback=_ints),
 )
 def exponents(emit, A, b_str, x_schedule, budget):
-    b = None if b_str is None else tuple(Fraction(x) for x in b_str.split(","))
+    b = None if b_str is None else b_str.split(",")
     emit(estimate_exponents(A, b, x_schedule, budget).to_json(), b=b_str, x_schedule=x_schedule)
 
 

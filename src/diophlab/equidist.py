@@ -165,13 +165,6 @@ class CountingResult:
         }
 
 
-def _ball(center: Sequence[Fraction], radius: Fraction) -> tuple[tuple[Fraction, ...], Fraction]:
-    radius = Fraction(radius)
-    if not (0 < radius <= Fraction(1, 2)):
-        raise ValueError("radius must lie in (0, 1/2]")
-    return tuple(Fraction(x) for x in center), radius
-
-
 def _ball_hits(
     A: ApproxMatrix, center: tuple[Fraction, ...], radius: Fraction, N: int, budget: int
 ) -> tuple[list[int], int]:
@@ -207,7 +200,7 @@ def counting_report(
     An exact boundary hit is counted as a member and logged; an undecided
     membership raises PrecisionExhausted.
     """
-    center, radius = _ball(*ball)
+    center, radius = A.ball(*ball)
     total = _check_horizon(A.n, N, budget)
     if radius == Fraction(1, 2):
         return CountingResult(Fraction(1), total, total, 0)
@@ -257,7 +250,7 @@ def estimate_equid_constant(
     if not ball_family or not l_values:
         raise ValueError("need at least one ball and one horizon")
     ls = sorted(l_values)
-    balls = [_ball(center, min(2 * Fraction(r), Fraction(1, 2))) for center, r in ball_family]
+    balls = [A.ball(center, min(2 * Fraction(r), Fraction(1, 2))) for center, r in ball_family]
     _check_horizon(A.n, ls[0], budget)
     _check_horizon(A.n, ls[-1], budget)
     # counts[k][i]: members of ball k with ||q|| <= ls[i], from one pass per ball

@@ -185,7 +185,10 @@ class UnionIndex1D:
         self.inner = merge_intervals(inner, mod)
 
     def contains(self, b: Fraction) -> bool:
-        """Strict membership ||q*alpha - b||_Z < r_q for some q in the set."""
+        """Strict membership ||q*alpha - b||_Z < r_q for some q in the set;
+        a b other than a `Fraction` goes to the exact checker."""
+        if not isinstance(b, Fraction):
+            return self.exact_check(b)
         mod = self.line.mod
         num = b.numerator << self.line.shift
         x = (num // b.denominator) % mod

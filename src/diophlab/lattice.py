@@ -28,6 +28,7 @@ from .numeric import (
     RatInterval,
     _decided,
     _floor_sqrt_mult,
+    _fraction,
     _sign_surd,
     compare,
     convergents,
@@ -116,8 +117,39 @@ class ApproxMatrix:
         """A q as a list of m exact values (intervals for CF entries)."""
         return [_dot(row, q) for row in self.rows]
 
+    def target(self, b: Optional[Sequence]) -> Optional[tuple]:
+        """The target b of a walk or a distance over A, the one rule every
+        target and ball centre goes through: None stays None, a `Quadratic`
+        coordinate is kept and any other goes through Fraction().
+        ValueError unless b has m coordinates; UnsupportedEntry unless
+        every quadratic coordinate has the entries' radicand (one radicand
+        for a rational matrix), and for any quadratic coordinate of a CF
+        matrix."""
+        if b is None:
+            return None
+        b = tuple([x if isinstance(x, Quadratic) else _fraction(x) for x in b])
+        if len(b) != self.m:
+            raise ValueError(f"target needs {self.m} coordinates, got {len(b)}")
+        ds = {x.d for x in b if isinstance(x, Quadratic)}
+        if ds:
+            if self.has_cf:
+                raise UnsupportedEntry("a CF matrix takes rational targets only")
+            ds = sorted(ds | {self.radicand} - {None})
+            if len(ds) > 1:
+                raise UnsupportedEntry("mixing radicands " + " and ".join(f"sqrt({d})" for d in ds))
+        return b
+
+    def ball(self, center: Sequence, radius) -> tuple[Optional[tuple], Fraction]:
+        """(target(center), radius) of a closed ball on the torus;
+        ValueError unless the radius lies in (0, 1/2]."""
+        radius = Fraction(radius)
+        if not 0 < radius <= Fraction(1, 2):
+            raise ValueError("ball radius must lie in (0, 1/2]")
+        return self.target(center), radius
+
     def dist(self, q: Sequence[int], b: Optional[Sequence[ExactReal]] = None):
-        """||Aq - b||_Z in the sup norm, exactly (b = 0 when omitted).
+        """||Aq - b||_Z in the sup norm, exactly (b = 0 when omitted); q
+        has n coordinates (ValueError otherwise) and b passes `target`.
 
         A CF matrix takes the distances of its enclosures.  Otherwise each
         row of Aq - b is (P + W sqrt d) / E in the integer model
@@ -128,23 +160,14 @@ class ApproxMatrix:
         residue's sign and the sup over rows, the first row kept on ties,
         are integer sign tests of p + w sqrt d.  One value is built at the
         end, of the type and value of the distances of `apply`."""
+        if len(q) != self.n:
+            raise ValueError(f"q needs {self.n} coordinates, got {len(q)}")
+        b = self.target(b) or (0,) * self.m
         if self.has_cf:
-            v = self.apply(q)
-            if b is not None:
-                v = [x - t for x, t in zip(v, b)]
-            return dist_to_int_vec(v)
+            return dist_to_int_vec([x - t for x, t in zip(self.apply(q), b)])
         U, V, D, d = self._surd_rows
-        if b is None:
-            b = (0,) * self.m
-        parts = []
-        for t in b:
-            if isinstance(t, Quadratic):
-                if d and t.d != d:
-                    raise UnsupportedEntry(f"mixing radicands sqrt({d}) and sqrt({t.d})")
-                d = t.d
-                parts.append((t.a, t.b))
-            else:
-                parts.append((t, 0))
+        parts = [(t.a, t.b) if isinstance(t, Quadratic) else (t, 0) for t in b]
+        d = d or next((t.d for t in b if isinstance(t, Quadratic)), 0)
         b_den = lcm(*(x.denominator for t in parts for x in t))
         E, E2 = D * b_den, 2 * D * b_den
         best = None
@@ -156,19 +179,18 @@ class ApproxMatrix:
                 p, W = -p, -W
             if best is None or _sign_surd(p - best[0], W - best[1], d) > 0:
                 best = p, W
-        if best is None:
-            raise ValueError("empty vector")
         return quadratic(Fraction(best[0], E), Fraction(best[1], E), d)
 
     def dist_enclosure(
         self, q: Sequence[int], b: Optional[Sequence[ExactReal]] = None
     ) -> tuple[Fraction, Fraction]:
         """Dyadic (lo, hi) with lo <= ||Aq - b||_Z <= hi, from the
-        scaled-integer `line` model.  The interval holds every value of the
-        exact `dist`'s enclosure too, so a comparison it decides, `dist`
-        decides the same way, CF entries included."""
+        scaled-integer `line` model, for b as `target` takes it.  The
+        interval holds every value of the exact `dist`'s enclosure too, so
+        a comparison it decides, `dist` decides the same way, CF entries
+        included."""
         line = self.line
-        lo, hi = line.dist_bounds(q, *_target(self, b))
+        lo, hi = line.dist_bounds(q, *line.scale_target(self.target(b)))
         return Fraction(lo, line.mod), Fraction(hi, line.mod)
 
     def check_field(self, x: Comparable | Radical) -> None:
@@ -269,14 +291,6 @@ def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, It
         yield s, iter_shell(dim, s)
 
 
-def _target(A: ApproxMatrix, b: Optional[Sequence[ExactReal]]) -> tuple:
-    """dist_bounds' (b_scaled, b_err) for the target b of a walk over A;
-    UnsupportedEntry for a coordinate outside the field of A's entries."""
-    for x in b or ():
-        A.check_field(x)
-    return A.line.scale_target(b)
-
-
 def within(
     A: ApproxMatrix, shells: Iterable[int], budget: int, thr: Comparable | Radical | ApproxFunction,
     b: Optional[Sequence[ExactReal]] = None, closed: bool = False,
@@ -284,7 +298,7 @@ def within(
     """(s, q, c) for every q in the order of scan(A.n, shells, budget) with
     ||Aq - b||_Z < thr, or <= thr when closed, where c is the ordering of
     that distance against thr: LESS, or EQUAL on the boundary of a closed
-    threshold.
+    threshold.  b passes `ApproxMatrix.target` before any point is scanned.
 
     thr is either a value `threshold_bounds` encloses, in the field of A's
     entries or in Q (UnsupportedEntry otherwise, before any point is
@@ -307,7 +321,8 @@ def within(
     else:
         shells, drawn = tee(shells)
         psi_bounds = psi.scaled_bounds(drawn, line.shift)
-    b_scaled, b_err = _target(A, b)
+    b = A.target(b)
+    b_scaled, b_err = line.scale_target(b)
     dist_bounds = line.dist_bounds
     for s, shell in scan(A.n, shells, budget):
         if psi is not None:
@@ -329,9 +344,10 @@ def records(
 ) -> Iterator[tuple[int, tuple[int, ...], Comparable]]:
     """(s, q, key(s, ||Aq - b||_Z)) for every q in the order of
     scan(A.n, shells, budget) whose key is strictly below the keys of all
-    earlier points, and below bound when given.  Strict comparison keeps
-    each record's lexicographically first attainer; an undecided comparison
-    raises PrecisionExhausted.
+    earlier points, and below bound when given; b passes `ApproxMatrix.target`
+    before any point is scanned.  Strict comparison keeps each record's
+    lexicographically first attainer; an undecided comparison raises
+    PrecisionExhausted.
 
     key must be nondecreasing in the distance d, as d and d^m s^n are: a
     point whose scaled lower bound d_lo gives key(s, d_lo 2^-shift) above
@@ -344,7 +360,8 @@ def records(
     records, BudgetExceeded and PrecisionExhausted are those of the exact
     walk with mirror points skipped."""
     line = A.line
-    b_scaled, b_err = _target(A, b)
+    b = A.target(b)
+    b_scaled, b_err = line.scale_target(b)
     dist_bounds = line.dist_bounds
     mirrored = b is None
     best = bound

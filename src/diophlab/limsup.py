@@ -39,7 +39,7 @@ from .numeric import (
     le,
     lt,
 )
-from .sampling import binomial_ci, parallel_map, sample_point, grid_points
+from .sampling import binomial_ci, grid_points, sample_point
 
 __all__ = [
     "ApproxFunction",
@@ -287,7 +287,7 @@ def psi_witness(
 ) -> Optional[IntVec]:
     """First q (shell-then-lex) in the annulus with ||Aq - b||_Z < psi(||q||)."""
     w.check_budget(A.n, budget)
-    hit = next(within(A, w.shells, budget, psi, tuple(Fraction(x) for x in b)), None)
+    hit = next(within(A, w.shells, budget, psi, b), None)
     return None if hit is None else IntVec(hit[1])
 
 
@@ -299,11 +299,11 @@ def delta_membership(
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
     """x within distance rho_val of some resonant point Aq, q in the annulus."""
+    x = A.target(x)
     c = compare(rho_val, Fraction(1, 2))
     if c.decided and c.kind == "greater":
         return True  # open balls of radius > 1/2 cover the torus
     w.check_budget(A.n, budget)
-    x = tuple(Fraction(t) for t in x)
     return next(within(A, w.shells, budget, rho_val, x), None) is not None
 
 
@@ -357,13 +357,13 @@ def _hits(
 
     if not A.irrational_line:
         w.check_budget(A.n, budget)
-        return sum(parallel_map(exact, targets))
+        return sum(map(exact, targets))
     if isinstance(thr, ApproxFunction):
         radii = thr.scaled_bounds(w.shells, A.line.shift)
     else:
         radii = repeat(thr)
     index = UnionIndex1D(A.line, list(zip(w.shells, radii)), lambda x: exact((x,), math.inf))
-    return sum(parallel_map(lambda b: index.contains(b[0]), targets))
+    return sum(map(lambda b: index.contains(b[0]), targets))
 
 
 def measure_W(
@@ -401,17 +401,20 @@ def measure_Bad(
     )
 
 
-def _points(dim: int, samples: int, seed: int, mode: str) -> Iterator[tuple[Fraction, ...]]:
-    """The sampled targets, generated lazily: a window over budget is
-    reported before a bad samples or mode."""
+def _points(dim: int, samples: int, seed: int, mode: str) -> Iterable[tuple[Fraction, ...]]:
+    """The sampled targets of every estimate, checked at once: samples >= 1,
+    a known mode, and for the grid samples = k^dim, so that each grid point
+    counts once.  Monte Carlo points are generated lazily."""
     if samples < 1:
         raise ValueError("samples >= 1 required")
-    if mode == "grid":
-        yield from grid_points(samples, dim)
-    elif mode == "mc":
-        yield from (sample_point(seed, i, dim) for i in range(samples))
-    else:
+    if mode == "mc":
+        return (sample_point(seed, i, dim) for i in range(samples))
+    if mode != "grid":
         raise ValueError(f"unknown sampling mode {mode!r}")
+    pts = grid_points(samples, dim)
+    if len(pts) != samples:
+        raise ValueError(f"grid mode needs samples = k^{dim} for an integer k, got {samples}")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -535,30 +538,22 @@ def coverage(
     threads has no effect (runs are serial)."""
     lv = params.levels[level_index]
     m = params.m
-    center, radius = ball
-    center = tuple(Fraction(x) for x in center)
-    radius = Fraction(radius)
-    if radius <= 0 or radius > Fraction(1, 2):
-        raise ValueError("ball radius must be in (0, 1/2]")
+    center, radius = A.ball(*ball)
+    pts = _points(m, samples, seed, "mc")
     l_int = floor_exact(lv.l)
     u_int = floor_exact(lv.u)
     if l_int >= u_int:
         raise InvalidWindow(f"annulus ({l_int}, {u_int}] is empty")
     w = Window(l_int, u_int)
     rho = lv.rho(m)
-
-    def sample(i: int) -> tuple[Fraction, ...]:
-        pt = sample_point(seed, i, m)
-        return tuple(c + radius * (2 * t - 1) for c, t in zip(center, pt))
-
     rc = compare(rho, Fraction(1, 2))
     if rc.decided and rc.kind != "less":
         est = MeasureEstimate(Fraction(1), samples, Fraction(1), Fraction(1), seed, w)
     else:
         # the index alone would decide targets against a radius from another field
         A.check_field(rho)
-        k = _hits(A, w, rho, [sample(i) for i in range(samples)], budget)
-        est = MeasureEstimate.from_hits(k, samples, seed, w)
+        targets = (tuple(c + radius * (2 * t - 1) for c, t in zip(center, pt)) for pt in pts)
+        est = MeasureEstimate.from_hits(_hits(A, w, rho, targets, budget), samples, seed, w)
     return CoverageEntry(lv.ell, dec_str(lv.l), dec_str(lv.u), dec_str(Radical(lv.rho_pow_m, m)), est)
 
 

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Sequence, TypeVar
 
 from .numeric import _nth_root_upper
@@ -37,22 +38,11 @@ def sample_point(seed: int, index: int, dim: int) -> tuple[Fraction, ...]:
 
 
 def grid_points(samples: int, dim: int) -> list[tuple[Fraction, ...]]:
-    """Equally spaced low-discrepancy alternative to Monte Carlo sampling."""
-    if dim == 1:
-        return [(Fraction(2 * i + 1, 2 * samples),) for i in range(samples)]
-    side = max(1, round(samples ** (1.0 / dim)))
-    pts: list[tuple[Fraction, ...]] = []
-    idx = [0] * dim
-    while True:
-        pts.append(tuple(Fraction(2 * i + 1, 2 * side) for i in idx))
-        for j in range(dim - 1, -1, -1):
-            idx[j] += 1
-            if idx[j] < side:
-                break
-            idx[j] = 0
-        else:
-            break
-    return pts
+    """Equally spaced low-discrepancy alternative to Monte Carlo sampling:
+    the centres of the side^dim cells of [0,1)^dim, in lexicographic
+    order, for side = round(samples^(1/dim))."""
+    side = round(samples ** (1.0 / dim))
+    return [tuple(Fraction(2 * i + 1, 2 * side) for i in idx) for idx in product(range(side), repeat=dim)]
 
 
 def parallel_map(fn: Callable[[T], U], items: Sequence[T], threads: int | None = None) -> list[U]:

@@ -64,7 +64,7 @@ def solve_inhomogeneous(
 
 @dataclass
 class Cor33Target:
-    b: tuple[Fraction, ...]
+    b: tuple[ExactReal, ...]
     witness: Optional[IntVec]
     lhs_dec: str
     slack_dec: str
@@ -72,7 +72,7 @@ class Cor33Target:
 
     def to_json(self) -> dict:
         return {
-            "b": [str(x) for x in self.b],
+            "b": [format_exact(x) for x in self.b],
             "witness_q": list(self.witness.coords) if self.witness else None,
             "lhs_value": self.lhs_dec,
             "slack": self.slack_dec,
@@ -142,7 +142,7 @@ def verify_corollary_3_3(
     c1_float = float(C1)
     out: list[Cor33Target] = []
     for b in targets:
-        b = tuple(Fraction(x) for x in b)
+        b = A.target(b)
         q = solve_inhomogeneous(A, b, C1, x_cap, budget)
         if q is None:
             out.append(Cor33Target(b, None, "", "", False))

@@ -156,12 +156,14 @@ def test_coverage_quadratic_epsilon_1x1(runner, golden_mat, monkeypatch):
     from diophlab import limsup
 
     calls = []
+    hits = limsup._hits
 
-    def recording_map(fn, items, threads=None):
-        calls.append((fn, list(items)))
-        return [fn(x) for x in items]
+    def recording_hits(A, w, thr, targets, budget):
+        targets = list(targets)
+        calls.append((lambda b: hits(A, w, thr, [b], budget) == 1, targets))
+        return hits(A, w, thr, targets, budget)
 
-    monkeypatch.setattr(limsup, "parallel_map", recording_map)
+    monkeypatch.setattr(limsup, "_hits", recording_hits)
     res = runner.invoke(main, [
         "coverage", "--matrix", golden_mat, "--epsilon", "(0+1*sqrt(5))/4",
         "--ell-max", "8", "--equid-constant", "4", "--samples", "60",
@@ -230,6 +232,8 @@ REPORTS = {
     # the equidistribution constant estimated from the ball family
     "coverage-est": ["coverage", "--epsilon", "2/5", "--ell-max", "8", "--samples", "40"],
     "count": ["equidist", "--op", "count", "--n-horizon", "200"],
+    # a centre with one coordinate per row (ratio 3/41 on q21)
+    "count-center": ["equidist", "--op", "count", "--n-horizon", "20", "--ball-center", "0,0"],
     "constant": ["equidist", "--op", "constant", "--l-values", "16,32"],
     "series-matrix": ["series", "--epsilon", "2/5", "--ell-max", "10"],
     "best-approx-csv": ["best-approx", "--y-max", "1000", "--format", "csv"],
@@ -276,6 +280,7 @@ REPORT_DIGESTS = {
     ("coverage", "golden"): (0, "38e9867d532998ceccfad474dc472d43f69169e2f5a537a3b07bb4a203246636"),
     ("coverage-est", "golden"): (0, "dae7adef1034b342fe7dc4b063977007607a584485565e66e5f4f350cbc3f539"),
     ("count", "sqrt2"): (0, "e8dc2b67221ac3853ec330e58b48f004b454990f79f956f3b4b7c0896ab28209"),
+    ("count-center", "q21"): (0, "e23302aff8090ab2baaa4b1c06a094c4bc81a813e9c5589845b78f467c4a05a8"),
     ("constant", "golden"): (0, "adfb181315f0457cee35baacde254c06094790005fd0abaafe8e6b83eb6aaca3"),
     ("series-matrix", "golden"): (0, "b4d0b55f15f3b00366cdb3c631da7ff7980997b5eff09c5fa8181fa07c78c11d"),
     ("best-approx-csv", "golden"): (0, "c84e3d9b7e7140c1be865c61d50ffc8c3b8bb41265cdf7dabd8afde67affffe0"),
@@ -324,6 +329,28 @@ ERRORS = {
         ["measure-w", "--matrix", "perfbench/inputs/golden.mat", "--window-l", "1", "--window-u", "8",
          "--samples", "10", "--format", "csv"],
         (2, "error: measure-w has no CSV report; use --format json"),
+    ),
+    # a centre or target needs one coordinate per row: the default centres
+    # 0 and 1/2 are not broadcast to a 2 x 1 matrix
+    "count-center-short": (
+        ["equidist", "--op", "count", "--matrix", "perfbench/inputs/q21.mat", "--n-horizon", "20"],
+        (2, "error: target needs 2 coordinates, got 1"),
+    ),
+    "coverage-center-short": (
+        ["coverage", "--matrix", "perfbench/inputs/q21.mat", "--epsilon", "2/5", "--ell-max", "4",
+         "--equid-constant", "4", "--samples", "10"],
+        (2, "error: target needs 2 coordinates, got 1"),
+    ),
+    # 15 is not a square: a 4 x 4 grid would be counted over 15 samples
+    "measure-w-grid-count": (
+        ["measure-w", "--matrix", "perfbench/inputs/q21.mat", "--window-l", "1", "--window-u", "8",
+         "--samples", "15", "--mode", "grid", "--psi-a", "1/2"],
+        (2, "error: grid mode needs samples = k^2 for an integer k, got 15"),
+    ),
+    "coverage-no-samples": (
+        ["coverage", "--matrix", "perfbench/inputs/golden.mat", "--epsilon", "2/5", "--ell-max", "8",
+         "--samples", "0", "--equid-constant", "4"],
+        (2, "error: samples >= 1 required"),
     ),
 }
 

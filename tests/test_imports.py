@@ -1,7 +1,8 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
 psi comparisons stay behind `lattice.within`, exact distances of a
-matrix stay behind `ApproxMatrix.dist`, gamma_k is computed only by
+matrix stay behind `ApproxMatrix.dist`, a target is scaled for the filter
+only after `ApproxMatrix.target` checks it, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
 mpmath's global precision, nothing imports a thread pool, and in the CLI only
 the subcommand frame exits the process or loads the --matrix file.
@@ -111,10 +112,13 @@ MP_CONTEXTS = {"mp", "iv", "fp"}
 GAMMA_CALLERS = {("analysis.py", "_counterparts")}
 # the exact distance of a matrix is ApproxMatrix.dist's integer model; only
 # its CF path, and the tight key inequality of a 1 x 1 CF entry, may build
-# Aq from `apply` or take dist_to_int_vec of it
+# Aq from `apply` or take dist_to_int_vec of it.  A target is scaled for the
+# filter only where ApproxMatrix.target has just checked it: in the two
+# walks and in dist_enclosure
 DIST_CALLERS = {
     "dist_to_int_vec": {("lattice.py", "dist")},
     "apply": {("lattice.py", "dist"), ("analysis.py", "_cf_tight")},
+    "scale_target": {("lattice.py", "within"), ("lattice.py", "records"), ("lattice.py", "dist_enclosure")},
 }
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
@@ -295,6 +299,15 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(analysis) == ["analysis.py:4 dist_to_int_vec", "analysis.py:4 apply"]
+    # scaled targets: only the walks and dist_enclosure, after the rule
+    lattice.write_text(
+        "def within(A, b):\n"
+        "    return A.line.scale_target(A.target(b))\n"
+        "def _target(A, b):\n"
+        "    return A.line.scale_target(b)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:4 scale_target"]
     # mpmath: equidist alone may import it, at any depth
     limsup.write_text(
         "import mpmath\n"

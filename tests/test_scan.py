@@ -1172,16 +1172,23 @@ def test_record_walks_compute_records_and_at_most_two_more(key, Q):
 # ---------------------------------------------------------------------------
 
 
+# the hit counter, saved before captured_tester patches it: a Hypothesis
+# test keeps one monkeypatch fixture across its examples, so a copy taken
+# at patch time could be an earlier spy
+HITS = limsup._hits
+
+
 def captured_tester(monkeypatch, run):
-    """(tester, targets) that measure_W / measure_Bad / coverage hand to
-    parallel_map."""
+    """(tester, targets) of the one `_hits` call of measure_W / measure_Bad
+    / coverage: the targets it is handed, and `_hits` on one of them."""
     seen = {}
 
-    def fake_map(fn, items, threads=None):
-        seen["fn"], seen["items"] = fn, list(items)
-        return [fn(x) for x in items]
+    def spy(A, w, thr, targets, budget):
+        seen["fn"] = lambda b: HITS(A, w, thr, [b], budget) == 1
+        seen["items"] = list(targets)
+        return HITS(A, w, thr, seen["items"], budget)
 
-    monkeypatch.setattr(limsup, "parallel_map", fake_map)
+    monkeypatch.setattr(limsup, "_hits", spy)
     try:
         run()
     except PrecisionExhausted:
