@@ -27,6 +27,7 @@ from .lattice import (
     BestApproxSequence,
     IntVec,
     ReturnSequence,
+    check_target_field,
     records,
     scan,
     within,
@@ -35,6 +36,7 @@ from .limsup import ApproxFunction, PowerLog, Window
 from .numeric import (
     Comparable,
     Ordering,
+    Quadratic,
     Radical,
     RatInterval,
     compare,
@@ -204,17 +206,19 @@ def classify_return_series(
 # ---------------------------------------------------------------------------
 
 
-def _order(x: Fraction | int, box: tuple[Fraction, Fraction], exact: Callable[[], object]) -> Ordering:
-    """The ordering of the rational x against a value v with box[0] <= v
-    <= box[1]: LESS when x < box[0], GREATER when x > box[1], and only
-    otherwise compare(x, exact()), v computed then, with PrecisionExhausted
-    when that is undecided.  A box that holds every value of v's own
+def _order(x: Comparable, box: tuple[Fraction, Fraction], exact: Callable[[], object]) -> Ordering:
+    """The ordering of x against a value v with box[0] <= v <= box[1]: LESS
+    when x < box[0], GREATER when x > box[1], and only otherwise
+    compare(x, exact()), v computed then, with PrecisionExhausted when that
+    is undecided.  An irrational x is placed against the box by its
+    enclosure at COUNTERPART_BITS.  A box that holds every value of v's own
     enclosure decides only comparisons that compare decides, and the same
     way, so the outcome is that of the exact comparison."""
     lo, hi = box
-    if x < lo:
+    x_lo, x_hi = (x, x) if isinstance(x, (int, Fraction)) else enclose(x, COUNTERPART_BITS)
+    if x_hi < lo:
         return Ordering.LESS
-    if x > hi:
+    if x_lo > hi:
         return Ordering.GREATER
     return _decided(compare(x, exact()))
 
@@ -412,12 +416,19 @@ def b_alpha_test(
     """||b . y_k||_Z > alpha gamma_k for every k in k_range, decided as
     the exact comparison decides it: gamma_k^(m+n) and its box come from
     the counterpart table, and only an lhs^(m+n) inside the box of
-    alpha^(m+n) gamma_k^(m+n) is compared exactly."""
+    alpha^(m+n) gamma_k^(m+n) is compared exactly.  A `Quadratic`
+    coordinate of b is kept, so b . y_k and its distance to Z are exact,
+    and must lie in the field of the records' distances M_k
+    (`lattice.check_target_field`)."""
     alpha = Fraction(alpha)
-    b = tuple(Fraction(x) for x in b)
+    b = tuple(x if isinstance(x, Quadratic) else Fraction(x) for x in b)
     if len(b) != m:
         raise ValueError(f"target needs {m} coordinates, got {len(b)}")
     ents = best.entries
+    if any(isinstance(x, Quadratic) for x in b):
+        Ms = [e.M for e in ents]
+        radicand = next((M.d for M in Ms if isinstance(M, Quadratic)), None)
+        check_target_field(b, radicand, any(isinstance(M, RatInterval) for M in Ms))
     mn = m + n
     a = alpha**mn
     table = _counterparts(best, m, n)

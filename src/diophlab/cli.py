@@ -245,6 +245,7 @@ def coverage_cmd(
     if len(levels) != 1:
         raise ValueError("--levels takes one integer")
     eps = parse_exact(epsilon)
+    ball = A.ball(ball_center.split(","), ball_radius)
     ret = return_sequence(A, eps, ell_max, budget)
     if equid_constant is None:
         C = estimate_equid_constant(A, _ball_family(A.m), [2**j for j in range(4, 9)], budget).recommended
@@ -255,7 +256,7 @@ def coverage_cmd(
     lam_ok = check_u_regular(params, Radical(Fraction(1, 1 << A.n), A.m))
     below_half = []
     for idx in range(max(0, len(params.levels) - levels[0]), len(params.levels)):
-        ce = coverage(A, params, (ball_center.split(","), ball_radius), idx, samples, seed, budget)
+        ce = coverage(A, params, ball, idx, samples, seed, budget)
         entries.append(ce.to_json())
         if ce.estimate.ci_high < Fraction(1, 2):
             below_half.append(ce.ell)

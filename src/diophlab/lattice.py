@@ -3,12 +3,13 @@ best-approximation records, badly-approximable witnesses, rank check."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import cycle, islice, pairwise, tee
+from itertools import cycle, groupby, islice, pairwise, repeat, tee
 from math import lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -130,13 +131,7 @@ class ApproxMatrix:
         b = tuple([x if isinstance(x, Quadratic) else _fraction(x) for x in b])
         if len(b) != self.m:
             raise ValueError(f"target needs {self.m} coordinates, got {len(b)}")
-        ds = {x.d for x in b if isinstance(x, Quadratic)}
-        if ds:
-            if self.has_cf:
-                raise UnsupportedEntry("a CF matrix takes rational targets only")
-            ds = sorted(ds | {self.radicand} - {None})
-            if len(ds) > 1:
-                raise UnsupportedEntry("mixing radicands " + " and ".join(f"sqrt({d})" for d in ds))
+        check_target_field(b, self.radicand, self.has_cf)
         return b
 
     def ball(self, center: Sequence, radius) -> tuple[Optional[tuple], Fraction]:
@@ -233,6 +228,19 @@ class ApproxMatrix:
         return cls(rows)
 
 
+def check_target_field(b: Sequence, radicand: Optional[int], has_cf: bool) -> None:
+    """UnsupportedEntry unless every quadratic coordinate of the target b
+    lies in the field of entries with this radicand (one radicand when
+    None), and for any quadratic coordinate when the entries are CF."""
+    ds = {x.d for x in b if isinstance(x, Quadratic)}
+    if ds:
+        if has_cf:
+            raise UnsupportedEntry("a CF matrix takes rational targets only")
+        ds = sorted(ds | {radicand} - {None})
+        if len(ds) > 1:
+            raise UnsupportedEntry("mixing radicands " + " and ".join(f"sqrt({d})" for d in ds))
+
+
 def _dot(entries: Sequence[ExactReal], q: Sequence[int]):
     acc: Comparable = Fraction(0)
     for e, c in zip(entries, q):
@@ -307,27 +315,38 @@ def within(
     A psi's scaled bounds come from psi.scaled_bounds(shells, shift),
     drawn in step with the scan, so a walk that stops at a hit encloses no
     later shell; for a `PowerLog` they are integer roots over a running
-    fixed-point ln s whose every rounding is counted in its width.
-    Scaled-integer bounds accept q with c = LESS when d_hi < thr_lo and
-    reject it when d_lo > thr_hi; only a point inside that margin is
-    compared exactly, raising PrecisionExhausted when undecided, so the
-    hits, BudgetExceeded and PrecisionExhausted are those of the exact scan.
+    fixed-point ln s whose every rounding is counted in its width.  Each
+    point is decided by `_decide`, so the hits, BudgetExceeded and
+    PrecisionExhausted are those of the exact scan.
     """
     line = A.line
     psi = thr if hasattr(thr, "compare_value") else None
     if psi is None:
         A.check_field(thr)
-        thr_lo, thr_hi = threshold_bounds(thr, line.shift)
+        bounds = repeat(threshold_bounds(thr, line.shift))
     else:
         shells, drawn = tee(shells)
-        psi_bounds = psi.scaled_bounds(drawn, line.shift)
+        bounds = psi.scaled_bounds(drawn, line.shift)
     b = A.target(b)
-    b_scaled, b_err = line.scale_target(b)
-    dist_bounds = line.dist_bounds
-    for s, shell in scan(A.n, shells, budget):
-        if psi is not None:
-            thr_lo, thr_hi = next(psi_bounds)
-        for q in shell:
+    yield from _decide(A, thr, psi, closed, b, line.scale_target(b), scan(A.n, shells, budget), bounds)
+
+
+def _decide(
+    A: ApproxMatrix, thr, psi: Optional[ApproxFunction], closed: bool, b: Optional[tuple],
+    scaled: tuple, shells: Iterable[tuple[int, Iterable]], bounds: Iterable[tuple[int, int]],
+) -> Iterator[tuple[int, tuple[int, ...], Ordering]]:
+    """The per-point rule of `within` and of `centre_index`: (s, q, c) for
+    every point q of each (s, points) of shells, in turn, that meets thr
+    (psi(s) for a psi) as `within` states it, with the scaled bounds
+    (thr_lo, thr_hi) of each shell drawn from bounds in step with shells.
+    b has passed `ApproxMatrix.target` and scaled is its `scale_target`.
+    Scaled-integer bounds accept q with c = LESS when d_hi < thr_lo and
+    reject it when d_lo > thr_hi; only a point inside that margin is
+    compared exactly, raising PrecisionExhausted when undecided."""
+    b_scaled, b_err = scaled
+    dist_bounds = A.line.dist_bounds
+    for (s, points), (thr_lo, thr_hi) in zip(shells, bounds):
+        for q in points:
             d_lo, d_hi = dist_bounds(q, b_scaled, b_err)
             if d_hi < thr_lo:
                 yield s, q, Ordering.LESS
@@ -336,6 +355,91 @@ def within(
                 c = _decided(compare(d, thr)) if psi is None else psi.compare_value(d, s)
                 if c is Ordering.LESS or (closed and c is Ordering.EQUAL):
                     yield s, q, c
+
+
+def _ball_points(n: int, s: int) -> int:
+    """Points of Z^n with sup norm at most s (none for s < 0)."""
+    return (2 * s + 1) ** n if s >= 0 else 0
+
+
+def centre_index(
+    A: ApproxMatrix, shells: range, budget: int, thr: Comparable | Radical | ApproxFunction,
+    closed: bool = False,
+) -> Callable[[Optional[Sequence[ExactReal]]], Optional[tuple[int, tuple[int, ...], Ordering]]]:
+    """One sorted-centre index over the window of shells: a function of a
+    target b giving the first hit of within(A, shells, budget, thr, b,
+    closed), or None, and raising what that walk raises first.
+
+    The window's points are enumerated once by `scan` (so BudgetExceeded
+    when the window exceeds budget) and sorted by the scaled first-row
+    centre of `Line1D`, sum_j q_j a_0j mod 2^shift.  A point whose centre
+    lies farther than R = max thr_hi + s_max sum_j err_0j + b_err from b's
+    scaled first coordinate, on the circle, has d_lo > thr_hi, so the walk
+    rejects it without an exact comparison.  A query therefore takes the
+    centres within R of b (two bisections, wrapping mod 2^shift) and hands
+    them to `_decide` in scan order, each with its own shell's bounds: its
+    first hit, or first PrecisionExhausted, is the walk's."""
+    line = A.line
+    mod = line.mod
+    psi = thr if hasattr(thr, "compare_value") else None
+    if psi is None:
+        A.check_field(thr)
+    points = [(s, q) for s, shell in scan(A.n, shells, budget) for q in shell]
+    if psi is None:
+        per_shell = dict.fromkeys(shells, threshold_bounds(thr, line.shift))
+    else:
+        per_shell = dict(zip(shells, psi.scaled_bounds(shells, line.shift)))
+    row = line.a_rows[0]
+    keys = [sum(map(mul, q, row)) % mod for _, q in points]
+    order = sorted(range(len(points)), key=keys.__getitem__)
+    keys = [keys[i] for i in order]
+    s_max = shells[-1] if shells else 0
+    reach = max((hi for _, hi in per_shell.values()), default=0) + s_max * sum(line.err_rows[0])
+
+    def first_hit(b):
+        b = A.target(b)
+        scaled = line.scale_target(b)
+        b0 = scaled[0] if isinstance(scaled[0], int) else scaled[0][0]
+        r = reach + scaled[1]
+        if 2 * r + 1 >= mod:
+            near = range(len(points))
+        else:
+            lo, hi = (b0 - r) % mod, (b0 + r) % mod
+            i, j = bisect_left(keys, lo), bisect_right(keys, hi)
+            near = sorted(order[i:j] if lo <= hi else order[i:] + order[:j])
+        walk, drawn = tee((s, [q for _, q in pts]) for s, pts in groupby(map(points.__getitem__, near), itemgetter(0)))
+        return next(_decide(A, thr, psi, closed, b, scaled, walk, (per_shell[s] for s, _ in drawn)), None)
+
+    return first_hit
+
+
+def first_hits(
+    A: ApproxMatrix, shells: range, budget: int, thr: Comparable | Radical | ApproxFunction,
+    targets: Iterable[Optional[Sequence[ExactReal]]], closed: bool = False,
+) -> Iterator[tuple[Optional[tuple], Optional[tuple[int, tuple[int, ...], Ordering]]]]:
+    """(b, first hit of within(A, shells, budget, thr, b, closed) or None)
+    for each target in turn, b as `ApproxMatrix.target` returns it, with
+    what that walk raises first raised in its place.
+
+    Each target walks `within` until the walks made have cost at least the
+    window's size (a hit at shell s costs the window's points up to s, a
+    miss the whole window); from then on, if the window fits budget, one
+    `centre_index` built then answers every later target.  The batch thus
+    never pays more than twice the cheaper of walking and indexing, a
+    single target never builds an index, and a window over budget keeps
+    its walks and their BudgetExceeded."""
+    before = _ball_points(A.n, shells.start - 1)
+    size = _ball_points(A.n, shells[-1]) - before if shells else 0
+    spent, index = 0, None
+    for b in targets:
+        if index is None and 0 < size <= budget and spent >= size:
+            index = centre_index(A, shells, budget, thr, closed)
+        if index is not None:
+            hit = index(b)
+        else:
+            hit = next(within(A, shells, budget, thr, b, closed), None)
+            spent += size if hit is None else _ball_points(A.n, hit[0]) - before
+        yield A.target(b), hit
 
 
 def records(

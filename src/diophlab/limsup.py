@@ -18,6 +18,7 @@ from .lattice import (
     ApproxMatrix,
     IntVec,
     ReturnSequence,
+    first_hits,
     shell_size,
     within,
 )
@@ -344,25 +345,25 @@ def _hits(
 ) -> int:
     """How many targets b have ||Aq - b||_Z below thr, or below psi(||q||)
     for a psi thr, for some q in the window, as `within` decides it.
-    Other shapes check the window against the budget once and walk
-    `within` per target.  A 1 x 1 irrational matrix gets one union index
-    over the radius enclosures of thr per shell, with `within` for a target
-    inside its margin; the index covers the whole window, so that fallback
-    is not charged to the budget.  A psi's radii are its scaled_bounds over
+    Other shapes check the window against the budget once and decide the
+    targets as one batch of `lattice.first_hits`: walks, then one
+    sorted-centre index once the walks have cost the window's size.  A
+    1 x 1 irrational matrix gets one union index over the radius
+    enclosures of thr per shell, with `within` for a target inside its
+    margin; the index covers the whole window, so that fallback is not
+    charged to the budget.  A psi's radii are its scaled_bounds over
     the window's shells at the index's scale, integer pairs the index takes
     as they are."""
-
-    def exact(b: tuple[Fraction, ...], budget: float = budget) -> bool:
-        return next(within(A, w.shells, budget, thr, b), None) is not None
-
     if not A.irrational_line:
         w.check_budget(A.n, budget)
-        return sum(map(exact, targets))
+        return sum(hit is not None for _, hit in first_hits(A, w.shells, budget, thr, targets))
     if isinstance(thr, ApproxFunction):
         radii = thr.scaled_bounds(w.shells, A.line.shift)
     else:
         radii = repeat(thr)
-    index = UnionIndex1D(A.line, list(zip(w.shells, radii)), lambda x: exact((x,), math.inf))
+    index = UnionIndex1D(
+        A.line, list(zip(w.shells, radii)), lambda x: next(within(A, w.shells, math.inf, thr, (x,)), None) is not None
+    )
     return sum(map(lambda b: index.contains(b[0]), targets))
 
 
@@ -552,7 +553,9 @@ def coverage(
     else:
         # the index alone would decide targets against a radius from another field
         A.check_field(rho)
-        targets = (tuple(c + radius * (2 * t - 1) for c, t in zip(center, pt)) for pt in pts)
+        # c + radius (2t - 1) as one multiply-add from the corner c - radius
+        corner, step = [c - radius for c in center], 2 * radius
+        targets = (tuple(k + step * t for k, t in zip(corner, pt)) for pt in pts)
         est = MeasureEstimate.from_hits(_hits(A, w, rho, targets, budget), samples, seed, w)
     return CoverageEntry(lv.ell, dec_str(lv.l), dec_str(lv.u), dec_str(Radical(lv.rho_pow_m, m)), est)
 

@@ -10,6 +10,7 @@ from .lattice import (
     DEFAULT_BUDGET,
     ApproxMatrix,
     IntVec,
+    first_hits,
     in_return_sequence,
     within,
 )
@@ -130,7 +131,9 @@ def verify_corollary_3_3(
     check_level: bool = True,
 ) -> Cor33Report:
     """Every target must admit an inhomogeneous witness within the
-    transferred bounds; a miss is flagged as a theorem violation."""
+    transferred bounds, q as `solve_inhomogeneous` finds it; a miss is
+    flagged as a theorem violation.  The targets are one batch of
+    `lattice.first_hits` over the window ||q|| <= X1."""
     if sign(epsilon) <= 0:
         raise ValueError("need eps > 0")
     m, n = A.m, A.n
@@ -138,15 +141,13 @@ def verify_corollary_3_3(
         raise ValueError(f"level {ell} is not in the return sequence")
     C1_pow_m, X1 = corollary_bounds(epsilon, ell, m, n)
     C1 = Radical(C1_pow_m, m)
-    x_cap = floor_exact(X1)
     c1_float = float(C1)
     out: list[Cor33Target] = []
-    for b in targets:
-        b = A.target(b)
-        q = solve_inhomogeneous(A, b, C1, x_cap, budget)
-        if q is None:
+    for b, hit in first_hits(A, range(floor_exact(X1) + 1), budget, C1, targets, closed=True):
+        if hit is None:
             out.append(Cor33Target(b, None, "", "", False))
             continue
+        q = IntVec(hit[1])
         d = A.dist(q, b)
         lhs = dec_str(d)
         slack = f"{c1_float - float(d):.12e}"

@@ -26,7 +26,15 @@ from diophlab.analysis import (
     key_inequality_check,
     verify_prop_5_1,
 )
-from diophlab.numeric import RatInterval, _nth_root_lower, _nth_root_upper, compare, ex_pow
+from diophlab.numeric import (
+    RatInterval,
+    _nth_root_lower,
+    _nth_root_upper,
+    compare,
+    dist_to_int,
+    ex_pow,
+    quadratic,
+)
 from diophlab.sampling import sample_point
 from psi_reference import old_value_bounds
 
@@ -308,6 +316,31 @@ class TestBAlpha:
         )
         assert hits > 50  # most mass is far from the resonances
 
+    @pytest.mark.parametrize("alpha", [F(1, 10), F(1, 2), F(11, 10)])
+    def test_quadratic_b_matches_the_exact_evaluation(self, A_golden, alpha):
+        # ||b y_k||_Z > alpha gamma_k  <=>  ||b y_k||_Z^2 > alpha^2 gamma_k^2,
+        # compared exactly in Q(sqrt 5); rational b keep their verdicts
+        best = best_approximations(A_golden, 144)
+        gammas = gamma_sequence(best, 1, 1).entries
+        bs = [quadratic(F(0), F(1, 4), 5), quadratic(F(1, 3), F(-1, 7), 5), quadratic(F(1, 2), F(1, 10), 5),
+              F(1, 3), F(2, 7)]
+        verdicts = []
+        for b in bs:
+            for k in range(1, len(best.entries) - 1):
+                lhs = dist_to_int(b * best.entries[k].y.coords[0])
+                want = compare(lhs**2, alpha**2 * gammas[k - 1].gamma_pow).kind == "greater"
+                assert b_alpha_test((b,), best, alpha, [k]) is want
+                verdicts.append(want)
+        # alpha > 1 is vacuous in 1D (every b fails); below it both verdicts occur
+        assert set(verdicts) == ({False} if alpha > 1 else {True, False})
+
+    def test_quadratic_b_reaches_the_precondition_of_prop_5_1(self, A_golden):
+        # the target rule keeps sqrt(5)/4, which fails b_alpha_test at
+        # alpha = 11/10 as every 1D target does, not with a TypeError
+        best = best_approximations(A_golden, 144)
+        with pytest.raises(ValueError, match="b fails b_alpha_test"):
+            verify_prop_5_1(A_golden, (quadratic(F(0), F(1, 4), 5),), F(11, 10), best, Window(3, 6))
+
 
 class TestProp51:
     def test_alpha_must_exceed_n(self, A_golden):
@@ -340,11 +373,13 @@ class TestKeyInequality:
         bnum=st.integers(min_value=0, max_value=2**20 - 1),
         qv=st.integers(min_value=-200, max_value=200),
         k=st.integers(min_value=0, max_value=6),
+        sqrt5=st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_never_false(self, bnum, qv, k):
+    def test_never_false(self, bnum, qv, k, sqrt5):
+        # a target in the entries' field is kept quadratic, its lhs enclosed
         golden_A = _GOLDEN_A
-        b = (F(bnum, 1 << 20),)
+        b = (F(bnum, 1 << 20) + (quadratic(F(0), F(1, 4), 5) if sqrt5 else 0),)
         assert key_inequality_check(golden_A, b, IntVec((qv,)), _GOLDEN_BEST.entries[k].y)
 
     def test_2d_shape(self, sqrt2):
@@ -354,8 +389,6 @@ class TestKeyInequality:
 
 
 # module-level shared fixtures for the hypothesis test above
-from diophlab.numeric import quadratic  # noqa: E402
-
 _GOLDEN_A = ApproxMatrix([[quadratic(F(-1, 2), F(1, 2), 5)]])
 _GOLDEN_BEST = best_approximations(_GOLDEN_A, 21)
 

@@ -341,6 +341,12 @@ ERRORS = {
          "--equid-constant", "4", "--samples", "10"],
         (2, "error: target needs 2 coordinates, got 1"),
     ),
+    # the centre is checked before any work, even when no level is tested
+    "coverage-center-no-levels": (
+        ["coverage", "--matrix", "perfbench/inputs/golden.mat", "--epsilon", "2/5", "--ell-max", "8",
+         "--samples", "10", "--equid-constant", "4", "--levels", "0", "--ball-center", "1,2,3"],
+        (2, "error: target needs 1 coordinates, got 3"),
+    ),
     # 15 is not a square: a 4 x 4 grid would be counted over 15 samples
     "measure-w-grid-count": (
         ["measure-w", "--matrix", "perfbench/inputs/q21.mat", "--window-l", "1", "--window-u", "8",

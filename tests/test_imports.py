@@ -1,6 +1,7 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
-psi comparisons stay behind `lattice.within`, exact distances of a
+psi comparisons stay behind `lattice._decide`, the per-point rule of the
+walks and of the sorted-centre index, exact distances of a
 matrix stay behind `ApproxMatrix.dist`, a target is scaled for the filter
 only after `ApproxMatrix.target` checks it, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
@@ -85,17 +86,21 @@ def test_scanner_flags_an_unused_import(tmp_path):
 # the scaled-integer format of `fastpath`, which only `lattice` may use
 SCALED = {"scale_fraction", "threshold_bounds"}
 # the only callers of lattice.scan: the filtered and record walks, the
-# exhaustive Weyl sum, and verify_prop_5_1, which takes from it only the
-# indices of its spot checks (its threshold is a walk of within)
+# sorted-centre index of a window, the exhaustive Weyl sum, and
+# verify_prop_5_1, which takes from it only the indices of its spot checks
+# (its threshold is a walk of within)
 SCAN_CALLERS = {
     ("lattice.py", "within"),
+    ("lattice.py", "centre_index"),
     ("lattice.py", "records"),
     ("analysis.py", "verify_prop_5_1"),
     ("equidist.py", "weyl_sum"),
 }
-# the exact psi comparisons, which limsup defines and lattice.within alone
-# calls: anywhere else a psi threshold would be decided outside the filter
+# the exact psi comparisons, which limsup defines and lattice._decide, the
+# one per-point rule of within and of centre_index, alone calls: anywhere
+# else a psi threshold would be decided outside the filter
 PSI_CALLS = {"compare_value", "lt_value"}
+PSI_CALLER = ("lattice.py", "_decide")
 # all work is pure-Python exact arithmetic, which threads cannot run in
 # parallel under the GIL
 THREADS = {"concurrent", "threading"}
@@ -114,11 +119,16 @@ GAMMA_CALLERS = {("analysis.py", "_counterparts")}
 # its CF path, and the tight key inequality of a 1 x 1 CF entry, may build
 # Aq from `apply` or take dist_to_int_vec of it.  A target is scaled for the
 # filter only where ApproxMatrix.target has just checked it: in the two
-# walks and in dist_enclosure
+# walks, in the query of the sorted-centre index and in dist_enclosure
 DIST_CALLERS = {
     "dist_to_int_vec": {("lattice.py", "dist")},
     "apply": {("lattice.py", "dist"), ("analysis.py", "_cf_tight")},
-    "scale_target": {("lattice.py", "within"), ("lattice.py", "records"), ("lattice.py", "dist_enclosure")},
+    "scale_target": {
+        ("lattice.py", "within"),
+        ("lattice.py", "first_hit"),
+        ("lattice.py", "records"),
+        ("lattice.py", "dist_enclosure"),
+    },
 }
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
@@ -128,7 +138,7 @@ FRAME_CALLS = {"exit": {"_subcommand"}, "_load_matrix": {"_subcommand", "series"
 
 def kernel_leaks(path: Path) -> list[str]:
     """Calls of iter_shell outside lattice.scan, of scan outside
-    SCAN_CALLERS, of PSI_CALLS outside limsup and lattice.within, of
+    SCAN_CALLERS, of PSI_CALLS outside limsup and PSI_CALLER, of
     DIST_CALLERS outside their functions and of _gamma_pow outside
     GAMMA_CALLERS, imports of the scaled-integer helpers
     outside lattice, of mpmath outside MPMATH_USERS, and of
@@ -162,7 +172,7 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} iter_shell")
                 if name == "scan" and (path.name, func) not in SCAN_CALLERS:
                     found.append(f"{path.name}:{child.lineno} scan")
-                if name in PSI_CALLS and path.name != "limsup.py" and (path.name, func) != ("lattice.py", "within"):
+                if name in PSI_CALLS and path.name != "limsup.py" and (path.name, func) != PSI_CALLER:
                     found.append(f"{path.name}:{child.lineno} {name}")
                 if name in DIST_CALLERS and (path.name, func) not in DIST_CALLERS[name]:
                     found.append(f"{path.name}:{child.lineno} {name}")
@@ -240,7 +250,7 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(limsup) == ["limsup.py:2 scan"]
-    # psi comparisons: limsup defines them, and lattice.within alone calls them
+    # psi comparisons: limsup defines them, and lattice._decide alone calls them
     limsup.write_text(
         "def lt_value(self, d, q):\n"
         "    return self.compare_value(d, q)\n",
@@ -249,7 +259,7 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
     assert kernel_leaks(limsup) == []
     lattice = tmp_path / "lattice.py"
     lattice.write_text(
-        "def within(psi, d):\n"
+        "def _decide(psi, d):\n"
         "    return psi.compare_value(d, 1)\n"
         "def records(psi, d):\n"
         "    return psi.compare_value(d, 1)\n",
@@ -308,6 +318,30 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(lattice) == ["lattice.py:4 scale_target"]
+    # the per-point rule lives in _decide, which within and the sorted-centre
+    # index feed; the rule copied into a third function is a leak
+    lattice.write_text(
+        "def _decide(A, psi, d, s):\n"
+        "    return psi.compare_value(d, s)\n"
+        "def within(A, b, n):\n"
+        "    return _decide(A, scan(1, range(n), 10), A.line.scale_target(A.target(b)))\n"
+        "def centre_index(A, n):\n"
+        "    def first_hit(b):\n"
+        "        return _decide(A, A.line.scale_target(A.target(b)), points)\n"
+        "    points = list(scan(1, range(n), 10))\n"
+        "    return first_hit\n"
+        "def first_hits(A, psi, bs, n):\n"
+        "    for b in bs:\n"
+        "        scaled = A.line.scale_target(A.target(b))\n"
+        "        for s, shell in scan(1, range(n), 10):\n"
+        "            yield [psi.compare_value(A.dist(q, b), s) for q in shell]\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == [
+        "lattice.py:12 scale_target",
+        "lattice.py:13 scan",
+        "lattice.py:14 compare_value",
+    ]
     # mpmath: equidist alone may import it, at any depth
     limsup.write_text(
         "import mpmath\n"

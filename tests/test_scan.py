@@ -33,6 +33,8 @@ from diophlab.lattice import (
     _best_approximations_scan,
     bad_witness,
     best_approximations,
+    centre_index,
+    first_hits,
     iter_shell,
     records,
     return_sequence,
@@ -68,7 +70,7 @@ from diophlab.numeric import (
     quadratic,
 )
 from diophlab.sampling import sample_point
-from diophlab.transference import solve_inhomogeneous
+from diophlab.transference import solve_inhomogeneous, verify_corollary_3_3
 from psi_reference import old_value_bounds
 
 GOLDEN = quadratic(F(-1, 2), F(1, 2), 5)
@@ -625,6 +627,98 @@ def test_psi_walk_encloses_no_shell_past_its_hit(monkeypatch):
     q = psi_witness(MATRICES["golden"], (F(3, 8),), PowerLog(F(1, 4), F(1), F(1)), Window(1, 4096))
     assert q.norm == 323
     assert drawn == list(range(2, 324))
+
+
+# ---------------------------------------------------------------------------
+# the sorted-centre index of a window against the walk it replaces
+# ---------------------------------------------------------------------------
+
+# every shape up to 2 x 2, with a quadratic 2 x 2 beside the others
+INDEX_MATRICES = {**MATRICES, "q22": ApproxMatrix([[SQRT2, F(1, 3)], [Q12_B, quadratic(F(0), F(2, 5), 2)]])}
+
+
+def first_walk_hit(A, shells, budget, thr, b, closed):
+    return next(within(A, shells, budget, thr, b, closed), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.sampled_from(sorted(INDEX_MATRICES)),
+    data=st.data(),
+    lu=st.tuples(st.integers(min_value=0, max_value=20), st.integers(min_value=1, max_value=25)),
+    closed=st.booleans(),
+)
+def test_centre_index_first_hits_match_the_walks(key, data, lu, closed):
+    A = INDEX_MATRICES[key]
+    lo, du = lu if A.n == 1 else (min(lu[0], 3), min(lu[1], 4))
+    bs = data.draw(st.lists(st.one_of(st.none(), targets(A.m)), min_size=1, max_size=6))
+    points = [q for s in range(lo, lo + 3) for q in iter_shell(A.n, s)]
+    psi = data.draw(st.booleans())
+    if psi:
+        thr = data.draw(psi_thresholds(A, points, bs[0]))
+        lo = max(lo, 1)  # a psi is defined on [1, oo)
+    else:
+        thr = data.draw(thresholds(A, points, bs[0]))
+    shells, budget = range(lo, lo + du), 1 << 22
+    want = [outcome(first_walk_hit, A, shells, budget, thr, b, closed) for b in bs]
+    # the index alone, for every target
+    index = centre_index(A, shells, budget, thr, closed)
+    assert [outcome(index, b) for b in bs] == want
+    # the batch, walks then the index, up to the first error
+    got, err = walk(first_hits(A, shells, budget, thr, bs, closed))
+    assert [("ok", hit) for _, hit in got] + ([("raise", err)] if err else []) == want[: len(got) + bool(err)]
+    assert [b for b, _ in got] == [A.target(b) for b in bs[: len(got)]]
+    # the counts of limsup._hits over a window, against one walk per target
+    bs = [b for b in bs if b is not None]
+    if bs and (psi or not A.irrational_line):
+        w = Window(max(lo, 1) - 1, lo + du)
+        want = outcome(lambda: sum(first_walk_hit(A, w.shells, budget, thr, b, False) is not None for b in bs))
+        assert outcome(lambda: limsup._hits(A, w, thr, bs, budget)) == want
+
+
+def count_builds(monkeypatch):
+    """The list of windows a centre index is built over, as first_hits builds them."""
+    built = []
+
+    def spy(A, shells, *args):
+        built.append(shells)
+        return centre_index(A, shells, *args)
+
+    monkeypatch.setattr(lattice, "centre_index", spy)
+    return built
+
+
+def test_a_window_over_budget_keeps_its_walks(monkeypatch):
+    # 40 targets hitting in a window of 201 points: the walks pay for an
+    # index, but only a budget that holds the window builds it
+    A, shells, thr = MATRICES["golden"], range(101), F(1, 20)
+    bs = [sample_point(2, i, 1) for i in range(40)]
+    want = [(A.target(b), first_walk_hit(A, shells, 1 << 22, thr, b, True)) for b in bs]
+    assert all(hit is not None for _, hit in want)
+    assert sum(2 * hit[0] + 1 for _, hit in want[:-1]) >= 201
+    built = count_builds(monkeypatch)
+    assert list(first_hits(A, shells, 200, thr, bs, True)) == want
+    assert built == []
+    assert list(first_hits(A, shells, 201, thr, bs, True)) == want
+    assert built == [shells]
+    # a miss walked over budget raises as its walk does
+    with pytest.raises(BudgetExceeded):
+        list(first_hits(A, shells, 200, F(1, 10**9), bs, True))
+    assert built == [shells]
+
+
+def test_a_single_target_builds_no_index(monkeypatch):
+    # x_cap = 917504, about 2^20: one target walks, however long its walk
+    built = count_builds(monkeypatch)
+    rep = verify_corollary_3_3(MATRICES["golden"], F(2, 5), 19, [sample_point(1, 0, 1)], check_level=False)
+    assert floor_exact(rep.X1) == 917504 and rep.all_ok
+    assert built == []
+    # two early hits on a huge window pay for no index; a miss costs the
+    # whole window, so the target after it is served by one
+    list(first_hits(MATRICES["golden"], range(1 << 20), 1 << 22, F(1, 4), [(F(1, 2),), (F(1, 3),)]))
+    assert built == []
+    list(first_hits(MATRICES["golden"], range(50), 1 << 22, F(1, 10**6), [(F(1, 2),), (F(1, 3),)]))
+    assert built == [range(50)]
 
 
 # ---------------------------------------------------------------------------

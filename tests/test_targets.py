@@ -87,13 +87,14 @@ def test_every_entry_point_checks_its_target_first(entry, b, error):
 
 
 def test_b_alpha_test_checks_the_length_of_a_rational_target():
-    # no matrix, so no field to check against: it converts with Fraction(),
-    # and a quadratic coordinate raises TypeError as before
+    # no matrix: a quadratic coordinate is kept and checked against the
+    # field of the records' distances, sqrt(5) for the golden ratio
     for a in (F(11, 10), F(1, 10)):
         with pytest.raises(ValueError, match="target needs 1 coordinates, got 2"):
             b_alpha_test((F(1, 3), F(1, 5)), BEST, a, [1, 2])
-    with pytest.raises(TypeError):
+    with pytest.raises(UnsupportedEntry, match=r"mixing radicands sqrt\(2\) and sqrt\(5\)"):
         b_alpha_test((quadratic(0, 1, 2),), BEST, F(1, 10), [1, 2])
+    assert b_alpha_test((quadratic(0, F(1, 4), 5),), BEST, F(1, 10), [1, 2]) in (True, False)
     assert b_alpha_test((F(1, 3),), BEST, F(1, 10), [1, 2]) in (True, False)
 
 
