@@ -651,7 +651,7 @@ def estimate_exponents(
     tail (a "for all large X" stand-in).  A vanishing distance reports the
     ExactHit sentinel; it counts as +infinity in the tail minimum."""
     xs = [int(x) for x in X_schedule]
-    if any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])) or xs[0] < 2:
+    if not xs or xs[0] < 2 or any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError("X_schedule must be increasing with X >= 2")
     table = []
     w_hat: "float | ExactHit | None" = None

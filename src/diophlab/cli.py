@@ -200,6 +200,8 @@ def best_approx(emit, A, y_max, budget):
 )
 def transfer(emit, A, epsilon, ell, targets, seed, budget):
     """Verify the inhomogeneous transference guarantee at one level."""
+    if targets < 0:
+        raise ValueError("--targets must be >= 0")
     eps = parse_exact(epsilon)
     pts = [sample_point(seed, i, A.m) for i in range(targets)]
     rep = verify_corollary_3_3(A, eps, ell, pts, budget)
@@ -244,6 +246,8 @@ def coverage_cmd(
     """Covered fraction of a ball by resonant neighborhoods, largest levels."""
     if len(levels) != 1:
         raise ValueError("--levels takes one integer")
+    if levels[0] < 0:
+        raise ValueError("--levels must be >= 0")
     eps = parse_exact(epsilon)
     ball = A.ball(ball_center.split(","), ball_radius)
     ret = return_sequence(A, eps, ell_max, budget)

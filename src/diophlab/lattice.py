@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import cycle, groupby, islice, pairwise, repeat, tee
+from itertools import cycle, groupby, islice, pairwise, repeat
 from math import lcm
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
@@ -299,60 +299,81 @@ def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, It
         yield s, iter_shell(dim, s)
 
 
+@dataclass(frozen=True)
+class Constant:
+    """The constant threshold psi(s) = thr of every shell s, for a value thr
+    that `threshold_bounds` encloses: a fixed radius as a psi."""
+
+    thr: Comparable | Radical
+
+    def scaled_bounds(self, shells: Iterable[int], shift: int) -> Iterator[tuple[int, int]]:
+        """The one enclosure of thr at 2^-shift, repeated for every shell."""
+        return repeat(threshold_bounds(self.thr, shift))
+
+    def compare_value(self, d: Comparable, s: int) -> Ordering:
+        """The certified ordering of d against thr; PrecisionExhausted when
+        undecided."""
+        return _decided(compare(d, self.thr))
+
+
+def threshold(A: ApproxMatrix, thr: Comparable | Radical | ApproxFunction) -> ApproxFunction | Constant:
+    """thr as the psi of a walk over A, the one place the two kinds of
+    threshold are told apart: a psi (anything with compare_value) passes
+    through unchanged, and a value becomes `Constant`(thr) once
+    `ApproxMatrix.check_field` has checked it (UnsupportedEntry for a
+    value outside the field of A's entries and Q)."""
+    if hasattr(thr, "compare_value"):
+        return thr
+    A.check_field(thr)
+    return Constant(thr)
+
+
 def within(
-    A: ApproxMatrix, shells: Iterable[int], budget: int, thr: Comparable | Radical | ApproxFunction,
+    A: ApproxMatrix, shells: range, budget: int, thr: Comparable | Radical | ApproxFunction,
     b: Optional[Sequence[ExactReal]] = None, closed: bool = False,
 ) -> Iterator[tuple[int, tuple[int, ...], Ordering]]:
     """(s, q, c) for every q in the order of scan(A.n, shells, budget) with
-    ||Aq - b||_Z < thr, or <= thr when closed, where c is the ordering of
-    that distance against thr: LESS, or EQUAL on the boundary of a closed
-    threshold.  b passes `ApproxMatrix.target` before any point is scanned.
+    ||Aq - b||_Z < psi(s), or <= psi(s) when closed, where psi is
+    threshold(A, thr) (so a value is checked before any point is scanned)
+    and c is the ordering of that distance against psi(s): LESS, or EQUAL
+    on the boundary of a closed threshold.  b passes `ApproxMatrix.target`
+    before any point is scanned.
 
-    thr is either a value `threshold_bounds` encloses, in the field of A's
-    entries or in Q (UnsupportedEntry otherwise, before any point is
-    scanned), enclosed once; or a psi (an `ApproxFunction`), the per-shell
-    threshold psi(s) of the shell s, compared exactly by psi.compare_value.
-    A psi's scaled bounds come from psi.scaled_bounds(shells, shift),
+    The scaled bounds of psi come from psi.scaled_bounds(shells, shift),
     drawn in step with the scan, so a walk that stops at a hit encloses no
-    later shell; for a `PowerLog` they are integer roots over a running
-    fixed-point ln s whose every rounding is counted in its width.  Each
-    point is decided by `_decide`, so the hits, BudgetExceeded and
-    PrecisionExhausted are those of the exact scan.
+    later shell: a value is enclosed once, and a `PowerLog` gives integer
+    roots over a running fixed-point ln s whose every rounding is counted
+    in its width.  Each point is decided by `_decide`, so the hits,
+    BudgetExceeded and PrecisionExhausted are those of the exact scan.
     """
     line = A.line
-    psi = thr if hasattr(thr, "compare_value") else None
-    if psi is None:
-        A.check_field(thr)
-        bounds = repeat(threshold_bounds(thr, line.shift))
-    else:
-        shells, drawn = tee(shells)
-        bounds = psi.scaled_bounds(drawn, line.shift)
+    psi = threshold(A, thr)
+    bounds = psi.scaled_bounds(shells, line.shift)
     b = A.target(b)
-    yield from _decide(A, thr, psi, closed, b, line.scale_target(b), scan(A.n, shells, budget), bounds)
+    yield from _decide(A, psi, closed, b, line.scale_target(b), zip(scan(A.n, shells, budget), bounds))
 
 
 def _decide(
-    A: ApproxMatrix, thr, psi: Optional[ApproxFunction], closed: bool, b: Optional[tuple],
-    scaled: tuple, shells: Iterable[tuple[int, Iterable]], bounds: Iterable[tuple[int, int]],
+    A: ApproxMatrix, psi: ApproxFunction | Constant, closed: bool, b: Optional[tuple], scaled: tuple,
+    shells: Iterable[tuple[tuple[int, Iterable], tuple[int, int]]],
 ) -> Iterator[tuple[int, tuple[int, ...], Ordering]]:
     """The per-point rule of `within` and of `centre_index`: (s, q, c) for
-    every point q of each (s, points) of shells, in turn, that meets thr
-    (psi(s) for a psi) as `within` states it, with the scaled bounds
-    (thr_lo, thr_hi) of each shell drawn from bounds in step with shells.
-    b has passed `ApproxMatrix.target` and scaled is its `scale_target`.
-    Scaled-integer bounds accept q with c = LESS when d_hi < thr_lo and
-    reject it when d_lo > thr_hi; only a point inside that margin is
-    compared exactly, raising PrecisionExhausted when undecided."""
+    every point q of each ((s, points), (thr_lo, thr_hi)) of shells, in
+    turn, that meets psi(s) as `within` states it, (thr_lo, thr_hi) being
+    the scaled bounds of psi(s).  b has passed `ApproxMatrix.target` and
+    scaled is its `scale_target`.  Scaled-integer bounds accept q with
+    c = LESS when d_hi < thr_lo and reject it when d_lo > thr_hi; only a
+    point inside that margin is compared exactly, by psi.compare_value,
+    raising PrecisionExhausted when undecided."""
     b_scaled, b_err = scaled
     dist_bounds = A.line.dist_bounds
-    for (s, points), (thr_lo, thr_hi) in zip(shells, bounds):
+    for (s, points), (thr_lo, thr_hi) in shells:
         for q in points:
             d_lo, d_hi = dist_bounds(q, b_scaled, b_err)
             if d_hi < thr_lo:
                 yield s, q, Ordering.LESS
             elif d_lo <= thr_hi:
-                d = A.dist(q, b)
-                c = _decided(compare(d, thr)) if psi is None else psi.compare_value(d, s)
+                c = psi.compare_value(A.dist(q, b), s)
                 if c is Ordering.LESS or (closed and c is Ordering.EQUAL):
                     yield s, q, c
 
@@ -381,14 +402,9 @@ def centre_index(
     first hit, or first PrecisionExhausted, is the walk's."""
     line = A.line
     mod = line.mod
-    psi = thr if hasattr(thr, "compare_value") else None
-    if psi is None:
-        A.check_field(thr)
+    psi = threshold(A, thr)
     points = [(s, q) for s, shell in scan(A.n, shells, budget) for q in shell]
-    if psi is None:
-        per_shell = dict.fromkeys(shells, threshold_bounds(thr, line.shift))
-    else:
-        per_shell = dict(zip(shells, psi.scaled_bounds(shells, line.shift)))
+    per_shell = dict(zip(shells, psi.scaled_bounds(shells, line.shift)))
     row = line.a_rows[0]
     keys = [sum(map(mul, q, row)) % mod for _, q in points]
     order = sorted(range(len(points)), key=keys.__getitem__)
@@ -407,8 +423,8 @@ def centre_index(
             lo, hi = (b0 - r) % mod, (b0 + r) % mod
             i, j = bisect_left(keys, lo), bisect_right(keys, hi)
             near = sorted(order[i:j] if lo <= hi else order[i:] + order[:j])
-        walk, drawn = tee((s, [q for _, q in pts]) for s, pts in groupby(map(points.__getitem__, near), itemgetter(0)))
-        return next(_decide(A, thr, psi, closed, b, scaled, walk, (per_shell[s] for s, _ in drawn)), None)
+        walk = (((s, [q for _, q in pts]), per_shell[s]) for s, pts in groupby(map(points.__getitem__, near), itemgetter(0)))
+        return next(_decide(A, psi, closed, b, scaled, walk), None)
 
     return first_hit
 

@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidWindow, PrecisionExhausted
@@ -20,6 +19,7 @@ from .lattice import (
     ReturnSequence,
     first_hits,
     shell_size,
+    threshold,
     within,
 )
 from .numeric import (
@@ -343,26 +343,23 @@ def _hits(
     A: ApproxMatrix, w: Window, thr: Comparable | Radical | ApproxFunction,
     targets: Iterable[tuple[Fraction, ...]], budget: int,
 ) -> int:
-    """How many targets b have ||Aq - b||_Z below thr, or below psi(||q||)
-    for a psi thr, for some q in the window, as `within` decides it.
-    Other shapes check the window against the budget once and decide the
-    targets as one batch of `lattice.first_hits`: walks, then one
-    sorted-centre index once the walks have cost the window's size.  A
-    1 x 1 irrational matrix gets one union index over the radius
-    enclosures of thr per shell, with `within` for a target inside its
-    margin; the index covers the whole window, so that fallback is not
-    charged to the budget.  A psi's radii are its scaled_bounds over
-    the window's shells at the index's scale, integer pairs the index takes
-    as they are."""
+    """How many targets b have ||Aq - b||_Z below psi(||q||) for some q in
+    the window, psi = lattice.threshold(A, thr), as `within` decides it;
+    thr is wrapped (a value checked) before anything else.  Other shapes
+    check the window against the budget once and decide the targets as one
+    batch of `lattice.first_hits`: walks, then one sorted-centre index once
+    the walks have cost the window's size.  A 1 x 1 irrational matrix gets
+    one union index over the radii of psi, its scaled_bounds over the
+    window's shells at the index's scale, with `within` for a target
+    inside its margin; the index covers the whole window, so that fallback
+    is not charged to the budget."""
+    psi = threshold(A, thr)
     if not A.irrational_line:
         w.check_budget(A.n, budget)
-        return sum(hit is not None for _, hit in first_hits(A, w.shells, budget, thr, targets))
-    if isinstance(thr, ApproxFunction):
-        radii = thr.scaled_bounds(w.shells, A.line.shift)
-    else:
-        radii = repeat(thr)
+        return sum(hit is not None for _, hit in first_hits(A, w.shells, budget, psi, targets))
     index = UnionIndex1D(
-        A.line, list(zip(w.shells, radii)), lambda x: next(within(A, w.shells, math.inf, thr, (x,)), None) is not None
+        A.line, list(zip(w.shells, psi.scaled_bounds(w.shells, A.line.shift))),
+        lambda x: next(within(A, w.shells, math.inf, psi, (x,)), None) is not None,
     )
     return sum(map(lambda b: index.contains(b[0]), targets))
 
@@ -551,8 +548,6 @@ def coverage(
     if rc.decided and rc.kind != "less":
         est = MeasureEstimate(Fraction(1), samples, Fraction(1), Fraction(1), seed, w)
     else:
-        # the index alone would decide targets against a radius from another field
-        A.check_field(rho)
         # c + radius (2t - 1) as one multiply-add from the corner c - radius
         corner, step = [c - radius for c in center], 2 * radius
         targets = (tuple(k + step * t for k, t in zip(corner, pt)) for pt in pts)

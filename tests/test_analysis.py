@@ -435,5 +435,7 @@ class TestExponents:
         assert len(exact) == 9 + 3
 
     def test_schedule_validation(self, A_golden):
-        with pytest.raises(ValueError):
-            estimate_exponents(A_golden, None, [16, 8])
+        # an empty schedule has no horizon, and is refused as a bad one is
+        for b, schedule in ((None, [16, 8]), ((F(1, 3),), []), ((F(1, 3),), [1])):
+            with pytest.raises(ValueError, match="X_schedule must be increasing with X >= 2"):
+                estimate_exponents(A_golden, b, schedule)

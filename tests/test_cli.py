@@ -358,6 +358,17 @@ ERRORS = {
          "--samples", "0", "--equid-constant", "4"],
         (2, "error: samples >= 1 required"),
     ),
+    # a negative count is refused, not read as an empty run
+    "transfer-negative-targets": (
+        ["transfer", "--matrix", "perfbench/inputs/golden.mat", "--epsilon", "2/5", "--ell", "4",
+         "--targets", "-3"],
+        (2, "error: --targets must be >= 0"),
+    ),
+    "coverage-negative-levels": (
+        ["coverage", "--matrix", "perfbench/inputs/golden.mat", "--epsilon", "2/5", "--ell-max", "8",
+         "--samples", "10", "--equid-constant", "4", "--levels", "-2"],
+        (2, "error: --levels must be >= 0"),
+    ),
 }
 
 

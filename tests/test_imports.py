@@ -1,7 +1,8 @@
 """No module-level import in the package goes unused, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
 psi comparisons stay behind `lattice._decide`, the per-point rule of the
-walks and of the sorted-centre index, exact distances of a
+walks and of the sorted-centre index, only `lattice.threshold` tells a
+threshold value from a psi, exact distances of a
 matrix stay behind `ApproxMatrix.dist`, a target is scaled for the filter
 only after `ApproxMatrix.target` checks it, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
@@ -101,6 +102,9 @@ SCAN_CALLERS = {
 # else a psi threshold would be decided outside the filter
 PSI_CALLS = {"compare_value", "lt_value"}
 PSI_CALLER = ("lattice.py", "_decide")
+# the one place a threshold value is told from a psi: lattice.threshold
+# wraps a value as the constant psi, so no walk forks on the kind again
+KIND_TELLER = ("lattice.py", "threshold")
 # all work is pure-Python exact arithmetic, which threads cannot run in
 # parallel under the GIL
 THREADS = {"concurrent", "threading"}
@@ -136,9 +140,23 @@ DIST_CALLERS = {
 FRAME_CALLS = {"exit": {"_subcommand"}, "_load_matrix": {"_subcommand", "series"}}
 
 
+def _tells_kinds_apart(name: str | None, args: list[ast.expr]) -> bool:
+    """hasattr(x, "compare_value"), or isinstance(x, ApproxFunction) with
+    ApproxFunction named alone, off a module or in a tuple of classes."""
+    if len(args) != 2:
+        return False
+    if name == "hasattr":
+        return isinstance(args[1], ast.Constant) and args[1].value == "compare_value"
+    if name != "isinstance":
+        return False
+    classes = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+    return any(getattr(c, "id", getattr(c, "attr", None)) == "ApproxFunction" for c in classes)
+
+
 def kernel_leaks(path: Path) -> list[str]:
     """Calls of iter_shell outside lattice.scan, of scan outside
-    SCAN_CALLERS, of PSI_CALLS outside limsup and PSI_CALLER, of
+    SCAN_CALLERS, of PSI_CALLS outside limsup and PSI_CALLER, threshold
+    kind tests (`_tells_kinds_apart`) outside KIND_TELLER, of
     DIST_CALLERS outside their functions and of _gamma_pow outside
     GAMMA_CALLERS, imports of the scaled-integer helpers
     outside lattice, of mpmath outside MPMATH_USERS, and of
@@ -173,6 +191,8 @@ def kernel_leaks(path: Path) -> list[str]:
                 if name == "scan" and (path.name, func) not in SCAN_CALLERS:
                     found.append(f"{path.name}:{child.lineno} scan")
                 if name in PSI_CALLS and path.name != "limsup.py" and (path.name, func) != PSI_CALLER:
+                    found.append(f"{path.name}:{child.lineno} {name}")
+                if _tells_kinds_apart(name, child.args) and (path.name, func) != KIND_TELLER:
                     found.append(f"{path.name}:{child.lineno} {name}")
                 if name in DIST_CALLERS and (path.name, func) not in DIST_CALLERS[name]:
                     found.append(f"{path.name}:{child.lineno} {name}")
@@ -273,6 +293,25 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(analysis) == ["analysis.py:2 lt_value", "analysis.py:2 compare_value"]
+    # threshold kinds: lattice.threshold alone tells a value from a psi; the
+    # fork copied into a walk or into _hits is a leak, other tests are not
+    lattice.write_text(
+        "def threshold(A, thr):\n"
+        "    return thr if hasattr(thr, 'compare_value') else Constant(thr)\n"
+        "def within(A, thr):\n"
+        "    psi = thr if hasattr(thr, 'compare_value') else None\n"
+        "    return hasattr(thr, 'scaled_bounds') or isinstance(thr, Constant)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:4 hasattr"]
+    limsup.write_text(
+        "def _hits(A, thr):\n"
+        "    if isinstance(thr, ApproxFunction):\n"
+        "        return isinstance(thr, (Window, limsup.ApproxFunction))\n"
+        "    return isinstance(thr, Window)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(limsup) == ["limsup.py:2 isinstance", "limsup.py:3 isinstance"]
     # gamma_k: the counterpart table alone computes it; a recomputation per
     # target or per shell is a leak
     analysis.write_text(

@@ -627,6 +627,12 @@ def test_psi_walk_encloses_no_shell_past_its_hit(monkeypatch):
     q = psi_witness(MATRICES["golden"], (F(3, 8),), PowerLog(F(1, 4), F(1), F(1)), Window(1, 4096))
     assert q.norm == 323
     assert drawn == list(range(2, 324))
+    # within itself, over a window of 10^6 shells: a hit at shell 1 draws
+    # psi(1) alone
+    drawn.clear()
+    hit = next(within(MATRICES["golden"], range(1, 10**6), 1 << 22, PowerLog(F(1, 2), F(1), F(0)), (F(1, 3),)))
+    assert hit == (1, (-1,), Ordering.LESS)
+    assert drawn == [1]
 
 
 # ---------------------------------------------------------------------------
