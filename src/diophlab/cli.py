@@ -292,6 +292,8 @@ def equidist_cmd(emit, A, op, freq, N, ball_center, ball_radius, l_values, budge
         rep = counting_report(A, (ball_center.split(","), ball_radius), N, budget)
         emit(rep.to_json(), op=op, N=N, ball={"center": ball_center, "radius": ball_radius})
     else:
+        if min(l_values) < 1:
+            raise ValueError("--l-values must be >= 1")
         est = estimate_equid_constant(A, _ball_family(A.m), l_values, budget)
         emit(est.to_json(), op=op, N=N, l_values=l_values)
 

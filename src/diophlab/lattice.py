@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import cycle, groupby, islice, pairwise, repeat
+from itertools import cycle, groupby, islice, pairwise, repeat, takewhile
 from math import lcm
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
@@ -510,11 +510,60 @@ def solve_homogeneous(
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[IntVec]:
     """First q (shell-then-lex order) with 0 < ||q|| < X and ||Aq||_Z < C,
-    for C an exact value or a `Radical`."""
+    for C an exact value or a `Radical`; a 1 x 1 irrational line answers
+    from its convergent records (`_homogeneous`)."""
     if sign(C) <= 0 or X < 1:
         raise ValueError("need C > 0 and X >= 1")
-    hit = next(within(A, range(1, X), budget, C), None)
-    return None if hit is None else IntVec(hit[1])
+    return _homogeneous(A, X, budget)(C, X)
+
+
+def _homogeneous(
+    A: ApproxMatrix, X_max: int, budget: int,
+) -> Callable[[Comparable | Radical, int], Optional[IntVec]]:
+    """solve_homogeneous(A, C, X, budget) as a function of (C, X), for
+    X <= X_max: the `within` walk over shells 1..X-1, or for a 1 x 1
+    irrational line its convergent records below X_max, read once.
+
+    On a line the first |q| with ||q alpha||_Z < C is a record q_k, and
+    the walk meets -q_k first in its shell.  So the answer is -q_k for the
+    first record q_k < X whose distance A.dist((q_k,)) (exact for a
+    quadratic alpha, the enclosure's for a CF one) is certainly < C, and
+    None when every record below X is certainly >= C; either is charged
+    what the walk charges, 2s points up to its last shell s (q_k on a hit,
+    X - 1 on a miss).  A record comparison left undecided, or an X - 1 at
+    or past the records' reach, takes the walk, with its own errors.  A
+    point that is not a record is farther than the record before it, so
+    on a CF line the records may decide where the walk raises
+    PrecisionExhausted at such a point."""
+    recs, reach = [], 0
+    if A.irrational_line:
+        found, reach = _line_records(A.rows[0][0], X_max - 1)
+        recs = [(q, A.dist((q,))) for _, q, _ in found]
+
+    def solve(C: Comparable | Radical, X: int) -> Optional[IntVec]:
+        psi = threshold(A, C)
+        if X - 1 < reach:
+            for q, d in takewhile(lambda r: r[0] < X, recs):
+                c = compare(d, C)
+                if not c.decided:
+                    break
+                if c == Ordering.LESS:
+                    _charge_line(q, budget)
+                    return IntVec((-q,))
+            else:
+                _charge_line(X - 1, budget)
+                return None
+        hit = next(within(A, range(1, X), budget, psi), None)
+        return None if hit is None else IntVec(hit[1])
+
+    return solve
+
+
+def _charge_line(s: int, budget: int) -> None:
+    """BudgetExceeded where a 1 x 1 walk over shells 1..s raises it: at the
+    first shell t whose running count 2t passes budget."""
+    if 2 * s > budget:
+        raise BudgetExceeded(f"enumeration of {2 * max(budget // 2 + 1, 1)} points exceeds {budget}")
 
 
 @dataclass
@@ -554,16 +603,21 @@ def return_sequence(
     ||Aq||_Z < eps * 2^(-(n/m) l); the threshold is compared on m-th powers."""
     if sign(epsilon) <= 0 or ell_max < 1:
         raise ValueError("need eps > 0 and ell_max >= 1")
-    eps_m = ex_pow(epsilon, A.m)
-    levels = [ell for ell in range(1, ell_max + 1) if in_return_sequence(A, eps_m, ell, budget)]
+    levels = _levels(A, ex_pow(epsilon, A.m), range(1, ell_max + 1), budget)
     return ReturnSequence(epsilon, ell_max, levels, A.m, A.n)
 
 
 def in_return_sequence(A: ApproxMatrix, eps_m: Comparable, ell: int, budget: int) -> bool:
     """Level l of L(eps), from eps^m: no q with 0 < ||q|| < 2^l and
     ||Aq||_Z^m < eps^m 2^(-n l)."""
-    thr = Radical(eps_m * Fraction(1, 1 << (A.n * ell)), A.m)
-    return solve_homogeneous(A, thr, 1 << ell, budget) is None
+    return _levels(A, eps_m, [ell], budget) == [ell]
+
+
+def _levels(A: ApproxMatrix, eps_m: Comparable, ells: Sequence[int], budget: int) -> list[int]:
+    """The levels of ells (ascending, nonempty) in L(eps), from eps^m, with
+    one `_homogeneous` search, so a line's records are read once."""
+    solve = _homogeneous(A, 1 << ells[-1], budget)
+    return [ell for ell in ells if solve(Radical(eps_m * Fraction(1, 1 << (A.n * ell)), A.m), 1 << ell) is None]
 
 
 def bad_witness(
@@ -652,39 +706,54 @@ def _best_approximations_scan(
     )
 
 
-def _best_approximations_1d(A: ApproxMatrix, Y_max: int) -> BestApproxSequence:
-    """The records of an irrational alpha are its convergents (Lagrange):
+def _line_records(alpha: Quadratic | CFReal, Y_max: int) -> tuple[list[tuple[int, int, int]], int]:
+    """((p_k, q_k, q_(k+1)) for each record q_k <= Y_max of the irrational
+    alpha, and their reach: every record below reach is listed.
+
+    The records of an irrational alpha are its convergents (Lagrange):
     ||q_k alpha||_Z = |q_k alpha - p_k| strictly decreases for k >= 1, and
     q_0 = q_1 = 1 when a_1 = 1, so convergent k is a record iff
-    q_k < q_(k+1).  The lexicographic tie-break over the shell {-q, q}
-    picks -q.
-
-    M is exact for a quadratic alpha.  A CF entry with n convergents in
-    budget is any real between the last two, so only its tails
-    alpha_(k+1) in (a_(k+1), a_(k+1) + 1) for k <= n - 3 are known, giving
-    M = 1/(alpha_(k+1) q_k + q_(k-1)) in (1/(q_(k+1) + q_k), 1/q_(k+1));
-    Y_max >= q_(n-2) raises PrecisionExhausted."""
-    alpha = A.rows[0][0]
+    q_k < q_(k+1).  The reach is Y_max + 1 for a quadratic alpha.  A CF
+    entry with n convergents in budget is any real between the last two,
+    whose convergents are certain up to q_(n-2) alone: it lists the
+    records below q_(n-2), and its reach is min(Y_max + 1, q_(n-2))."""
     if isinstance(alpha, CFReal):
         conv = alpha.convergents()
-        horizon = conv[-2][1] if len(conv) > 1 else 0
-        if Y_max >= horizon:
-            raise PrecisionExhausted(
-                f"CF entry certifies best approximations only for Y_max < {horizon}"
-            )
+        reach = min(Y_max + 1, conv[-2][1] if len(conv) > 1 else 0)
     else:
         conv = convergents(a for a, _ in _quotients(alpha))
-    entries: list[BestApproxEntry] = []
+        reach = Y_max + 1
+    recs = []
     for (p, q), (_, q_next) in pairwise(conv):
-        if q > Y_max:
+        if q >= reach:
             break
         if q < q_next:
-            M = (
-                RatInterval(Fraction(1, q_next + q), Fraction(1, q_next))
-                if isinstance(alpha, CFReal)
-                else ex_abs(alpha * q - p)
-            )
-            entries.append(BestApproxEntry(IntVec((-q,)), q, M))
+            recs.append((p, q, q_next))
+    return recs, reach
+
+
+def _best_approximations_1d(A: ApproxMatrix, Y_max: int) -> BestApproxSequence:
+    """The records of `_line_records`; the lexicographic tie-break over the
+    shell {-q, q} picks -q.
+
+    M is exact for a quadratic alpha.  For a CF entry with n convergents
+    in budget, only its tails alpha_(k+1) in (a_(k+1), a_(k+1) + 1) for
+    k <= n - 3 are known, giving M = 1/(alpha_(k+1) q_k + q_(k-1)) in
+    (1/(q_(k+1) + q_k), 1/q_(k+1)); Y_max >= q_(n-2) raises
+    PrecisionExhausted."""
+    alpha = A.rows[0][0]
+    recs, reach = _line_records(alpha, Y_max)
+    if Y_max >= reach:
+        raise PrecisionExhausted(f"CF entry certifies best approximations only for Y_max < {reach}")
+    entries = [
+        BestApproxEntry(
+            IntVec((-q,)), q,
+            RatInterval(Fraction(1, q_next + q), Fraction(1, q_next))
+            if isinstance(alpha, CFReal)
+            else ex_abs(alpha * q - p),
+        )
+        for p, q, q_next in recs
+    ]
     return BestApproxSequence(entries, Y_max)
 
 

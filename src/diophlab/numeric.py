@@ -598,8 +598,10 @@ def ex_pow(x: Comparable, k: int):
             if x.lo <= 0 <= x.hi:
                 raise ValueError(f"negative power of an interval that reaches 0: {x!r}")
             x, k = RatInterval(1 / x.hi, 1 / x.lo), -k
-        out = RatInterval(Fraction(1), Fraction(1))
-        for _ in range(k):
+        if k == 0:
+            return RatInterval(Fraction(1), Fraction(1))
+        out = x
+        for _ in range(k - 1):
             out = out * x
         return out
     if isinstance(x, CFReal):

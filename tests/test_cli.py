@@ -41,6 +41,18 @@ def test_return_seq_golden(runner, golden_mat):
     assert "config_hash" in rep and "version" in rep
 
 
+def test_return_seq_deep_levels_need_a_budget(runner, tmp_path):
+    # [0; 1, 2, ..., 60] to level 100: a miss there costs the walk
+    # 2 (2^100 - 1) points, which the records route charges in closed form
+    p = tmp_path / "a_k_k.mat"
+    p.write_text("1 1\ncf:[0;" + ",".join(map(str, range(1, 61))) + "]\n")
+    args = ["return-seq", "--matrix", str(p), "--epsilon", "1/4", "--ell-max", "100"]
+    res = runner.invoke(main, [*args, "--budget", str(2**101)])
+    assert res.exit_code == 0
+    assert len(json.loads(res.output)["levels"]) == 53
+    assert runner.invoke(main, args).exit_code == 3
+
+
 def test_series_diverges(runner):
     res = runner.invoke(main, ["series", "--psi-a", "1", "--s", "1", "--n", "1"])
     assert res.exit_code == 0
@@ -368,6 +380,10 @@ ERRORS = {
         ["coverage", "--matrix", "perfbench/inputs/golden.mat", "--epsilon", "2/5", "--ell-max", "8",
          "--samples", "10", "--equid-constant", "4", "--levels", "-2"],
         (2, "error: --levels must be >= 0"),
+    ),
+    "constant-negative-l-values": (
+        ["equidist", "--op", "constant", "--matrix", "perfbench/inputs/golden.mat", "--l-values", "-4,8"],
+        (2, "error: --l-values must be >= 1"),
     ),
 }
 

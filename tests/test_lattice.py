@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from diophlab.errors import PrecisionExhausted, RankDeficient, UnsupportedEntry
+from diophlab import lattice
+from diophlab.errors import BudgetExceeded, PrecisionExhausted, RankDeficient, UnsupportedEntry
 from diophlab.lattice import (
     ApproxMatrix,
     IntVec,
@@ -19,10 +20,12 @@ from diophlab.lattice import (
     return_sequence,
     shell_size,
     solve_homogeneous,
+    within,
 )
 from diophlab.numeric import (
     CFReal,
     Quadratic,
+    Radical,
     dist_to_int,
     dist_to_int_vec,
     enclose,
@@ -205,6 +208,110 @@ class TestReturnSequence:
             if not hit:
                 want.append(ell)
         assert return_sequence(A_golden, eps, 8).levels == want
+
+
+# 1 x 1 irrational lines: quadratic ones, whose records are exact, and CF
+# reals from short ones (whose records reach only q = 1 and 23) to ones with
+# unbounded partial quotients, the reals the paper adds to Kurzweil's theorem
+LINES = {
+    "golden": ApproxMatrix([[quadratic(F(-1, 2), F(1, 2), 5)]]),
+    "sqrt2": ApproxMatrix([[quadratic(F(0), F(1), 2)]]),
+    "cf_short": ApproxMatrix([[CFReal((0, 1, 2))]]),
+    "cf_mid": ApproxMatrix([[CFReal((0, 3, 1, 4, 1, 5))]]),
+    "cf_fast": ApproxMatrix([[CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128), precision_budget=512)]]),
+    "a_k=k": ApproxMatrix([[CFReal((0, *range(1, 41)))]]),
+    "a_k=2^k": ApproxMatrix([[CFReal((0, *(2**k for k in range(1, 12))))]]),
+}
+
+
+def outcome(fn, *args):
+    """A result or the type of the error it raised."""
+    try:
+        return ("ok", fn(*args))
+    except (BudgetExceeded, PrecisionExhausted, UnsupportedEntry) as exc:
+        return ("raise", type(exc))
+
+
+def walk_solve(A, C, X, budget):
+    """solve_homogeneous as the `within` walk decides it."""
+    hit = next(within(A, range(1, X), budget, C), None)
+    return None if hit is None else IntVec(hit[1])
+
+
+def walk_levels(A, eps, ell_max, budget):
+    return [
+        ell for ell in range(1, ell_max + 1)
+        if walk_solve(A, Radical(eps * F(1, 1 << ell), 1), 1 << ell, budget) is None
+    ]
+
+
+class TestLineRecords:
+    """A 1 x 1 irrational line decides homogeneous searches from its
+    convergent records; the `within` walk is the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        key=st.sampled_from(sorted(LINES)),
+        eps=st.one_of(
+            st.fractions(min_value=F(1, 50), max_value=1, max_denominator=60),
+            st.just(parse_exact("(0+1*sqrt(5))/4")),
+        ),
+        ell=st.integers(min_value=1, max_value=14),
+        X=st.integers(min_value=1, max_value=1 << 14),
+        budget=st.sampled_from([40, 1 << 22]),
+    )
+    # cf_mid's records are certified below q = 23 only: level 5 takes the walk
+    @example(key="cf_mid", eps=F(2, 5), ell=5, X=32, budget=1 << 22)
+    # 7/160 lies inside cf_mid's enclosure of ||4 alpha||_Z: the record is
+    # undecided, so the walk decides, and raises PrecisionExhausted at q = -4
+    @example(key="cf_mid", eps=F(7, 10), ell=4, X=16, budget=1 << 22)
+    @example(key="cf_short", eps=F(1, 4), ell=3, X=8, budget=40)
+    # level 8 of golden's L(1/2) is a hit at q = -233, past a budget of 40
+    @example(key="golden", eps=F(1, 2), ell=8, X=256, budget=40)
+    def test_matches_the_walk(self, key, eps, ell, X, budget):
+        A = LINES[key]
+        C = eps * F(1, 1 << ell)
+        X = min(X, 1 << ell)
+        want = outcome(walk_solve, A, C, X, budget)
+        assert outcome(solve_homogeneous, A, C, X, budget) == want
+        got = outcome(lambda: return_sequence(A, eps, ell, budget).levels)
+        assert got == outcome(walk_levels, A, eps, ell, budget)
+
+    def test_budget_charged_at_the_walks_last_shell(self):
+        # golden's first record below 1/50 is q = 34 (F_9): the walk ends
+        # at shell 34, so 68 points fit budget 68 and not 67
+        A = LINES["golden"]
+        assert solve_homogeneous(A, F(1, 50), 100, 68) == IntVec((-34,))
+        with pytest.raises(BudgetExceeded, match="enumeration of 68 points exceeds 67"):
+            solve_homogeneous(A, F(1, 50), 100, 67)
+        # a miss below X ends at shell X - 1
+        assert solve_homogeneous(A, F(1, 50), 34, 66) is None
+        with pytest.raises(BudgetExceeded, match="enumeration of 66 points exceeds 65"):
+            solve_homogeneous(A, F(1, 50), 34, 65)
+
+    def test_quadratic_lines_take_no_walk(self, monkeypatch):
+        # the levels are the walk's, which takes 0.45 s on golden to level 16
+        walks = []
+        real = lattice.within
+        monkeypatch.setattr(lattice, "within", lambda *a, **k: walks.append(a[1]) or real(*a, **k))
+        assert return_sequence(LINES["golden"], F(2, 5), 16).levels == list(range(1, 17))
+        assert return_sequence(LINES["sqrt2"], F(2, 5), 14).levels == [1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14]
+        assert walks == []
+        # cf_mid's records reach q = 23: level 5 (q < 32) is walked
+        assert return_sequence(LINES["cf_mid"], F(2, 5), 5).levels == [1, 2, 4]
+        assert walks == [range(1, 32)]
+
+    def test_deep_levels_of_a_k_equals_k(self):
+        # L(1/4) of [0; 1, 2, 3, ...]: its partial quotients are unbounded,
+        # so the levels thin out, a gap every third level at first
+        A = ApproxMatrix([[CFReal((0, *range(1, 61)))]])
+        levels = return_sequence(A, F(1, 4), 100, 1 << 101).levels
+        gaps = [ell for ell in range(1, 101) if ell not in levels]
+        assert gaps[:6] == [8, 11, 14, 17, 20, 23]
+        assert len(levels) == 53
+        # the walk's budget holds: a miss below 2^100 costs 2^101 - 2 points
+        with pytest.raises(BudgetExceeded):
+            return_sequence(A, F(1, 4), 100)
 
 
 class TestBadWitness:

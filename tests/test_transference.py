@@ -101,6 +101,15 @@ class TestCorollary33:
         with pytest.raises(ValueError):
             verify_corollary_3_3(A, F(2, 5), 3, [(F(1, 3),)])
 
+    def test_level_check_on_lines(self, A_cf, A_golden):
+        # L(2/5) of cf_fast is [1, 2, 5, 6, 13] up to 13, and golden's L(1/2)
+        # misses level 8 but holds 9; the records route decides both
+        for A, eps, outside, inside in ((A_cf, F(2, 5), 3, 5), (A_golden, F(1, 2), 8, 9)):
+            with pytest.raises(ValueError, match=f"level {outside} is not in the return sequence"):
+                verify_corollary_3_3(A, eps, outside, [(F(1, 3),)])
+            rep = verify_corollary_3_3(A, eps, inside, [(F(1, 3),), (F(5, 7),)])
+            assert rep.ell == inside and rep.all_ok
+
     @pytest.mark.parametrize("eps", [F(0), F(-1, 2), F(-2)])
     def test_rejects_nonpositive_epsilon(self, eps):
         # Corollary 3.3 needs eps > 0: unchecked, eps = -1/2 reads as a
