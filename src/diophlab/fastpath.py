@@ -7,11 +7,12 @@ fast path can never flip a verdict."""
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import repeat
-from operator import mul
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from itertools import compress, islice, repeat
+from operator import lt, mul
+from typing import Callable, Optional, Sequence
 
 from .numeric import enclose
 
@@ -115,37 +116,56 @@ class Line1D:
         return lo, hi
 
 
-def merge_intervals(raw: Iterable[tuple[int, int]], mod: int) -> list[tuple[int, int]]:
-    """Merge possibly-wrapping integer intervals into disjoint sorted spans
-    within [0, mod)."""
-    parts: list[tuple[int, int]] = []
-    for s, e in raw:
-        length = e - s
-        if length <= 0:
-            continue
-        if length >= mod:
-            return [(0, mod)]
-        s %= mod
-        e = s + length
-        if e <= mod:
-            parts.append((s, e))
-        else:
-            parts.append((s, mod))
-            parts.append((0, e - mod))
-    parts.sort()
-    merged: list[tuple[int, int]] = []
-    for s, e in parts:
-        if merged and s <= merged[-1][1]:
-            if e > merged[-1][1]:
-                merged[-1] = (merged[-1][0], e)
-        else:
-            merged.append((s, e))
-    return merged
+def _merge(starts: list[int], ends: list[int], mod: int) -> tuple[list[int], list[int]]:
+    """The cells [starts[i], ends[i]) mod `mod`, for starts in [0, mod) and
+    ends above them, as sorted disjoint half-open spans [s[i], e[i]) within
+    [0, mod), none touching the next, as lists (s, e); sorts both lists.
+
+    Once the starts and the ends are sorted apart, the union has a gap just
+    before the i-th start exactly when the (i-1)-th end lies below it, so
+    one comparison per interval merges them.  A span that passes mod holds
+    every later start, so only the last one can, and its overhang folds
+    onto the spans it reaches from 0 (or covers the circle)."""
+    if not starts:
+        return [], []
+    starts.sort()
+    ends.sort()
+    gaps = list(compress(range(1, len(starts)), map(lt, ends, islice(starts, 1, None))))
+    s = [starts[0]] + [starts[i] for i in gaps]
+    e = [ends[i - 1] for i in gaps] + [ends[-1]]
+    over = e[-1] - mod
+    if over > 0:
+        if over >= s[-1]:
+            return [0], [mod]
+        e[-1] = mod
+        j = bisect_right(s, over)
+        s[:j], e[:j] = [0], [max(over, e[j - 1]) if j else over]
+    return s, e
 
 
-def _covers(spans: Sequence[tuple[int, int]], x: int) -> bool:
-    i = bisect_right(spans, (x, float("inf"))) - 1
-    return i >= 0 and spans[i][0] <= x < spans[i][1]
+def _union(balls: list[tuple[int, int]], mod: int) -> tuple[list[int], list[int]]:
+    """The spans, as `_merge` gives them, of the integer balls
+    {x : |x - c| <= r} mod `mod` for each (c, r) of balls, r >= 0, and of
+    their mirror images {x : |x + c| <= r}: the balls are merged, and then
+    with the mirror image [1 - e, 1 - s) of each of their spans [s, e)."""
+    starts = [(c - r) % mod for c, r in balls]
+    s, e = _merge(starts, [a + 2 * r + 1 for a, (_, r) in zip(starts, balls)], mod)
+    mirror = [(1 - b) % mod for b in e]
+    return _merge(s + mirror, e + [m + (b - a) for m, a, b in zip(mirror, s, e)], mod)
+
+
+def _holds(spans: tuple[list[int], list[int]], s: int, e: int) -> bool:
+    """The cells [s, e), s < e, all lie in one span."""
+    starts, ends = spans
+    i = bisect_right(starts, s) - 1
+    return i >= 0 and e <= ends[i]
+
+
+def _meets(spans: tuple[list[int], list[int]], s: int, e: int) -> bool:
+    """Some cell of [s, e), s < e, lies in a span."""
+    starts, ends = spans
+    i = bisect_left(starts, e) - 1
+    return i >= 0 and ends[i] > s
 
 
 class UnionIndex1D:
@@ -159,6 +179,14 @@ class UnionIndex1D:
     covered) merged union, built from the lower and upper scaled bounds of
     each radius; the sliver between them goes to the exact checker
     supplied by the caller.
+
+    The true center of q*alpha lies within err = q * unit_err of the
+    scaled c = q * a_lo, so the outer union takes the cells within
+    err + r_hi of c, for r_hi > 0, and the inner one those within
+    r_lo - err - 1, each of them nearer the true center than r_q.  Only the
+    balls of q > 0 are listed: those of -q are their mirror images, as b
+    lies in -U exactly when -b lies in U.  Each union is built on its first
+    query, so a query that the inner union answers builds no outer one.
     """
 
     def __init__(
@@ -169,39 +197,53 @@ class UnionIndex1D:
     ):
         self.line = line
         self.exact_check = exact_check
-        mod = line.mod
-        outer: list[tuple[int, int]] = []
-        inner: list[tuple[int, int]] = []
-        for q, r in q_radii:
-            r_lo, r_hi = r if isinstance(r, tuple) else threshold_bounds(r, line.shift)
-            if r_hi <= 0:
-                continue
-            c, err = line.center(q)
-            # the true center lies within err of c (and of mod - c for -q)
-            for cc in (c, (-c) % mod):
-                outer.append((cc - err - r_hi, cc + err + r_hi + 1))
-                inner.append((cc + err - r_lo + 1, cc - err + r_lo))
-        self.outer = merge_intervals(outer, mod)
-        self.inner = merge_intervals(inner, mod)
+        a, u = line.a_lo, line.unit_err
+        self._balls = [
+            (q * a % line.mod, q * u, *(r if isinstance(r, tuple) else threshold_bounds(r, line.shift)))
+            for q, r in q_radii
+        ]
+
+    @cached_property
+    def inner(self) -> tuple[list[int], list[int]]:
+        return _union([(c, lo - err - 1) for c, err, lo, _ in self._balls if lo > err], self.line.mod)
+
+    @cached_property
+    def outer(self) -> tuple[list[int], list[int]]:
+        return _union([(c, err + hi) for c, err, _, hi in self._balls if hi > 0], self.line.mod)
 
     def contains(self, b: Fraction) -> bool:
         """Strict membership ||q*alpha - b||_Z < r_q for some q in the set;
         a b other than a `Fraction` goes to the exact checker."""
         if not isinstance(b, Fraction):
             return self.exact_check(b)
+        x, off = divmod(b.numerator << self.line.shift, b.denominator)
+        # a b off the grid lies strictly between cells x and x + 1
+        v = self._decide(x, x + 1 + (off != 0))
+        return self.exact_check(b) if v is None else v
+
+    def arc(self, lo: Fraction, hi: Fraction) -> Optional[bool]:
+        """Whether every b of the arc [lo, hi), lo < hi, is in the union:
+        True when the inner union holds the arc, False when the outer one
+        misses it, None otherwise.  The ends are enclosed outward, as the
+        cells floor(lo 2^shift) to ceil(hi 2^shift), which hold both grid
+        cells of every b in the arc, so either answer is that of
+        `contains` for each b."""
+        shift = self.line.shift
+        return self._decide(
+            (lo.numerator << shift) // lo.denominator, -((-hi.numerator << shift) // hi.denominator) + 1
+        )
+
+    def _decide(self, s: int, e: int) -> Optional[bool]:
+        """True when the inner union holds every cell of [s, e) mod 2^shift,
+        s < e, False when the outer union holds none, None otherwise."""
         mod = self.line.mod
-        num = b.numerator << self.line.shift
-        x = (num // b.denominator) % mod
-        if num % b.denominator == 0:
-            if _covers(self.inner, x):
-                return True
-            if not _covers(self.outer, x):
-                return False
-        else:
-            # true point lies strictly between grid cells x and x+1
-            x2 = (x + 1) % mod
-            if _covers(self.inner, x) and _covers(self.inner, x2):
-                return True
-            if not _covers(self.outer, x) and not _covers(self.outer, x2):
-                return False
-        return self.exact_check(b)
+        if e - s >= mod:
+            s, e = 0, mod
+        elif not 0 <= s < mod:
+            s, e = s % mod, s % mod + (e - s)
+        if e > mod:  # the cells wrap past 0: decided where both parts agree
+            v = self._decide(s, mod)
+            return v if v is self._decide(0, e - mod) else None
+        if _holds(self.inner, s, e):
+            return True
+        return None if _meets(self.outer, s, e) else False

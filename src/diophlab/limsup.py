@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import BudgetExceeded, InvalidWindow, PrecisionExhausted
 from .fastpath import UnionIndex1D
@@ -133,10 +133,19 @@ class PowerLog(ApproxFunction):
         end of `_ln_scaled`'s running fixed-point ln q at _GUARD bits below
         the scale, clamped to 1 (exactly, where q <= 2).  With beta = 0
         no logarithm is taken, and the pair is the floor and ceiling of
-        psi(q) 2^shift."""
+        psi(q) 2^shift, which for integer a (R = 1, U = 0) is taken in
+        closed form, as the floor and ceiling of c 2^shift / q^a."""
         R = math.lcm(self.a.denominator, self.beta.denominator)
         P = self.a.numerator * (R // self.a.denominator)
         U = self.beta.numerator * (R // self.beta.denominator)
+        if R == 1 and U == 0:
+            num, den = self.c.numerator << shift, self.c.denominator
+            for q in qs:
+                if q < 1:
+                    raise ValueError("q >= 1 required")
+                lo, rem = divmod(num, den * q**P)
+                yield lo, lo + (rem > 0)
+            return
         w = shift + _GUARD
         one = 1 << w
         # L^-U = 2^(w U) / (L 2^w)^U
@@ -352,7 +361,9 @@ def _hits(
     one union index over the radii of psi, its scaled_bounds over the
     window's shells at the index's scale, with `within` for a target
     inside its margin; the index covers the whole window, so that fallback
-    is not charged to the budget."""
+    is not charged to the budget.  When the targets are a `_Sample` with an
+    arc, an index that decides the whole arc answers for every target at
+    once, and no target is drawn."""
     psi = threshold(A, thr)
     if not A.irrational_line:
         w.check_budget(A.n, budget)
@@ -361,6 +372,9 @@ def _hits(
         A.line, list(zip(w.shells, psi.scaled_bounds(w.shells, A.line.shift))),
         lambda x: next(within(A, w.shells, math.inf, psi, (x,)), None) is not None,
     )
+    whole = index.arc(*targets.arc) if isinstance(targets, _Sample) and targets.arc else None
+    if whole is not None:
+        return len(targets) if whole else 0
     return sum(map(lambda b: index.contains(b[0]), targets))
 
 
@@ -399,20 +413,38 @@ def measure_Bad(
     )
 
 
-def _points(dim: int, samples: int, seed: int, mode: str) -> Iterable[tuple[Fraction, ...]]:
+@dataclass(frozen=True)
+class _Sample:
+    """The targets of an estimate, drawn only when iterated: point(i) for
+    each i < count, in order.  For one coordinate, arc is an arc [lo, hi)
+    of rationals that holds every target, else None."""
+
+    point: Callable[[int], tuple]
+    count: int
+    arc: Optional[tuple[Fraction, Fraction]]
+
+    def __iter__(self) -> Iterator[tuple]:
+        return map(self.point, range(self.count))
+
+    def __len__(self) -> int:
+        return self.count
+
+
+def _points(dim: int, samples: int, seed: int, mode: str) -> _Sample:
     """The sampled targets of every estimate, checked at once: samples >= 1,
     a known mode, and for the grid samples = k^dim, so that each grid point
-    counts once.  Monte Carlo points are generated lazily."""
+    counts once.  Every point lies in [0, 1)^dim."""
     if samples < 1:
         raise ValueError("samples >= 1 required")
+    arc = (Fraction(0), Fraction(1)) if dim == 1 else None
     if mode == "mc":
-        return (sample_point(seed, i, dim) for i in range(samples))
+        return _Sample(lambda i: sample_point(seed, i, dim), samples, arc)
     if mode != "grid":
         raise ValueError(f"unknown sampling mode {mode!r}")
     pts = grid_points(samples, dim)
     if len(pts) != samples:
         raise ValueError(f"grid mode needs samples = k^{dim} for an integer k, got {samples}")
-    return pts
+    return _Sample(pts.__getitem__, samples, arc)
 
 
 # ---------------------------------------------------------------------------
@@ -548,9 +580,11 @@ def coverage(
     if rc.decided and rc.kind != "less":
         est = MeasureEstimate(Fraction(1), samples, Fraction(1), Fraction(1), seed, w)
     else:
-        # c + radius (2t - 1) as one multiply-add from the corner c - radius
+        # c + radius (2t - 1) as one multiply-add from the corner c - radius;
+        # a rational centre of one coordinate gives the arc [c - radius, c + radius)
         corner, step = [c - radius for c in center], 2 * radius
-        targets = (tuple(k + step * t for k, t in zip(corner, pt)) for pt in pts)
+        arc = (corner[0], corner[0] + step) if m == 1 and isinstance(corner[0], Fraction) else None
+        targets = _Sample(lambda i: tuple(k + step * t for k, t in zip(corner, pts.point(i))), samples, arc)
         est = MeasureEstimate.from_hits(_hits(A, w, rho, targets, budget), samples, seed, w)
     return CoverageEntry(lv.ell, dec_str(lv.l), dec_str(lv.u), dec_str(Radical(lv.rho_pow_m, m)), est)
 

@@ -5,6 +5,7 @@ a sample does not depend on the order in which targets are tested."""
 
 from __future__ import annotations
 
+import _random
 import random
 from fractions import Fraction
 from itertools import product
@@ -22,15 +23,23 @@ _MIX2 = 0xD1B54A32D192ED03
 _MASK = (1 << 64) - 1
 
 
+def _key(seed: int, index: int) -> int:
+    """The seed of the stream of one sample index."""
+    key = ((seed & _MASK) * _MIX1 + (index & _MASK) * _MIX2) & _MASK
+    return key ^ (key >> 29)
+
+
 def substream(seed: int, index: int) -> random.Random:
     """Independent-looking RNG stream for one sample index."""
-    key = ((seed & _MASK) * _MIX1 + (index & _MASK) * _MIX2) & _MASK
-    return random.Random(key ^ (key >> 29))
+    return random.Random(_key(seed, index))
 
 
 def sample_point(seed: int, index: int, dim: int) -> tuple[Fraction, ...]:
-    """Uniform rational point in [0,1)^dim with denominator 2^53."""
-    rng = substream(seed, index)
+    """Uniform rational point in [0,1)^dim with denominator 2^53, from the
+    stream of `substream`: the C generator `_random.Random`, the base of
+    `random.Random`, is seeded by its constructor alike, without the Python
+    wrappers of random.Random's __init__ and seed."""
+    rng = _random.Random(_key(seed, index))
     return tuple(
         Fraction(rng.getrandbits(SAMPLE_DENOM_BITS), 1 << SAMPLE_DENOM_BITS)
         for _ in range(dim)

@@ -12,7 +12,6 @@ from diophlab.errors import BudgetExceeded, PrecisionExhausted
 from diophlab.fastpath import (
     Line1D,
     UnionIndex1D,
-    merge_intervals,
     scale_fraction,
     threshold_bounds,
 )
@@ -36,6 +35,7 @@ from diophlab.numeric import (
     quadratic,
 )
 from diophlab.sampling import sample_point
+from union_reference import ReferenceUnion, merge_intervals
 
 GOLDEN = quadratic(F(-1, 2), F(1, 2), 5)
 SQRT2 = quadratic(F(0), F(1), 2)
@@ -63,6 +63,7 @@ def test_scale_fraction_floor():
 
 
 def test_merge_intervals_wrap():
+    # the reference merge the union index is checked against
     spans = merge_intervals([(90, 110), (5, 10), (8, 20)], 100)
     assert spans == [(0, 20), (90, 100)]
     assert merge_intervals([(0, 250)], 100) == [(0, 100)]
@@ -120,6 +121,35 @@ def test_union_index_non_dyadic_query():
     for k in range(1, 40):
         b = F(k, 41)  # denominator 41
         assert ix.contains(b) == exact(b)
+
+
+# radii of every size: tiny ones leave the inner union empty, ones near 1/2
+# wrap round 0, and a single one of 1/2 or more covers the circle
+RADII = st.one_of(
+    st.fractions(min_value=F(1, 10**9), max_value=F(1, 2), max_denominator=10**9),
+    st.integers(min_value=0, max_value=96).map(lambda e: (1 << 96 >> e, (1 << 96 >> e) + 2)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.sampled_from([GOLDEN, SQRT2, CFReal((0, 3, 1, 4, 1, 5)), F(1, 3)]),
+    l=st.integers(0, 300),
+    radii=st.lists(RADII, min_size=0, max_size=60),
+    targets=st.lists(st.fractions(min_value=-1, max_value=2), max_size=20),
+)
+@example(alpha=GOLDEN, l=0, radii=[F(1, 2)], targets=[F(0)])
+@example(alpha=GOLDEN, l=0, radii=[F(1, 3), F(1, 5)], targets=[F(1, 7)])
+def test_union_index_spans_match_reference(alpha, l, radii, targets):
+    line = Line1D(alpha)
+    q_radii = [(l + i + 1, r) for i, r in enumerate(radii)]
+    ix = UnionIndex1D(line, q_radii, lambda b: "exact")
+    ref = ReferenceUnion(line, q_radii, lambda b: "exact")
+    # the index's sorted (starts, ends) lists are the reference's spans
+    assert list(zip(*ix.inner)) == ref.inner
+    assert list(zip(*ix.outer)) == ref.outer
+    for b in targets + [F(k, 2**96) for k in (0, 1, 2**96 - 1)]:
+        assert ix.contains(b) == ref.contains(b)
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +272,15 @@ def test_precision_exhausted_parity_short_cf():
 
 
 def test_golden_return_sequence_needs_few_fallbacks(monkeypatch):
+    # the records decide the levels; a walk of every shell below 2^10 at
+    # the level-10 threshold, which no q there meets, is decided by the
+    # scaled filter alone, without exact distances
+    A = MATRICES["golden"]
+    assert return_sequence(A, F(2, 5), 10).levels == list(range(1, 11))
     calls = []
-    exact = lattice.dist_to_int_vec
-    monkeypatch.setattr(lattice, "dist_to_int_vec", lambda v: calls.append(v) or exact(v))
-    assert return_sequence(MATRICES["golden"], F(2, 5), 10).levels == list(range(1, 11))
+    exact = ApproxMatrix.dist
+    monkeypatch.setattr(ApproxMatrix, "dist", lambda self, *args: calls.append(args) or exact(self, *args))
+    assert list(lattice.within(A, range(1, 1 << 10), 1 << 22, F(2, 5) / (1 << 10))) == []
     assert len(calls) <= 2
 
 

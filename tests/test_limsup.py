@@ -12,6 +12,7 @@ from diophlab.errors import InvalidWindow, PrecisionExhausted
 from diophlab.fastpath import threshold_bounds
 from diophlab.lattice import ApproxMatrix, return_sequence
 from diophlab.limsup import (
+    ApproxFunction,
     PowerLog,
     TablePsi,
     Window,
@@ -171,6 +172,37 @@ def test_powerlog_scaled_bounds_are_exact_without_logs():
     ]
     with pytest.raises(ValueError):
         next(PowerLog(F(1), F(1), F(1)).scaled_bounds([0], 96))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.fractions(min_value=F(1, 10**6), max_value=1000, max_denominator=10**6).filter(lambda c: c > 0),
+    a=st.integers(min_value=0, max_value=4),
+    qs=increasing_qs(),
+    shift=SHIFTS,
+)
+def test_powerlog_closed_form_matches_the_exact_values(c, a, qs, shift):
+    # integer a and beta = 0: the closed form gives the floor and ceiling
+    # that the default scaled_bounds takes of the exact value_bounds
+    psi = PowerLog(c, F(a), F(0))
+    assert list(psi.scaled_bounds(qs, shift)) == list(ApproxFunction.scaled_bounds(psi, qs, shift))
+
+
+def test_powerlog_closed_form_encloses_no_later_q():
+    # a consumer that stops after three pairs draws no fourth q, so the
+    # q = 0 behind them is refused only once it is asked for
+    drawn = []
+
+    def qs():
+        for q in (1, 5, 9, 0):
+            drawn.append(q)
+            yield q
+
+    pairs = PowerLog(F(1, 2), F(1), F(0)).scaled_bounds(qs(), 96)
+    assert [next(pairs) for _ in range(3)] == [threshold_bounds(F(1, 2 * q)) for q in (1, 5, 9)]
+    assert drawn == [1, 5, 9]
+    with pytest.raises(ValueError):
+        next(pairs)
 
 
 def rational_psi(psi, q):

@@ -1,7 +1,9 @@
 """Deterministic substreams, parallel reduction invariance, Wilson CI."""
 
+import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from diophlab.sampling import (
@@ -23,6 +25,21 @@ def test_sample_point_deterministic():
     assert sample_point(42, 3, 2) == sample_point(42, 3, 2)
     assert sample_point(42, 3, 2) != sample_point(42, 4, 2)
     assert sample_point(41, 3, 2) != sample_point(42, 3, 2)
+
+
+def reference_point(seed, index, dim):
+    """A sample point drawn through random.Random, with the (seed, index)
+    key mixed as the sampler documents it."""
+    mask = (1 << 64) - 1
+    key = ((seed & mask) * 0x9E3779B97F4A7C15 + (index & mask) * 0xD1B54A32D192ED03) & mask
+    rng = random.Random(key ^ (key >> 29))
+    return tuple(F(rng.getrandbits(53), 1 << 53) for _ in range(dim))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**70])
+def test_sample_point_matches_the_random_stream(seed):
+    for dim in (1, 2, 3):
+        assert [sample_point(seed, i, dim) for i in range(2000)] == [reference_point(seed, i, dim) for i in range(2000)]
 
 
 @given(seed=st.integers(min_value=0, max_value=2**64), i=st.integers(min_value=0, max_value=10**6))

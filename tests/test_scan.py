@@ -8,7 +8,7 @@ from fractions import Fraction as F
 from math import isqrt
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from diophlab import analysis, lattice, limsup
 from diophlab.analysis import (
@@ -72,6 +72,7 @@ from diophlab.numeric import (
 from diophlab.sampling import sample_point
 from diophlab.transference import solve_inhomogeneous, verify_corollary_3_3
 from psi_reference import old_value_bounds
+from union_reference import ReferenceUnion
 
 GOLDEN = quadratic(F(-1, 2), F(1, 2), 5)
 SQRT2 = quadratic(F(0), F(1), 2)
@@ -1298,7 +1299,8 @@ def captured_tester(monkeypatch, run):
 
 def old_witness_index(A, psi, w):
     """The former 1 x 1 measure tester: one index for exact psi values, an
-    inner/outer pair of indices otherwise."""
+    inner/outer pair of indices otherwise, each the merge-based reference
+    union."""
     line = Line1D(A.rows[0][0])
 
     def exact_check(b):
@@ -1311,10 +1313,10 @@ def old_witness_index(A, psi, w):
 
     bounds = [(s, old_value_bounds(psi, s)) for s in w.shells]
     if all(lo == hi for _, (lo, hi) in bounds):
-        index = UnionIndex1D(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
+        index = ReferenceUnion(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
         return lambda b: index.contains(b[0])
-    inner = UnionIndex1D(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
-    outer = UnionIndex1D(line, [(s, hi) for s, (_, hi) in bounds], exact_check)
+    inner = ReferenceUnion(line, [(s, lo) for s, (lo, _) in bounds], exact_check)
+    outer = ReferenceUnion(line, [(s, hi) for s, (_, hi) in bounds], exact_check)
     return lambda b: inner.contains(b[0]) or (outer.contains(b[0]) and exact_check(b[0]))
 
 
@@ -1431,7 +1433,7 @@ def test_coverage_index_verdicts_match_generic(monkeypatch, key, eps, seed, cent
 
         if isinstance(rho, F):
             # the former tester: one index over the exact radius
-            index = UnionIndex1D(Line1D(A.rows[0][0]), [(s, rho) for s in w.shells], lambda x: generic((x,)))
+            index = ReferenceUnion(Line1D(A.rows[0][0]), [(s, rho) for s in w.shells], lambda x: generic((x,)))
             agree(test, lambda b: index.contains(b[0]), generic, pts)
         else:
             # a quadratic radius crashed the former tester
@@ -1439,3 +1441,100 @@ def test_coverage_index_verdicts_match_generic(monkeypatch, key, eps, seed, cent
                 want = outcome(generic, b)
                 if want[0] == "ok":
                     assert outcome(test, b) == want
+
+
+# ---------------------------------------------------------------------------
+# the 1 x 1 batch decision: one arc of targets answered at once
+# ---------------------------------------------------------------------------
+
+
+ARC_LINES = ["golden", "sqrt2", "cf_short", "cf_mid"]
+ARC_THRESHOLDS = PSIS + [F(1, 100), F(1, 7), F(1, 2**90)]
+ARC_SAMPLES = 20
+SCALE = 1 << 96
+# a rational within 2^-100 of 41 golden mod 1
+NEAR_41 = F(enclose(GOLDEN * 41, 120)[0] * 2**100 // 1 % 2**100, 2**100)
+ARCS = st.one_of(
+    st.just(("torus",)),
+    st.tuples(
+        st.just("ball"),
+        st.fractions(min_value=0, max_value=1, max_denominator=64),
+        st.fractions(min_value=F(1, 10**6), max_value=F(1, 2), max_denominator=10**6),
+    ),
+    # half a cell outside the ends of the k-th inner span of the reference
+    st.tuples(st.just("edge"), st.integers(min_value=0, max_value=10**6)),
+)
+
+
+def reference_union(A, w, thr):
+    """The merge-based union of the window's balls, its sliver decided by an
+    exhaustive exact walk, and the radii it was built from."""
+    if isinstance(thr, F):
+        radii = [(s, thr) for s in w.shells]
+        exact = lambda b: old_delta_membership(A, (b,), thr, w)  # noqa: E731
+    else:
+        radii = list(zip(w.shells, thr.scaled_bounds(w.shells, 96)))
+        exact = lambda b: old_psi_witness(A, (b,), thr, w) is not None  # noqa: E731
+    return ReferenceUnion(A.line, radii, exact), radii
+
+
+def arc_ends(arc, ref):
+    """[lo, hi) of an arc drawn by ARCS, or None for an edge of no span."""
+    if arc[0] == "torus":
+        return F(0), F(1)
+    if arc[0] == "ball":
+        return arc[1] - arc[2], arc[1] + arc[2]
+    if not ref.inner or ref.inner == [(0, SCALE)]:
+        return None
+    s, e = ref.inner[arc[1] % len(ref.inner)]
+    return F(2 * s - 1, 2 * SCALE), F(2 * e + 1, 2 * SCALE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    key=st.sampled_from(ARC_LINES),
+    thr=st.sampled_from(ARC_THRESHOLDS),
+    lw=st.tuples(st.integers(min_value=0, max_value=255), st.integers(min_value=1, max_value=256)),
+    arc=ARCS,
+    seed=st.integers(min_value=0, max_value=10**6),
+)
+# covered: the inner union is the torus, so no target is drawn
+@example(key="golden", thr=PSIS[0], lw=(0, 256), arc=("torus",), seed=0)
+# missed: no ball of q <= 4 comes near [1/25, 3/50)
+@example(key="golden", thr=F(1, 100), lw=(0, 4), arc=("ball", F(1, 20), F(1, 100)), seed=0)
+# split: the arc meets both unions' edges, so each target is queried
+@example(key="golden", thr=PSIS[1], lw=(0, 8), arc=("torus",), seed=0)
+# every target lies in the ball of q = 41, which the inner union, its
+# radius below the centre's error, leaves out
+@example(key="golden", thr=F(1, 2**90), lw=(40, 8), arc=("ball", NEAR_41, F(1, 2**93)), seed=0)
+# the arc's ends lie half a cell outside an inner span
+@example(key="golden", thr=PSIS[1], lw=(0, 8), arc=("edge", 0), seed=0)
+def test_arc_decision_matches_per_target_reference(key, thr, lw, arc, seed):
+    A = MATRICES[key]
+    w = Window(lw[0], min(lw[0] + lw[1], 256))
+    ref, radii = reference_union(A, w, thr)
+    ends = arc_ends(arc, ref)
+    assume(ends is not None)
+    lo, hi = ends
+    targets = [(lo + (hi - lo) * t,) for (t,) in (sample_point(seed, i, 1) for i in range(ARC_SAMPLES))]
+    # a decided arc is decided, by the reference spans alone, for every
+    # target in it, its two ends included
+    whole = UnionIndex1D(A.line, radii, None).arc(lo, hi)
+    if whole is not None:
+        assert all(ref.verdict(b) is whole for b in [lo, hi - F(1, 2**120)] + [b for (b,) in targets])
+    # the batch count is the per-target count of the reference
+    want = outcome(lambda: sum(ref.contains(b) for (b,) in targets))
+    sample = limsup._Sample(targets.__getitem__, ARC_SAMPLES, (lo, hi))
+    assert outcome(limsup._hits, A, w, thr, sample, 1 << 22) == want
+    if isinstance(thr, F):
+        level = limsup.UbiquityLevel(0, F(w.u), F(w.l), thr)
+        params = limsup.UbiquityParams(F(1, 2), 1, 1, F(1), F(1), F(1), [level])
+        ball = (((lo + hi) / 2,), (hi - lo) / 2)
+        got = outcome(lambda: coverage(A, params, ball, 0, ARC_SAMPLES, seed).estimate.fraction * ARC_SAMPLES)
+        assert got == want
+    elif arc[0] == "torus":
+        got = outcome(lambda: measure_W(A, thr, w, ARC_SAMPLES, seed).fraction * ARC_SAMPLES)
+        assert got == want
+        if isinstance(thr, PowerLog) and (thr.a, thr.beta) == (1, 0):
+            got = outcome(lambda: ARC_SAMPLES - measure_Bad(A, thr.c, w, ARC_SAMPLES, seed).fraction * ARC_SAMPLES)
+            assert got == want
