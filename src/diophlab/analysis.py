@@ -28,6 +28,7 @@ from .lattice import (
     IntVec,
     ReturnSequence,
     check_target_field,
+    check_window,
     records,
     scan,
     within,
@@ -477,6 +478,11 @@ class Prop51Report:
         }
 
 
+# every SPOT_CHECK_STRIDE-th point of a Prop. 5.1 window is checked
+# against the key inequality too
+SPOT_CHECK_STRIDE = 97
+
+
 def verify_prop_5_1(
     A: ApproxMatrix,
     b: Sequence[Fraction],
@@ -484,12 +490,11 @@ def verify_prop_5_1(
     best: BestApproxSequence,
     w: Window,
     budget: int = DEFAULT_BUDGET,
-    spot_check_stride: int = 97,
 ) -> Prop51Report:
     """Check ||q||^(n/m) ||Aq - b||_Z > (alpha - n)/m at every q of the
     window, recording the binding k with U_k <= ||q|| < V_k per norm.  The
     violations are the q where it fails, in scan order, then those of every
-    spot_check_stride-th point where key_inequality_check fails.
+    SPOT_CHECK_STRIDE-th point where key_inequality_check fails.
 
     Preconditions: alpha > n; the [U_k, V_k) intervals must cover the
     window (CoverageGap otherwise); b must pass b_alpha_test on the ks
@@ -520,12 +525,12 @@ def verify_prop_5_1(
     ks = sorted(set(binding.values()))
     if not b_alpha_test(b, best, alpha, ks, m, n):
         raise ValueError("b fails b_alpha_test on the binding k range")
-    w.check_budget(n, budget)
+    check_window(n, w.shells, budget)
     # ||q||^(n/m) d > thr fails exactly where d <= thr ||q||^(-n/m)
     psi = PowerLog(thr, Fraction(n, m), Fraction(0))
     violations = [q for _, q, _ in within(A, w.shells, budget, psi, b, closed=True)]
     points = ((s, q) for s, shell in scan(n, w.shells, budget) for q in shell)
-    checked = list(islice(points, spot_check_stride - 1, None, spot_check_stride))
+    checked = list(islice(points, SPOT_CHECK_STRIDE - 1, None, SPOT_CHECK_STRIDE))
     violations += [
         q for s, q in checked if not key_inequality_check(A, b, IntVec(q), best.entries[binding[s]].y)
     ]

@@ -14,8 +14,7 @@ from typing import Sequence
 
 from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_shift, round_nearest
 
-from .errors import BudgetExceeded
-from .lattice import DEFAULT_BUDGET, ApproxMatrix, scan, shell_size, within
+from .lattice import DEFAULT_BUDGET, ApproxMatrix, check_window, scan, shell_size, within
 from .numeric import (
     Ordering,
     _nth_root_lower,
@@ -169,24 +168,27 @@ def _ball_hits(
     A: ApproxMatrix, center: tuple[Fraction, ...], radius: Fraction, N: int, budget: int
 ) -> tuple[list[int], int]:
     """(members of the closed ball B(center, radius) on each shell s <= N,
-    exact boundary hits), from the filtered walk.  A point inside the
-    filter's margin, including every boundary hit, is compared exactly; an
-    undecided comparison raises PrecisionExhausted."""
+    exact boundary hits).  The ball of radius 1/2 is the whole torus: every
+    point of each shell, and no boundary hits.  Any other ball takes the
+    filtered walk: a point inside the filter's margin, including every
+    boundary hit, is compared exactly, an undecided comparison raises
+    PrecisionExhausted, and boundary hits, counted as members, are logged."""
+    if radius == Fraction(1, 2):
+        return [shell_size(A.n, s) for s in range(N + 1)], 0
     per_shell = [0] * (N + 1)
     boundary = 0
     for s, _, c in within(A, range(N + 1), budget, radius, center, closed=True):
         per_shell[s] += 1
         boundary += c is Ordering.EQUAL
+    if boundary:
+        log.info("%d exact boundary hits counted as members", boundary)
     return per_shell, boundary
 
 
 def _check_horizon(n: int, N: int, budget: int) -> int:
     if N < 1:
         raise ValueError("N >= 1 required")
-    total = (2 * N + 1) ** n
-    if total > budget:
-        raise BudgetExceeded(f"{total} lattice points exceed budget {budget}")
-    return total
+    return check_window(n, range(N + 1), budget)
 
 
 def counting_report(
@@ -202,12 +204,8 @@ def counting_report(
     """
     center, radius = A.ball(*ball)
     total = _check_horizon(A.n, N, budget)
-    if radius == Fraction(1, 2):
-        return CountingResult(Fraction(1), total, total, 0)
     per_shell, boundary = _ball_hits(A, center, radius, N, budget)
     count = sum(per_shell)
-    if boundary:
-        log.info("counting_report: %d exact boundary hits counted as members", boundary)
     return CountingResult(Fraction(count, total), count, total, boundary)
 
 
@@ -256,13 +254,7 @@ def estimate_equid_constant(
     # counts[k][i]: members of ball k with ||q|| <= ls[i], from one pass per ball
     counts: list[list[int]] = []
     for center, radius in balls:
-        if radius == Fraction(1, 2):
-            counts.append([(2 * l + 1) ** A.n for l in ls])
-            continue
-        per_shell, boundary = _ball_hits(A, center, radius, ls[-1], budget)
-        members = list(accumulate(per_shell))
-        if boundary:
-            log.info("estimate_equid_constant: %d exact boundary hits counted as members", boundary)
+        members = list(accumulate(_ball_hits(A, center, radius, ls[-1], budget)[0]))
         counts.append([members[l] for l in ls])
     c_hat = Fraction(0)
     table: list[tuple[int, int, Fraction]] = []

@@ -287,6 +287,31 @@ def shell_size(dim: int, s: int) -> int:
     return (2 * s + 1) ** dim - (2 * s - 1) ** dim
 
 
+def _ball_points(n: int, s: int) -> int:
+    """Points of Z^n with sup norm at most s (none for s < 0)."""
+    return (2 * s + 1) ** n if s >= 0 else 0
+
+
+def window_points(n: int, shells: range) -> int:
+    """Points of Z^n on the shells of a range of consecutive shells: the
+    sum of their `shell_size`s, in closed form."""
+    return _ball_points(n, shells[-1]) - _ball_points(n, shells.start - 1) if shells else 0
+
+
+def _over_budget(total: int, budget: int) -> BudgetExceeded:
+    """The one refusal of a walk whose point count, total, passes budget."""
+    return BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
+
+
+def check_window(n: int, shells: range, budget: int) -> int:
+    """window_points(n, shells), checked up front: BudgetExceeded, in the
+    words of `scan`, when the window holds more than budget points."""
+    total = window_points(n, shells)
+    if total > budget:
+        raise _over_budget(total, budget)
+    return total
+
+
 def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, Iterator]]:
     """(s, points of the sup-norm shell s in lexicographic order) for each s
     in turn.  A shell is charged to the running point count before it is
@@ -295,7 +320,7 @@ def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, It
     for s in shells:
         total += shell_size(dim, s)
         if total > budget:
-            raise BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
+            raise _over_budget(total, budget)
         yield s, iter_shell(dim, s)
 
 
@@ -378,11 +403,6 @@ def _decide(
                     yield s, q, c
 
 
-def _ball_points(n: int, s: int) -> int:
-    """Points of Z^n with sup norm at most s (none for s < 0)."""
-    return (2 * s + 1) ** n if s >= 0 else 0
-
-
 def centre_index(
     A: ApproxMatrix, shells: range, budget: int, thr: Comparable | Radical | ApproxFunction,
     closed: bool = False,
@@ -444,8 +464,7 @@ def first_hits(
     never pays more than twice the cheaper of walking and indexing, a
     single target never builds an index, and a window over budget keeps
     its walks and their BudgetExceeded."""
-    before = _ball_points(A.n, shells.start - 1)
-    size = _ball_points(A.n, shells[-1]) - before if shells else 0
+    size = window_points(A.n, shells)
     spent, index = 0, None
     for b in targets:
         if index is None and 0 < size <= budget and spent >= size:
@@ -454,7 +473,7 @@ def first_hits(
             hit = index(b)
         else:
             hit = next(within(A, shells, budget, thr, b, closed), None)
-            spent += size if hit is None else _ball_points(A.n, hit[0]) - before
+            spent += size if hit is None else window_points(A.n, range(shells.start, hit[0] + 1))
         yield A.target(b), hit
 
 
@@ -563,7 +582,7 @@ def _charge_line(s: int, budget: int) -> None:
     """BudgetExceeded where a 1 x 1 walk over shells 1..s raises it: at the
     first shell t whose running count 2t passes budget."""
     if 2 * s > budget:
-        raise BudgetExceeded(f"enumeration of {2 * max(budget // 2 + 1, 1)} points exceeds {budget}")
+        raise _over_budget(2 * max(budget // 2 + 1, 1), budget)
 
 
 @dataclass

@@ -10,13 +10,14 @@ from functools import cache
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from .errors import BudgetExceeded, InvalidWindow, PrecisionExhausted
+from .errors import InvalidWindow, PrecisionExhausted
 from .fastpath import UnionIndex1D
 from .lattice import (
     DEFAULT_BUDGET,
     ApproxMatrix,
     IntVec,
     ReturnSequence,
+    check_window,
     first_hits,
     shell_size,
     threshold,
@@ -41,6 +42,7 @@ from .numeric import (
     lt,
 )
 from .sampling import binomial_ci, grid_points, sample_point
+from .transference import corollary_bounds
 
 __all__ = [
     "ApproxFunction",
@@ -281,12 +283,6 @@ class Window:
     def shells(self) -> range:
         return range(self.l + 1, self.u + 1)
 
-    def check_budget(self, n: int, budget: int) -> None:
-        """BudgetExceeded if the annulus holds more than budget points of Z^n."""
-        total = (2 * self.u + 1) ** n - (2 * self.l + 1) ** n
-        if total > budget:
-            raise BudgetExceeded(f"window holds {total} points, budget {budget}")
-
 
 def psi_witness(
     A: ApproxMatrix,
@@ -296,7 +292,7 @@ def psi_witness(
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[IntVec]:
     """First q (shell-then-lex) in the annulus with ||Aq - b||_Z < psi(||q||)."""
-    w.check_budget(A.n, budget)
+    check_window(A.n, w.shells, budget)
     hit = next(within(A, w.shells, budget, psi, b), None)
     return None if hit is None else IntVec(hit[1])
 
@@ -313,7 +309,7 @@ def delta_membership(
     c = compare(rho_val, Fraction(1, 2))
     if c.decided and c.kind == "greater":
         return True  # open balls of radius > 1/2 cover the torus
-    w.check_budget(A.n, budget)
+    check_window(A.n, w.shells, budget)
     return next(within(A, w.shells, budget, rho_val, x), None) is not None
 
 
@@ -366,7 +362,7 @@ def _hits(
     once, and no target is drawn."""
     psi = threshold(A, thr)
     if not A.irrational_line:
-        w.check_budget(A.n, budget)
+        check_window(A.n, w.shells, budget)
         return sum(hit is not None for _, hit in first_hits(A, w.shells, budget, psi, targets))
     index = UnionIndex1D(
         A.line, list(zip(w.shells, psi.scaled_bounds(w.shells, A.line.shift))),
@@ -498,13 +494,16 @@ def ubiquity_params(
 ) -> UbiquityParams:
     """Scale sequences u_i = (eps^-m + 1)/2 * 2^l_i, l_i = c1 u_i and the
     ubiquitous radius rho_i = c2 u_i^(-n/m), with c1 the largest power of 1/2
-    satisfying the separation constraint (2 c2)^m C c1^n < 1/2."""
+    satisfying the separation constraint (2 c2)^m C c1^n < 1/2.  These are
+    Corollary 3.3's bounds at each level l_i: u_i = X1 and rho_i = C1, so
+    c2^m = C1^m X1^n, the same at every level."""
     if not ret.levels:
         raise InvalidWindow("empty return sequence")
     m, n = ret.m, ret.n
     eps = ret.epsilon
-    scale = (ex_pow(eps, -m) + 1) * Fraction(1, 2)
-    c2_pow_m = ex_pow(eps, m) * ex_pow(scale, m + n)
+    bounds = [corollary_bounds(eps, ell, m, n) for ell in ret.levels]
+    C1_pow_m, X1 = bounds[0]
+    c2_pow_m = C1_pow_m * ex_pow(X1, n)
     C = Fraction(equid_constant)
     if C <= 0:
         raise ValueError("equidistribution constant must be positive")
@@ -518,22 +517,18 @@ def ubiquity_params(
             break
     if c1 is None:
         raise ValueError("no admissible c1 found")
-    levels = []
-    for ell in ret.levels:
-        u = scale * (1 << ell)
-        rho_pow_m = c2_pow_m * ex_pow(u, -n)
-        levels.append(UbiquityLevel(ell, u, c1 * u, rho_pow_m))
+    levels = [UbiquityLevel(ell, u, c1 * u, rho_pow_m) for ell, (rho_pow_m, u) in zip(ret.levels, bounds)]
     return UbiquityParams(eps, m, n, c1, c2_pow_m, C, levels)
 
 
 def check_u_regular(params: UbiquityParams, lam: Comparable | Radical) -> bool:
-    """rho_{i+1} <= lam * rho_i along consecutive levels, on m-th powers."""
+    """rho_{i+1} <= lam * rho_i along consecutive levels: the ratio
+    rho_{i+1} / rho_i, the m-th root of the ratio of the m-th powers,
+    compared with lam, an exact value or a `Radical` of any root."""
     if len(params.levels) < 2:
         raise InvalidWindow("need at least two levels")
-    m = params.m
-    lam_pow_m = lam.radicand if isinstance(lam, Radical) and lam.root == m else ex_pow(lam, m)
     levels = params.levels
-    return all(le(b.rho_pow_m, lam_pow_m * a.rho_pow_m) for a, b in zip(levels, levels[1:]))
+    return all(le(Radical(b.rho_pow_m / a.rho_pow_m, params.m), lam) for a, b in zip(levels, levels[1:]))
 
 
 @dataclass

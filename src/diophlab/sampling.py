@@ -61,19 +61,23 @@ def parallel_map(fn: Callable[[T], U], items: Sequence[T], threads: int | None =
     return [fn(x) for x in items]
 
 
-def binomial_ci(successes: int, samples: int, z: Fraction = Fraction(196, 100)) -> tuple[Fraction, Fraction]:
+# the normal quantile of a two-sided 95% interval
+Z95 = Fraction(196, 100)
+
+
+def binomial_ci(successes: int, samples: int) -> tuple[Fraction, Fraction]:
     """Wilson 95% interval with outward-rounded rational square roots."""
     if samples <= 0:
         raise ValueError("samples must be positive")
     n = Fraction(samples)
     p = Fraction(successes, samples)
-    z2 = z * z
+    z2 = Z95 * Z95
     center = p + z2 / (2 * n)
     rad2 = p * (1 - p) / n + z2 / (4 * n * n)
     rad_hi = _nth_root_upper(rad2, 2, 64)
     denom = 1 + z2 / n
-    lo = (center - z * rad_hi) / denom
-    hi = (center + z * rad_hi) / denom
+    lo = (center - Z95 * rad_hi) / denom
+    hi = (center + Z95 * rad_hi) / denom
     lo = max(Fraction(0), lo)
     hi = min(Fraction(1), hi)
     return lo, hi

@@ -1,6 +1,7 @@
 """Exponential sums, exact counting, empirical counting constant."""
 
 import json
+import logging
 import math
 from fractions import Fraction as F
 from pathlib import Path
@@ -11,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from diophlab.errors import BudgetExceeded
 from diophlab.lattice import DEFAULT_BUDGET, ApproxMatrix, scan, shell_size
+from diophlab import equidist
 from diophlab.equidist import (
     GRID,
     PHASE_PREC,
+    CountingResult,
     WeylSumResult,
     _check_horizon,
     _min_abs,
@@ -255,11 +258,34 @@ class TestCounting:
         assert rep.count == 399 and rep.total == 2001
         assert rep.boundary_hits == 0
 
-    def test_boundary_counted_and_logged(self):
+    def test_boundary_counted_and_logged(self, caplog):
         # rational matrix: q = 1 lands exactly on the boundary of B(1/4, 1/4)
         A = ApproxMatrix([[F(1, 2)]])
-        rep = counting_report(A, ((F(1, 4),), F(1, 4)), 2)
+        with caplog.at_level(logging.INFO, logger="diophlab.equidist"):
+            rep = counting_report(A, ((F(1, 4),), F(1, 4)), 2)
         assert rep.boundary_hits > 0
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{rep.boundary_hits} exact boundary hits counted as members"
+        ]
+
+    @pytest.mark.parametrize("name", ["half", "sqrt2", "q21", "q12"])
+    def test_whole_torus_matches_the_old_branches(self, monkeypatch, name):
+        # radius 1/2 is the whole torus: every point a member, no boundary
+        # hit even at distance exactly 1/2 (q = 1 of the matrix 1/2), and
+        # no walk, as counting_report's and estimate_equid_constant's own
+        # branches had it
+        A = ApproxMatrix([[F(1, 2)]]) if name == "half" else bench_matrix(name)
+        monkeypatch.setattr(equidist, "within", None)
+        center = (F(0),) * A.m
+        ls = [1, 3, 7] if A.n == 1 else [1, 2, 3]
+        for N in ls:
+            total = (2 * N + 1) ** A.n
+            assert counting_report(A, (center, F(1, 2)), N) == CountingResult(F(1), total, total, 0)
+        est = estimate_equid_constant(A, [(center, F(1, 2)), (center, F(1, 4)), (center, F(1, 3))], ls)
+        # the old counts (2l + 1)^n of every ball: the radius 1/4 ball has
+        # the largest ratio, and the smallest l the largest of those
+        table = [(l, (2 * l + 1) ** A.n, F((2 * l + 1) ** A.n) / (F(l) ** A.n * F(1, 2) ** A.m)) for l in ls]
+        assert (est.c_hat, est.table) == (table[0][2], table)
 
     def test_partition_sums_to_one(self, A_sqrt2):
         # four congruent boxes tile the torus; q sqrt2 mod 1 is irrational

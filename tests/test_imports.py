@@ -6,8 +6,9 @@ threshold value from a psi, exact distances of a
 matrix stay behind `ApproxMatrix.dist`, a target is scaled for the filter
 only after `ApproxMatrix.target` checks it, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
-mpmath's global precision, nothing imports a thread pool, and in the CLI only
-the subcommand frame exits the process or loads the --matrix file.
+mpmath's global precision, nothing imports a thread pool, only `lattice`
+refuses a walk over budget, and in the CLI only the subcommand frame exits
+the process or loads the --matrix file.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -134,6 +135,9 @@ DIST_CALLERS = {
         ("lattice.py", "dist_enclosure"),
     },
 }
+# the point budget has one owner: lattice counts every window and builds
+# every refusal, in one wording
+BUDGET_OWNER = "lattice.py"
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
 # the top-level function of cli.py the call sits in, at any depth
@@ -163,7 +167,8 @@ def kernel_leaks(path: Path) -> list[str]:
     concurrent.futures or threading, any use of mpmath's global precision
     (GLOBAL_PREC, or .prec and .dps of an mpmath context or of anything
     read off the mpmath module, under any alias), anywhere in the module,
-    and in cli.py the FRAME_CALLS outside their top-level functions."""
+    BudgetExceeded raised outside BUDGET_OWNER, and in cli.py the
+    FRAME_CALLS outside their top-level functions."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -198,6 +203,8 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} {name}")
                 if name == "_gamma_pow" and (path.name, func) not in GAMMA_CALLERS:
                     found.append(f"{path.name}:{child.lineno} _gamma_pow")
+                if name == "BudgetExceeded" and path.name != BUDGET_OWNER:
+                    found.append(f"{path.name}:{child.lineno} BudgetExceeded")
             elif isinstance(child, ast.ImportFrom):
                 if path.name != "lattice.py":
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
@@ -312,6 +319,23 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(limsup) == ["limsup.py:2 isinstance", "limsup.py:3 isinstance"]
+    # the budget: lattice alone builds the refusal; a window check copied
+    # into limsup is a leak, a BudgetExceeded caught or named there is not
+    limsup.write_text(
+        "def check_budget(w, n, budget):\n"
+        "    total = (2 * w.u + 1) ** n - (2 * w.l + 1) ** n\n"
+        "    if total > budget:\n"
+        "        raise errors.BudgetExceeded(f'window holds {total} points')\n"
+        "    return isinstance(budget, BudgetExceeded)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(limsup) == ["limsup.py:4 BudgetExceeded"]
+    lattice.write_text(
+        "def _over_budget(total, budget):\n"
+        "    return BudgetExceeded(f'enumeration of {total} points exceeds {budget}')\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == []
     # gamma_k: the counterpart table alone computes it; a recomputation per
     # target or per shell is a leak
     analysis.write_text(

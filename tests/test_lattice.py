@@ -20,6 +20,7 @@ from diophlab.lattice import (
     return_sequence,
     shell_size,
     solve_homogeneous,
+    window_points,
     within,
 )
 from diophlab.numeric import (
@@ -117,6 +118,15 @@ class TestShells:
         assert len(pts) == shell_size(n, s)
         assert len(set(pts)) == len(pts)
         assert all(max(abs(c) for c in p) == s for p in pts) or s == 0
+
+    @given(n=st.integers(min_value=1, max_value=3), start=st.integers(min_value=0, max_value=12),
+           length=st.integers(min_value=-2, max_value=12))
+    @example(n=2, start=0, length=0)
+    @example(n=3, start=0, length=5)
+    def test_window_points_sums_the_shells(self, n, start, length):
+        # the closed form of every budget check: starting at 0, and empty
+        shells = range(start, start + length)
+        assert window_points(n, shells) == sum(shell_size(n, s) for s in shells)
 
     def test_shells_partition_box(self):
         box = {p for s in range(4) for p in iter_shell(2, s)}

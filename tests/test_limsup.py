@@ -2,6 +2,7 @@
 and coverage."""
 
 from fractions import Fraction as F
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -35,7 +36,10 @@ from diophlab.numeric import (
     quadratic,
 )
 from diophlab.sampling import sample_point
+from diophlab.transference import corollary_bounds
 from psi_reference import mpf_to_fraction, old_value_bounds
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestApproxFunction:
@@ -354,9 +358,32 @@ class TestUbiquity:
             assert lv.rho_pow_m == F(7, 4) * F(2, 5) * F(1, 1 << lv.ell)
 
     def test_u_regular(self, params):
-        assert check_u_regular(params, F(1, 2))
+        # lam as a value or as a Radical of any root: sqrt(1/4) = cbrt(1/8) = 1/2
+        for lam in (F(1, 2), Radical(F(1, 4), 2), Radical(F(1, 8), 3)):
+            assert check_u_regular(params, lam)
         # and it is sharp: rho ratio is exactly 1/2, so any smaller lambda fails
-        assert not check_u_regular(params, F(49, 100))
+        for lam in (F(49, 100), Radical(F(49, 200), 2), Radical(F(1, 9), 3)):
+            assert not check_u_regular(params, lam)
+
+    @pytest.mark.parametrize(
+        "name, eps",
+        [
+            ("golden", F(2, 5)),
+            ("q21", F(2, 5)),
+            ("golden", quadratic(F(1, 2), F(-1, 5), 5)),
+            ("sqrt2", quadratic(F(1, 2), F(-1, 5), 2)),
+        ],
+    )
+    def test_levels_are_corollary_3_3_bounds(self, name, eps):
+        # u_i = X1 and rho_i^m = C1^m of Corollary 3.3 at level l_i, so
+        # c2^m = C1^m X1^n at every level
+        A = ApproxMatrix.from_text((ROOT / "perfbench" / "inputs" / f"{name}.mat").read_text())
+        params = ubiquity_params(return_sequence(A, eps, 10 if A.n * A.m == 1 else 6), F(4))
+        assert len(params.levels) > 1
+        for lv in params.levels:
+            C1_pow_m, X1 = corollary_bounds(eps, lv.ell, A.m, A.n)
+            assert (lv.rho_pow_m, lv.u) == (C1_pow_m, X1)
+            assert params.c2_pow_m == C1_pow_m * ex_pow(X1, A.n)
 
     def test_coverage_high_at_top_level(self, A_golden, params):
         ce = coverage(A_golden, params, ((F(1, 2),), F(1, 8)), len(params.levels) - 1, 400, seed=2)

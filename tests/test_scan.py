@@ -10,7 +10,7 @@ from math import isqrt
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from diophlab import analysis, lattice, limsup
+from diophlab import analysis, equidist, lattice, limsup
 from diophlab.analysis import (
     EXACT_HIT,
     b_alpha_test,
@@ -34,6 +34,7 @@ from diophlab.lattice import (
     bad_witness,
     best_approximations,
     centre_index,
+    check_window,
     first_hits,
     iter_shell,
     records,
@@ -118,6 +119,16 @@ def old_window_budget(n, w, budget):
     total = sum(shell_size(n, s) for s in w.shells)
     if total > budget:
         raise BudgetExceeded(f"window holds {total} points, budget {budget}")
+
+
+def old_horizon(n, N, budget):
+    """equidist's own horizon rule: the box ||q|| <= N, N >= 1."""
+    if N < 1:
+        raise ValueError("N >= 1 required")
+    total = (2 * N + 1) ** n
+    if total > budget:
+        raise BudgetExceeded(f"{total} lattice points exceed budget {budget}")
+    return total
 
 
 def mirror(q):
@@ -456,6 +467,36 @@ def test_scan_order_and_budget(dim):
         for s, _ in scan(dim, shells, budget):
             seen.append(s)
     assert seen == [0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    l=st.integers(min_value=0, max_value=6),
+    du=st.integers(min_value=1, max_value=6),
+    N=st.integers(min_value=-1, max_value=12),
+    slack=st.integers(min_value=-2, max_value=2),
+)
+@example(n=1, l=0, du=1, N=0, slack=-1)
+@example(n=3, l=2, du=3, N=3, slack=0)
+def test_up_front_refusals_match_the_old_rules(n, l, du, N, slack):
+    # the window and horizon checks refuse exactly where the old rules of
+    # limsup and equidist did, budgets around the count included, and in
+    # the words of scan
+    w = Window(l, l + du)
+    size = sum(shell_size(n, s) for s in w.shells)
+    for budget in (size + slack, (2 * max(N, 0) + 1) ** n + slack):
+        got = outcome(check_window, n, w.shells, budget)
+        want = outcome(old_window_budget, n, w, budget)
+        assert got == (want if want[0] == "raise" else ("ok", size))
+        got = outcome(equidist._check_horizon, n, N, budget)
+        assert got == outcome(old_horizon, n, N, budget)
+    with pytest.raises(BudgetExceeded, match=f"^enumeration of {size} points exceeds {size - 1}$"):
+        check_window(n, w.shells, size - 1)
+    if N >= 1:
+        total = (2 * N + 1) ** n
+        with pytest.raises(BudgetExceeded, match=f"^enumeration of {total} points exceeds {total - 1}$"):
+            equidist._check_horizon(n, N, total - 1)
 
 
 def brute_order(d, s, thr):
@@ -958,9 +999,10 @@ def test_verify_prop_5_1_matches_old_loop(monkeypatch, key, data, alpha, lu, str
     best = PROP51_BEST[key]
     # b_alpha_test is vacuous in 1D; bypass it so the scan itself is compared
     monkeypatch.setattr(analysis, "b_alpha_test", lambda *args: True)
+    monkeypatch.setattr(analysis, "SPOT_CHECK_STRIDE", stride)
     got = outcome(
         lambda: (lambda r: (r.binding, r.violations, r.spot_checks))(
-            verify_prop_5_1(A, b, alpha, best, w, budget, stride)
+            verify_prop_5_1(A, b, alpha, best, w, budget)
         )
     )
     want = outcome(old_verify_prop_5_1_scan, A, b, alpha, best, w, budget, stride)
@@ -1051,12 +1093,13 @@ def test_exact_margins_run_only_inside_the_boxes(monkeypatch):
         assert got is old_b_alpha_test(b, best, alpha, [1])
         assert n[0] == exact
     # Prop. 5.1: the shells s = 2 = U_1 and s = 7 = V_1 are compared
-    # exactly, no other
+    # exactly, no other; no spot check runs
     monkeypatch.setattr(analysis, "b_alpha_test", lambda *args: True)
+    monkeypatch.setattr(analysis, "SPOT_CHECK_STRIDE", 10**6)
     b = (F(1, 3),)
     for w, exact in [(Window(1, 6), 1), (Window(2, 6), 0), (Window(5, 7), 1)]:
         with exact_compares() as n:
-            got = outcome(lambda: verify_prop_5_1(THREE_SEVENTHS, b, F(3, 2), best, w, 1 << 22, 10**6).binding)
+            got = outcome(lambda: verify_prop_5_1(THREE_SEVENTHS, b, F(3, 2), best, w, 1 << 22).binding)
         want = outcome(lambda: old_verify_prop_5_1_scan(THREE_SEVENTHS, b, F(3, 2), best, w, 1 << 22, 10**6)[0])
         assert got == want
         assert n[0] == exact
@@ -1064,7 +1107,7 @@ def test_exact_margins_run_only_inside_the_boxes(monkeypatch):
     best = best_approximations(golden, 10**6)
     analysis._counterparts(best, 1, 1)
     with exact_compares() as n:
-        report = verify_prop_5_1(golden, b, F(3, 2), best, Window(100, 1000), 1 << 22, 10**6)
+        report = verify_prop_5_1(golden, b, F(3, 2), best, Window(100, 1000), 1 << 22)
     assert n[0] == 0 and report.k_range == [8, 9, 10, 11, 12, 13]
 
 
@@ -1239,8 +1282,8 @@ def test_verify_prop_5_1_counts_the_boundary_as_a_violation(monkeypatch):
     # binding k, which the scan itself does not read
     monkeypatch.setattr(analysis, "b_alpha_test", lambda *args: True)
     best = best_approximations(MATRICES["golden"], 144)
-    args = (MATRICES["third"], (F(0),), F(7, 3), best, Window(3, 6), 1 << 22, 97)
-    _, want, _ = old_verify_prop_5_1_scan(*args)
+    args = (MATRICES["third"], (F(0),), F(7, 3), best, Window(3, 6), 1 << 22)
+    _, want, _ = old_verify_prop_5_1_scan(*args, 97)
     assert verify_prop_5_1(*args).violations == want == [(-4,), (4,), (-6,), (6,)]
 
 
