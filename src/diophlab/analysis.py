@@ -19,7 +19,6 @@ from .errors import (
     CoverageGap,
     InsufficientData,
     PrecisionExhausted,
-    RankDeficient,
 )
 from .lattice import (
     DEFAULT_BUDGET,
@@ -27,7 +26,8 @@ from .lattice import (
     BestApproxSequence,
     IntVec,
     ReturnSequence,
-    check_target_field,
+    best_approximations,
+    check_target,
     check_window,
     records,
     scan,
@@ -164,6 +164,8 @@ def classify_series(
     s = Fraction(s)
     if s <= 0:
         raise ValueError("s > 0 required")
+    if n < 1:
+        raise ValueError("n >= 1 required")
     partials = list(zip(horizons, _partial_sum_bounds(psi, n, s, horizons)))
     if isinstance(psi, PowerLog):
         status, rationale = _powerlog_verdict(psi, s, n)
@@ -186,6 +188,8 @@ def classify_return_series(
         raise InsufficientData("empty return sequence")
     if s <= 0:
         raise ValueError("s > 0 required")
+    if n < 1:
+        raise ValueError("n >= 1 required")
     shift = SERIES_SHIFT
     lo = hi = 0
     partials = []
@@ -417,19 +421,15 @@ def b_alpha_test(
     """||b . y_k||_Z > alpha gamma_k for every k in k_range, decided as
     the exact comparison decides it: gamma_k^(m+n) and its box come from
     the counterpart table, and only an lhs^(m+n) inside the box of
-    alpha^(m+n) gamma_k^(m+n) is compared exactly.  A `Quadratic`
-    coordinate of b is kept, so b . y_k and its distance to Z are exact,
-    and must lie in the field of the records' distances M_k
-    (`lattice.check_target_field`)."""
+    alpha^(m+n) gamma_k^(m+n) is compared exactly.  b passes the target
+    rule `lattice.check_target` with the radicand and CF flag of the
+    records' distances M_k, so a `Quadratic` coordinate is kept and
+    b . y_k and its distance to Z are exact."""
     alpha = Fraction(alpha)
-    b = tuple(x if isinstance(x, Quadratic) else Fraction(x) for x in b)
-    if len(b) != m:
-        raise ValueError(f"target needs {m} coordinates, got {len(b)}")
     ents = best.entries
-    if any(isinstance(x, Quadratic) for x in b):
-        Ms = [e.M for e in ents]
-        radicand = next((M.d for M in Ms if isinstance(M, Quadratic)), None)
-        check_target_field(b, radicand, any(isinstance(M, RatInterval) for M in Ms))
+    Ms = [e.M for e in ents]
+    radicand = next((M.d for M in Ms if isinstance(M, Quadratic)), None)
+    b = check_target(b, m, radicand, any(isinstance(M, RatInterval) for M in Ms))
     mn = m + n
     a = alpha**mn
     table = _counterparts(best, m, n)
@@ -662,14 +662,10 @@ def estimate_exponents(
     w_hat: "float | ExactHit | None" = None
     hom_exps = []
     best = None
-    if (A.m, A.n) == (1, 1):
-        # looked up at call time: test_exponents_catch_only_rank_and_precision
-        # monkeypatches diophlab.lattice.best_approximations
-        from .lattice import best_approximations
-
+    if A.irrational_line:
         try:
             best = best_approximations(A, xs[-1] - 1)
-        except (RankDeficient, PrecisionExhausted):
+        except PrecisionExhausted:
             pass
 
     def walk(M: ApproxMatrix, target=None) -> tuple[Optional[list], Optional[tuple]]:

@@ -120,19 +120,10 @@ class ApproxMatrix:
 
     def target(self, b: Optional[Sequence]) -> Optional[tuple]:
         """The target b of a walk or a distance over A, the one rule every
-        target and ball centre goes through: None stays None, a `Quadratic`
-        coordinate is kept and any other goes through Fraction().
-        ValueError unless b has m coordinates; UnsupportedEntry unless
-        every quadratic coordinate has the entries' radicand (one radicand
-        for a rational matrix), and for any quadratic coordinate of a CF
-        matrix."""
-        if b is None:
-            return None
-        b = tuple([x if isinstance(x, Quadratic) else _fraction(x) for x in b])
-        if len(b) != self.m:
-            raise ValueError(f"target needs {self.m} coordinates, got {len(b)}")
-        check_target_field(b, self.radicand, self.has_cf)
-        return b
+        target and ball centre goes through: None stays None, and any
+        other b passes `check_target` with the entries' radicand and CF
+        flag."""
+        return None if b is None else check_target(b, self.m, self.radicand, self.has_cf)
 
     def ball(self, center: Sequence, radius) -> tuple[Optional[tuple], Fraction]:
         """(target(center), radius) of a closed ball on the torus;
@@ -228,10 +219,16 @@ class ApproxMatrix:
         return cls(rows)
 
 
-def check_target_field(b: Sequence, radicand: Optional[int], has_cf: bool) -> None:
-    """UnsupportedEntry unless every quadratic coordinate of the target b
-    lies in the field of entries with this radicand (one radicand when
-    None), and for any quadratic coordinate when the entries are CF."""
+def check_target(b: Sequence, m: int, radicand: Optional[int], has_cf: bool) -> tuple:
+    """The target rule of `ApproxMatrix.target` for entries with this
+    radicand (None when rational) and CF flag: b as a tuple, a `Quadratic`
+    coordinate kept and any other through Fraction().  ValueError unless b
+    has m coordinates; UnsupportedEntry unless every quadratic coordinate
+    has the radicand (one radicand when None), and for any quadratic
+    coordinate when the entries are CF."""
+    b = tuple([x if isinstance(x, Quadratic) else _fraction(x) for x in b])
+    if len(b) != m:
+        raise ValueError(f"target needs {m} coordinates, got {len(b)}")
     ds = {x.d for x in b if isinstance(x, Quadratic)}
     if ds:
         if has_cf:
@@ -239,6 +236,7 @@ def check_target_field(b: Sequence, radicand: Optional[int], has_cf: bool) -> No
         ds = sorted(ds | {radicand} - {None})
         if len(ds) > 1:
             raise UnsupportedEntry("mixing radicands " + " and ".join(f"sqrt({d})" for d in ds))
+    return b
 
 
 def _dot(entries: Sequence[ExactReal], q: Sequence[int]):
@@ -479,14 +477,13 @@ def first_hits(
 
 def records(
     A: ApproxMatrix, shells: Iterable[int], budget: int, key: Callable,
-    b: Optional[Sequence[ExactReal]] = None, bound: Optional[Comparable] = None,
+    b: Optional[Sequence[ExactReal]] = None,
 ) -> Iterator[tuple[int, tuple[int, ...], Comparable]]:
     """(s, q, key(s, ||Aq - b||_Z)) for every q in the order of
     scan(A.n, shells, budget) whose key is strictly below the keys of all
-    earlier points, and below bound when given; b passes `ApproxMatrix.target`
-    before any point is scanned.  Strict comparison keeps each record's
-    lexicographically first attainer; an undecided comparison raises
-    PrecisionExhausted.
+    earlier points; b passes `ApproxMatrix.target` before any point is
+    scanned.  Strict comparison keeps each record's lexicographically first
+    attainer; an undecided comparison raises PrecisionExhausted.
 
     key must be nondecreasing in the distance d, as d and d^m s^n are: a
     point whose scaled lower bound d_lo gives key(s, d_lo 2^-shift) above
@@ -503,8 +500,7 @@ def records(
     b_scaled, b_err = line.scale_target(b)
     dist_bounds = line.dist_bounds
     mirrored = b is None
-    best = bound
-    best_hi = None if bound is None else enclose(bound, line.shift)[1]
+    best = best_hi = None
     for s, shell in scan(A.n, shells, budget):
         for q in shell:
             if mirrored and next(filter(None, q), 0) > 0:
@@ -713,12 +709,13 @@ def _best_approximations_scan(
     A: ApproxMatrix, Y_max: int, budget: int
 ) -> BestApproxSequence:
     # a strictly closer point of the same shell replaces its record: each
-    # entry is its shell's lexicographically first minimizer
+    # entry is its shell's lexicographically first minimizer.  A best
+    # approximation lies below 1/2; of the walk's records only the first
+    # can lie at 1/2
     last = {
         s: (y, d)
-        for s, y, d in records(
-            A.transpose(), range(1, Y_max + 1), budget, lambda s, d: d, bound=Fraction(1, 2)
-        )
+        for s, y, d in records(A.transpose(), range(1, Y_max + 1), budget, lambda s, d: d)
+        if lt(d, Fraction(1, 2))
     }
     return BestApproxSequence(
         [BestApproxEntry(IntVec(y), s, d) for s, (y, d) in last.items()], Y_max

@@ -437,10 +437,9 @@ def _points(dim: int, samples: int, seed: int, mode: str) -> _Sample:
         return _Sample(lambda i: sample_point(seed, i, dim), samples, arc)
     if mode != "grid":
         raise ValueError(f"unknown sampling mode {mode!r}")
-    pts = grid_points(samples, dim)
-    if len(pts) != samples:
+    if _floor_root(samples, 1, dim) ** dim != samples:
         raise ValueError(f"grid mode needs samples = k^{dim} for an integer k, got {samples}")
-    return _Sample(pts.__getitem__, samples, arc)
+    return _Sample(grid_points(samples, dim).__getitem__, samples, arc)
 
 
 # ---------------------------------------------------------------------------

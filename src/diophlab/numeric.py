@@ -556,14 +556,10 @@ def _cf_dist_to_int(x: CFReal) -> CFReal:
     f = _cf_frac_part(x)  # in (0, 1)
     if lt(f, Fraction(1, 2)):
         return f
-    # 1 - [0; a1, a2, ...] = [0; 1, a1-1, a2, ...]  (a1 >= 2)
-    #                      = [0; a2+1, a3, ...]      (a1 == 1)
-    tail = f.pq[1:]
-    if tail[0] >= 2:
-        return CFReal((0, 1, tail[0] - 1) + tail[1:], x.precision_budget)
-    if len(tail) < 2:
-        raise PrecisionExhausted("CF too short to reflect around 1/2")
-    return CFReal((0, tail[1] + 1) + tail[2:], x.precision_budget)
+    # lt decides f > 1/2 only for f = [0; 1, a2, ...] with a2 in budget: a1 >= 2
+    # puts every convergent at or below 1/2, and [0; 1] encloses (0, 1); then
+    # 1 - [0; 1, a2, a3, ...] = [0; a2+1, a3, ...]
+    return CFReal((0, f.pq[2] + 1) + f.pq[3:], x.precision_budget)
 
 
 def sup_norm(v: Iterable[Comparable]):

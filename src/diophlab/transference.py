@@ -136,6 +136,8 @@ def verify_corollary_3_3(
     `lattice.first_hits` over the window ||q|| <= X1."""
     if sign(epsilon) <= 0:
         raise ValueError("need eps > 0")
+    if ell < 0:
+        raise ValueError("ell >= 0 required")
     m, n = A.m, A.n
     if check_level and not in_return_sequence(A, ex_pow(epsilon, m), ell, budget):
         raise ValueError(f"level {ell} is not in the return sequence")

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from diophlab.cli import main
+from diophlab.limsup import MeasureEstimate
+from diophlab.transference import Cor33Target
 
 GOLDEN = "1 1\n(-1+1*sqrt(5))/2\n"
 SQRT2 = "1 1\n(0+1*sqrt(2))/1\n"
@@ -135,6 +138,48 @@ def test_counterpart_checks_pass(runner, golden_mat):
     res = runner.invoke(main, ["counterpart", "--matrix", golden_mat, "--y-max", "100"])
     assert res.exit_code == 0
     assert json.loads(res.output)["all_checks"] is True
+
+
+# (arguments, library call, report made to fail, stderr line, the failure
+# read off the written report) of each subcommand that flags a theorem
+# violation
+VIOLATIONS = {
+    "transfer": (
+        ["--epsilon", "2/5", "--ell", "4", "--targets", "3"],
+        "verify_corollary_3_3",
+        lambda rep: replace(rep, targets=[Cor33Target(rep.targets[0].b, None, "", "", False), *rep.targets[1:]]),
+        "theorem violation: 1 targets without witness",
+        lambda rep: rep["successes"] == 2,
+    ),
+    "coverage": (
+        ["--epsilon", "2/5", "--ell-max", "8", "--equid-constant", "4", "--samples", "10", "--levels", "1"],
+        "coverage",
+        lambda ce: replace(ce, estimate=MeasureEstimate.from_hits(0, 10, ce.estimate.seed, ce.estimate.window)),
+        "theorem violation: coverage below 1/2 at levels [8]",
+        lambda rep: rep["levels"][0]["covered_fraction"]["fraction"] == "0",
+    ),
+    "counterpart": (
+        ["--y-max", "100"],
+        "gamma_sequence",
+        lambda rep: replace(rep, entries=[replace(rep.entries[0], U_lt_V=False), *rep.entries[1:]]),
+        "theorem violation: U/V interval checks failed",
+        lambda rep: rep["all_checks"] is False,
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(VIOLATIONS))
+def test_theorem_violation_exits_4(runner, golden_mat, monkeypatch, command):
+    # the library's report is made to fail: the report is still written,
+    # and the violation is named on stderr
+    from diophlab import cli
+
+    args, call, fail, line, failed = VIOLATIONS[command]
+    monkeypatch.setattr(cli, call, lambda *a, fn=getattr(cli, call): fail(fn(*a)))
+    res = runner.invoke(main, [command, "--matrix", golden_mat, *args])
+    assert (res.exit_code, res.stderr) == (4, line + "\n")
+    rep = json.loads(res.stdout)
+    assert rep["config"]["command"] == command and failed(rep)
 
 
 def test_equidist_count(runner, tmp_path):
@@ -384,6 +429,17 @@ ERRORS = {
     "constant-negative-l-values": (
         ["equidist", "--op", "constant", "--matrix", "perfbench/inputs/golden.mat", "--l-values", "-4,8"],
         (2, "error: --l-values must be >= 1"),
+    ),
+    # the series runs over q >= 1 in dimension n >= 1, with or without a
+    # matrix, and a level is a power 2^ell with ell >= 0
+    "series-n-zero": (["series", "--n", "0"], (2, "error: n >= 1 required")),
+    "series-matrix-n-zero": (
+        ["series", "--matrix", "perfbench/inputs/golden.mat", "--epsilon", "2/5", "--ell-max", "4", "--n", "0"],
+        (2, "error: n >= 1 required"),
+    ),
+    "transfer-negative-ell": (
+        ["transfer", "--matrix", "perfbench/inputs/golden.mat", "--epsilon", "2/5", "--ell", "-1", "--targets", "2"],
+        (2, "error: ell >= 0 required"),
     ),
 }
 

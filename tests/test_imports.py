@@ -7,8 +7,9 @@ matrix stay behind `ApproxMatrix.dist`, a target is scaled for the filter
 only after `ApproxMatrix.target` checks it, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
 mpmath's global precision, nothing imports a thread pool, only `lattice`
-refuses a walk over budget, and in the CLI only the subcommand frame exits
-the process or loads the --matrix file.
+refuses a walk over budget, only `ApproxMatrix` and `Line1D` test a shape
+for 1 x 1, and in the CLI only the subcommand frame exits the process or
+loads the --matrix file.
 
 No linter ships with the project, so these AST scans stand in for one.  A
 name counts as used when it appears anywhere in the module (string
@@ -138,6 +139,11 @@ DIST_CALLERS = {
 # the point budget has one owner: lattice counts every window and builds
 # every refusal, in one wording
 BUDGET_OWNER = "lattice.py"
+# the 1 x 1 test of a shape, keyed by module, class and function:
+# ApproxMatrix.__init__ sets the line flag `irrational_line` from it and
+# Line1D.__init__ its scalar model; anywhere else it forks the line case
+# again beside the flag
+SHAPE_TESTERS = {("lattice.py", "ApproxMatrix", "__init__"), ("fastpath.py", "Line1D", "__init__")}
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
 # the top-level function of cli.py the call sits in, at any depth
@@ -157,6 +163,14 @@ def _tells_kinds_apart(name: str | None, args: list[ast.expr]) -> bool:
     return any(getattr(c, "id", getattr(c, "attr", None)) == "ApproxFunction" for c in classes)
 
 
+def _tests_shape(node: ast.Compare) -> bool:
+    """A comparison of an (x.m, x.n) tuple with (1, 1), either way round."""
+    sides = [node.left, *node.comparators]
+    shape = any(isinstance(e, ast.Tuple) and [getattr(x, "attr", None) for x in e.elts] == ["m", "n"] for e in sides)
+    one = any(isinstance(e, ast.Tuple) and [getattr(x, "value", None) for x in e.elts] == [1, 1] for e in sides)
+    return shape and one
+
+
 def kernel_leaks(path: Path) -> list[str]:
     """Calls of iter_shell outside lattice.scan, of scan outside
     SCAN_CALLERS, of PSI_CALLS outside limsup and PSI_CALLER, threshold
@@ -167,8 +181,9 @@ def kernel_leaks(path: Path) -> list[str]:
     concurrent.futures or threading, any use of mpmath's global precision
     (GLOBAL_PREC, or .prec and .dps of an mpmath context or of anything
     read off the mpmath module, under any alias), anywhere in the module,
-    BudgetExceeded raised outside BUDGET_OWNER, and in cli.py the
-    FRAME_CALLS outside their top-level functions."""
+    BudgetExceeded raised outside BUDGET_OWNER, 1 x 1 shape tests
+    (`_tests_shape`) outside SHAPE_TESTERS, and in cli.py the FRAME_CALLS
+    outside their top-level functions."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -184,7 +199,7 @@ def kernel_leaks(path: Path) -> list[str]:
             return owner.id in contexts | modules
         return isinstance(owner, ast.Attribute) and getattr(owner.value, "id", None) in modules
 
-    def visit(node: ast.AST, func: str | None, top: str | None) -> None:
+    def visit(node: ast.AST, func: str | None, top: str | None, cls: str | None) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 f = child.func
@@ -205,6 +220,9 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} _gamma_pow")
                 if name == "BudgetExceeded" and path.name != BUDGET_OWNER:
                     found.append(f"{path.name}:{child.lineno} BudgetExceeded")
+            elif isinstance(child, ast.Compare):
+                if _tests_shape(child) and (path.name, cls, func) not in SHAPE_TESTERS:
+                    found.append(f"{path.name}:{child.lineno} (m, n) == (1, 1)")
             elif isinstance(child, ast.ImportFrom):
                 if path.name != "lattice.py":
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
@@ -223,9 +241,12 @@ def kernel_leaks(path: Path) -> list[str]:
                 elif child.attr in MP_FIELDS and global_field(child.value):
                     found.append(f"{path.name}:{child.lineno} {owner}.{child.attr}")
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-            visit(child, child.name if is_def else func, top or (child.name if is_def else None))
+            visit(
+                child, child.name if is_def else func, top or (child.name if is_def else None),
+                child.name if isinstance(child, ast.ClassDef) else cls,
+            )
 
-    visit(tree, None, None)
+    visit(tree, None, None, None)
     return found
 
 
@@ -477,3 +498,27 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(cli) == ["cli.py:12 _load_matrix", "cli.py:13 exit", "cli.py:15 exit"]
+    # the 1 x 1 shape: ApproxMatrix and Line1D test it as they are built and
+    # set their flags; a test in a consumer, or in another class's
+    # constructor, is a leak, either way round, and a test of another shape
+    # is not
+    lattice.write_text(
+        "class ApproxMatrix:\n"
+        "    def __init__(self, rows):\n"
+        "        if has_cf and (self.m, self.n) != (1, 1):\n"
+        "            raise UnsupportedEntry('1x1 only')\n"
+        "        self.irrational_line = (self.m, self.n) == (1, 1)\n"
+        "class BestApproxSequence:\n"
+        "    def __init__(self, A):\n"
+        "        self.line = (A.m, A.n) == (1, 1)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:8 (m, n) == (1, 1)"]
+    analysis.write_text(
+        "def estimate_exponents(A, b):\n"
+        "    if (A.m, A.n) == (1, 1):\n"
+        "        return (1, 1) != (b.m, b.n) or (A.m, A.n) == (2, 1)\n"
+        "    return A.irrational_line\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(analysis) == ["analysis.py:2 (m, n) == (1, 1)", "analysis.py:3 (m, n) == (1, 1)"]

@@ -328,6 +328,18 @@ class TestMeasure:
         est = measure_W(A_golden, psi, Window(1, 64), 50, seed=0, mode="grid")
         assert est.samples == 50
 
+    def test_grid_is_refused_before_it_is_built(self, monkeypatch):
+        # 1000^2 + 1 samples are no square: the grid is not built, so a
+        # count of 10^10 + 1 could not exhaust memory either
+        def grid_points(samples, dim):
+            assert round(samples ** (1 / dim)) ** dim == samples, "grid built for a non-power"
+            return []
+
+        monkeypatch.setattr(limsup, "grid_points", grid_points)
+        for samples in (1000**2 + 1, 10**10 + 1):
+            with pytest.raises(ValueError, match=rf"grid mode needs samples = k\^2 for an integer k, got {samples}"):
+                limsup._points(2, samples, 0, "grid")
+
     def test_ci_brackets_fraction(self, A_golden):
         psi = PowerLog(F(1), F(2), F(0))
         est = measure_W(A_golden, psi, Window(4, 64), 200, seed=1)

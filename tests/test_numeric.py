@@ -144,6 +144,15 @@ class TestFloorDist:
         lo, hi = enclose(d, 40)
         assert F(1, 8) < lo and hi < F(1, 6)
 
+    def test_cf_dist_reflects_above_half(self):
+        # [0; 1, 2, 3] = 7/10 > 1/2, so 1 - [0; 1, a2, a3] = [0; a2 + 1, a3]
+        d = dist_to_int(CFReal((0, 1, 2, 3)))
+        assert d == CFReal((0, 3, 3)) and d.enclosure() == (F(3, 10), F(1, 3))
+        assert dist_to_int(CFReal((-2, 1, 2, 3))) == CFReal((0, 3, 3))
+        # [0; 1] encloses (0, 1), which straddles 1/2
+        with pytest.raises(PrecisionExhausted):
+            dist_to_int(CFReal((0, 1)))
+
     def test_sup_norm(self, sqrt2):
         assert sup_norm([F(-3, 4), F(1, 2)]) == F(3, 4)
         v = ex_abs(sqrt2 - 2)

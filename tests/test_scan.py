@@ -815,6 +815,14 @@ def test_best_approximations_scan_matches_old_loop(key, Y, budget):
     assert got == outcome(old_best_approximations_scan, A, Y, budget)
 
 
+def test_best_approximations_scan_keeps_records_below_half():
+    # the transpose of half_third meets 1/2 at its first point y = -1: a
+    # record of the walk, and no best approximation
+    A = MATRICES["half_third"]
+    assert next(records(A.transpose(), range(1, 4), 100, lambda s, d: d)) == (1, (-1,), F(1, 2))
+    assert [(e.y, e.M) for e in _best_approximations_scan(A, 3, 100).entries] == [(IntVec((-2,)), F(1, 3))]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     key=st.sampled_from(["golden", "sqrt2", "q12", "q21", "third", "half_third", "rat21", "cf_short", "cf_mid"]),
@@ -1212,13 +1220,15 @@ def test_exponents_rational_line_is_all_exact_hits():
 
 
 @pytest.mark.parametrize("exc", [RankDeficient, PrecisionExhausted, ZeroDivisionError])
-def test_exponents_catch_only_rank_and_precision(monkeypatch, exc):
+def test_exponents_catch_only_precision(monkeypatch, exc):
+    # an irrational line reads its CF records, which raise only
+    # PrecisionExhausted past a CF entry's certified reach
     def broken(*args):
         raise exc("no records")
 
-    monkeypatch.setattr("diophlab.lattice.best_approximations", broken)
-    if exc is ZeroDivisionError:
-        with pytest.raises(ZeroDivisionError):
+    monkeypatch.setattr("diophlab.analysis.best_approximations", broken)
+    if exc is not PrecisionExhausted:
+        with pytest.raises(exc):
             estimate_exponents(MATRICES["golden"], None, [4, 8])
     else:
         # without records the homogeneous exponent comes from the shell scan

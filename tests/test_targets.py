@@ -42,9 +42,7 @@ BEST = best_approximations(GOLDEN, 100)
 # coverage (rho >= 1/2) included
 ENTRY_POINTS = {
     "within": [lambda A, b, t=t: next(within(A, range(1, 9), 100, t, b)) for t in (F(1, 2), F(1, 100))],
-    "records": [
-        lambda A, b, t=t: next(records(A, range(1, 9), 100, lambda s, d: d, b, t)) for t in (None, F(1, 100))
-    ],
+    "records": [lambda A, b: next(records(A, range(1, 9), 100, lambda s, d: d, b))],
     "dist": [lambda A, b: A.dist((1,), b)],
     "dist_enclosure": [lambda A, b: A.dist_enclosure((1,), b)],
     "solve_inhomogeneous": [lambda A, b, C=C: solve_inhomogeneous(A, b, C, 30) for C in (F(1, 2), F(1, 100))],
