@@ -140,9 +140,8 @@ def _partial_sum_bounds(
 
 def _powerlog_verdict(psi: PowerLog, s: Fraction, n: int) -> tuple[str, str]:
     """(status, rationale) for sum q^(n-1) psi(q)^s in closed form:
-    Converges iff a s > n, or a s = n with beta s > 1."""
-    if s <= 0:
-        raise ValueError("s > 0 required")
+    Converges iff a s > n, or a s = n with beta s > 1; s > 0, which both
+    callers check first."""
     as_ = psi.a * s
     bs = psi.beta * s
     if as_ > n or (as_ == n and bs > 1):
@@ -215,12 +214,13 @@ def _order(x: Comparable, box: tuple[Fraction, Fraction], exact: Callable[[], ob
     """The ordering of x against a value v with box[0] <= v <= box[1]: LESS
     when x < box[0], GREATER when x > box[1], and only otherwise
     compare(x, exact()), v computed then, with PrecisionExhausted when that
-    is undecided.  An irrational x is placed against the box by its
-    enclosure at COUNTERPART_BITS.  A box that holds every value of v's own
-    enclosure decides only comparisons that compare decides, and the same
-    way, so the outcome is that of the exact comparison."""
+    is undecided.  x is placed against the box by its enclosure at
+    COUNTERPART_BITS, which is (x, x) for a rational x.  A box that holds
+    every value of v's own enclosure decides only comparisons that compare
+    decides, and the same way, so the outcome is that of the exact
+    comparison."""
     lo, hi = box
-    x_lo, x_hi = (x, x) if isinstance(x, (int, Fraction)) else enclose(x, COUNTERPART_BITS)
+    x_lo, x_hi = enclose(x, COUNTERPART_BITS)
     if x_hi < lo:
         return Ordering.LESS
     if x_lo > hi:
@@ -233,8 +233,8 @@ def _max_pow(x: Comparable, y: Comparable) -> Comparable:
     if c.decided:
         return x if c.kind == "greater" else y
     # undecided enclosures: take the interval hull of the max
-    xl, xh = _as_interval(x)
-    yl, yh = _as_interval(y)
+    xl, xh, _ = _as_interval(x)
+    yl, yh, _ = _as_interval(y)
     return RatInterval(max(xl, yl), max(xh, yh))
 
 

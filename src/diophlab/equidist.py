@@ -17,10 +17,12 @@ from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_shift, round_neares
 from .lattice import DEFAULT_BUDGET, ApproxMatrix, check_window, scan, shell_size, within
 from .numeric import (
     Ordering,
+    RatInterval,
     _nth_root_lower,
     _nth_root_upper,
     dec_str,
     enclose,
+    ex_abs,
 )
 
 log = logging.getLogger(__name__)
@@ -125,8 +127,9 @@ def weyl_sum(
     err = two_pi_err + Fraction(count, 1 << (PHASE_PREC - 8))
     re = (re_mid - err, re_mid + err)
     im = (im_mid - err, im_mid + err)
-    mag_hi_sq = max(x * x for x in re) + max(x * x for x in im)
-    mag_lo_sq = _min_abs(re) ** 2 + _min_abs(im) ** 2
+    re_abs, im_abs = ex_abs(RatInterval(*re)), ex_abs(RatInterval(*im))
+    mag_hi_sq = re_abs.hi ** 2 + im_abs.hi ** 2
+    mag_lo_sq = re_abs.lo ** 2 + im_abs.lo ** 2
     mag = (_nth_root_lower(mag_lo_sq, 2, 64), _nth_root_upper(mag_hi_sq, 2, 64))
     norm = (max(Fraction(0), mag[0] / count), min(Fraction(1), mag[1] / count))
     return WeylSumResult(c, N, count, re, im, mag, norm, err)
@@ -138,13 +141,6 @@ def _on_grid(v: tuple) -> int:
     e = exp + GRID
     m = -man if sign else man
     return m << e if e >= 0 else m >> -e
-
-
-def _min_abs(iv: tuple[Fraction, Fraction]) -> Fraction:
-    lo, hi = iv
-    if lo <= 0 <= hi:
-        return Fraction(0)
-    return min(abs(lo), abs(hi))
 
 
 @dataclass

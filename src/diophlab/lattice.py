@@ -7,7 +7,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import cycle, groupby, islice, pairwise, repeat, takewhile
+from itertools import cycle, groupby, islice, pairwise, product, repeat, takewhile
 from math import lcm
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
@@ -263,18 +263,11 @@ def iter_shell(dim: int, s: int) -> Iterator[tuple[int, ...]]:
     if dim == 1:
         yield from ((-s,), (s,))
         return
-
-    def rec(prefix: tuple[int, ...], maxed: bool) -> Iterator[tuple[int, ...]]:
-        depth = len(prefix)
-        if depth == dim - 1:
-            choices = range(-s, s + 1) if maxed else (-s, s)
-            for c in choices:
-                yield prefix + (c,)
-            return
-        for c in range(-s, s + 1):
-            yield from rec(prefix + (c,), maxed or abs(c) == s)
-
-    yield from rec((), False)
+    # a head of norm s takes any last coordinate, any other head only -s, s
+    side, ends = range(-s, s + 1), (-s, s)
+    for head in product(side, repeat=dim - 1):
+        for c in side if s in head or -s in head else ends:
+            yield head + (c,)
 
 
 def shell_size(dim: int, s: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import PrecisionExhausted, UnsupportedEntry
@@ -346,40 +346,43 @@ Comparable = Union[Fraction, Quadratic, CFReal, RatInterval, int]
 # ---------------------------------------------------------------------------
 
 
-def _sign_rational(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _as_interval(x: Comparable) -> tuple[Fraction, Fraction, bool]:
+    """(lo, hi, open): the one view of an uncertain real.  A CF real lies in
+    the open interval of its enclosure, for any number of quotients; a
+    `RatInterval` is closed."""
+    if isinstance(x, CFReal):
+        return (*x.enclosure(), True)
+    if isinstance(x, RatInterval):
+        return x.lo, x.hi, False
+    raise TypeError(x)
+
+
+def _surd(x: Quadratic) -> tuple[int, int, int]:
+    """The integer model (p, w, D) of x = (p + w sqrt(x.d)) / D, D > 0 the
+    lcm of the denominators of x.a and x.b."""
+    a, b = x.a, x.b
+    D = lcm(a.denominator, b.denominator)
+    return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
 
 
 def sign(x: Comparable | "Radical") -> int:
-    """Exact sign, raising PrecisionExhausted for straddling CF enclosures;
+    """Exact sign, raising PrecisionExhausted for straddling enclosures;
     a `Radical` has the sign of its radicand."""
     if isinstance(x, Radical):
         return sign(x.radicand)
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
-    if isinstance(x, Fraction):
-        return _sign_rational(x)
     if isinstance(x, Quadratic):
-        # a + b sqrt d times the positive a.denominator * b.denominator
-        a, b = x.a, x.b
-        return _sign_surd(a.numerator * b.denominator, b.numerator * a.denominator, x.d)
-    lo, hi = _as_interval(x)
-    if lo > 0 or (lo == 0 and isinstance(x, CFReal)):
-        # CF enclosures are open intervals, so lo == 0 still means positive.
+        p, w, _ = _surd(x)
+        return _sign_surd(p, w, x.d)
+    lo, hi, open_ = _as_interval(x)
+    if lo > 0 or (lo == 0 and open_):
         return 1
-    if hi < 0 or (hi == 0 and isinstance(x, CFReal)):
+    if hi < 0 or (hi == 0 and open_):
         return -1
     if lo == hi == 0:
         return 0
     raise PrecisionExhausted(f"sign undecided (width {float(hi - lo):.3g})")
-
-
-def _as_interval(x: Comparable) -> tuple[Fraction, Fraction]:
-    if isinstance(x, CFReal):
-        return x.enclosure()
-    if isinstance(x, RatInterval):
-        return x.lo, x.hi
-    raise TypeError(x)
 
 
 def compare(x: Comparable, y: Comparable) -> Ordering:
@@ -392,31 +395,16 @@ def compare(x: Comparable, y: Comparable) -> Ordering:
     fuzzy_x = isinstance(x, (CFReal, RatInterval))
     fuzzy_y = isinstance(y, (CFReal, RatInterval))
     if not fuzzy_x and not fuzzy_y:
-        diff = _exact_sub(x, y)
-        s = sign(diff)
-        return (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)[s + 1]
-    xlo, xhi = _as_interval(x) if fuzzy_x else enclose(x, 160)
-    ylo, yhi = _as_interval(y) if fuzzy_y else enclose(y, 160)
-    x_open = isinstance(x, CFReal) and len(x.pq) > 1
-    y_open = isinstance(y, CFReal) and len(y.pq) > 1
+        return (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)[sign(x - y) + 1]
+    xlo, xhi, x_open = _as_interval(x) if fuzzy_x else (*enclose(x, 160), False)
+    ylo, yhi, y_open = _as_interval(y) if fuzzy_y else (*enclose(y, 160), False)
     if xhi < ylo or (xhi == ylo and (x_open or y_open)):
         return Ordering.LESS
     if xlo > yhi or (xlo == yhi and (x_open or y_open)):
         return Ordering.GREATER
-    if xlo == xhi == ylo == yhi:
+    if xlo == xhi == ylo == yhi or (isinstance(x, CFReal) and x == y):
         return Ordering.EQUAL
-    if fuzzy_x and fuzzy_y and isinstance(x, CFReal) and isinstance(y, CFReal):
-        if x.pq == y.pq:
-            return Ordering.EQUAL
     return Ordering.uncertain((xhi - xlo) + (yhi - ylo))
-
-
-def _exact_sub(x, y):
-    if isinstance(x, int):
-        x = Fraction(x)
-    if isinstance(y, int):
-        y = Fraction(y)
-    return x - y
 
 
 def _decided(c: Ordering, what: str = "comparison") -> Ordering:
@@ -462,40 +450,29 @@ def floor_exact(x: Comparable) -> int:
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
     if isinstance(x, Quadratic):
-        q = (x.a.denominator * x.b.denominator) // gcd(
-            x.a.denominator, x.b.denominator
-        )
-        av = x.a.numerator * (q // x.a.denominator)
-        bv = x.b.numerator * (q // x.b.denominator)
-        # floor((av + y) / q) = floor((av + floor(y)) / q) for integers av, q > 0
-        return (av + _floor_sqrt_mult(bv, x.d)) // q
-    if isinstance(x, CFReal):
-        lo, hi = x.enclosure()
-        flo = lo.numerator // lo.denominator
-        fhi = (
-            hi.numerator // hi.denominator
-            if hi.denominator > 1 or len(x.pq) == 1
-            else hi.numerator - 1  # open upper endpoint at an integer
-        )
-        if flo == fhi:
-            return flo
-        raise PrecisionExhausted("floor undecided by CF enclosure")
-    if isinstance(x, RatInterval):
-        flo = x.lo.numerator // x.lo.denominator
-        fhi = x.hi.numerator // x.hi.denominator
-        if flo == fhi:
-            return flo
-        raise PrecisionExhausted("floor undecided by interval")
-    raise TypeError(x)
+        p, w, D = _surd(x)
+        # floor((p + y) / D) = floor((p + floor(y)) / D) for integers p, D > 0
+        return (p + _floor_sqrt_mult(w, x.d)) // D
+    return _floor_between(*_as_interval(x))
+
+
+def _floor_between(lo: Fraction, hi: Fraction, open_: bool) -> int:
+    """The floor shared by every value between lo and hi (both ends open or
+    both closed), or PrecisionExhausted when the values have two floors."""
+    flo = lo.numerator // lo.denominator
+    # below an open upper end, the floor is one less than its ceiling
+    fhi = -(-hi.numerator // hi.denominator) - 1 if open_ else hi.numerator // hi.denominator
+    if flo == fhi:
+        return flo
+    raise PrecisionExhausted("floor undecided by enclosure")
 
 
 def nearest_int(x: Comparable) -> int:
     """An integer minimizing |x - n| (upper one on exact ties)."""
     if isinstance(x, (CFReal, RatInterval)):
-        lo, hi = _as_interval(x)
-        n = floor_exact(RatInterval(lo + Fraction(1, 2), hi + Fraction(1, 2)))
-        return n
-    return floor_exact(_exact_sub(x, Fraction(-1, 2)))
+        lo, hi, open_ = _as_interval(x)
+        return _floor_between(lo + Fraction(1, 2), hi + Fraction(1, 2), open_)
+    return floor_exact(x + Fraction(1, 2))
 
 
 def ex_abs(x: Comparable):
@@ -517,8 +494,7 @@ def dist_to_int(x: Comparable):
         return _cf_dist_to_int(x)
     if isinstance(x, RatInterval):
         return _interval_dist_to_int(x)
-    n = nearest_int(x)
-    return ex_abs(_exact_sub(x, Fraction(n)))
+    return ex_abs(x - Fraction(nearest_int(x)))
 
 
 def _frac_dist(x: Fraction) -> Fraction:
@@ -629,8 +605,7 @@ class Radical:
 
     def compare(self, other: Comparable | "Radical") -> Ordering:
         if isinstance(other, Radical):
-            g = gcd(self.root, other.root)
-            l = self.root * other.root // g
+            l = lcm(self.root, other.root)
             return compare(
                 ex_pow(self.radicand, l // self.root),
                 ex_pow(other.radicand, l // other.root),
@@ -727,7 +702,7 @@ def enclose(x: Comparable, bits: int) -> tuple[Fraction, Fraction]:
             return x.a + x.b * slo, x.a + x.b * shi
         return x.a + x.b * shi, x.a + x.b * slo
     if isinstance(x, (CFReal, RatInterval)):
-        return _as_interval(x)
+        return _as_interval(x)[:2]
     if isinstance(x, Radical):
         return x.enclose(bits)
     raise TypeError(x)
@@ -786,13 +761,9 @@ def format_exact(x: ExactReal) -> str:
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, Quadratic):
-        c = (x.a.denominator * x.b.denominator) // gcd(
-            x.a.denominator, x.b.denominator
-        )
-        a = x.a.numerator * (c // x.a.denominator)
-        b = x.b.numerator * (c // x.b.denominator)
-        sgn = "+" if b >= 0 else "-"
-        return f"({a}{sgn}{abs(b)}*sqrt({x.d}))/{c}"
+        p, w, D = _surd(x)
+        sgn = "+" if w >= 0 else "-"
+        return f"({p}{sgn}{abs(w)}*sqrt({x.d}))/{D}"
     if isinstance(x, CFReal):
         head = str(x.pq[0])
         if len(x.pq) == 1:

@@ -19,7 +19,6 @@ from diophlab.equidist import (
     CountingResult,
     WeylSumResult,
     _check_horizon,
-    _min_abs,
     counting_ratio,
     counting_report,
     estimate_equid_constant,
@@ -84,6 +83,14 @@ def old_weyl_sum(A, c, N, budget=DEFAULT_BUDGET):
     mag = (_nth_root_lower(mag_lo_sq, 2, 64), _nth_root_upper(mag_hi_sq, 2, 64))
     norm = (max(F(0), mag[0] / count), min(F(1), mag[1] / count))
     return WeylSumResult(c, N, count, re, im, mag, norm, err)
+
+
+def _min_abs(iv):
+    """The least |x| over the closed interval iv, as weyl_sum once had it."""
+    lo, hi = iv
+    if lo <= 0 <= hi:
+        return F(0)
+    return min(abs(lo), abs(hi))
 
 
 def old_terms(A, c, N):

@@ -8,7 +8,8 @@ only after `ApproxMatrix.target` checks it, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
 mpmath's global precision, nothing imports a thread pool, only `lattice`
 refuses a walk over budget, only `ApproxMatrix` and `Line1D` test a shape
-for 1 x 1, and in the CLI only the subcommand frame exits the process or
+for 1 x 1, only `numeric._as_interval` reads a CF enclosure for a verdict,
+and in the CLI only the subcommand frame exits the process or
 loads the --matrix file.
 
 No linter ships with the project, so these AST scans stand in for one.  A
@@ -144,6 +145,15 @@ BUDGET_OWNER = "lattice.py"
 # Line1D.__init__ its scalar model; anywhere else it forks the line case
 # again beside the flag
 SHAPE_TESTERS = {("lattice.py", "ApproxMatrix", "__init__"), ("fastpath.py", "Line1D", "__init__")}
+# the readers of a CF enclosure, keyed by module, class and function:
+# numeric._as_interval gives every verdict the enclosure with its open ends,
+# CFReal.__float__ takes its midpoint and lattice._dot scales it into Aq.
+# Anywhere else a decision would restate which ends are open
+ENCLOSURE_READERS = {
+    ("numeric.py", None, "_as_interval"),
+    ("numeric.py", "CFReal", "__float__"),
+    ("lattice.py", None, "_dot"),
+}
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
 # the top-level function of cli.py the call sits in, at any depth
@@ -182,7 +192,8 @@ def kernel_leaks(path: Path) -> list[str]:
     (GLOBAL_PREC, or .prec and .dps of an mpmath context or of anything
     read off the mpmath module, under any alias), anywhere in the module,
     BudgetExceeded raised outside BUDGET_OWNER, 1 x 1 shape tests
-    (`_tests_shape`) outside SHAPE_TESTERS, and in cli.py the FRAME_CALLS
+    (`_tests_shape`) outside SHAPE_TESTERS, .enclosure() calls outside
+    ENCLOSURE_READERS, and in cli.py the FRAME_CALLS
     outside their top-level functions."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
@@ -220,6 +231,8 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} _gamma_pow")
                 if name == "BudgetExceeded" and path.name != BUDGET_OWNER:
                     found.append(f"{path.name}:{child.lineno} BudgetExceeded")
+                if isinstance(f, ast.Attribute) and name == "enclosure" and (path.name, cls, func) not in ENCLOSURE_READERS:
+                    found.append(f"{path.name}:{child.lineno} .enclosure()")
             elif isinstance(child, ast.Compare):
                 if _tests_shape(child) and (path.name, cls, func) not in SHAPE_TESTERS:
                     found.append(f"{path.name}:{child.lineno} (m, n) == (1, 1)")
@@ -522,3 +535,30 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(analysis) == ["analysis.py:2 (m, n) == (1, 1)", "analysis.py:3 (m, n) == (1, 1)"]
+    # a CF enclosure: _as_interval reads it for every verdict, beside the
+    # midpoint of CFReal.__float__ and the terms of lattice._dot; a floor of
+    # its own, or a float of another class, is a leak
+    numeric = tmp_path / "numeric.py"
+    numeric.write_text(
+        "def _as_interval(x):\n"
+        "    return (*x.enclosure(), True)\n"
+        "class CFReal:\n"
+        "    def __float__(self):\n"
+        "        return sum(self.enclosure()) / 2\n"
+        "class RatInterval:\n"
+        "    def __float__(self):\n"
+        "        return sum(self.enclosure()) / 2\n"
+        "def floor_exact(x):\n"
+        "    lo, hi = x.enclosure()\n"
+        "    return lo.numerator // lo.denominator, x.dist_enclosure()\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(numeric) == ["numeric.py:8 .enclosure()", "numeric.py:10 .enclosure()"]
+    lattice.write_text(
+        "def _dot(entries, q):\n"
+        "    return [e.enclosure() for e in entries]\n"
+        "def dist(A, q):\n"
+        "    return A.rows[0][0].enclosure()\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:4 .enclosure()"]

@@ -2,6 +2,7 @@
 oracle, return sequences, best approximations vs continued fractions."""
 
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -135,6 +136,12 @@ class TestShells:
     def test_lex_order_within_shell(self):
         pts = list(iter_shell(1, 2))
         assert pts == [(-2,), (2,)]
+
+    @given(n=st.integers(min_value=1, max_value=4), s=st.integers(min_value=0, max_value=5))
+    def test_shell_is_the_sorted_box_boundary(self, n, s):
+        # every point of sup norm s, in ascending lexicographic order
+        box = product(range(-s, s + 1), repeat=n)
+        assert list(iter_shell(n, s)) == sorted(p for p in box if max(map(abs, p)) == s)
 
 
 def brute_solve(A, C, X):

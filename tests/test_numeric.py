@@ -5,7 +5,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diophlab.errors import PrecisionExhausted, UnsupportedEntry
 from diophlab.numeric import (
@@ -253,3 +253,154 @@ class TestRatInterval:
         d = dist_to_int(iv)
         lo, hi = (d.lo, d.hi) if isinstance(d, RatInterval) else (d, d)
         assert lo == 0 and hi >= F(1, 10)
+
+
+# ---------------------------------------------------------------------------
+# the interval rule: one view (lo, hi, open) of every uncertain real
+# ---------------------------------------------------------------------------
+
+
+def old_interval(x):
+    return x.enclosure() if isinstance(x, CFReal) else (x.lo, x.hi)
+
+
+def old_sign(x):
+    """sign as it was before the interval rule was stated once, for the
+    rationals, CF reals and intervals these tests draw."""
+    if isinstance(x, (int, F)):
+        return (x > 0) - (x < 0)
+    lo, hi = old_interval(x)
+    if lo > 0 or (lo == 0 and isinstance(x, CFReal)):
+        return 1
+    if hi < 0 or (hi == 0 and isinstance(x, CFReal)):
+        return -1
+    if lo == hi == 0:
+        return 0
+    raise PrecisionExhausted("sign undecided")
+
+
+def old_compare(x, y):
+    fuzzy_x = isinstance(x, (CFReal, RatInterval))
+    fuzzy_y = isinstance(y, (CFReal, RatInterval))
+    if not fuzzy_x and not fuzzy_y:
+        return (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)[old_sign(F(x) - F(y)) + 1]
+    xlo, xhi = old_interval(x) if fuzzy_x else (F(x), F(x))
+    ylo, yhi = old_interval(y) if fuzzy_y else (F(y), F(y))
+    x_open = isinstance(x, CFReal) and len(x.pq) > 1
+    y_open = isinstance(y, CFReal) and len(y.pq) > 1
+    if xhi < ylo or (xhi == ylo and (x_open or y_open)):
+        return Ordering.LESS
+    if xlo > yhi or (xlo == yhi and (x_open or y_open)):
+        return Ordering.GREATER
+    if xlo == xhi == ylo == yhi:
+        return Ordering.EQUAL
+    if fuzzy_x and fuzzy_y and isinstance(x, CFReal) and isinstance(y, CFReal):
+        if x.pq == y.pq:
+            return Ordering.EQUAL
+    return Ordering.uncertain((xhi - xlo) + (yhi - ylo))
+
+
+def old_floor_exact(x):
+    if isinstance(x, int):
+        return x
+    if isinstance(x, F):
+        return x.numerator // x.denominator
+    if isinstance(x, CFReal):
+        lo, hi = x.enclosure()
+        flo = lo.numerator // lo.denominator
+        fhi = (
+            hi.numerator // hi.denominator
+            if hi.denominator > 1 or len(x.pq) == 1
+            else hi.numerator - 1  # open upper endpoint at an integer
+        )
+        if flo == fhi:
+            return flo
+        raise PrecisionExhausted("floor undecided by CF enclosure")
+    flo = x.lo.numerator // x.lo.denominator
+    fhi = x.hi.numerator // x.hi.denominator
+    if flo == fhi:
+        return flo
+    raise PrecisionExhausted("floor undecided by interval")
+
+
+def old_nearest_int(x):
+    if isinstance(x, (CFReal, RatInterval)):
+        lo, hi = old_interval(x)
+        return old_floor_exact(RatInterval(lo + F(1, 2), hi + F(1, 2)))
+    return old_floor_exact(F(x) + F(1, 2))
+
+
+def decided(f, *args):
+    """f(*args), or None where it raises PrecisionExhausted."""
+    try:
+        return f(*args)
+    except PrecisionExhausted:
+        return None
+
+
+cf_reals = st.builds(
+    lambda a0, rest: CFReal((a0, *rest)),
+    st.integers(min_value=-3, max_value=3),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=5),
+)
+intervals = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=2, max_size=2).map(
+    lambda ends: RatInterval(*sorted(ends))
+)
+uncertain = st.one_of(cf_reals, intervals)
+points = st.one_of(uncertain, st.integers(min_value=-4, max_value=4), st.fractions(min_value=-4, max_value=4, max_denominator=2))
+
+
+class TestIntervalRule:
+    def test_cf_ties_are_decided(self):
+        # a CF real lies in the open interval of its enclosure, one quotient
+        # or more: (0, 1) is above 0, (-1, 0) above -1, (2, 3) has floor 2
+        # like its twin [2; 1], and (0, 1/2) and (-2/3, -1/2) round to 0, -1
+        assert sign(CFReal((0,))) == 1 and compare(CFReal((0,)), 0) is Ordering.GREATER
+        assert compare(CFReal((-1,)), -1) is Ordering.GREATER
+        assert floor_exact(CFReal((2,))) == floor_exact(CFReal((2, 1))) == 2
+        assert compare(CFReal((0, 2)), F(1, 2)) is Ordering.LESS and nearest_int(CFReal((0, 2))) == 0
+        assert nearest_int(CFReal((-1, 2, 1))) == -1
+
+    def test_undecided_floor_names_the_enclosure(self):
+        with pytest.raises(PrecisionExhausted, match="^floor undecided by enclosure$"):
+            floor_exact(RatInterval(F(1, 2), F(3, 2)))
+        with pytest.raises(PrecisionExhausted, match="^floor undecided by enclosure$"):
+            nearest_int(CFReal((0, 1)))  # (0, 1) straddles 1/2
+
+    @given(x=uncertain, y=points)
+    @settings(max_examples=300)
+    @example(x=CFReal((0,)), y=0)
+    @example(x=CFReal((0, 2)), y=F(1, 2))
+    @example(x=RatInterval(F(1, 2), F(1, 2)), y=CFReal((0, 2)))
+    def test_decisions_of_the_old_rule_are_kept(self, x, y):
+        for new, old in ((sign, old_sign), (floor_exact, old_floor_exact), (nearest_int, old_nearest_int)):
+            want = decided(old, x)
+            if want is not None:
+                assert new(x) == want
+        for a, b in ((x, y), (y, x)):
+            want = old_compare(a, b)
+            if want.decided:
+                assert compare(a, b) == want
+
+    @given(x=uncertain)
+    @settings(max_examples=300)
+    @example(x=CFReal((0,)))
+    @example(x=CFReal((0, 2)))
+    @example(x=CFReal((-1, 2, 1)))
+    @example(x=RatInterval(F(1), F(3, 2)))
+    @example(x=RatInterval(F(0), F(0)))
+    def test_sign_floor_and_nearest_agree_with_compare(self, x):
+        half = F(1, 2)
+        # sign decides exactly where compare places x against 0
+        by_compare = {Ordering.LESS: -1, Ordering.EQUAL: 0, Ordering.GREATER: 1}.get(compare(x, 0))
+        assert decided(sign, x) == by_compare
+        lo = enclose(x, 0)[0]
+        for f, shift in ((floor_exact, 0), (nearest_int, half)):
+            n = decided(f, x)
+            if n is not None:
+                # x >= n - shift, or a closed end at it, and x < n + 1 - shift
+                assert compare(x, n - shift) != Ordering.LESS and compare(x, n + 1 - shift) is Ordering.LESS
+            # where compare places x in [k - shift, k + 1 - shift), f decides k
+            k = math.floor(lo + shift)
+            if compare(x, k - shift) in (Ordering.EQUAL, Ordering.GREATER) and compare(x, k + 1 - shift) is Ordering.LESS:
+                assert n == k

@@ -101,6 +101,15 @@ class TestCorollary33:
         with pytest.raises(ValueError):
             verify_corollary_3_3(A, F(2, 5), 3, [(F(1, 3),)])
 
+    def test_target_without_witness_is_a_miss(self):
+        # q/2 - 1/4 is 1/4 from Z for every q, above C1 = 7/80: b = 1/4 has
+        # no witness and is reported as a miss beside b = 0, hit at q = 0
+        rep = verify_corollary_3_3(ApproxMatrix([[F(1, 2)]]), F(2, 5), 3, [(F(1, 4),), (F(0),)], check_level=False)
+        missed, hit = rep.to_json()["targets"]
+        assert missed == {"b": ["1/4"], "witness_q": None, "lhs_value": "", "slack": "", "ok": False}
+        assert hit["witness_q"] == [0] and hit["ok"]
+        assert rep.successes == 1 and not rep.all_ok
+
     def test_level_check_on_lines(self, A_cf, A_golden):
         # L(2/5) of cf_fast is [1, 2, 5, 6, 13] up to 13, and golden's L(1/2)
         # misses level 8 but holds 9; the records route decides both
