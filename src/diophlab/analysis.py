@@ -37,7 +37,6 @@ from .limsup import ApproxFunction, PowerLog, Window
 from .numeric import (
     Comparable,
     Ordering,
-    Quadratic,
     Radical,
     RatInterval,
     compare,
@@ -51,6 +50,7 @@ from .numeric import (
     sign,
     _as_interval,
     _decided,
+    _field,
     _scaled_pow,
 )
 
@@ -231,7 +231,7 @@ def _order(x: Comparable, box: tuple[Fraction, Fraction], exact: Callable[[], ob
 def _max_pow(x: Comparable, y: Comparable) -> Comparable:
     c = compare(x, y)
     if c.decided:
-        return x if c.kind == "greater" else y
+        return x if c is Ordering.GREATER else y
     # undecided enclosures: take the interval hull of the max
     xl, xh, _ = _as_interval(x)
     yl, yh, _ = _as_interval(y)
@@ -390,7 +390,7 @@ def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartRepor
         gsums.append((k, (gsum_lo, gsum_hi)))
         if v_prev is not None:
             c = v_rad.compare(v_prev)
-            if not (c.decided and c.kind == "greater"):
+            if c is not Ordering.GREATER:
                 v_increasing = False
         v_prev = v_rad
         rows.append(
@@ -428,8 +428,7 @@ def b_alpha_test(
     alpha = Fraction(alpha)
     ents = best.entries
     Ms = [e.M for e in ents]
-    radicand = next((M.d for M in Ms if isinstance(M, Quadratic)), None)
-    b = check_target(b, m, radicand, any(isinstance(M, RatInterval) for M in Ms))
+    b = check_target(b, m, _field(Ms), any(isinstance(M, RatInterval) for M in Ms))
     mn = m + n
     a = alpha**mn
     table = _counterparts(best, m, n)

@@ -236,17 +236,14 @@ def measure_bad(emit, A, delta, window_l, window_u, samples, seed, mode, budget)
     click.option("--equid-constant", default=None, help="Rational C; estimated (x2 safety) if omitted"),
     click.option("--ball-center", default="1/2", show_default=True, help="Comma-separated rationals"),
     click.option("--ball-radius", default="1/8", show_default=True),
-    click.option("--levels", default="3", show_default=True, callback=_ints,
-                 help="How many of the largest levels to test"),
+    click.option("--levels", type=int, default=3, show_default=True, help="How many of the largest levels to test"),
     SAMPLES, SEED,
 )
 def coverage_cmd(
     emit, A, epsilon, ell_max, equid_constant, ball_center, ball_radius, levels, samples, seed, budget,
 ):
     """Covered fraction of a ball by resonant neighborhoods, largest levels."""
-    if len(levels) != 1:
-        raise ValueError("--levels takes one integer")
-    if levels[0] < 0:
+    if levels < 0:
         raise ValueError("--levels must be >= 0")
     eps = parse_exact(epsilon)
     ball = A.ball(ball_center.split(","), ball_radius)
@@ -259,7 +256,7 @@ def coverage_cmd(
     entries = []
     lam_ok = check_u_regular(params, Radical(Fraction(1, 1 << A.n), A.m))
     below_half = []
-    for idx in range(max(0, len(params.levels) - levels[0]), len(params.levels)):
+    for idx in range(max(0, len(params.levels) - levels), len(params.levels)):
         ce = coverage(A, params, ball, idx, samples, seed, budget)
         entries.append(ce.to_json())
         if ce.estimate.ci_high < Fraction(1, 2):
@@ -268,7 +265,7 @@ def coverage_cmd(
         {"params": params.to_json(), "u_regular": lam_ok, "levels": entries},
         epsilon=epsilon, ell_max=ell_max, equid_constant=str(C),
         ball={"center": ball_center, "radius": ball_radius},
-        levels=str(levels[0]), samples=samples, seed=seed,
+        levels=str(levels), samples=samples, seed=seed,
     )
     if below_half:
         return _theorem_violation(f"coverage below 1/2 at levels {below_half}")

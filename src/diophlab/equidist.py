@@ -8,7 +8,7 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import Sequence
 
@@ -20,6 +20,7 @@ from .numeric import (
     RatInterval,
     _nth_root_lower,
     _nth_root_upper,
+    _surd,
     dec_str,
     enclose,
     ex_abs,
@@ -109,8 +110,7 @@ def weyl_sum(
     # the phase of q is sum_j nums_j q_j / D; t = 2 r / D for r the phase
     # numerator mod D, rounded as mpf(r) / D would be: numerator and
     # quotient of the reduced fraction
-    D = lcm(*(x.denominator for x in coeff_mid))
-    nums = [x.numerator * (D // x.denominator) for x in coeff_mid]
+    nums, _, D = _surd(coeff_mid)
     re_sum = im_sum = 0
     for _, shell in scan(A.n, range(N + 1), budget):
         for q in shell:

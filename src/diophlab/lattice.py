@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import cycle, groupby, islice, pairwise, product, repeat, takewhile
-from math import lcm
 from operator import itemgetter, mul
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -28,21 +27,20 @@ from .numeric import (
     Radical,
     RatInterval,
     _decided,
-    _floor_sqrt_mult,
+    _dist_surds,
+    _field,
     _fraction,
-    _sign_surd,
+    _surd,
     compare,
     convergents,
     dec_str,
     dist_to_int_vec,
     enclose,
-    ex_abs,
     ex_pow,
     floor_exact,
     format_exact,
     lt,
     parse_exact,
-    quadratic,
     sign,
 )
 
@@ -77,23 +75,14 @@ class ApproxMatrix:
         if self.m == 0 or any(len(r) != len(self.rows[0]) for r in self.rows):
             raise ValueError("matrix must be rectangular and nonempty")
         self.n = len(self.rows[0])
-        d = None
-        has_cf = False
-        for r in self.rows:
-            for e in r:
-                if isinstance(e, Quadratic):
-                    if d is None:
-                        d = e.d
-                    elif e.d != d:
-                        raise UnsupportedEntry("entries mix distinct radicands")
-                elif isinstance(e, CFReal):
-                    has_cf = True
-                elif not isinstance(e, Fraction):
-                    raise TypeError(f"bad entry {e!r}")
-        if has_cf and (self.m, self.n) != (1, 1):
+        entries = [e for r in self.rows for e in r]
+        for e in entries:
+            if not isinstance(e, (Fraction, Quadratic, CFReal)):
+                raise TypeError(f"bad entry {e!r}")
+        self.radicand = _field(entries)
+        self.has_cf = any(isinstance(e, CFReal) for e in entries)
+        if self.has_cf and (self.m, self.n) != (1, 1):
             raise UnsupportedEntry("CF entries only supported for 1x1 matrices")
-        self.radicand = d
-        self.has_cf = has_cf
         # the 1 x 1 irrational case, served by CF records and union indices
         self.irrational_line = (self.m, self.n) == (1, 1) and not isinstance(
             self.rows[0][0], Fraction
@@ -106,13 +95,12 @@ class ApproxMatrix:
 
     @cached_property
     def _surd_rows(self) -> tuple:
-        """(U, V, D, d): integer rows with a_ij = (U_ij + V_ij sqrt d) / D
-        for a rational or quadratic matrix, d its radicand (0 when
-        rational), built once."""
-        parts = [[(e.a, e.b) if isinstance(e, Quadratic) else (e, Fraction(0)) for e in r] for r in self.rows]
-        D = lcm(*(x.denominator for r in parts for e in r for x in e))
-        U, V = (tuple(tuple(e[k].numerator * (D // e[k].denominator) for e in r) for r in parts) for k in (0, 1))
-        return U, V, D, self.radicand or 0
+        """(U, V, D): integer rows with a_ij = (U_ij + V_ij sqrt d) / D for
+        a rational or quadratic matrix, d its radicand, from the one model
+        `numeric._surd` of its entries, built once."""
+        P, W, D = _surd(e for r in self.rows for e in r)
+        starts = range(0, len(P), self.n)
+        return tuple(P[i : i + self.n] for i in starts), tuple(W[i : i + self.n] for i in starts), D
 
     def apply(self, q: Sequence[int]):
         """A q as a list of m exact values (intervals for CF entries)."""
@@ -137,35 +125,23 @@ class ApproxMatrix:
         """||Aq - b||_Z in the sup norm, exactly (b = 0 when omitted); q
         has n coordinates (ValueError otherwise) and b passes `target`.
 
-        A CF matrix takes the distances of its enclosures.  Otherwise each
-        row of Aq - b is (P + W sqrt d) / E in the integer model
-        `_surd_rows`, with E = D times the common denominator of b, which
-        may be quadratic in the entries' field (or, for a rational matrix,
-        give the radicand).  The nearest integer n = floor(x + 1/2), the
-        upper one on ties, is one integer floor after one isqrt; the
-        residue's sign and the sup over rows, the first row kept on ties,
-        are integer sign tests of p + w sqrt d.  One value is built at the
-        end, of the type and value of the distances of `apply`."""
+        A CF matrix takes the distances of its enclosures.  Otherwise the
+        entries' model `_surd_rows`, a_ij = (U_ij + V_ij sqrt d) / D, and
+        the model (T, S, B) of b from `numeric._surd` (b may be quadratic
+        in the entries' field or, for a rational matrix, give the
+        radicand) put row i of Aq - b over E = D B as p_i + w_i sqrt d with
+        p_i = B u_i.q - D T_i and w_i = B v_i.q - D S_i, and
+        `numeric._dist_surds` gives the sup of their distances to Z: one
+        value, of the type and value of the distances of `apply`."""
         if len(q) != self.n:
             raise ValueError(f"q needs {self.n} coordinates, got {len(q)}")
         b = self.target(b) or (0,) * self.m
         if self.has_cf:
             return dist_to_int_vec([x - t for x, t in zip(self.apply(q), b)])
-        U, V, D, d = self._surd_rows
-        parts = [(t.a, t.b) if isinstance(t, Quadratic) else (t, 0) for t in b]
-        d = d or next((t.d for t in b if isinstance(t, Quadratic)), 0)
-        b_den = lcm(*(x.denominator for t in parts for x in t))
-        E, E2 = D * b_den, 2 * D * b_den
-        best = None
-        for u, v, (ta, tw) in zip(U, V, parts):
-            P = b_den * sum(map(mul, u, q)) - ta.numerator * (E // ta.denominator)
-            W = b_den * sum(map(mul, v, q)) - tw.numerator * (E // tw.denominator)
-            p = P - E * ((2 * P + E + _floor_sqrt_mult(2 * W, d)) // E2)
-            if _sign_surd(p, W, d) < 0:
-                p, W = -p, -W
-            if best is None or _sign_surd(p - best[0], W - best[1], d) > 0:
-                best = p, W
-        return quadratic(Fraction(best[0], E), Fraction(best[1], E), d)
+        U, V, D = self._surd_rows
+        T, S, B = _surd(b)
+        rows = [(B * sum(map(mul, u, q)) - D * t, B * sum(map(mul, v, q)) - D * s) for u, v, t, s in zip(U, V, T, S)]
+        return _dist_surds(rows, D * B, self.radicand or _field(b) or 0)
 
     def dist_enclosure(
         self, q: Sequence[int], b: Optional[Sequence[ExactReal]] = None
@@ -178,14 +154,6 @@ class ApproxMatrix:
         line = self.line
         lo, hi = line.dist_bounds(q, *line.scale_target(self.target(b)))
         return Fraction(lo, line.mod), Fraction(hi, line.mod)
-
-    def check_field(self, x: Comparable | Radical) -> None:
-        """UnsupportedEntry if x (or the radicand of a `Radical` x) is a
-        quadratic irrational outside the field of the entries."""
-        while isinstance(x, Radical):
-            x = x.radicand
-        if isinstance(x, Quadratic) and self.radicand not in (None, x.d):
-            raise UnsupportedEntry(f"mixing radicands sqrt({self.radicand}) and sqrt({x.d})")
 
     @cached_property
     def _transposed(self) -> "ApproxMatrix":
@@ -223,19 +191,15 @@ def check_target(b: Sequence, m: int, radicand: Optional[int], has_cf: bool) -> 
     """The target rule of `ApproxMatrix.target` for entries with this
     radicand (None when rational) and CF flag: b as a tuple, a `Quadratic`
     coordinate kept and any other through Fraction().  ValueError unless b
-    has m coordinates; UnsupportedEntry unless every quadratic coordinate
-    has the radicand (one radicand when None), and for any quadratic
-    coordinate when the entries are CF."""
+    has m coordinates; UnsupportedEntry for any quadratic coordinate when
+    the entries are CF, and unless `numeric._field` finds one radicand in
+    b and the entries."""
     b = tuple([x if isinstance(x, Quadratic) else _fraction(x) for x in b])
     if len(b) != m:
         raise ValueError(f"target needs {m} coordinates, got {len(b)}")
-    ds = {x.d for x in b if isinstance(x, Quadratic)}
-    if ds:
-        if has_cf:
-            raise UnsupportedEntry("a CF matrix takes rational targets only")
-        ds = sorted(ds | {radicand} - {None})
-        if len(ds) > 1:
-            raise UnsupportedEntry("mixing radicands " + " and ".join(f"sqrt({d})" for d in ds))
+    if has_cf and any(isinstance(x, Quadratic) for x in b):
+        raise UnsupportedEntry("a CF matrix takes rational targets only")
+    _field(b, radicand)
     return b
 
 
@@ -336,11 +300,11 @@ def threshold(A: ApproxMatrix, thr: Comparable | Radical | ApproxFunction) -> Ap
     """thr as the psi of a walk over A, the one place the two kinds of
     threshold are told apart: a psi (anything with compare_value) passes
     through unchanged, and a value becomes `Constant`(thr) once
-    `ApproxMatrix.check_field` has checked it (UnsupportedEntry for a
-    value outside the field of A's entries and Q)."""
+    `numeric._field` has checked it (UnsupportedEntry for a value, or the
+    radicand of a `Radical`, outside the field of A's entries and Q)."""
     if hasattr(thr, "compare_value"):
         return thr
-    A.check_field(thr)
+    _field((thr,), A.radicand)
     return Constant(thr)
 
 
@@ -546,7 +510,7 @@ def _homogeneous(
     recs, reach = [], 0
     if A.irrational_line:
         found, reach = _line_records(A.rows[0][0], X_max - 1)
-        recs = [(q, A.dist((q,))) for _, q, _ in found]
+        recs = [(q, A.dist((q,))) for q, _ in found]
 
     def solve(C: Comparable | Radical, X: int) -> Optional[IntVec]:
         psi = threshold(A, C)
@@ -555,7 +519,7 @@ def _homogeneous(
                 c = compare(d, C)
                 if not c.decided:
                     break
-                if c == Ordering.LESS:
+                if c is Ordering.LESS:
                     _charge_line(q, budget)
                     return IntVec((-q,))
             else:
@@ -715,8 +679,8 @@ def _best_approximations_scan(
     )
 
 
-def _line_records(alpha: Quadratic | CFReal, Y_max: int) -> tuple[list[tuple[int, int, int]], int]:
-    """((p_k, q_k, q_(k+1)) for each record q_k <= Y_max of the irrational
+def _line_records(alpha: Quadratic | CFReal, Y_max: int) -> tuple[list[tuple[int, int]], int]:
+    """((q_k, q_(k+1)) for each record q_k <= Y_max of the irrational
     alpha, and their reach: every record below reach is listed.
 
     The records of an irrational alpha are its convergents (Lagrange):
@@ -733,11 +697,11 @@ def _line_records(alpha: Quadratic | CFReal, Y_max: int) -> tuple[list[tuple[int
         conv = convergents(a for a, _ in _quotients(alpha))
         reach = Y_max + 1
     recs = []
-    for (p, q), (_, q_next) in pairwise(conv):
+    for (_, q), (_, q_next) in pairwise(conv):
         if q >= reach:
             break
         if q < q_next:
-            recs.append((p, q, q_next))
+            recs.append((q, q_next))
     return recs, reach
 
 
@@ -745,11 +709,11 @@ def _best_approximations_1d(A: ApproxMatrix, Y_max: int) -> BestApproxSequence:
     """The records of `_line_records`; the lexicographic tie-break over the
     shell {-q, q} picks -q.
 
-    M is exact for a quadratic alpha.  For a CF entry with n convergents
-    in budget, only its tails alpha_(k+1) in (a_(k+1), a_(k+1) + 1) for
-    k <= n - 3 are known, giving M = 1/(alpha_(k+1) q_k + q_(k-1)) in
-    (1/(q_(k+1) + q_k), 1/q_(k+1)); Y_max >= q_(n-2) raises
-    PrecisionExhausted."""
+    M is A.dist((q_k,)), exact for a quadratic alpha.  For a CF entry
+    with n convergents in budget, only its tails alpha_(k+1) in
+    (a_(k+1), a_(k+1) + 1) for k <= n - 3 are known, giving
+    M = 1/(alpha_(k+1) q_k + q_(k-1)) in (1/(q_(k+1) + q_k), 1/q_(k+1));
+    Y_max >= q_(n-2) raises PrecisionExhausted."""
     alpha = A.rows[0][0]
     recs, reach = _line_records(alpha, Y_max)
     if Y_max >= reach:
@@ -759,9 +723,9 @@ def _best_approximations_1d(A: ApproxMatrix, Y_max: int) -> BestApproxSequence:
             IntVec((-q,)), q,
             RatInterval(Fraction(1, q_next + q), Fraction(1, q_next))
             if isinstance(alpha, CFReal)
-            else ex_abs(alpha * q - p),
+            else A.dist((q,)),
         )
-        for p, q, q_next in recs
+        for q, q_next in recs
     ]
     return BestApproxSequence(entries, Y_max)
 
@@ -781,16 +745,12 @@ def check_rank(A: ApproxMatrix) -> bool:
     """
     if A.has_cf:
         raise UnsupportedEntry("rank check unsupported for CF entries")
-    # rows of S: the sqrt(d)-coefficient of each entry, one row per i
-    S = [
-        [e.b if isinstance(e, Quadratic) else Fraction(0) for e in row]
-        for row in A.rows
-    ]
-    return _rational_rank(S) == A.m
+    # the sqrt(d)-coefficients of the entries, one row per i, scaled by D
+    return _rational_rank(A._surd_rows[1]) == A.m
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    mat = [list(r) for r in rows]
+def _rational_rank(rows: Sequence[Sequence[int]]) -> int:
+    mat = [[Fraction(v) for v in r] for r in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
     for col in range(ncols):

@@ -33,6 +33,7 @@ from .numeric import (
     _decided,
     _floor_root,
     _scaled_pow,
+    _surd,
     compare,
     dec_str,
     ex_pow,
@@ -137,9 +138,7 @@ class PowerLog(ApproxFunction):
         no logarithm is taken, and the pair is the floor and ceiling of
         psi(q) 2^shift, which for integer a (R = 1, U = 0) is taken in
         closed form, as the floor and ceiling of c 2^shift / q^a."""
-        R = math.lcm(self.a.denominator, self.beta.denominator)
-        P = self.a.numerator * (R // self.a.denominator)
-        U = self.beta.numerator * (R // self.beta.denominator)
+        (P, U), _, R = _surd((self.a, self.beta))
         if R == 1 and U == 0:
             num, den = self.c.numerator << shift, self.c.denominator
             for q in qs:
@@ -307,7 +306,7 @@ def delta_membership(
     """x within distance rho_val of some resonant point Aq, q in the annulus."""
     x = A.target(x)
     c = compare(rho_val, Fraction(1, 2))
-    if c.decided and c.kind == "greater":
+    if c is Ordering.GREATER:
         return True  # open balls of radius > 1/2 cover the torus
     check_window(A.n, w.shells, budget)
     return next(within(A, w.shells, budget, rho_val, x), None) is not None
@@ -571,7 +570,7 @@ def coverage(
     w = Window(l_int, u_int)
     rho = lv.rho(m)
     rc = compare(rho, Fraction(1, 2))
-    if rc.decided and rc.kind != "less":
+    if rc.decided and rc is not Ordering.LESS:
         est = MeasureEstimate(Fraction(1), samples, Fraction(1), Fraction(1), seed, w)
     else:
         # c + radius (2t - 1) as one multiply-add from the corner c - radius;

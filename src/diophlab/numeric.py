@@ -111,9 +111,7 @@ class Quadratic:
     def _coerce(self, other) -> "Quadratic | None":
         if isinstance(other, Quadratic):
             if other.d != self.d:
-                raise UnsupportedEntry(
-                    f"mixing radicands sqrt({self.d}) and sqrt({other.d})"
-                )
+                _field((self, other))  # raises: two radicands
             return other
         if isinstance(other, (int, Fraction)):
             return None  # rational operand, handled inline
@@ -357,12 +355,43 @@ def _as_interval(x: Comparable) -> tuple[Fraction, Fraction, bool]:
     raise TypeError(x)
 
 
-def _surd(x: Quadratic) -> tuple[int, int, int]:
-    """The integer model (p, w, D) of x = (p + w sqrt(x.d)) / D, D > 0 the
-    lcm of the denominators of x.a and x.b."""
-    a, b = x.a, x.b
-    D = lcm(a.denominator, b.denominator)
-    return a.numerator * (D // a.denominator), b.numerator * (D // b.denominator), D
+def _field(xs: Iterable, d: int | None = None) -> int | None:
+    """The one radicand rule: the radicand of every quadratic value of xs,
+    and d when given, or None when there is none.  Rationals, CF reals and
+    intervals have none; a `Radical` has its radicand's.  Two radicands
+    a < b raise UnsupportedEntry("mixing radicands sqrt(a) and sqrt(b)")."""
+    for x in xs:
+        while isinstance(x, Radical):
+            x = x.radicand
+        if isinstance(x, Quadratic) and x.d != d:
+            if d is not None:
+                raise UnsupportedEntry("mixing radicands sqrt({}) and sqrt({})".format(*sorted((d, x.d))))
+            d = x.d
+    return d
+
+
+def _surd(xs: Iterable[Fraction | Quadratic | int]) -> tuple[list[int], list[int], int]:
+    """The integer model (P, W, D) of a vector xs of rationals and
+    quadratics in one field sqrt(d): x_i = (P_i + W_i sqrt(d)) / D, D > 0
+    the lcm of every denominator (W_i = 0 for a rational x_i).  One pass:
+    the coordinates read so far are rescaled whenever D grows."""
+    P, W, D = [], [], 1
+    for x in xs:
+        if isinstance(x, Quadratic):
+            y, w = x.a, x.b
+            e = lcm(D, y.denominator, w.denominator)
+        else:
+            y, w = x, 0
+            e = lcm(D, y.denominator)
+        if e != D:
+            if P:
+                k = e // D
+                P = [p * k for p in P]
+                W = [v * k for v in W]
+            D = e
+        P.append(y.numerator * (D // y.denominator))
+        W.append(w.numerator * (D // w.denominator))
+    return P, W, D
 
 
 def sign(x: Comparable | "Radical") -> int:
@@ -373,7 +402,7 @@ def sign(x: Comparable | "Radical") -> int:
     if isinstance(x, (int, Fraction)):
         return (x > 0) - (x < 0)
     if isinstance(x, Quadratic):
-        p, w, _ = _surd(x)
+        (p,), (w,), _ = _surd((x,))
         return _sign_surd(p, w, x.d)
     lo, hi, open_ = _as_interval(x)
     if lo > 0 or (lo == 0 and open_):
@@ -444,13 +473,31 @@ def _sign_surd(p: int, w: int, d: int) -> int:
     return sp * ((p2 > w2d) - (p2 < w2d))
 
 
+def _dist_surds(rows: Iterable[tuple[int, int]], E: int, d: int) -> Fraction | Quadratic:
+    """The sup-norm distance to Z^m of the vector x_i = (p_i + w_i sqrt(d)) / E
+    for the pairs (p_i, w_i) of rows, E > 0 (d = 0 when every w_i is 0), as
+    one Fraction or Quadratic.  Each nearest integer floor(x_i + 1/2), the
+    upper one on ties, is one integer floor after one isqrt; the residue's
+    sign and the sup, the first coordinate kept on ties, are sign tests of
+    p + w sqrt(d)."""
+    E2 = 2 * E
+    best = None
+    for p, w in rows:
+        p -= E * ((2 * p + E + _floor_sqrt_mult(2 * w, d)) // E2)
+        if _sign_surd(p, w, d) < 0:
+            p, w = -p, -w
+        if best is None or _sign_surd(p - best[0], w - best[1], d) > 0:
+            best = p, w
+    return quadratic(Fraction(best[0], E), Fraction(best[1], E), d)
+
+
 def floor_exact(x: Comparable) -> int:
     if isinstance(x, int):
         return x
     if isinstance(x, Fraction):
         return x.numerator // x.denominator
     if isinstance(x, Quadratic):
-        p, w, D = _surd(x)
+        (p,), (w,), D = _surd((x,))
         # floor((p + y) / D) = floor((p + floor(y)) / D) for integers p, D > 0
         return (p + _floor_sqrt_mult(w, x.d)) // D
     return _floor_between(*_as_interval(x))
@@ -494,19 +541,14 @@ def dist_to_int(x: Comparable):
         return _cf_dist_to_int(x)
     if isinstance(x, RatInterval):
         return _interval_dist_to_int(x)
-    return ex_abs(x - Fraction(nearest_int(x)))
-
-
-def _frac_dist(x: Fraction) -> Fraction:
-    n = floor_exact(x + Fraction(1, 2))
-    return abs(x - n)
+    return ex_abs(x - nearest_int(x))
 
 
 def _interval_dist_to_int(iv: RatInterval) -> "Fraction | RatInterval":
     half = Fraction(1, 2)
     if iv.width >= 1:
         return RatInterval(Fraction(0), half)
-    dlo, dhi = _frac_dist(iv.lo), _frac_dist(iv.hi)
+    dlo, dhi = dist_to_int(iv.lo), dist_to_int(iv.hi)
 
     def contains_integer(a: Fraction, b: Fraction) -> bool:
         return b.numerator // b.denominator >= -(-a.numerator // a.denominator)
@@ -761,7 +803,7 @@ def format_exact(x: ExactReal) -> str:
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, Quadratic):
-        p, w, D = _surd(x)
+        (p,), (w,), D = _surd((x,))
         sgn = "+" if w >= 0 else "-"
         return f"({p}{sgn}{abs(w)}*sqrt({x.d}))/{D}"
     if isinstance(x, CFReal):

@@ -455,7 +455,6 @@ def test_error_exits_match_recorded(runner, monkeypatch, case):
 
 # each comma-separated integer option, given a malformed value
 BAD_LISTS = {
-    "--levels": ["coverage", "--epsilon", "2/5", "--ell-max", "8", "--levels", "x"],
     "--c": ["equidist", "--op", "weyl", "--c", "1,a"],
     "--l-values": ["equidist", "--op", "constant", "--l-values", "16,x"],
     "--x-schedule": ["exponents", "--x-schedule", "4,a"],
@@ -472,6 +471,10 @@ def test_integer_lists_are_usage_errors(runner, golden_mat, option):
 
 
 def test_levels_takes_one_integer(runner, golden_mat):
-    res = runner.invoke(main, ["coverage", "--matrix", golden_mat, "--epsilon", "2/5", "--ell-max", "8",
-                               "--levels", "3,4"])
-    assert (res.exit_code, res.stderr) == (2, "error: --levels takes one integer\n")
+    # --levels is a click integer: a list or a word is click's usage error
+    for value in ("x", "3,4"):
+        res = runner.invoke(main, ["coverage", "--matrix", golden_mat, "--epsilon", "2/5", "--ell-max", "8",
+                                   "--levels", value])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert res.stderr.splitlines()[0].startswith("Usage: ")
+        assert f"Invalid value for '--levels': '{value}' is not a valid integer." in res.stderr

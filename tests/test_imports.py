@@ -9,6 +9,8 @@ the counterpart table, only `equidist` imports mpmath and no module touches
 mpmath's global precision, nothing imports a thread pool, only `lattice`
 refuses a walk over budget, only `ApproxMatrix` and `Line1D` test a shape
 for 1 x 1, only `numeric._as_interval` reads a CF enclosure for a verdict,
+only `numeric` puts values over a common denominator or tests a surd's
+sign, only `numeric._field` words the refusal of a second radicand,
 and in the CLI only the subcommand frame exits the process or
 loads the --matrix file.
 
@@ -154,6 +156,17 @@ ENCLOSURE_READERS = {
     ("numeric.py", "CFReal", "__float__"),
     ("lattice.py", None, "_dot"),
 }
+# the one integer model of a quadratic, numeric._surd, and its residue
+# loop, numeric._dist_surds: only numeric puts values over a common
+# denominator (lcm) or tests the sign or floor of p + w sqrt(d); anywhere
+# else the model would be restated
+SURD_OWNER = "numeric.py"
+SURD_NAMES = {"_floor_sqrt_mult", "_sign_surd", "lcm"}
+# the one radicand rule, keyed by module, class and function: only
+# numeric._field words the refusal of a second field (a docstring may
+# quote it)
+FIELD_RULE = ("numeric.py", None, "_field")
+FIELD_REFUSAL = "mixing radicands"
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
 # the top-level function of cli.py the call sits in, at any depth
@@ -193,7 +206,9 @@ def kernel_leaks(path: Path) -> list[str]:
     read off the mpmath module, under any alias), anywhere in the module,
     BudgetExceeded raised outside BUDGET_OWNER, 1 x 1 shape tests
     (`_tests_shape`) outside SHAPE_TESTERS, .enclosure() calls outside
-    ENCLOSURE_READERS, and in cli.py the FRAME_CALLS
+    ENCLOSURE_READERS, SURD_NAMES imported or named outside SURD_OWNER,
+    a FIELD_REFUSAL string outside FIELD_RULE (docstrings and other bare
+    strings aside), and in cli.py the FRAME_CALLS
     outside their top-level functions."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
@@ -237,6 +252,8 @@ def kernel_leaks(path: Path) -> list[str]:
                 if _tests_shape(child) and (path.name, cls, func) not in SHAPE_TESTERS:
                     found.append(f"{path.name}:{child.lineno} (m, n) == (1, 1)")
             elif isinstance(child, ast.ImportFrom):
+                if path.name != SURD_OWNER:
+                    found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SURD_NAMES)
                 if path.name != "lattice.py":
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
                 if (child.module or "").split(".")[0] in banned:
@@ -246,6 +263,9 @@ def kernel_leaks(path: Path) -> list[str]:
                 found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name.split(".")[0] in banned)
             elif isinstance(child, ast.Name) and child.id in GLOBAL_PREC:
                 found.append(f"{path.name}:{child.lineno} {child.id}")
+            elif isinstance(child, ast.Constant) and not isinstance(node, ast.Expr):
+                if FIELD_REFUSAL in str(child.value) and (path.name, cls, func) != FIELD_RULE:
+                    found.append(f"{path.name}:{child.lineno} {FIELD_REFUSAL!r}")
             elif isinstance(child, ast.Attribute):
                 # the owner of .prec is `iv` in both iv.prec and mpmath.iv.prec
                 owner = getattr(child.value, "id", getattr(child.value, "attr", None))
@@ -253,6 +273,9 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} {child.attr}")
                 elif child.attr in MP_FIELDS and global_field(child.value):
                     found.append(f"{path.name}:{child.lineno} {owner}.{child.attr}")
+            named = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
+            if named in SURD_NAMES and path.name != SURD_OWNER and isinstance(child, (ast.Name, ast.Attribute)):
+                found.append(f"{path.name}:{child.lineno} {named}")
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(
                 child, child.name if is_def else func, top or (child.name if is_def else None),
@@ -562,3 +585,53 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(lattice) == ["lattice.py:4 .enclosure()"]
+    # the integer model: numeric alone scales numerators over an lcm and
+    # tests surd signs, so a residue loop or a target model copied into
+    # lattice is a leak, imported or reached through a module
+    lattice.write_text(
+        "from math import lcm\n"
+        "from .numeric import _floor_sqrt_mult, _sign_surd, _surd\n"
+        "def dist(self, q, b):\n"
+        "    E = self.D * lcm(*(x.denominator for x in b))\n"
+        "    n = (2 * p + E + numeric._floor_sqrt_mult(2 * w, d)) // (2 * E)\n"
+        "    return _sign_surd(p, w, d), math.lcm(2, 3), _surd(b)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == [
+        "lattice.py:1 lcm",
+        "lattice.py:2 _floor_sqrt_mult",
+        "lattice.py:2 _sign_surd",
+        "lattice.py:4 lcm",
+        "lattice.py:5 _floor_sqrt_mult",
+        "lattice.py:6 _sign_surd",
+        "lattice.py:6 lcm",
+    ]
+    numeric.write_text(
+        "from math import lcm\n"
+        "def _dist_surds(rows, E, d):\n"
+        "    return [_sign_surd(p, w, d) + _floor_sqrt_mult(w, d) for p, w in rows], lcm(E, 2)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(numeric) == []
+    # the radicand rule: numeric._field alone words the refusal; a field
+    # check of its own in a matrix method, a target rule or Quadratic
+    # arithmetic is a leak, in any string form, and a docstring is not
+    lattice.write_text(
+        "class ApproxMatrix:\n"
+        "    def check_field(self, x):\n"
+        "        'Refuses mixing radicands.'\n"
+        "        raise UnsupportedEntry(f'mixing radicands sqrt({self.radicand}) and sqrt({x.d})')\n"
+        "def check_target(b, ds):\n"
+        "    raise UnsupportedEntry('mixing radicands ' + ' and '.join(ds))\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:4 'mixing radicands'", "lattice.py:6 'mixing radicands'"]
+    numeric.write_text(
+        "def _field(xs, d=None):\n"
+        "    raise UnsupportedEntry('mixing radicands sqrt({}) and sqrt({})'.format(d, 2))\n"
+        "class Quadratic:\n"
+        "    def _coerce(self, other):\n"
+        "        raise UnsupportedEntry(f'mixing radicands sqrt({self.d}) and sqrt({other.d})')\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(numeric) == ["numeric.py:5 'mixing radicands'"]

@@ -28,9 +28,12 @@ from diophlab.numeric import (
     CFReal,
     Quadratic,
     Radical,
+    convergents,
     dist_to_int,
     dist_to_int_vec,
     enclose,
+    ex_abs,
+    format_exact,
     lt,
     parse_exact,
     quadratic,
@@ -359,6 +362,17 @@ class TestBestApproximations:
             dens.append(q0)
         got = [e.Y for e in best_approximations(A_sqrt2, 1000).entries]
         assert got == [d for d in dens if 1 <= d <= 1000]
+
+    @pytest.mark.parametrize("alpha", [quadratic(F(-1, 2), F(1, 2), 5), quadratic(0, 1, 2), quadratic(F(-9, 21), F(14, 21), 3)])
+    def test_quadratic_records_take_the_convergent_residue(self, alpha):
+        # M = A.dist((q_k,)) is |q_k alpha - p_k| from the convergents, in
+        # value, type and literal, for every record up to 10^6
+        seq = best_approximations(ApproxMatrix([[alpha]]), 10**6)
+        p_of = {q: p for p, q in convergents(continued_fraction(alpha, 40).quotients)}
+        assert seq.entries[-1].Y > 10**4
+        for e in seq.entries:
+            want = ex_abs(alpha * e.Y - p_of[e.Y])
+            assert (type(e.M), e.M, format_exact(e.M)) == (type(want), want, format_exact(want))
 
     def test_records_strictly_decrease(self, A_golden):
         seq = best_approximations(A_golden, 100)

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from diophlab.analysis import b_alpha_test, estimate_exponents, key_inequality_check, verify_prop_5_1
 from diophlab.equidist import counting_report, estimate_equid_constant
 from diophlab.errors import UnsupportedEntry
-from diophlab.lattice import IntVec, ApproxMatrix, best_approximations, records, within
+from diophlab.lattice import IntVec, ApproxMatrix, best_approximations, records, solve_homogeneous, within
 from diophlab.limsup import (
     PowerLog,
     UbiquityLevel,
@@ -22,7 +22,7 @@ from diophlab.limsup import (
     measure_W,
     psi_witness,
 )
-from diophlab.numeric import CFReal, Quadratic, lt, quadratic
+from diophlab.numeric import CFReal, Quadratic, Radical, lt, quadratic
 from diophlab.sampling import grid_points, sample_point
 from diophlab.transference import solve_inhomogeneous, verify_corollary_3_3
 
@@ -109,6 +109,46 @@ def test_mixed_radicands_are_refused_whatever_the_threshold():
             call(A, b)
     # one radicand is the matrix's field
     assert solve_inhomogeneous(A, (quadratic(0, 1, 3), quadratic(1, 1, 3)), F(1, 2), 30) is not None
+
+
+SQRT2, SQRT3, SQRT7 = (quadratic(0, 1, d) for d in (2, 3, 7))
+# every place a value meets a second quadratic field, as (call, the two
+# radicands): the entries, a target, a threshold value or `Radical`, the
+# records of b_alpha_test and Quadratic arithmetic, each either way round
+SECOND_FIELDS = {
+    "entries": [(lambda: ApproxMatrix([[SQRT2, SQRT3]]), (2, 3)), (lambda: ApproxMatrix([[SQRT3], [SQRT2]]), (2, 3))],
+    "target": [
+        (lambda: GOLDEN.target((SQRT2,)), (2, 5)),
+        (lambda: GOLDEN.dist((1,), (SQRT7,)), (5, 7)),
+        (lambda: ApproxMatrix([[F(1, 3)], [F(1, 5)]]).target((SQRT3, SQRT2)), (2, 3)),
+    ],
+    "threshold": [
+        (lambda: next(within(GOLDEN, range(1, 9), 100, SQRT2 / 10)), (2, 5)),
+        (lambda: solve_homogeneous(GOLDEN, SQRT7 / 10, 8), (5, 7)),
+    ],
+    "radical threshold": [
+        (lambda: next(within(GOLDEN, range(1, 9), 100, Radical(SQRT2 / 100, 2))), (2, 5)),
+        (lambda: next(within(Q21, range(1, 9), 100, Radical(Radical(SQRT3 / 100, 2), 3))), (2, 3)),
+    ],
+    "b_alpha_test": [
+        (lambda: b_alpha_test((SQRT2,), BEST, F(1, 10), [1, 2]), (2, 5)),
+        (lambda: b_alpha_test((SQRT7,), BEST, F(1, 10), [1, 2]), (5, 7)),
+    ],
+    "arithmetic": [
+        (lambda: SQRT5 + SQRT2, (2, 5)),
+        (lambda: SQRT2 * SQRT5, (2, 5)),
+        (lambda: SQRT7 - SQRT5, (5, 7)),
+        (lambda: SQRT3 / SQRT2, (2, 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("where", sorted(SECOND_FIELDS))
+def test_every_second_radicand_is_refused_in_one_wording(where):
+    for call, (a, b) in SECOND_FIELDS[where]:
+        with pytest.raises(UnsupportedEntry) as exc:
+            call()
+        assert str(exc.value) == f"mixing radicands sqrt({a}) and sqrt({b})"
 
 
 def test_a_short_target_no_longer_drops_a_row():
