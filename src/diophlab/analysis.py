@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -26,6 +26,7 @@ from .lattice import (
     BestApproxSequence,
     IntVec,
     ReturnSequence,
+    _last_below,
     best_approximations,
     check_target,
     check_window,
@@ -33,7 +34,7 @@ from .lattice import (
     scan,
     within,
 )
-from .limsup import ApproxFunction, PowerLog, Window
+from .limsup import ApproxFunction, PowerLog, Window, _psi_cells
 from .numeric import (
     Comparable,
     Ordering,
@@ -51,7 +52,6 @@ from .numeric import (
     _as_interval,
     _decided,
     _field,
-    _scaled_pow,
 )
 
 __all__ = [
@@ -113,35 +113,36 @@ def _partial_sum_bounds(
 ) -> list[tuple[Fraction, Fraction]]:
     """Enclosures of sum_{q=1}^{Q} q^(n-1) psi(q)^s for each Q of horizons.
 
-    Terms up to EXACT_UPTO are summed individually; beyond that, geometric
-    blocks (ratio 17/16, tight enough for log-critical trend checks) are
-    bracketed using monotonicity of psi and of q^(n-1).  One increasing
-    pass of psi.scaled_bounds encloses every head term and block end that
-    any horizon needs once, at 2^-SERIES_SHIFT; psi^s is an integer power
-    and root of each end (`_scaled_pow`), and the sums are exact integers."""
-    shift = SERIES_SHIFT
-    plans = [(min(Q, EXACT_UPTO), _blocks(Q, min(Q, EXACT_UPTO))) for Q in horizons]
-    qs = sorted({
-        *range(1, max((head for head, _ in plans), default=0) + 1),
-        *(q for _, blocks in plans for block in blocks for q in block),
-    })
-    terms = {q: _scaled_pow(lo, hi, s, shift) for q, (lo, hi) in zip(qs, psi.scaled_bounds(qs, shift))}
-    out = []
-    for head, blocks in plans:
-        lo = sum(q ** (n - 1) * terms[q][0] for q in range(1, head + 1))
-        hi = sum(q ** (n - 1) * terms[q][1] for q in range(1, head + 1))
-        for start, end in blocks:
-            count = end - start + 1
-            lo += count * start ** (n - 1) * terms[end][0]
-            hi += count * end ** (n - 1) * terms[start][1]
-        out.append((Fraction(lo, 1 << shift), Fraction(hi, 1 << shift)))
-    return out
+    Terms up to EXACT_UPTO are `_psi_cells` cells of their own, built once
+    for every horizon; beyond that, each geometric block (ratio 17/16,
+    tight enough for log-critical trend checks) of a horizon is one cell,
+    bracketed using monotonicity of psi and of q^(n-1).  All cells take
+    one pass at 2^-SERIES_SHIFT, and each horizon adds its integers."""
+    head = min(max(horizons, default=0), EXACT_UPTO)
+    cells = [(q, q, q ** (n - 1), q ** (n - 1)) for q in range(1, head + 1)]
+    plans = []
+    for Q in horizons:
+        blocks = _blocks(Q, min(Q, EXACT_UPTO))
+        plans.append((min(Q, EXACT_UPTO), len(cells), len(cells) + len(blocks)))
+        cells += [(a, b, (b - a + 1) * a ** (n - 1), (b - a + 1) * b ** (n - 1)) for a, b in blocks]
+    bounds = _psi_cells(psi, cells, s, SERIES_SHIFT)
+    return [tuple(Fraction(sum(v[:h]) + sum(v[i:j]), 1 << SERIES_SHIFT) for v in bounds) for h, i, j in plans]
+
+
+def _series_args(s: Fraction, n: int) -> Fraction:
+    """s as a Fraction, once s > 0 and n >= 1 are checked."""
+    s = Fraction(s)
+    if s <= 0:
+        raise ValueError("s > 0 required")
+    if n < 1:
+        raise ValueError("n >= 1 required")
+    return s
 
 
 def _powerlog_verdict(psi: PowerLog, s: Fraction, n: int) -> tuple[str, str]:
     """(status, rationale) for sum q^(n-1) psi(q)^s in closed form:
     Converges iff a s > n, or a s = n with beta s > 1; s > 0, which both
-    callers check first."""
+    callers check first (`_series_args`)."""
     as_ = psi.a * s
     bs = psi.beta * s
     if as_ > n or (as_ == n and bs > 1):
@@ -160,11 +161,7 @@ def classify_series(
     For PowerLog psi(q) = c q^-a (ln q)^-beta the closed form applies:
     Converges iff a s > n, or a s = n with beta s > 1.  Tables only get
     partial sums."""
-    s = Fraction(s)
-    if s <= 0:
-        raise ValueError("s > 0 required")
-    if n < 1:
-        raise ValueError("n >= 1 required")
+    s = _series_args(s, n)
     partials = list(zip(horizons, _partial_sum_bounds(psi, n, s, horizons)))
     if isinstance(psi, PowerLog):
         status, rationale = _powerlog_verdict(psi, s, n)
@@ -179,24 +176,15 @@ def classify_return_series(
 
     A closed-form verdict is claimed only when the level set is the full
     range [1, ell_max] (condensation then ties it to classify_series);
-    sparse level sets get partial sums with status Unknown.  The terms
-    psi(2^l) come from one increasing pass of psi.scaled_bounds, summed as
-    in `_partial_sum_bounds`."""
-    s = Fraction(s)
+    sparse level sets get partial sums with status Unknown.  Each level is
+    one `_psi_cells` cell 2^(l n) psi(2^l)^s at 2^-SERIES_SHIFT, and the
+    partial sums are the running sums of their integers."""
     if not L.levels:
         raise InsufficientData("empty return sequence")
-    if s <= 0:
-        raise ValueError("s > 0 required")
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    shift = SERIES_SHIFT
-    lo = hi = 0
-    partials = []
-    for ell, (tlo, thi) in zip(L.levels, psi.scaled_bounds([1 << ell for ell in L.levels], shift)):
-        tlo, thi = _scaled_pow(tlo, thi, s, shift)
-        lo += tlo << (ell * n)
-        hi += thi << (ell * n)
-        partials.append((1 << ell, (Fraction(lo, 1 << shift), Fraction(hi, 1 << shift))))
+    s = _series_args(s, n)
+    cells = [(1 << ell, 1 << ell, 1 << ell * n, 1 << ell * n) for ell in L.levels]
+    sums = zip(L.levels, *map(accumulate, _psi_cells(psi, cells, s, SERIES_SHIFT)))
+    partials = [(1 << ell, (Fraction(lo, 1 << SERIES_SHIFT), Fraction(hi, 1 << SERIES_SHIFT))) for ell, lo, hi in sums]
     full = list(L.levels) == list(range(1, L.ell_max + 1))
     if full and isinstance(psi, PowerLog):
         # condensed and plain series converge/diverge together
@@ -625,19 +613,8 @@ class ExponentEstimate:
         }
 
 
-def _last_below(recs, X: int):
-    """Value of the last record (s, value) with s < X, or None: the best
-    distance over 0 < ||q|| < X of a record walk in shell order."""
-    d = None
-    for s, v in recs:
-        if s >= X:
-            break
-        d = v
-    return d
-
-
 def _exponent(d, X: int) -> Optional[float]:
-    lo, hi = enclose(d, 80) if not isinstance(d, Fraction) else (d, d)
+    lo, hi = enclose(d, 80)
     if hi == 0:
         return None  # exact hit
     mid = (lo + hi) / 2 if lo > 0 else hi

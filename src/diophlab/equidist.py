@@ -93,16 +93,9 @@ def weyl_sum(
     coeff_mid: list[Fraction] = []
     coeff_err = Fraction(0)
     for j in range(A.n):
-        acc_lo = acc_hi = Fraction(0)
-        for i in range(A.m):
-            if c[i]:
-                lo, hi = enclose(A.rows[i][j], PHASE_PREC)
-                lo, hi = lo * c[i], hi * c[i]
-                if c[i] < 0:
-                    lo, hi = hi, lo
-                acc_lo, acc_hi = acc_lo + lo, acc_hi + hi
-        coeff_mid.append((acc_lo + acc_hi) / 2)
-        coeff_err = max(coeff_err, (acc_hi - acc_lo) / 2)
+        acc = sum(RatInterval(*enclose(A.rows[i][j], PHASE_PREC)) * c[i] for i in range(A.m) if c[i])
+        coeff_mid.append((acc.lo + acc.hi) / 2)
+        coeff_err = max(coeff_err, acc.width / 2)
 
     # |d/dx e^{2 pi i x}| = 2 pi < 7, and the phase error at ||q|| = s is at
     # most n s coeff_err: the sum over all points in closed form

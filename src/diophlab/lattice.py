@@ -470,6 +470,17 @@ def records(
                 yield s, q, k
 
 
+def _last_below(recs: Iterable[tuple[int, Comparable]], X: int) -> Optional[Comparable]:
+    """Value of the last record (s, value) with s < X, or None: the best
+    distance over 0 < ||q|| < X of a record walk in shell order."""
+    d = None
+    for s, v in recs:
+        if s >= X:
+            break
+        d = v
+    return d
+
+
 # ---------------------------------------------------------------------------
 # homogeneous search and return sequences
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ estimation for the well- and badly-approximable target sets."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from .errors import InvalidWindow, PrecisionExhausted
@@ -101,6 +103,22 @@ class ApproxFunction:
 
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+def _psi_cells(
+    psi: ApproxFunction, cells: Sequence[tuple[int, int, int, int]], s: Fraction, shift: int, c: int = 1
+) -> tuple[list[int], list[int]]:
+    """The one bracketed psi-sum: for each cell (a, b, w_lo, w_hi) with
+    1 <= a <= b, integers lo <= w_lo (c psi(b))^s 2^shift and
+    hi >= w_hi (c psi(a))^s 2^shift, as the lists (los, his).  Since psi
+    is nonincreasing, a cell whose weights w_lo <= w_hi bound those of its
+    terms q in [a, b] brackets their sum, and a caller adds the integers
+    exactly.  One increasing pass of psi.scaled_bounds encloses each
+    distinct end once, at 2^-shift; (c psi)^s is an integer power and root
+    of each end (`_scaled_pow`)."""
+    qs = sorted({a for a, _, _, _ in cells} | {b for _, b, _, _ in cells})
+    pows = {q: _scaled_pow(c * lo, c * hi, s, shift) for q, (lo, hi) in zip(qs, psi.scaled_bounds(qs, shift))}
+    return [w * pows[b][0] for _, b, w, _ in cells], [w * pows[a][1] for a, _, _, w in cells]
 
 
 @dataclass(frozen=True)
@@ -246,13 +264,8 @@ class TablePsi(ApproxFunction):
         object.__setattr__(self, "points", pts)
 
     def value_at(self, q: int) -> Fraction:
-        val = self.points[0][1]
-        for qq, v in self.points:
-            if qq <= q:
-                val = v
-            else:
-                break
-        return val
+        """The value of the last point at or below q, else of the first."""
+        return self.points[max(bisect_right(self.points, q, key=itemgetter(0)) - 1, 0)][1]
 
     def value_bounds(self, q: int, bits: int = 80) -> tuple[Fraction, Fraction]:
         v = self.value_at(q)
@@ -591,15 +604,8 @@ DIAMETER_BITS = 60
 
 
 def diameter_sum(psi: ApproxFunction, w: Window, n: int, s: Fraction) -> tuple[Fraction, Fraction]:
-    """Enclosure of sum over the annulus of diam(B(Aq, psi(||q||)))^s,
-    grouping the (2k+1)^n - (2k-1)^n points of each shell: psi comes from
-    one pass of psi.scaled_bounds over the shells at 2^-DIAMETER_BITS,
-    (2 psi)^s is an integer power and root of each end (`_scaled_pow`), and
-    the sums are exact integers at that scale."""
-    lo_total = hi_total = 0
-    for k, (lo, hi) in zip(w.shells, psi.scaled_bounds(w.shells, DIAMETER_BITS)):
-        cnt = shell_size(n, k)
-        dlo, dhi = _scaled_pow(2 * lo, 2 * hi, s, DIAMETER_BITS)
-        lo_total += cnt * dlo
-        hi_total += cnt * dhi
-    return Fraction(lo_total, 1 << DIAMETER_BITS), Fraction(hi_total, 1 << DIAMETER_BITS)
+    """Enclosure of sum over the annulus of diam(B(Aq, psi(||q||)))^s: one
+    `_psi_cells` cell per shell k, weighted by its (2k+1)^n - (2k-1)^n
+    points, with diameter 2 psi, summed at 2^-DIAMETER_BITS."""
+    cells = [(k, k, size, size) for k in w.shells for size in (shell_size(n, k),)]
+    return tuple(Fraction(sum(v), 1 << DIAMETER_BITS) for v in _psi_cells(psi, cells, s, DIAMETER_BITS, 2))

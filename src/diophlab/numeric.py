@@ -523,6 +523,8 @@ def nearest_int(x: Comparable) -> int:
 
 
 def ex_abs(x: Comparable):
+    if isinstance(x, (int, Fraction)):
+        return abs(x)
     if isinstance(x, RatInterval):
         if x.lo >= 0:
             return x

@@ -17,7 +17,11 @@ from diophlab.lattice import (
 )
 from diophlab.limsup import PowerLog, TablePsi, Window
 from diophlab.analysis import (
+    EXACT_UPTO,
+    SERIES_SHIFT,
     ExactHit,
+    _blocks,
+    _partial_sum_bounds,
     b_alpha_test,
     classify_return_series,
     classify_series,
@@ -30,6 +34,7 @@ from diophlab.numeric import (
     RatInterval,
     _nth_root_lower,
     _nth_root_upper,
+    _scaled_pow,
     compare,
     dist_to_int,
     ex_pow,
@@ -110,6 +115,57 @@ def old_partial_sum_bounds(psi, n, s, Q, exact_upto=1024):
     return lo, hi
 
 
+def old_scaled_partial_sum_bounds(psi, n, s, horizons):
+    """analysis._partial_sum_bounds before the bracketed psi-sum kernel:
+    one scaled_bounds pass, each term raised by _scaled_pow, integer sums."""
+    shift = SERIES_SHIFT
+    plans = [(min(Q, EXACT_UPTO), _blocks(Q, min(Q, EXACT_UPTO))) for Q in horizons]
+    qs = sorted({
+        *range(1, max((head for head, _ in plans), default=0) + 1),
+        *(q for _, blocks in plans for block in blocks for q in block),
+    })
+    terms = {q: _scaled_pow(lo, hi, s, shift) for q, (lo, hi) in zip(qs, psi.scaled_bounds(qs, shift))}
+    out = []
+    for head, blocks in plans:
+        lo = sum(q ** (n - 1) * terms[q][0] for q in range(1, head + 1))
+        hi = sum(q ** (n - 1) * terms[q][1] for q in range(1, head + 1))
+        for start, end in blocks:
+            count = end - start + 1
+            lo += count * start ** (n - 1) * terms[end][0]
+            hi += count * end ** (n - 1) * terms[start][1]
+        out.append((F(lo, 1 << shift), F(hi, 1 << shift)))
+    return out
+
+
+def old_scaled_return_partial_sums(psi, s, n, levels):
+    """classify_return_series' loop before the bracketed psi-sum kernel."""
+    shift = SERIES_SHIFT
+    lo = hi = 0
+    partials = []
+    for ell, (tlo, thi) in zip(levels, psi.scaled_bounds([1 << ell for ell in levels], shift)):
+        tlo, thi = _scaled_pow(tlo, thi, s, shift)
+        lo += tlo << (ell * n)
+        hi += thi << (ell * n)
+        partials.append((1 << ell, (F(lo, 1 << shift), F(hi, 1 << shift))))
+    return partials
+
+
+@pytest.mark.parametrize(
+    "psi",
+    [
+        PowerLog(F(1), F(1), F(1)),
+        PowerLog(F(3, 7), F(2, 3), F(-1, 4)),
+        TablePsi([(1, F(1, 2)), (100, F(1, 4)), (3000, F(1, 9)), (10**5, F(1, 1000))]),
+    ],
+)
+def test_uneven_horizons_take_the_old_scaled_sums(psi):
+    # horizons out of order, one inside the head: each adds the head cells
+    # up to its own Q and its own blocks
+    horizons = (700, 5 * 10**5, 1300, 10**5)
+    for n, s in ((1, F(1)), (2, F(3, 2))):
+        assert _partial_sum_bounds(psi, n, s, horizons) == old_scaled_partial_sum_bounds(psi, n, s, horizons)
+
+
 # the twelve cases of acceptance criterion 12, (n, s, a, beta)
 CRITERION_12 = [
     (1, F(1), F(1, 2), F(0)), (1, F(1), F(1, 2), F(9)), (2, F(1), F(1), F(0)),
@@ -125,6 +181,8 @@ def test_partial_sums_lie_inside_the_old_enclosures(n, s, a, beta):
     horizons = (10**2, 10**4, 10**6)
     partials = classify_series(psi, s, n, horizons).partial_sums
     assert [Q for Q, _ in partials] == list(horizons)
+    # the same Fractions as the scaled sums before the psi-sum kernel
+    assert [bounds for _, bounds in partials] == old_scaled_partial_sum_bounds(psi, n, s, horizons)
     for Q, (lo, hi) in partials:
         old_lo, old_hi = old_partial_sum_bounds(psi, n, s, Q)
         assert old_lo <= lo <= hi <= old_hi
@@ -153,6 +211,7 @@ def test_return_partial_sums_lie_inside_the_old_enclosures(n, s, a, beta, levels
         got = classify_return_series(psi, s, n, ret).partial_sums
         want = old_return_partial_sums(psi, s, n, levels)
         assert [Q for Q, _ in got] == [Q for Q, _ in want] == [1 << ell for ell in levels]
+        assert got == old_scaled_return_partial_sums(psi, s, n, levels)
         for (_, (lo, hi)), (_, (old_lo, old_hi)) in zip(got, want):
             assert old_lo <= lo <= hi <= old_hi
 

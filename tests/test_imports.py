@@ -11,7 +11,8 @@ refuses a walk over budget, only `ApproxMatrix` and `Line1D` test a shape
 for 1 x 1, only `numeric._as_interval` reads a CF enclosure for a verdict,
 only `numeric` puts values over a common denominator or tests a surd's
 sign, only `numeric._field` words the refusal of a second radicand,
-and in the CLI only the subcommand frame exits the process or
+only the bracketed psi-sum `limsup._psi_cells` raises a psi enclosure to
+a power, and in the CLI only the subcommand frame exits the process or
 loads the --matrix file.
 
 No linter ships with the project, so these AST scans stand in for one.  A
@@ -167,6 +168,13 @@ SURD_NAMES = {"_floor_sqrt_mult", "_sign_surd", "lcm"}
 # quote it)
 FIELD_RULE = ("numeric.py", None, "_field")
 FIELD_REFUSAL = "mixing radicands"
+# the integer power and root of a psi enclosure, which numeric defines and
+# the one bracketed psi-sum, limsup._psi_cells, alone calls: anywhere else
+# a scaled_bounds summing loop would be restated.  Keyed by module, class
+# and function; the kernel's module may import it
+POW_OWNER = "numeric.py"
+POW_NAME = "_scaled_pow"
+POW_KERNEL = ("limsup.py", None, "_psi_cells")
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
 # the top-level function of cli.py the call sits in, at any depth
@@ -208,7 +216,8 @@ def kernel_leaks(path: Path) -> list[str]:
     (`_tests_shape`) outside SHAPE_TESTERS, .enclosure() calls outside
     ENCLOSURE_READERS, SURD_NAMES imported or named outside SURD_OWNER,
     a FIELD_REFUSAL string outside FIELD_RULE (docstrings and other bare
-    strings aside), and in cli.py the FRAME_CALLS
+    strings aside), POW_NAME imported outside POW_OWNER and the module of
+    POW_KERNEL or named outside POW_OWNER and POW_KERNEL, and in cli.py the FRAME_CALLS
     outside their top-level functions."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
@@ -254,6 +263,8 @@ def kernel_leaks(path: Path) -> list[str]:
             elif isinstance(child, ast.ImportFrom):
                 if path.name != SURD_OWNER:
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SURD_NAMES)
+                if path.name not in (POW_OWNER, POW_KERNEL[0]):
+                    found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name == POW_NAME)
                 if path.name != "lattice.py":
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SCALED)
                 if (child.module or "").split(".")[0] in banned:
@@ -276,6 +287,9 @@ def kernel_leaks(path: Path) -> list[str]:
             named = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
             if named in SURD_NAMES and path.name != SURD_OWNER and isinstance(child, (ast.Name, ast.Attribute)):
                 found.append(f"{path.name}:{child.lineno} {named}")
+            if named == POW_NAME and isinstance(child, (ast.Name, ast.Attribute)) and path.name != POW_OWNER:
+                if (path.name, cls, func) != POW_KERNEL:
+                    found.append(f"{path.name}:{child.lineno} {named}")
             is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(
                 child, child.name if is_def else func, top or (child.name if is_def else None),
@@ -635,3 +649,31 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(numeric) == ["numeric.py:5 'mixing radicands'"]
+    # psi^s: numeric defines the integer power and root, and the bracketed
+    # psi-sum alone calls it; a series or diameter loop of its own is a
+    # leak, imported or reached through a module
+    analysis.write_text(
+        "from .numeric import _scaled_pow\n"
+        "from .limsup import _psi_cells\n"
+        "def _partial_sum_bounds(psi, qs, s):\n"
+        "    return [_scaled_pow(lo, hi, s, 64) for lo, hi in psi.scaled_bounds(qs, 64)], _psi_cells(psi, [], s, 64)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(analysis) == ["analysis.py:1 _scaled_pow", "analysis.py:4 _scaled_pow"]
+    limsup.write_text(
+        "from .numeric import _scaled_pow\n"
+        "def _psi_cells(psi, qs, s, shift, c=1):\n"
+        "    return [_scaled_pow(c * lo, c * hi, s, shift) for lo, hi in psi.scaled_bounds(qs, shift)]\n"
+        "def diameter_sum(psi, w, s):\n"
+        "    return sum(numeric._scaled_pow(2 * lo, 2 * hi, s, 60)[0] for lo, hi in psi.scaled_bounds(w.shells, 60))\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(limsup) == ["limsup.py:5 _scaled_pow"]
+    numeric.write_text(
+        "def _scaled_pow(lo, hi, e, shift):\n"
+        "    return lo, hi\n"
+        "def _root_bounds(x, e):\n"
+        "    return _scaled_pow(x, x, e, 64)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(numeric) == []

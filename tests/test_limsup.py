@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 from diophlab import limsup
 from diophlab.errors import InvalidWindow, PrecisionExhausted
 from diophlab.fastpath import threshold_bounds
-from diophlab.lattice import ApproxMatrix, return_sequence
+from diophlab.lattice import ApproxMatrix, return_sequence, shell_size
 from diophlab.limsup import (
+    DIAMETER_BITS,
     ApproxFunction,
     PowerLog,
     TablePsi,
@@ -30,6 +31,7 @@ from diophlab.numeric import (
     Ordering,
     Radical,
     RatInterval,
+    _scaled_pow,
     dist_to_int,
     ex_pow,
     lt,
@@ -71,12 +73,27 @@ class TestApproxFunction:
         assert psi.lt_value(F(1, 500), 100)
         assert not psi.lt_value(F(1, 100), 100)
 
-    def test_table_monotone_validated(self):
+    @given(
+        qs=st.lists(st.integers(min_value=-3, max_value=60), min_size=1, max_size=8),
+        vs=st.lists(st.fractions(min_value=F(1, 100), max_value=5), min_size=8, max_size=8),
+        q=st.integers(min_value=-5, max_value=70),
+    )
+    def test_table_monotone_validated(self, qs, vs, q):
         with pytest.raises(ValueError):
             TablePsi([(1, F(1, 4)), (10, F(1, 2))])
         t = TablePsi([(1, F(1, 2)), (10, F(1, 4))])
         assert t.value_at(5) == F(1, 2)
         assert t.value_at(10) == F(1, 4)
+        # value_at's bisection against the linear loop it replaced, on a
+        # random nonincreasing table starting at q <= 1
+        t = TablePsi(list(zip(sorted({min(*qs, 1), *qs}), sorted(vs, reverse=True))))
+        val = t.points[0][1]
+        for qq, v in t.points:
+            if qq <= q:
+                val = v
+            else:
+                break
+        assert t.value_at(q) == val
 
     @given(q=st.integers(min_value=1, max_value=10**6))
     def test_powerlog_bounds_bracket(self, q):
@@ -408,6 +425,32 @@ class TestUbiquity:
         params.levels[0].rho_pow_m = F(3, 4)
         ce = coverage(A_golden, params, ((F(1, 2),), F(1, 8)), 0, 50, seed=1)
         assert ce.estimate.fraction == 1
+
+
+def old_diameter_sum(psi, w, n, s):
+    """limsup.diameter_sum before the bracketed psi-sum kernel."""
+    lo_total = hi_total = 0
+    for k, (lo, hi) in zip(w.shells, psi.scaled_bounds(w.shells, DIAMETER_BITS)):
+        cnt = shell_size(n, k)
+        dlo, dhi = _scaled_pow(2 * lo, 2 * hi, s, DIAMETER_BITS)
+        lo_total += cnt * dlo
+        hi_total += cnt * dhi
+    return F(lo_total, 1 << DIAMETER_BITS), F(hi_total, 1 << DIAMETER_BITS)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("w", [Window(0, 1), Window(1, 300), Window(7, 2000)])
+@pytest.mark.parametrize(
+    "psi,s",
+    [
+        (PowerLog(F(1), F(1), F(1)), F(1, 2)),
+        (PowerLog(F(1, 2), F(1), F(0)), F(1)),
+        (PowerLog(F(3, 7), F(2, 3), F(-1, 4)), F(3, 2)),
+        (TablePsi([(1, F(1, 2)), (10, F(1, 3)), (1000, F(1, 7))]), F(2)),
+    ],
+)
+def test_diameter_sum_equals_the_old_scaled_sum(psi, s, w, n):
+    assert diameter_sum(psi, w, n, s) == old_diameter_sum(psi, w, n, s)
 
 
 def test_diameter_sum_harmonic():
