@@ -448,22 +448,6 @@ class Prop51Report:
     violations: list[tuple[int, ...]]
     spot_checks: int
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def to_json(self) -> dict:
-        return {
-            "alpha": str(self.alpha),
-            "threshold": str(self.threshold),
-            "window": {"l": self.window.l, "u": self.window.u},
-            "k_range": self.k_range,
-            "binding": {str(s): k for s, k in self.binding.items()},
-            "violations": [list(v) for v in self.violations],
-            "spot_checks": self.spot_checks,
-            "ok": self.ok,
-        }
-
 
 # every SPOT_CHECK_STRIDE-th point of a Prop. 5.1 window is checked
 # against the key inequality too

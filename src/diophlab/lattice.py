@@ -208,13 +208,7 @@ def _dot(entries: Sequence[ExactReal], q: Sequence[int]):
     for e, c in zip(entries, q):
         if c == 0:
             continue
-        if isinstance(e, CFReal):
-            lo, hi = e.enclosure()
-            term: Comparable = RatInterval(lo * c, hi * c) if c > 0 else RatInterval(
-                hi * c, lo * c
-            )
-        else:
-            term = e * c
+        term: Comparable = RatInterval(*e.enclosure()) * c if isinstance(e, CFReal) else e * c
         acc = term + acc if isinstance(acc, Fraction) else acc + term
     return acc
 
@@ -698,8 +692,8 @@ def _line_records(alpha: Quadratic | CFReal, Y_max: int) -> tuple[list[tuple[int
     ||q_k alpha||_Z = |q_k alpha - p_k| strictly decreases for k >= 1, and
     q_0 = q_1 = 1 when a_1 = 1, so convergent k is a record iff
     q_k < q_(k+1).  The reach is Y_max + 1 for a quadratic alpha.  A CF
-    entry with n convergents in budget is any real between the last two,
-    whose convergents are certain up to q_(n-2) alone: it lists the
+    entry read to n convergents (at most 64) is any real between the last
+    two, whose convergents are certain up to q_(n-2) alone: it lists the
     records below q_(n-2), and its reach is min(Y_max + 1, q_(n-2))."""
     if isinstance(alpha, CFReal):
         conv = alpha.convergents()
@@ -721,7 +715,7 @@ def _best_approximations_1d(A: ApproxMatrix, Y_max: int) -> BestApproxSequence:
     shell {-q, q} picks -q.
 
     M is A.dist((q_k,)), exact for a quadratic alpha.  For a CF entry
-    with n convergents in budget, only its tails alpha_(k+1) in
+    read to n convergents (at most 64), only its tails alpha_(k+1) in
     (a_(k+1), a_(k+1) + 1) for k <= n - 3 are known, giving
     M = 1/(alpha_(k+1) q_k + q_(k-1)) in (1/(q_(k+1) + q_k), 1/q_(k+1));
     Y_max >= q_(n-2) raises PrecisionExhausted."""

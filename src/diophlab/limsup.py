@@ -101,9 +101,6 @@ class ApproxFunction:
         """Certified d < psi(q)."""
         return self.compare_value(d, q) is Ordering.LESS
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
 
 def _psi_cells(
     psi: ApproxFunction, cells: Sequence[tuple[int, int, int, int]], s: Fraction, shift: int, c: int = 1
@@ -270,9 +267,6 @@ class TablePsi(ApproxFunction):
     def value_bounds(self, q: int, bits: int = 80) -> tuple[Fraction, Fraction]:
         v = self.value_at(q)
         return v, v
-
-    def to_json(self) -> dict:
-        return {"kind": "table", "points": [[q, str(v)] for q, v in self.points]}
 
 
 # ---------------------------------------------------------------------------
@@ -576,11 +570,7 @@ def coverage(
     m = params.m
     center, radius = A.ball(*ball)
     pts = _points(m, samples, seed, "mc")
-    l_int = floor_exact(lv.l)
-    u_int = floor_exact(lv.u)
-    if l_int >= u_int:
-        raise InvalidWindow(f"annulus ({l_int}, {u_int}] is empty")
-    w = Window(l_int, u_int)
+    w = Window(floor_exact(lv.l), floor_exact(lv.u))
     rho = lv.rho(m)
     rc = compare(rho, Fraction(1, 2))
     if rc.decided and rc is not Ordering.LESS:

@@ -229,28 +229,26 @@ def convergents(quotients: Iterable[int]) -> Iterator[tuple[int, int]]:
 class CFReal:
     """A real specified by finitely many continued-fraction partial quotients.
 
-    The value is only known to lie strictly between the last two convergents;
-    all derived quantities carry that enclosure.
+    The value is only known to lie strictly between the last two convergents
+    read, from at most the first DEFAULT_CF_BUDGET quotients; all derived
+    quantities carry that enclosure.
     """
 
-    __slots__ = ("pq", "precision_budget", "_conv")
+    __slots__ = ("pq", "_conv")
 
-    def __init__(self, pq: Sequence[int], precision_budget: int = DEFAULT_CF_BUDGET):
+    def __init__(self, pq: Sequence[int]):
         pq = tuple(int(a) for a in pq)
         if not pq:
             raise ValueError("need at least a0")
         if any(a < 1 for a in pq[1:]):
             raise ValueError("partial quotients a_k must be >= 1 for k >= 1")
-        if precision_budget < 1:
-            raise ValueError("precision budget must be positive")
         self.pq = pq
-        self.precision_budget = precision_budget
         self._conv: list[tuple[int, int]] | None = None
 
     def convergents(self) -> list[tuple[int, int]]:
-        """(p_k, q_k) for the partial quotients within budget."""
+        """(p_k, q_k) for the first DEFAULT_CF_BUDGET partial quotients."""
         if self._conv is None:
-            self._conv = list(convergents(self.pq[: self.precision_budget]))
+            self._conv = list(convergents(self.pq[:DEFAULT_CF_BUDGET]))
         return self._conv
 
     def enclosure(self) -> tuple[Fraction, Fraction]:
@@ -436,10 +434,10 @@ def compare(x: Comparable, y: Comparable) -> Ordering:
     return Ordering.uncertain((xhi - xlo) + (yhi - ylo))
 
 
-def _decided(c: Ordering, what: str = "comparison") -> Ordering:
+def _decided(c: Ordering) -> Ordering:
     """c itself, or PrecisionExhausted naming the undecided width."""
     if not c.decided:
-        raise PrecisionExhausted(f"{what} undecided (width {float(c.width):.3g})")
+        raise PrecisionExhausted(f"comparison undecided (width {float(c.width):.3g})")
     return c
 
 
@@ -569,17 +567,17 @@ def _interval_dist_to_int(iv: RatInterval) -> "Fraction | RatInterval":
 def _cf_frac_part(x: CFReal) -> CFReal:
     if len(x.pq) == 1:
         raise PrecisionExhausted("fractional part of bare-a0 CF is unconstrained")
-    return CFReal((0,) + x.pq[1:], x.precision_budget)
+    return CFReal((0,) + x.pq[1:])
 
 
 def _cf_dist_to_int(x: CFReal) -> CFReal:
     f = _cf_frac_part(x)  # in (0, 1)
     if lt(f, Fraction(1, 2)):
         return f
-    # lt decides f > 1/2 only for f = [0; 1, a2, ...] with a2 in budget: a1 >= 2
-    # puts every convergent at or below 1/2, and [0; 1] encloses (0, 1); then
-    # 1 - [0; 1, a2, a3, ...] = [0; a2+1, a3, ...]
-    return CFReal((0, f.pq[2] + 1) + f.pq[3:], x.precision_budget)
+    # lt decides f > 1/2 only for f = [0; 1, a2, ...] with a2 among the
+    # quotients read: a1 >= 2 puts every convergent at or below 1/2, and
+    # [0; 1] encloses (0, 1); then 1 - [0; 1, a2, a3, ...] = [0; a2+1, a3, ...]
+    return CFReal((0, f.pq[2] + 1) + f.pq[3:])
 
 
 def sup_norm(v: Iterable[Comparable]):

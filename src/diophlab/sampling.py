@@ -1,12 +1,11 @@
 """Seeded sampling and binomial confidence intervals.
 
-Each sample index owns its own RNG substream derived from (seed, index), so
-a sample does not depend on the order in which targets are tested."""
+Each sample index owns its own RNG stream, seeded from (seed, index), so a
+sample does not depend on the order in which targets are tested."""
 
 from __future__ import annotations
 
 import _random
-import random
 from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence, TypeVar
@@ -29,15 +28,10 @@ def _key(seed: int, index: int) -> int:
     return key ^ (key >> 29)
 
 
-def substream(seed: int, index: int) -> random.Random:
-    """Independent-looking RNG stream for one sample index."""
-    return random.Random(_key(seed, index))
-
-
 def sample_point(seed: int, index: int, dim: int) -> tuple[Fraction, ...]:
-    """Uniform rational point in [0,1)^dim with denominator 2^53, from the
-    stream of `substream`: the C generator `_random.Random`, the base of
-    `random.Random`, is seeded by its constructor alike, without the Python
+    """Uniform rational point in [0,1)^dim with denominator 2^53.  It draws
+    from the C generator `_random.Random` seeded with `_key(seed, index)`,
+    the stream of `random.Random(_key(seed, index))` without the Python
     wrappers of random.Random's __init__ and seed."""
     rng = _random.Random(_key(seed, index))
     return tuple(

@@ -43,7 +43,7 @@ def A_sqrt2(sqrt2):
 @pytest.fixture
 def cf_fast():
     # partial quotients a_k = 2^(2^k), extremely well approximable
-    return CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128), precision_budget=512)
+    return CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128))
 
 
 @pytest.fixture

@@ -182,7 +182,7 @@ def test_criterion_10_counterpart_machinery():
     )
 
     # CFReal half, a_k = 2^(2^k), horizon K = 6
-    cf = CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128), precision_budget=1024)
+    cf = CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128))
     A_cf = ApproxMatrix([[cf]])
     best_cf = best_approximations(A_cf, 2**63)
     rep_cf = gamma_sequence(best_cf, 1, 1)
@@ -201,7 +201,7 @@ def test_criterion_10_counterpart_machinery():
     if len(passing) == 100:
         try:
             prop_ok = all(
-                verify_prop_5_1(A_cf, b, alpha, best_cf, Window(4, 64)).ok
+                not verify_prop_5_1(A_cf, b, alpha, best_cf, Window(4, 64)).violations
                 for b in passing
             )
         except Exception:

@@ -1,4 +1,5 @@
-"""No module-level import in the package goes unused, the scan kernel and
+"""No module-level import in the package goes unused, every name of a
+module's __all__ is bound in the module, the scan kernel and
 the scaled-integer format stay behind `lattice` and a few exhaustive walks,
 psi comparisons stay behind `lattice._decide`, the per-point rule of the
 walks and of the sorted-centre index, only `lattice.threshold` tells a
@@ -88,6 +89,60 @@ def test_scanner_flags_an_unused_import(tmp_path):
         encoding="utf-8",
     )
     assert unused_imports(mod) == ["mod.py:2 system"]
+
+
+def _bound(body: list[ast.stmt]) -> set[str]:
+    """Names that module-level statements bind: imports, defs, classes and
+    assignment targets, also inside if, try, with, for and while blocks."""
+    names = set()
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= _imported(ast.Module(body=[node], type_ignores=[])).keys()
+        else:
+            targets = [*getattr(node, "targets", []), getattr(node, "target", None)]
+            targets += [w.optional_vars for w in getattr(node, "items", [])]
+            names.update(n.id for t in targets if t for n in ast.walk(t) if isinstance(n, ast.Name))
+            for block in ("body", "orelse", "finalbody", "handlers"):
+                names |= _bound(getattr(node, block, []))
+    return names
+
+
+def stale_exports(path: Path) -> list[str]:
+    """Names of the module's __all__ that the module does not bind."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    line = next((n.lineno for n in tree.body if isinstance(n, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in n.targets)), 0)
+    return sorted(f"{path.name}:{line} {name}" for name in _exported(tree) - _bound(tree.body))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path):
+    assert stale_exports(path) == []
+
+
+def test_scanner_flags_a_stale_export(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "import os\n"
+        "from fractions import Fraction as F\n"
+        "__all__ = ['F', 'Fraction', 'LIMIT', 'a', 'b', 'f', 'C', 'g', 'removed', 'os']\n"
+        "LIMIT: int = 64\n"
+        "a, (b, _) = 1, (2, 3)\n"
+        "def f(x):\n"
+        "    g = x\n"
+        "    return g\n"
+        "class C:\n"
+        "    removed = 1\n"
+        "try:\n"
+        "    from math import lcm as g\n"
+        "except ImportError:\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    # Fraction is imported under another name, and removed is bound only in a class
+    assert stale_exports(mod) == ["mod.py:3 Fraction", "mod.py:3 removed"]
 
 
 # the scaled-integer format of `fastpath`, which only `lattice` may use

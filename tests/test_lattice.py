@@ -238,7 +238,7 @@ LINES = {
     "sqrt2": ApproxMatrix([[quadratic(F(0), F(1), 2)]]),
     "cf_short": ApproxMatrix([[CFReal((0, 1, 2))]]),
     "cf_mid": ApproxMatrix([[CFReal((0, 3, 1, 4, 1, 5))]]),
-    "cf_fast": ApproxMatrix([[CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128), precision_budget=512)]]),
+    "cf_fast": ApproxMatrix([[CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128))]]),
     "a_k=k": ApproxMatrix([[CFReal((0, *range(1, 41)))]]),
     "a_k=2^k": ApproxMatrix([[CFReal((0, *(2**k for k in range(1, 12))))]]),
 }

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diophlab.errors import PrecisionExhausted, UnsupportedEntry
+from diophlab.lattice import ApproxMatrix
 from diophlab.numeric import (
     CFReal,
     Ordering,
@@ -15,6 +16,7 @@ from diophlab.numeric import (
     Radical,
     RatInterval,
     compare,
+    convergents,
     dec_str,
     dist_to_int,
     enclose,
@@ -210,6 +212,18 @@ class TestParseFormat:
 
     def test_golden_literal(self, golden):
         assert parse_exact("(-1+1*sqrt(5))/2") == golden
+
+    def test_cf_reads_at_most_64_quotients(self):
+        pq = tuple(range(100))  # [0; 1, 2, ..., 99]
+        x, head = CFReal(pq), CFReal(pq[:64])
+        assert x.convergents() == list(convergents(pq[:64])) == head.convergents()
+        assert x.enclosure() == head.enclosure()
+        assert len(list(convergents(pq))) == 100
+        # the literal and the matrix file carry all 100 quotients, read alike
+        y = parse_exact(format_exact(x))
+        z = ApproxMatrix.from_text(ApproxMatrix([[x]]).to_text()).rows[0][0]
+        assert y.pq == z.pq == pq
+        assert y.enclosure() == z.enclosure() == head.enclosure()
 
     def test_garbage_rejected(self):
         with pytest.raises(ValueError):

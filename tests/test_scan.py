@@ -961,7 +961,7 @@ def test_delta_membership_radius_one_half_is_strict():
 
 
 # the CF of criterion 10, a_k = 2^(2^k), whose records reach 2^63
-CF_FAST = ApproxMatrix([[CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128), precision_budget=1024)]])
+CF_FAST = ApproxMatrix([[CFReal((0, 4, 16, 256, 65536, 2**32, 2**64, 2**128))]])
 # records Y = 1, 2, 7 with gamma_1^2 = 1, U_1 = 2 and V_1 = 7: rational
 # values that land inside their own boxes, so the exact margin of every
 # counterpart comparison runs
