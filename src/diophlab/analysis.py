@@ -28,7 +28,6 @@ from .lattice import (
     ReturnSequence,
     _last_below,
     best_approximations,
-    check_target,
     check_window,
     records,
     scan,
@@ -51,7 +50,7 @@ from .numeric import (
     sign,
     _as_interval,
     _decided,
-    _field,
+    _scaled_enclosure,
 )
 
 __all__ = [
@@ -198,20 +197,22 @@ def classify_return_series(
 # ---------------------------------------------------------------------------
 
 
-def _order(x: Comparable, box: tuple[Fraction, Fraction], exact: Callable[[], object]) -> Ordering:
-    """The ordering of x against a value v with box[0] <= v <= box[1]: LESS
-    when x < box[0], GREATER when x > box[1], and only otherwise
-    compare(x, exact()), v computed then, with PrecisionExhausted when that
-    is undecided.  x is placed against the box by its enclosure at
-    COUNTERPART_BITS, which is (x, x) for a rational x.  A box that holds
-    every value of v's own enclosure decides only comparisons that compare
-    decides, and the same way, so the outcome is that of the exact
-    comparison."""
+def _order(x: Comparable, box: tuple[int, int], shift: int, exact: Callable[[], object]) -> Ordering:
+    """The ordering of x against a value v with box[0] <= v 2^shift <=
+    box[1], the box in integers: LESS when x 2^shift < box[0], GREATER when
+    x 2^shift > box[1], and only otherwise compare(x, exact()), v computed
+    then, with PrecisionExhausted when that is undecided.  x is placed by
+    integer cross-multiplication of its enclosure at `shift` bits, which is
+    (x, x) for a rational x, so a rational x and an irrational one take the
+    same filter and no Fraction is built before the fallback.  A box that
+    holds every value of v's own enclosure decides only comparisons that
+    compare decides, and the same way, so the outcome is that of the exact
+    comparison; a wider box only sends more x to compare."""
     lo, hi = box
-    x_lo, x_hi = enclose(x, COUNTERPART_BITS)
-    if x_hi < lo:
+    x_lo, x_hi = (x, x) if isinstance(x, (int, Fraction)) else enclose(x, shift)
+    if x_hi.numerator << shift < lo * x_hi.denominator:
         return Ordering.LESS
-    if x_lo > hi:
+    if x_lo.numerator << shift > hi * x_lo.denominator:
         return Ordering.GREATER
     return _decided(compare(x, exact()))
 
@@ -304,15 +305,16 @@ COUNTERPART_BITS = 64
 
 class Counterpart(NamedTuple):
     """gamma_k^(m+n), U_k and V_k of one interior k, each with its box
-    (lo, hi) from `numeric.enclose` at COUNTERPART_BITS."""
+    (lo, hi) at COUNTERPART_BITS: integers with lo <= x 2^COUNTERPART_BITS
+    <= hi, from `numeric._scaled_enclosure`."""
 
     k: int
     g: Comparable
     U: Radical
     V: Radical
-    g_box: tuple[Fraction, Fraction]
-    U_box: tuple[Fraction, Fraction]
-    V_box: tuple[Fraction, Fraction]
+    g_box: tuple[int, int]
+    U_box: tuple[int, int]
+    V_box: tuple[int, int]
 
 
 def _counterparts(best: BestApproxSequence, m: int, n: int) -> list[Counterpart]:
@@ -329,7 +331,7 @@ def _counterparts(best: BestApproxSequence, m: int, n: int) -> list[Counterpart]
         e = best.entries[k]
         U = Radical(Fraction(e.Y ** (m * mn)) * ex_pow(g, -m), n * mn)
         V = Radical(g * ex_pow(e.M, -mn), mn)
-        table.append(Counterpart(k, g, U, V, *(enclose(x, COUNTERPART_BITS) for x in (g, U, V))))
+        table.append(Counterpart(k, g, U, V, *(_scaled_enclosure(x, COUNTERPART_BITS) for x in (g, U, V))))
     best.counterparts[m, n] = table
     return table
 
@@ -409,16 +411,16 @@ def b_alpha_test(
     """||b . y_k||_Z > alpha gamma_k for every k in k_range, decided as
     the exact comparison decides it: gamma_k^(m+n) and its box come from
     the counterpart table, and only an lhs^(m+n) inside the box of
-    alpha^(m+n) gamma_k^(m+n) is compared exactly.  b passes the target
-    rule `lattice.check_target` with the radicand and CF flag of the
-    records' distances M_k, so a `Quadratic` coordinate is kept and
-    b . y_k and its distance to Z are exact."""
+    alpha^(m+n) gamma_k^(m+n), that box times alpha^(m+n) rounded outward
+    at COUNTERPART_BITS, is compared exactly.  b passes the target rule of
+    the records, `BestApproxSequence.target`, so a `Quadratic` coordinate
+    is kept and b . y_k and its distance to Z are exact."""
     alpha = Fraction(alpha)
     ents = best.entries
-    Ms = [e.M for e in ents]
-    b = check_target(b, m, _field(Ms), any(isinstance(M, RatInterval) for M in Ms))
+    b = best.target(b, m)
     mn = m + n
     a = alpha**mn
+    p, d = a.numerator, a.denominator
     table = _counterparts(best, m, n)
     for k in k_range:
         if not 1 <= k <= len(ents) - 2:
@@ -427,8 +429,9 @@ def b_alpha_test(
         lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y)))
         # lhs > alpha gamma_k  <=>  lhs^(m+n) > alpha^(m+n) gamma_k^(m+n)
         g, (g_lo, g_hi) = table[k - 1].g, table[k - 1].g_box
-        box = (g_lo * a, g_hi * a) if a >= 0 else (g_hi * a, g_lo * a)
-        if _order(lhs**mn, box, lambda: g * a) is not Ordering.GREATER:
+        lo, hi = (g_lo, g_hi) if p >= 0 else (g_hi, g_lo)
+        box = (lo * p // d, -(-hi * p // d))
+        if _order(lhs**mn, box, COUNTERPART_BITS, lambda: g * a) is not Ordering.GREATER:
             return False
     return True
 
@@ -485,8 +488,8 @@ def verify_prop_5_1(
             (
                 c.k
                 for c in table
-                if _order(s, c.U_box, lambda: c.U) is not Ordering.LESS
-                and _order(s, c.V_box, lambda: c.V) is Ordering.LESS
+                if _order(s, c.U_box, COUNTERPART_BITS, lambda: c.U) is not Ordering.LESS
+                and _order(s, c.V_box, COUNTERPART_BITS, lambda: c.V) is Ordering.LESS
             ),
             None,
         )
@@ -515,11 +518,13 @@ def key_inequality_check(
 
     Holds for every integer q, y by the transference identity; a False
     return is a bug detector, not a mathematical possibility.  Both
-    distances are enclosed by `ApproxMatrix.dist_enclosure`, and only an
-    lhs inside the enclosure of the right-hand side is compared exactly,
-    so the outcome is that of the exact comparison.  Where that raises
-    PrecisionExhausted on a 1 x 1 CF entry, the tight case of the identity
-    decides it (`_cf_tight`); otherwise it still raises."""
+    distances are enclosed by `ApproxMatrix.dist_enclosure` in integers at
+    `line.shift`, which A and its transpose share, so the box of the
+    right-hand side is m ||y|| lo1 + n ||q|| lo2 to m ||y|| hi1 + n ||q||
+    hi2 at that shift, and only an lhs inside it is compared exactly
+    (`_order`); the outcome is that of the exact comparison.  Where that
+    raises PrecisionExhausted on a 1 x 1 CF entry, the tight case of the
+    identity decides it (`_cf_tight`); otherwise it still raises."""
     m, n = A.m, A.n
     b = A.target(b)
     if len(y.coords) != m or len(q.coords) != n:
@@ -531,7 +536,7 @@ def key_inequality_check(
     lo2, hi2 = tA.dist_enclosure(y.coords)
     box = (lo1 * wy + lo2 * wq, hi1 * wy + hi2 * wq)
     try:
-        c = _order(lhs, box, lambda: A.dist(q.coords, b) * wy + tA.dist(y.coords) * wq)
+        c = _order(lhs, box, A.line.shift, lambda: A.dist(q.coords, b) * wy + tA.dist(y.coords) * wq)
         return c is not Ordering.GREATER
     except PrecisionExhausted:
         if A.has_cf and _cf_tight(A, b, q, y, box):
@@ -539,26 +544,25 @@ def key_inequality_check(
         raise
 
 
-def _cf_tight(
-    A: ApproxMatrix, b: tuple[Fraction, ...], q: IntVec, y: IntVec, box: tuple[Fraction, Fraction]
-) -> bool:
+def _cf_tight(A: ApproxMatrix, b: tuple[Fraction, ...], q: IntVec, y: IntVec, box: tuple[int, int]) -> bool:
     """The tight key inequality of a 1 x 1 CF entry alpha, which its
     enclosures cannot separate.  With the signed residues r1 = q alpha - b
     - p1 and r2 = alpha y - p2 (p1, p2 the nearest integers),
     E = b y + y p1 - q p2 = -y r1 + q r2 is an exact rational, and
     ||b y||_Z <= |E|.  When -y r1 and q r2 have the same sign, |E| is the
     right-hand side |y| |r1| + |q| |r2|, so the inequality holds.  True
-    only when |E| lies in box, the right-hand side's enclosure, |E| <= 1/2
-    and both signs are decided equal; False when any of this fails or is
-    undecided."""
+    only when |E| lies in box, the right-hand side's enclosure in integers
+    at `A.line.shift`, |E| <= 1/2 and both signs are decided equal; False
+    when any of this fails or is undecided."""
     (qv,), (yv,), (bv,) = q.coords, y.coords, b
     v1 = A.apply(q.coords)[0] - bv
     v2 = A.apply(y.coords)[0]
     try:
         p1, p2 = nearest_int(v1), nearest_int(v2)
         E = abs(bv * yv + yv * p1 - qv * p2)
+        e_scaled, den = E.numerator << A.line.shift, E.denominator
         return (
-            box[0] <= E <= box[1]
+            box[0] * den <= e_scaled <= box[1] * den
             and E <= Fraction(1, 2)
             and sign(-yv) * sign(v1 - p1) == sign(qv) * sign(v2 - p2)
         )

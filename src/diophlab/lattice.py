@@ -145,15 +145,15 @@ class ApproxMatrix:
 
     def dist_enclosure(
         self, q: Sequence[int], b: Optional[Sequence[ExactReal]] = None
-    ) -> tuple[Fraction, Fraction]:
-        """Dyadic (lo, hi) with lo <= ||Aq - b||_Z <= hi, from the
-        scaled-integer `line` model, for b as `target` takes it.  The
-        interval holds every value of the exact `dist`'s enclosure too, so
-        a comparison it decides, `dist` decides the same way, CF entries
+    ) -> tuple[int, int]:
+        """Integers (lo, hi) with lo <= ||Aq - b||_Z 2^shift <= hi, shift
+        being `line.shift`: the `Line1D.dist_bounds` of the scaled-integer
+        `line` model, for b as `target` takes it, which this alone scales.
+        The box holds every value of the exact `dist`'s enclosure too, so a
+        comparison it decides, `dist` decides the same way, CF entries
         included."""
         line = self.line
-        lo, hi = line.dist_bounds(q, *line.scale_target(self.target(b)))
-        return Fraction(lo, line.mod), Fraction(hi, line.mod)
+        return line.dist_bounds(q, *line.scale_target(self.target(b)))
 
     @cached_property
     def _transposed(self) -> "ApproxMatrix":
@@ -628,12 +628,25 @@ class BestApproxSequence:
     entries: list[BestApproxEntry]
     y_max: int
     # the counterpart tables of `analysis._counterparts`, by (m, n), each
-    # built on first use; valid because no caller changes entries
+    # built on first use, like `_target_field`; valid because no caller
+    # changes entries
     counterparts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def Y(self) -> list[int]:
         return [e.Y for e in self.entries]
+
+    @cached_property
+    def _target_field(self) -> tuple[Optional[int], bool]:
+        """The radicand and CF flag of the distances M_k, computed once."""
+        Ms = [e.M for e in self.entries]
+        return _field(Ms), any(isinstance(M, RatInterval) for M in Ms)
+
+    def target(self, b: Sequence, m: int) -> tuple:
+        """b through `check_target` with the radicand and CF flag of the
+        records' distances M_k, so a `Quadratic` coordinate is kept and
+        b . y_k is exact."""
+        return check_target(b, m, *self._target_field)
 
     def csv_rows(self) -> list[list[str]]:
         rows = [["k", "y", "Y", "M_exact", "M_dec"]]

@@ -171,7 +171,9 @@ class PowerLog(ApproxFunction):
         for q, l_lo, l_hi in logs:
             if q < 1:
                 raise ValueError("q >= 1 required")
-            l_lo, l_hi = max(l_lo, one), max(l_hi, one)
+            # only q <= 2 clamps; conditional expressions cost less than the
+            # two max calls per q of a long window
+            l_lo, l_hi = (l_lo if l_lo > one else one), (l_hi if l_hi > one else one)
             d = den * q**P
             if U > 0:  # psi falls as L grows: its lower end takes L's upper
                 yield _floor_root(num, d * l_hi**U, R), _ceil_root(num, d * l_lo**U, R)

@@ -536,7 +536,15 @@ def ex_abs(x: Comparable):
 
 
 def dist_to_int(x: Comparable):
-    """Distance to the nearest integer, in [0, 1/2], kind-preserving."""
+    """Distance to the nearest integer, in [0, 1/2], kind-preserving.  A
+    rational p/d (an int has d = 1) is its one residue r = p mod d taken
+    either way, min(r, d - r)/d, already in lowest terms."""
+    if isinstance(x, int):
+        return 0
+    if isinstance(x, Fraction):
+        d = x.denominator
+        r = x.numerator % d
+        return Fraction(r if r + r <= d else d - r, d)
     if isinstance(x, CFReal):
         return _cf_dist_to_int(x)
     if isinstance(x, RatInterval):
@@ -748,6 +756,14 @@ def enclose(x: Comparable, bits: int) -> tuple[Fraction, Fraction]:
     if isinstance(x, Radical):
         return x.enclose(bits)
     raise TypeError(x)
+
+
+def _scaled_enclosure(x: Comparable, bits: int) -> tuple[int, int]:
+    """Integers (lo, hi) with lo <= x 2^bits <= hi: the ends of x's
+    enclosure at bits, floored and ceiled, so an end that is not dyadic is
+    rounded outward and the box only widens."""
+    lo, hi = enclose(x, bits)
+    return (lo.numerator << bits) // lo.denominator, -(-(hi.numerator << bits) // hi.denominator)
 
 
 def dec_str(x: Comparable, digits: int = 12) -> str:

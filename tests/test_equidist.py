@@ -356,3 +356,12 @@ def test_weyl_floors_terms_below_the_grid(a):
     # of that term reaches past the grid and is floored onto it, once
     # negative and once positive
     assert_old_terms_summed_exactly(ApproxMatrix([[a]]), (1,), 1)
+
+
+def test_mpmath_runs_its_pure_python_backend():
+    # the pinned Weyl sums hold on this backend only (README "Determinism"):
+    # under gmpy2 the cos-sin working precision of half the terms changes
+    assert mpmath.libmp.BACKEND == "python", (
+        f"mpmath runs its {mpmath.libmp.BACKEND!r} backend; the pinned Weyl sums need the "
+        "pure-Python one: run with MPMATH_NOGMPY=1"
+    )

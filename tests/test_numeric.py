@@ -140,6 +140,30 @@ class TestFloorDist:
         d = dist_to_int(x)
         assert F(0) <= d <= F(1, 2)
 
+    @given(
+        x=st.one_of(
+            st.integers(-(10**30), 10**30),
+            rationals,
+            # exact halves, either sign
+            st.integers(-(10**6), 10**6).map(lambda k: F(2 * k + 1, 2)),
+            # denominators above 2^200, numerators of either sign and size
+            st.builds(
+                F,
+                st.integers(-(1 << 260), 1 << 260),
+                st.integers((1 << 200) + 1, 1 << 230),
+            ),
+        )
+    )
+    @example(x=0)
+    @example(x=F(-1, 2))
+    @example(x=F(-7, 3))
+    @example(x=F((1 << 201) + 1, 1 << 202))
+    def test_dist_of_a_rational_is_the_old_residue(self, x):
+        # the former rational path, |x - nearest_int(x)|
+        want = ex_abs(x - nearest_int(x))
+        got = dist_to_int(x)
+        assert got == want and type(got) is type(want)
+
     def test_cf_dist_stays_cf(self):
         x = CFReal((3, 7, 15, 1, 292))  # pi-ish
         d = dist_to_int(x)

@@ -2,15 +2,18 @@
 single-index 1 x 1 testers, against verbatim copies of the loops they
 replaced: the outcome, including the type of a raised error, must agree."""
 
+import functools
 import inspect
+import math
 from contextlib import contextmanager
 from fractions import Fraction as F
+from itertools import islice
 from math import isqrt
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
-from diophlab import analysis, equidist, lattice, limsup
+from diophlab import analysis, equidist, lattice, limsup, numeric
 from diophlab.analysis import (
     EXACT_HIT,
     b_alpha_test,
@@ -1078,6 +1081,106 @@ def test_b_alpha_test_matches_old_loop(key, data, alpha):
     ks = data.draw(st.lists(st.integers(0, len(best.entries)), max_size=4))
     got = outcome(b_alpha_test, b, best, alpha, ks, A.m, A.n)
     assert got == outcome(old_b_alpha_test, b, best, alpha, ks, A.m, A.n)
+
+
+def test_dist_enclosure_boxes_the_distance_at_the_line_shift():
+    # integers at line.shift, which a matrix and its transpose share
+    for key, A in sorted(COUNTERPART_MATRICES.items()):
+        assert A.transpose().line.shift == A.line.shift
+        for i, q in enumerate(islice(iter_shell(A.n, 5), 6)):
+            b = sample_point(31, i, A.m)
+            lo, hi = A.dist_enclosure(q, b)
+            d_lo, d_hi = enclose(A.dist(q, b), 2 * A.line.shift)
+            assert isinstance(lo, int) and isinstance(hi, int)
+            assert F(lo, 1 << A.line.shift) <= d_lo and d_hi <= F(hi, 1 << A.line.shift), key
+
+
+def old_order(x, box, exact):
+    """analysis._order as it was: a box of two Fractions, x placed by its
+    enclosure at COUNTERPART_BITS."""
+    lo, hi = box
+    x_lo, x_hi = enclose(x, analysis.COUNTERPART_BITS)
+    if x_hi < lo:
+        return Ordering.LESS
+    if x_lo > hi:
+        return Ordering.GREATER
+    return numeric._decided(compare(x, exact()))
+
+
+@functools.cache
+def order_cases():
+    """(v, Fraction box, integer box, shift) of every box _order is given:
+    the table's g_k, U_k and V_k, gamma_k^(m+n) alpha^(m+n) as
+    b_alpha_test boxes it (alpha = 11/10 puts 121/100 on a 1 x 1 gamma_k,
+    and -1/3 a negative factor on q12's), and distances as the key
+    inequality boxes them; the integer boxes computed apart from analysis."""
+    bits = analysis.COUNTERPART_BITS
+    cases = []
+    for key, best in sorted(PROP51_BEST.items()):
+        A = COUNTERPART_MATRICES[key]
+        for c in analysis._counterparts(best, A.m, A.n):
+            for v in (c.g, c.U, c.V):
+                lo, hi = enclose(v, bits)
+                cases.append((v, (lo, hi), (math.floor(lo * 2**bits), math.ceil(hi * 2**bits)), bits))
+            for alpha in (F(11, 10), F(-1, 3)):
+                a = alpha ** (A.m + A.n)
+                lo, hi = enclose(c.g, bits)
+                g_lo, g_hi = math.floor(lo * 2**bits), math.ceil(hi * 2**bits)
+                if a < 0:
+                    lo, hi, g_lo, g_hi = hi, lo, g_hi, g_lo
+                cases.append((c.g * a, (lo * a, hi * a), (math.floor(g_lo * a), math.ceil(g_hi * a)), bits))
+        for i, q in enumerate(islice(iter_shell(A.n, 3), 4)):
+            b = sample_point(29, i, A.m)
+            lo, hi = A.dist_enclosure(q, b)
+            shift = A.line.shift
+            cases.append((A.dist(q, b), (F(lo, 1 << shift), F(hi, 1 << shift)), (lo, hi), shift))
+    return cases
+
+
+def continued_fraction_of(x, quotients=12):
+    """The first partial quotients of a rational x."""
+    pq = []
+    while len(pq) < quotients:
+        a = math.floor(x)
+        pq.append(a)
+        if x == a:
+            break
+        x = 1 / (x - a)
+    return tuple(pq)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    end=st.sampled_from(["lo", "hi", "mid"]),
+    eps=st.sampled_from([F(0), F(1, 3 << 64)] + [F(1, 1 << j) for j in (40, 63, 64, 65, 70, 96, 97, 120, 200)]),
+    side=st.sampled_from([-1, 1]),
+    kind=st.sampled_from(["rational", "quadratic", "interval", "cf"]),
+)
+@example(data=None, end="lo", eps=F(1, 1 << 70), side=-1, kind="rational")
+def test_order_on_the_integer_box_matches_the_fraction_box(data, end, eps, side, kind):
+    cases = order_cases()
+    if data is None:
+        # the rational gamma_1^2 of the records of 3/7 times 121/100: box
+        # ends that are not dyadic, so the integer box is wider
+        g = analysis._counterparts(PROP51_BEST["three_sevenths"], 1, 1)[0].g
+        v, fbox, ibox, shift = next(case for case in cases if case[0] == g * F(121, 100))
+    else:
+        v, fbox, ibox, shift = data.draw(st.sampled_from(cases))
+    lo, hi = fbox
+    # the integer box holds the Fraction box: outward rounding only widens
+    assert ibox[0] <= lo * 2**shift and hi * 2**shift <= ibox[1]
+    c = {"lo": lo, "hi": hi, "mid": (lo + hi) / 2}[end] + side * eps
+    e = eps or F(1, 1 << 80)
+    x = {
+        "rational": lambda: c,
+        # c + (sqrt(d) - 1) e, in v's field when it has one
+        "quadratic": lambda: Quadratic(c - e, e, numeric._field([v]) or 2),
+        "interval": lambda: RatInterval(c - eps, c + eps),
+        "cf": lambda: CFReal(continued_fraction_of(c)),
+    }[kind]()
+    want = outcome(old_order, x, fbox, lambda: v)
+    assert outcome(analysis._order, x, ibox, shift, lambda: v) == want
 
 
 def test_exact_margins_run_only_inside_the_boxes(monkeypatch):
