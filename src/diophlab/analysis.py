@@ -30,6 +30,7 @@ from .lattice import (
     best_approximations,
     check_window,
     records,
+    scaled_boxes,
     scan,
     within,
 )
@@ -50,7 +51,6 @@ from .numeric import (
     sign,
     _as_interval,
     _decided,
-    _scaled_enclosure,
 )
 
 __all__ = [
@@ -197,24 +197,31 @@ def classify_return_series(
 # ---------------------------------------------------------------------------
 
 
-def _order(x: Comparable, box: tuple[int, int], shift: int, exact: Callable[[], object]) -> Ordering:
-    """The ordering of x against a value v with box[0] <= v 2^shift <=
-    box[1], the box in integers: LESS when x 2^shift < box[0], GREATER when
-    x 2^shift > box[1], and only otherwise compare(x, exact()), v computed
-    then, with PrecisionExhausted when that is undecided.  x is placed by
-    integer cross-multiplication of its enclosure at `shift` bits, which is
-    (x, x) for a rational x, so a rational x and an irrational one take the
-    same filter and no Fraction is built before the fallback.  A box that
-    holds every value of v's own enclosure decides only comparisons that
-    compare decides, and the same way, so the outcome is that of the exact
-    comparison; a wider box only sends more x to compare."""
+def _place(x: Comparable, box: tuple[int, int], shift: int) -> Optional[Ordering]:
+    """LESS when x 2^shift < box[0], GREATER when x 2^shift > box[1], None
+    when x may lie inside the integer box.  x is placed by integer
+    cross-multiplication of its enclosure at `shift` bits, which is (x, x)
+    for a rational x, so a rational x and an irrational one take the same
+    filter and no Fraction is built."""
     lo, hi = box
     x_lo, x_hi = (x, x) if isinstance(x, (int, Fraction)) else enclose(x, shift)
     if x_hi.numerator << shift < lo * x_hi.denominator:
         return Ordering.LESS
     if x_lo.numerator << shift > hi * x_lo.denominator:
         return Ordering.GREATER
-    return _decided(compare(x, exact()))
+    return None
+
+
+def _order(x: Comparable, box: tuple[int, int], shift: int, exact: Callable[[], object]) -> Ordering:
+    """The ordering of x against a value v with box[0] <= v 2^shift <=
+    box[1], the box in integers: `_place`'s LESS or GREATER, and only for
+    an x inside the box compare(x, exact()), v computed then, with
+    PrecisionExhausted when that is undecided.  A box that holds every
+    value of v's own enclosure decides only comparisons that compare
+    decides, and the same way, so the outcome is that of the exact
+    comparison; a wider box only sends more x to compare."""
+    placed = _place(x, box, shift)
+    return placed if placed is not None else _decided(compare(x, exact()))
 
 
 def _max_pow(x: Comparable, y: Comparable) -> Comparable:
@@ -306,7 +313,7 @@ COUNTERPART_BITS = 64
 class Counterpart(NamedTuple):
     """gamma_k^(m+n), U_k and V_k of one interior k, each with its box
     (lo, hi) at COUNTERPART_BITS: integers with lo <= x 2^COUNTERPART_BITS
-    <= hi, from `numeric._scaled_enclosure`."""
+    <= hi, from `lattice.scaled_boxes`."""
 
     k: int
     g: Comparable
@@ -331,7 +338,7 @@ def _counterparts(best: BestApproxSequence, m: int, n: int) -> list[Counterpart]
         e = best.entries[k]
         U = Radical(Fraction(e.Y ** (m * mn)) * ex_pow(g, -m), n * mn)
         V = Radical(g * ex_pow(e.M, -mn), mn)
-        table.append(Counterpart(k, g, U, V, *(_scaled_enclosure(x, COUNTERPART_BITS) for x in (g, U, V))))
+        table.append(Counterpart(k, g, U, V, *scaled_boxes((g, U, V), COUNTERPART_BITS)))
     best.counterparts[m, n] = table
     return table
 
@@ -517,34 +524,32 @@ def key_inequality_check(
     """||b.y||_Z <= m ||y|| ||Aq - b||_Z + n ||q|| ||tA y||_Z.
 
     Holds for every integer q, y by the transference identity; a False
-    return is a bug detector, not a mathematical possibility.  Both
-    distances are enclosed by `ApproxMatrix.dist_enclosure` in integers at
-    `line.shift`, which A and its transpose share, so the box of the
-    right-hand side is m ||y|| lo1 + n ||q|| lo2 to m ||y|| hi1 + n ||q||
-    hi2 at that shift, and only an lhs inside it is compared exactly
-    (`_order`); the outcome is that of the exact comparison.  Where that
-    raises PrecisionExhausted on a 1 x 1 CF entry, the tight case of the
-    identity decides it (`_cf_tight`); otherwise it still raises."""
+    return is a bug detector, not a mathematical possibility.  The
+    right-hand side is boxed in integers at the line model's shift by
+    `ApproxMatrix.transference_box`, and only an lhs inside the box is
+    compared exactly (`_order`); the outcome is that of the exact
+    comparison.  Where that raises PrecisionExhausted on a 1 x 1 CF entry,
+    the tight case of the identity decides it (`_cf_tight`); otherwise it
+    still raises."""
     m, n = A.m, A.n
     b = A.target(b)
     if len(y.coords) != m or len(q.coords) != n:
         raise ValueError("dimension mismatch")
     lhs = dist_to_int(sum(bi * yi for bi, yi in zip(b, y.coords)))
-    tA = A.transpose()
+    box, shift = A.transference_box(q.coords, y.coords, b)
     wy, wq = m * y.norm, n * q.norm
-    lo1, hi1 = A.dist_enclosure(q.coords, b)
-    lo2, hi2 = tA.dist_enclosure(y.coords)
-    box = (lo1 * wy + lo2 * wq, hi1 * wy + hi2 * wq)
     try:
-        c = _order(lhs, box, A.line.shift, lambda: A.dist(q.coords, b) * wy + tA.dist(y.coords) * wq)
+        c = _order(lhs, box, shift, lambda: A.dist(q.coords, b) * wy + A.transpose().dist(y.coords) * wq)
         return c is not Ordering.GREATER
     except PrecisionExhausted:
-        if A.has_cf and _cf_tight(A, b, q, y, box):
+        if A.has_cf and _cf_tight(A, b, q, y, box, shift):
             return True
         raise
 
 
-def _cf_tight(A: ApproxMatrix, b: tuple[Fraction, ...], q: IntVec, y: IntVec, box: tuple[int, int]) -> bool:
+def _cf_tight(
+    A: ApproxMatrix, b: tuple[Fraction, ...], q: IntVec, y: IntVec, box: tuple[int, int], shift: int
+) -> bool:
     """The tight key inequality of a 1 x 1 CF entry alpha, which its
     enclosures cannot separate.  With the signed residues r1 = q alpha - b
     - p1 and r2 = alpha y - p2 (p1, p2 the nearest integers),
@@ -552,7 +557,7 @@ def _cf_tight(A: ApproxMatrix, b: tuple[Fraction, ...], q: IntVec, y: IntVec, bo
     ||b y||_Z <= |E|.  When -y r1 and q r2 have the same sign, |E| is the
     right-hand side |y| |r1| + |q| |r2|, so the inequality holds.  True
     only when |E| lies in box, the right-hand side's enclosure in integers
-    at `A.line.shift`, |E| <= 1/2 and both signs are decided equal; False
+    at `shift` (`_place`), |E| <= 1/2 and both signs are decided equal; False
     when any of this fails or is undecided."""
     (qv,), (yv,), (bv,) = q.coords, y.coords, b
     v1 = A.apply(q.coords)[0] - bv
@@ -560,9 +565,8 @@ def _cf_tight(A: ApproxMatrix, b: tuple[Fraction, ...], q: IntVec, y: IntVec, bo
     try:
         p1, p2 = nearest_int(v1), nearest_int(v2)
         E = abs(bv * yv + yv * p1 - qv * p2)
-        e_scaled, den = E.numerator << A.line.shift, E.denominator
         return (
-            box[0] * den <= e_scaled <= box[1] * den
+            _place(E, box, shift) is None
             and E <= Fraction(1, 2)
             and sign(-yv) * sign(v1 - p1) == sign(qv) * sign(v2 - p2)
         )

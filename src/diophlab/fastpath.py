@@ -14,7 +14,7 @@ from itertools import compress, islice, repeat
 from operator import lt, mul
 from typing import Callable, Optional, Sequence
 
-from .numeric import _scaled_enclosure, enclose
+from .numeric import enclose
 
 SHIFT = 96
 MOD = 1 << SHIFT
@@ -28,7 +28,8 @@ def scale_fraction(x: Fraction, shift: int = SHIFT) -> int:
 def threshold_bounds(thr, shift: int = SHIFT) -> tuple[int, int]:
     """Integers [lo, hi] with lo <= thr * 2^shift <= hi, for a threshold given
     as an exact value or a `Radical` (e.g. Radical(C_pow, m))."""
-    return _scaled_enclosure(thr, shift)
+    t_lo, t_hi = enclose(thr, shift)
+    return scale_fraction(t_lo, shift), -((-t_hi.numerator << shift) // t_hi.denominator)
 
 
 def _scaled_entry(x, shift: int) -> tuple[int, int]:

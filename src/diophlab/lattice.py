@@ -155,6 +155,18 @@ class ApproxMatrix:
         line = self.line
         return line.dist_bounds(q, *line.scale_target(self.target(b)))
 
+    def transference_box(
+        self, q: Sequence[int], y: Sequence[int], b: Optional[Sequence[ExactReal]] = None
+    ) -> tuple[tuple[int, int], int]:
+        """((lo, hi), shift) with lo <= rhs 2^shift <= hi, rhs the right-hand
+        side m ||y|| ||Aq - b||_Z + n ||q|| ||tA y||_Z of the key inequality:
+        the two `dist_enclosure`s, at `line.shift`, which A and its
+        transpose share, weighted and added as integers."""
+        wy, wq = self.m * max(map(abs, y)), self.n * max(map(abs, q))
+        lo1, hi1 = self.dist_enclosure(q, b)
+        lo2, hi2 = self.transpose().dist_enclosure(y)
+        return (lo1 * wy + lo2 * wq, hi1 * wy + hi2 * wq), self.line.shift
+
     @cached_property
     def _transposed(self) -> "ApproxMatrix":
         return ApproxMatrix(
@@ -271,6 +283,13 @@ def scan(dim: int, shells: Iterable[int], budget: int) -> Iterator[tuple[int, It
         if total > budget:
             raise _over_budget(total, budget)
         yield s, iter_shell(dim, s)
+
+
+def scaled_boxes(xs: Iterable, bits: int) -> tuple[tuple[int, int], ...]:
+    """The boxes of the counterpart table of `analysis`: integers (lo, hi)
+    with lo <= x 2^bits <= hi for each x, by `threshold_bounds`, so an
+    enclosure end that is not dyadic is rounded outward."""
+    return tuple(threshold_bounds(x, bits) for x in xs)
 
 
 @dataclass(frozen=True)

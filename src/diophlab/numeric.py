@@ -758,14 +758,6 @@ def enclose(x: Comparable, bits: int) -> tuple[Fraction, Fraction]:
     raise TypeError(x)
 
 
-def _scaled_enclosure(x: Comparable, bits: int) -> tuple[int, int]:
-    """Integers (lo, hi) with lo <= x 2^bits <= hi: the ends of x's
-    enclosure at bits, floored and ceiled, so an end that is not dyadic is
-    rounded outward and the box only widens."""
-    lo, hi = enclose(x, bits)
-    return (lo.numerator << bits) // lo.denominator, -(-(hi.numerator << bits) // hi.denominator)
-
-
 def dec_str(x: Comparable, digits: int = 12) -> str:
     """Decimal rendering from a certified enclosure (midpoint, rounded)."""
     lo, hi = enclose(x, 4 * digits)

@@ -1137,18 +1137,6 @@ def order_cases():
     return cases
 
 
-def continued_fraction_of(x, quotients=12):
-    """The first partial quotients of a rational x."""
-    pq = []
-    while len(pq) < quotients:
-        a = math.floor(x)
-        pq.append(a)
-        if x == a:
-            break
-        x = 1 / (x - a)
-    return tuple(pq)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     data=st.data(),
@@ -1177,7 +1165,7 @@ def test_order_on_the_integer_box_matches_the_fraction_box(data, end, eps, side,
         # c + (sqrt(d) - 1) e, in v's field when it has one
         "quadratic": lambda: Quadratic(c - e, e, numeric._field([v]) or 2),
         "interval": lambda: RatInterval(c - eps, c + eps),
-        "cf": lambda: CFReal(continued_fraction_of(c)),
+        "cf": lambda: CFReal(tuple(lattice.continued_fraction(c, 12).quotients)),
     }[kind]()
     want = outcome(old_order, x, fbox, lambda: v)
     assert outcome(analysis._order, x, ibox, shift, lambda: v) == want
