@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, pairwise, zip_longest
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -343,6 +343,17 @@ def _counterparts(best: BestApproxSequence, m: int, n: int) -> list[Counterpart]
     return table
 
 
+def _obligation(decide: Callable[[], bool], fallback: bool, name: str, structural: list[str]) -> bool:
+    """decide(), or, where its comparison is undecided (PrecisionExhausted),
+    fallback, the verdict of the obligation's structural argument, with
+    name appended to structural."""
+    try:
+        return decide()
+    except PrecisionExhausted:
+        structural.append(name)
+        return fallback
+
+
 def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartReport:
     """gamma_k, U_k = (Y_k/gamma_k)^(m/n), V_k = gamma_k/M_k for interior k,
     with the two proof obligations U_k < V_k and U_(k+1) <= V_k decided by
@@ -352,59 +363,28 @@ def gamma_sequence(best: BestApproxSequence, m: int, n: int) -> CounterpartRepor
         raise InsufficientData("need at least 3 best approximations")
     mn = m + n
     table = _counterparts(best, m, n)
-    rows: list[CounterpartEntry] = []
-    gsum_lo = gsum_hi = Fraction(0)
-    gsums = []
-    v_prev = None
-    v_increasing = True
-    for (k, g, u_rad, v_rad, *_), nxt in zip(table, [*table[1:], None]):
-        Yk, Mk = ents[k].Y, ents[k].M
-        structural = []
-        # (2) U_k < V_k  <=>  (Y_k^m M_k^n)^(m+n) < g_k^(m+n).  When the
-        # enclosure is too fuzzy to decide, fall back to the structural
-        # argument: g_k >= Y_(k+1)^m M_k^n > Y_k^m M_k^n since Y increases.
-        try:
-            u_lt_v = lt(Fraction(Yk**m) * ex_pow(Mk, n), g)
-        except PrecisionExhausted:
-            u_lt_v = ents[k + 1].Y > Yk
-            structural.append("U_lt_V")
+    rows = []
+    for c, nxt in zip_longest(table, table[1:]):
+        Yk, Mk, Y_next = ents[c.k].Y, ents[c.k].M, ents[c.k + 1].Y
+        structural: list[str] = []
+        # (2) U_k < V_k  <=>  (Y_k^m M_k^n)^(m+n) < g_k^(m+n); undecided, the
+        # structural argument: g_k >= Y_(k+1)^m M_k^n > Y_k^m M_k^n since Y increases.
+        u_lt_v = _obligation(lambda: lt(Fraction(Yk**m) * ex_pow(Mk, n), c.g), Y_next > Yk, "U_lt_V", structural)
         # (3) U_(k+1) <= V_k  <=>  (Y_(k+1)^m M_k^n)^(m+n) <= g_k^n g_(k+1)^m;
         # both maxima dominate the shared branch Y_(k+1)^m M_k^n, so the
         # inequality is an algebraic consequence of the max construction.
-        if nxt is not None:
-            lhs = ex_pow(Fraction(ents[k + 1].Y**m) * ex_pow(Mk, n), mn)
-            rhs = ex_pow(g, n) * ex_pow(nxt.g, m)
-            try:
-                u_next_le_v = le(lhs, rhs)
-            except PrecisionExhausted:
-                u_next_le_v = True
-                structural.append("U_next_le_V")
-        else:
-            u_next_le_v = None
-        glo, ghi = Radical(g, mn).enclose(64)
-        gsum_lo += glo
-        gsum_hi += ghi
-        gsums.append((k, (gsum_lo, gsum_hi)))
-        if v_prev is not None:
-            c = v_rad.compare(v_prev)
-            if c is not Ordering.GREATER:
-                v_increasing = False
-        v_prev = v_rad
-        rows.append(
-            CounterpartEntry(
-                k=k,
-                Y=Yk,
-                M_dec=dec_str(Mk),
-                gamma_pow=g,
-                gamma_dec=dec_str(Radical(g, mn)),
-                U_dec=dec_str(u_rad),
-                V_dec=dec_str(v_rad),
-                U_lt_V=u_lt_v,
-                U_next_le_V=u_next_le_v,
-                structural=structural,
-            )
+        u_next_le_v = None if nxt is None else _obligation(
+            lambda: le(ex_pow(Fraction(Y_next**m) * ex_pow(Mk, n), mn), ex_pow(c.g, n) * ex_pow(nxt.g, m)),
+            True, "U_next_le_V", structural,
         )
-    return CounterpartReport(m, n, rows, gsums, v_increasing)
+        rows.append(CounterpartEntry(
+            k=c.k, Y=Yk, M_dec=dec_str(Mk), gamma_pow=c.g, gamma_dec=dec_str(Radical(c.g, mn)), U_dec=dec_str(c.U),
+            V_dec=dec_str(c.V), U_lt_V=u_lt_v, U_next_le_V=u_next_le_v, structural=structural,
+        ))
+    encs = (Radical(c.g, mn).enclose(64) for c in table)
+    gsums = accumulate(encs, lambda s, e: (s[0] + e[0], s[1] + e[1]))
+    v_increasing = all(b.V.compare(a.V) is Ordering.GREATER for a, b in pairwise(table))
+    return CounterpartReport(m, n, rows, list(zip([c.k for c in table], gsums)), v_increasing)
 
 
 def b_alpha_test(
@@ -579,36 +559,34 @@ def _cf_tight(
 # ---------------------------------------------------------------------------
 
 
-class ExactHit:
-    """Sentinel: the distance vanished exactly, exponent is +infinity."""
-
-    def __repr__(self):
-        return "ExactHit"
-
-
-EXACT_HIT = ExactHit()
+def _cell(e: Optional[float]) -> "float | str | None":
+    """An exponent as a report prints it: an exact hit, +infinity, as
+    "exact_hit"."""
+    return "exact_hit" if e == math.inf else e
 
 
 @dataclass
 class ExponentEstimate:
-    w_hat: "float | ExactHit | None"
-    what_hat: "float | ExactHit | None"
+    w_hat: Optional[float]  # math.inf for an exact hit
+    what_hat: Optional[float]
     horizons: list[int]
     table: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         return {
-            "w_hat": "exact_hit" if isinstance(self.w_hat, ExactHit) else self.w_hat,
-            "what_hat": "exact_hit" if isinstance(self.what_hat, ExactHit) else self.what_hat,
+            "w_hat": _cell(self.w_hat),
+            "what_hat": _cell(self.what_hat),
             "horizons": self.horizons,
             "table": self.table,
         }
 
 
-def _exponent(d, X: int) -> Optional[float]:
+def _exponent(d, X: int) -> float:
+    """-log d / log X, d read at its enclosure's midpoint; math.inf for an
+    exact hit, d = 0."""
     lo, hi = enclose(d, 80)
     if hi == 0:
-        return None  # exact hit
+        return math.inf
     mid = (lo + hi) / 2 if lo > 0 else hi
     return math.log(1 / float(mid)) / math.log(X)
 
@@ -621,14 +599,11 @@ def estimate_exponents(
 ) -> ExponentEstimate:
     """Finite-horizon surrogates for the exponents: w_hat(A, b) is the max
     per-horizon best exponent; what_hat(tA) is the min over the schedule
-    tail (a "for all large X" stand-in).  A vanishing distance reports the
-    ExactHit sentinel; it counts as +infinity in the tail minimum."""
+    tail (a "for all large X" stand-in).  A vanishing distance has the
+    exponent math.inf, which the report prints as "exact_hit" (`_cell`)."""
     xs = [int(x) for x in X_schedule]
     if not xs or xs[0] < 2 or any(x2 <= x1 for x1, x2 in zip(xs, xs[1:])):
         raise ValueError("X_schedule must be increasing with X >= 2")
-    table = []
-    w_hat: "float | ExactHit | None" = None
-    hom_exps = []
     best = None
     if A.irrational_line:
         try:
@@ -660,25 +635,16 @@ def estimate_exponents(
     failed = [e for e in (inh_err, hom_err) if e is not None]
     if failed:
         raise min(failed, key=lambda e: e[0])[1]
+    ws, whats, table = [], [], []
     for X in xs:
         row: dict = {"X": X}
         if b is not None:
-            e = _exponent(_last_below(inh, X), X)
-            if e is None:
-                w_hat = EXACT_HIT
-                row["w"] = "exact_hit"
-            else:
-                row["w"] = e
-                if not isinstance(w_hat, ExactHit):
-                    w_hat = e if w_hat is None else max(w_hat, e)
+            ws.append(_exponent(_last_below(inh, X), X))
+            row["w"] = _cell(ws[-1])
         d = _last_below(hom, X)
         if d is not None:
-            e = _exponent(d, X)
-            row["what"] = "exact_hit" if e is None else e
-            hom_exps.append(math.inf if e is None else e)
+            whats.append(_exponent(d, X))
+            row["what"] = _cell(whats[-1])
         table.append(row)
-    tail = hom_exps[len(hom_exps) // 2 :]
-    what_hat = min(tail) if tail else None
-    if what_hat == math.inf:
-        what_hat = EXACT_HIT
-    return ExponentEstimate(w_hat, what_hat, xs, table)
+    tail = whats[len(whats) // 2 :]
+    return ExponentEstimate(max(ws, default=None), min(tail, default=None), xs, table)

@@ -265,11 +265,13 @@ def _over_budget(total: int, budget: int) -> BudgetExceeded:
 
 
 def check_window(n: int, shells: range, budget: int) -> int:
-    """window_points(n, shells), checked up front: BudgetExceeded, in the
-    words of `scan`, when the window holds more than budget points."""
+    """window_points(n, shells), checked up front: when the window holds
+    more than budget points, the BudgetExceeded that `scan` raises over it,
+    at the first shell whose running count passes budget."""
     total = window_points(n, shells)
     if total > budget:
-        raise _over_budget(total, budget)
+        i = bisect_right(range(len(shells)), budget, key=lambda i: window_points(n, shells[: i + 1]))
+        raise _over_budget(window_points(n, shells[: i + 1]), budget)
     return total
 
 
@@ -525,8 +527,8 @@ def _homogeneous(
     first record q_k < X whose distance A.dist((q_k,)) (exact for a
     quadratic alpha, the enclosure's for a CF one) is certainly < C, and
     None when every record below X is certainly >= C; either is charged
-    what the walk charges, 2s points up to its last shell s (q_k on a hit,
-    X - 1 on a miss).  A record comparison left undecided, or an X - 1 at
+    by `check_window` over the shells the walk takes, 1..q_k on a hit and
+    1..X-1 on a miss.  A record comparison left undecided, or an X - 1 at
     or past the records' reach, takes the walk, with its own errors.  A
     point that is not a record is farther than the record before it, so
     on a CF line the records may decide where the walk raises
@@ -544,22 +546,15 @@ def _homogeneous(
                 if not c.decided:
                     break
                 if c is Ordering.LESS:
-                    _charge_line(q, budget)
+                    check_window(1, range(1, q + 1), budget)
                     return IntVec((-q,))
             else:
-                _charge_line(X - 1, budget)
+                check_window(1, range(1, X), budget)
                 return None
         hit = next(within(A, range(1, X), budget, psi), None)
         return None if hit is None else IntVec(hit[1])
 
     return solve
-
-
-def _charge_line(s: int, budget: int) -> None:
-    """BudgetExceeded where a 1 x 1 walk over shells 1..s raises it: at the
-    first shell t whose running count 2t passes budget."""
-    if 2 * s > budget:
-        raise _over_budget(2 * max(budget // 2 + 1, 1), budget)
 
 
 @dataclass

@@ -295,11 +295,12 @@ class Window:
 def psi_witness(
     A: ApproxMatrix,
     b: Sequence[Fraction],
-    psi: ApproxFunction,
+    psi: ApproxFunction | Comparable,
     w: Window,
     budget: int = DEFAULT_BUDGET,
 ) -> Optional[IntVec]:
-    """First q (shell-then-lex) in the annulus with ||Aq - b||_Z < psi(||q||)."""
+    """First q (shell-then-lex) in the annulus with ||Aq - b||_Z < psi(||q||),
+    a value psi being the constant psi (`lattice.threshold`)."""
     check_window(A.n, w.shells, budget)
     hit = next(within(A, w.shells, budget, psi, b), None)
     return None if hit is None else IntVec(hit[1])
@@ -312,13 +313,12 @@ def delta_membership(
     w: Window,
     budget: int = DEFAULT_BUDGET,
 ) -> bool:
-    """x within distance rho_val of some resonant point Aq, q in the annulus."""
+    """x within distance rho_val of some resonant point Aq, q in the annulus:
+    the `psi_witness` walk for the constant rho_val, after the target rule
+    and the shortcut that open balls of radius > 1/2 cover the torus."""
     x = A.target(x)
-    c = compare(rho_val, Fraction(1, 2))
-    if c is Ordering.GREATER:
-        return True  # open balls of radius > 1/2 cover the torus
-    check_window(A.n, w.shells, budget)
-    return next(within(A, w.shells, budget, rho_val, x), None) is not None
+    covered = compare(rho_val, Fraction(1, 2)) is Ordering.GREATER
+    return covered or psi_witness(A, x, rho_val, w, budget) is not None
 
 
 # ---------------------------------------------------------------------------

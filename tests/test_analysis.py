@@ -1,12 +1,13 @@
 """Series classifiers, counterpart sequences, key inequality, exponents."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diophlab import lattice
-from diophlab.errors import CoverageGap, InsufficientData
+from diophlab import analysis, lattice
+from diophlab.errors import CoverageGap, InsufficientData, PrecisionExhausted
 from diophlab.lattice import (
     ApproxMatrix,
     BestApproxEntry,
@@ -19,7 +20,6 @@ from diophlab.limsup import PowerLog, TablePsi, Window
 from diophlab.analysis import (
     EXACT_UPTO,
     SERIES_SHIFT,
-    ExactHit,
     _blocks,
     _partial_sum_bounds,
     b_alpha_test,
@@ -31,13 +31,18 @@ from diophlab.analysis import (
     verify_prop_5_1,
 )
 from diophlab.numeric import (
+    Ordering,
+    Radical,
     RatInterval,
     _nth_root_lower,
     _nth_root_upper,
     _scaled_pow,
     compare,
+    dec_str,
     dist_to_int,
     ex_pow,
+    le,
+    lt,
     quadratic,
 )
 from diophlab.sampling import sample_point
@@ -352,6 +357,92 @@ class TestGammaSequence:
         assert float(lo_last) > 0.7 * k_count  # no Cauchy flattening
 
 
+def old_gamma_sequence(best, m, n):
+    """gamma_sequence as a loop with running sums, a previous-V flag and
+    one try/except per obligation: the reference for the folded table."""
+    ents = best.entries
+    if len(ents) < 3:
+        raise InsufficientData("need at least 3 best approximations")
+    mn = m + n
+    table = analysis._counterparts(best, m, n)
+    rows = []
+    gsum_lo = gsum_hi = F(0)
+    gsums = []
+    v_prev = None
+    v_increasing = True
+    for (k, g, u_rad, v_rad, *_), nxt in zip(table, [*table[1:], None]):
+        Yk, Mk = ents[k].Y, ents[k].M
+        structural = []
+        try:
+            u_lt_v = lt(F(Yk**m) * ex_pow(Mk, n), g)
+        except PrecisionExhausted:
+            u_lt_v = ents[k + 1].Y > Yk
+            structural.append("U_lt_V")
+        if nxt is not None:
+            lhs = ex_pow(F(ents[k + 1].Y ** m) * ex_pow(Mk, n), mn)
+            rhs = ex_pow(g, n) * ex_pow(nxt.g, m)
+            try:
+                u_next_le_v = le(lhs, rhs)
+            except PrecisionExhausted:
+                u_next_le_v = True
+                structural.append("U_next_le_V")
+        else:
+            u_next_le_v = None
+        glo, ghi = Radical(g, mn).enclose(64)
+        gsum_lo += glo
+        gsum_hi += ghi
+        gsums.append((k, (gsum_lo, gsum_hi)))
+        if v_prev is not None and v_rad.compare(v_prev) is not Ordering.GREATER:
+            v_increasing = False
+        v_prev = v_rad
+        rows.append(
+            analysis.CounterpartEntry(
+                k, Yk, dec_str(Mk), g, dec_str(Radical(g, mn)), dec_str(u_rad), dec_str(v_rad),
+                u_lt_v, u_next_le_v, structural,
+            )
+        )
+    return analysis.CounterpartReport(m, n, rows, gsums, v_increasing)
+
+
+# M_k of one kind per sequence: exact (rationals and quadratics in
+# sqrt(2)) or intervals, whose widths leave obligations undecided; Y_k need
+# not increase, so the structural U_lt_V may be False and the V trend break
+COUNTERPART_RATIONAL = st.fractions(min_value=F(1, 40), max_value=F(1, 2), max_denominator=40)
+COUNTERPART_M = [
+    st.one_of(
+        COUNTERPART_RATIONAL,
+        st.fractions(min_value=F(1, 10), max_value=F(1), max_denominator=20).map(lambda c: quadratic(-c, c, 2)),
+    ),
+    st.tuples(COUNTERPART_RATIONAL, st.fractions(min_value=F(0), max_value=F(1, 2), max_denominator=40)).map(
+        lambda lw: RatInterval(lw[0], lw[0] + lw[1])
+    ),
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mn=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
+    rows=st.sampled_from(COUNTERPART_M).flatmap(
+        lambda Ms: st.lists(st.tuples(st.integers(min_value=1, max_value=30), Ms), min_size=3, max_size=7)
+    ),
+)
+def test_gamma_sequence_matches_old_loop(mn, rows):
+    m, n = mn
+
+    def fresh():
+        return BestApproxSequence([BestApproxEntry(IntVec((Y,) + (0,) * (m - 1)), Y, M) for Y, M in rows], 30)
+
+    def fields(e):
+        # a RatInterval compares by identity, so its ends are compared
+        g = (e.gamma_pow.lo, e.gamma_pow.hi) if isinstance(e.gamma_pow, RatInterval) else e.gamma_pow
+        return g, e.U_lt_V, e.U_next_le_V, e.structural
+
+    got, want = gamma_sequence(fresh(), m, n), old_gamma_sequence(fresh(), m, n)
+    assert got.to_json() == want.to_json()
+    assert got.gamma_partial_sums == want.gamma_partial_sums
+    assert [fields(e) for e in got.entries] == [fields(e) for e in want.entries]
+
+
 class TestBAlpha:
     def test_zero_b_fails(self, A_golden):
         best = best_approximations(A_golden, 100)
@@ -456,7 +547,7 @@ class TestExponents:
     def test_golden_homogeneous_near_one(self, A_golden):
         est = estimate_exponents(A_golden, (F(0),), [8, 16, 32, 64, 128, 256])
         assert est.what_hat == pytest.approx(1.0, abs=0.15)
-        assert not isinstance(est.w_hat, ExactHit)
+        assert est.w_hat != math.inf
 
     def test_exact_hit_sentinel(self, A_golden, golden):
         # b = A q0 for q0 = 3 lies on the orbit
@@ -465,7 +556,7 @@ class TestExponents:
         v = golden * 3
         b = v - floor_exact(v)
         est = estimate_exponents(A_golden, (b,), [8, 16])
-        assert isinstance(est.w_hat, ExactHit)
+        assert est.w_hat == math.inf and est.to_json()["w_hat"] == "exact_hit"
 
     def test_cf_what_hat_exceeds_one(self, A_cf):
         est = estimate_exponents(A_cf, None, [2**j for j in range(3, 39, 4)])

@@ -198,6 +198,9 @@ DIST_CALLERS = {
 # the point budget has one owner: lattice counts every window and builds
 # every refusal, in one wording
 BUDGET_OWNER = "lattice.py"
+# and one running count: scan keeps it, check_window states it in closed
+# form, and no other function words a refusal of its own
+BUDGET_CALLERS = {("lattice.py", "scan"), ("lattice.py", "check_window")}
 # the 1 x 1 test of a shape, keyed by module, class and function:
 # ApproxMatrix.__init__ sets the line flag `irrational_line` from it and
 # Line1D.__init__ its scalar model; anywhere else it forks the line case
@@ -267,7 +270,8 @@ def kernel_leaks(path: Path) -> list[str]:
     concurrent.futures or threading, any use of mpmath's global precision
     (GLOBAL_PREC, or .prec and .dps of an mpmath context or of anything
     read off the mpmath module, under any alias), anywhere in the module,
-    BudgetExceeded raised outside BUDGET_OWNER, 1 x 1 shape tests
+    BudgetExceeded raised outside BUDGET_OWNER, _over_budget called
+    outside BUDGET_CALLERS, 1 x 1 shape tests
     (`_tests_shape`) outside SHAPE_TESTERS, .enclosure() calls outside
     ENCLOSURE_READERS, SURD_NAMES imported or named outside SURD_OWNER,
     a FIELD_REFUSAL string outside FIELD_RULE (docstrings and other bare
@@ -310,6 +314,8 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} _gamma_pow")
                 if name == "BudgetExceeded" and path.name != BUDGET_OWNER:
                     found.append(f"{path.name}:{child.lineno} BudgetExceeded")
+                if name == "_over_budget" and (path.name, func) not in BUDGET_CALLERS:
+                    found.append(f"{path.name}:{child.lineno} _over_budget")
                 if isinstance(f, ast.Attribute) and name == "enclosure" and (path.name, cls, func) not in ENCLOSURE_READERS:
                     found.append(f"{path.name}:{child.lineno} .enclosure()")
             elif isinstance(child, ast.Compare):
@@ -462,6 +468,21 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(lattice) == []
+    # the running count: scan and check_window alone word a refusal; a
+    # closed form of its own for a 1 x 1 line is a leak
+    lattice.write_text(
+        "def scan(dim, shells, budget):\n"
+        "    raise _over_budget(total, budget)\n"
+        "def check_window(n, shells, budget):\n"
+        "    raise _over_budget(window_points(n, shells), budget)\n"
+        "def charge_records(s, budget):\n"
+        "    if 2 * s > budget:\n"
+        "        raise _over_budget(2 * max(budget // 2 + 1, 1), budget)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:7 _over_budget"]
+    limsup.write_text("def psi_witness(w, budget):\n    raise lattice._over_budget(w, budget)\n", encoding="utf-8")
+    assert kernel_leaks(limsup) == ["limsup.py:2 _over_budget"]
     # gamma_k: the counterpart table alone computes it; a recomputation per
     # target or per shell is a leak
     analysis.write_text(

@@ -15,7 +15,6 @@ from hypothesis import HealthCheck, assume, example, given, settings, strategies
 
 from diophlab import analysis, equidist, lattice, limsup, numeric
 from diophlab.analysis import (
-    EXACT_HIT,
     b_alpha_test,
     estimate_exponents,
     key_inequality_check,
@@ -44,6 +43,7 @@ from diophlab.lattice import (
     return_sequence,
     scan,
     shell_size,
+    window_points,
     within,
 )
 from diophlab.limsup import (
@@ -500,6 +500,37 @@ def test_up_front_refusals_match_the_old_rules(n, l, du, N, slack):
         total = (2 * N + 1) ** n
         with pytest.raises(BudgetExceeded, match=f"^enumeration of {total} points exceeds {total - 1}$"):
             equidist._check_horizon(n, N, total - 1)
+
+
+def refusal(fn, *args):
+    """A result or the words of the BudgetExceeded it raised."""
+    try:
+        return ("ok", fn(*args))
+    except BudgetExceeded as exc:
+        return ("raise", str(exc))
+
+
+def exhausted_scan(n, shells, budget):
+    """The points of a scan run to its end, as `scan` charges them."""
+    return sum(shell_size(n, s) for s, _ in scan(n, shells, budget))
+
+
+@st.composite
+def budgeted_windows(draw):
+    n = draw(st.integers(min_value=1, max_value=3))
+    start = draw(st.integers(min_value=0, max_value=6))
+    shells = range(start, start + draw(st.integers(min_value=1, max_value=6)))
+    return n, shells, draw(st.integers(min_value=-3, max_value=window_points(n, shells) + 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=budgeted_windows())
+@example(case=(3, range(3, 6), 27))
+@example(case=(1, range(0, 1), -3))
+def test_check_window_refuses_where_scan_does(case):
+    # the up-front refusal is scan's, count and words: that of the first
+    # shell whose running count passes the budget, not the whole window
+    assert refusal(check_window, *case) == refusal(exhausted_scan, *case)
 
 
 def brute_order(d, s, thr):
@@ -1305,7 +1336,7 @@ def test_exponents_read_records_below_the_largest_horizon():
 
 def test_exponents_rational_line_is_all_exact_hits():
     est = estimate_exponents(MATRICES["third"], None, [4, 8, 16])
-    assert est.what_hat is EXACT_HIT
+    assert est.what_hat == math.inf
     assert [r["what"] for r in est.table] == ["exact_hit"] * 3
     assert est.to_json()["what_hat"] == "exact_hit"
 
