@@ -200,11 +200,11 @@ def classify_return_series(
 def _place(x: Comparable, box: tuple[int, int], shift: int) -> Optional[Ordering]:
     """LESS when x 2^shift < box[0], GREATER when x 2^shift > box[1], None
     when x may lie inside the integer box.  x is placed by integer
-    cross-multiplication of its enclosure at `shift` bits, which is (x, x)
-    for a rational x, so a rational x and an irrational one take the same
-    filter and no Fraction is built."""
+    cross-multiplication of the ends of its view at `shift` bits, `enclose`,
+    which are (x, x) for a rational x, so every kind of x takes the same
+    filter."""
     lo, hi = box
-    x_lo, x_hi = (x, x) if isinstance(x, (int, Fraction)) else enclose(x, shift)
+    x_lo, x_hi = enclose(x, shift)
     if x_hi.numerator << shift < lo * x_hi.denominator:
         return Ordering.LESS
     if x_lo.numerator << shift > hi * x_lo.denominator:
@@ -228,7 +228,7 @@ def _max_pow(x: Comparable, y: Comparable) -> Comparable:
     c = compare(x, y)
     if c.decided:
         return x if c is Ordering.GREATER else y
-    # undecided enclosures: take the interval hull of the max
+    # undecided: the hull of the max over the two views, of any kinds
     xl, xh, _ = _as_interval(x)
     yl, yh, _ = _as_interval(y)
     return RatInterval(max(xl, yl), max(xh, yh))

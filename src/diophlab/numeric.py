@@ -131,7 +131,7 @@ class Quadratic:
         return Quadratic(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Quadratic) else -Fraction(other))
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -299,30 +299,24 @@ class RatInterval:
     def __neg__(self) -> "RatInterval":
         return RatInterval(-self.hi, -self.lo)
 
+    # the other operand, of any kind, is read through its view `_as_interval`
     def __add__(self, other):
-        if isinstance(other, RatInterval):
-            return RatInterval(self.lo + other.lo, self.hi + other.hi)
-        if isinstance(other, (int, Fraction)):
-            return RatInterval(self.lo + other, self.hi + other)
-        return NotImplemented
+        lo, hi, _ = _as_interval(other)
+        return RatInterval(self.lo + lo, self.hi + hi)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        lo, hi, _ = _as_interval(other)
+        return RatInterval(self.lo - hi, self.hi - lo)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other >= 0:
-                return RatInterval(self.lo * other, self.hi * other)
-            return RatInterval(self.hi * other, self.lo * other)
-        if isinstance(other, RatInterval):
-            prods = [a * b for a in (self.lo, self.hi) for b in (other.lo, other.hi)]
-            return RatInterval(min(prods), max(prods))
-        return NotImplemented
+        lo, hi, _ = _as_interval(other)
+        prods = [a * b for a in (self.lo, self.hi) for b in (lo, hi)]
+        return RatInterval(min(prods), max(prods))
 
     __rmul__ = __mul__
 
@@ -342,14 +336,28 @@ Comparable = Union[Fraction, Quadratic, CFReal, RatInterval, int]
 # ---------------------------------------------------------------------------
 
 
-def _as_interval(x: Comparable) -> tuple[Fraction, Fraction, bool]:
-    """(lo, hi, open): the one view of an uncertain real.  A CF real lies in
-    the open interval of its enclosure, for any number of quotients; a
-    `RatInterval` is closed."""
-    if isinstance(x, CFReal):
-        return (*x.enclosure(), True)
+def _as_interval(x: Comparable | "Radical", bits: int = 160) -> tuple[Fraction, Fraction, bool]:
+    """(lo, hi, open): the one view of every value, which `enclose`,
+    `compare`, interval arithmetic and every reader of bounds take.  A
+    rational x is (x, x) and a `RatInterval` its two ends, both closed; a
+    quadratic or `Radical` is its enclosure of width at most 2^-bits,
+    closed (at the default 160 bits, the one `compare` reads); a CF real
+    lies in the open interval of its enclosure, for any number of
+    quotients.  Anything else raises TypeError."""
+    if isinstance(x, (int, Fraction)):
+        x = _fraction(x)
+        return x, x, False
     if isinstance(x, RatInterval):
         return x.lo, x.hi, False
+    if isinstance(x, CFReal):
+        return (*x.enclosure(), True)
+    if isinstance(x, Quadratic):
+        k = bits + max(x.b.numerator.bit_length() - x.b.denominator.bit_length(), 0) + 2
+        s = isqrt(x.d << (2 * k))
+        lo, hi = x.a + x.b * Fraction(s, 1 << k), x.a + x.b * Fraction(s + 1, 1 << k)
+        return (lo, hi, False) if x.b > 0 else (hi, lo, False)
+    if isinstance(x, Radical):
+        return (*x.enclose(bits), False)
     raise TypeError(x)
 
 
@@ -414,22 +422,23 @@ def sign(x: Comparable | "Radical") -> int:
 
 def compare(x: Comparable, y: Comparable) -> Ordering:
     """Certified three-way comparison; Uncertain only with CF-backed operands.
-    Either operand may be a `Radical`."""
+    Either operand may be a `Radical`.  Two rationals or quadratics compare
+    by the exact sign of x - y; any other pair by their views
+    (`_as_interval`), a quadratic closed at 160 bits.  Only a CF real's
+    view is open, and a CF real equals one with the same quotients."""
     if isinstance(x, Radical):
         return x.compare(y)
     if isinstance(y, Radical):
         return y.compare(x).reversed()
-    fuzzy_x = isinstance(x, (CFReal, RatInterval))
-    fuzzy_y = isinstance(y, (CFReal, RatInterval))
-    if not fuzzy_x and not fuzzy_y:
+    if isinstance(x, (int, Fraction, Quadratic)) and isinstance(y, (int, Fraction, Quadratic)):
         return (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)[sign(x - y) + 1]
-    xlo, xhi, x_open = _as_interval(x) if fuzzy_x else (*enclose(x, 160), False)
-    ylo, yhi, y_open = _as_interval(y) if fuzzy_y else (*enclose(y, 160), False)
+    xlo, xhi, x_open = _as_interval(x)
+    ylo, yhi, y_open = _as_interval(y)
     if xhi < ylo or (xhi == ylo and (x_open or y_open)):
         return Ordering.LESS
     if xlo > yhi or (xlo == yhi and (x_open or y_open)):
         return Ordering.GREATER
-    if xlo == xhi == ylo == yhi or (isinstance(x, CFReal) and x == y):
+    if xlo == xhi == ylo == yhi or (x_open and x == y):
         return Ordering.EQUAL
     return Ordering.uncertain((xhi - xlo) + (yhi - ylo))
 
@@ -521,18 +530,20 @@ def nearest_int(x: Comparable) -> int:
 
 
 def ex_abs(x: Comparable):
+    """|x|: exact for a rational or quadratic; otherwise x itself when its
+    view lies at or above 0, and else the closed interval of |v| over the
+    view (a CF real, whose convergents lie in [a0, a0 + 1], never straddles
+    0)."""
     if isinstance(x, (int, Fraction)):
         return abs(x)
-    if isinstance(x, RatInterval):
-        if x.lo >= 0:
-            return x
-        if x.hi <= 0:
-            return -x
-        return RatInterval(Fraction(0), max(-x.lo, x.hi))
-    s = sign(x)
-    if s >= 0:
+    if isinstance(x, Quadratic):
+        return x if sign(x) > 0 else -x
+    lo, hi, _ = _as_interval(x)
+    if lo >= 0:
         return x
-    return -x
+    if hi <= 0:
+        return RatInterval(-hi, -lo)
+    return RatInterval(Fraction(0), max(-lo, hi))
 
 
 def dist_to_int(x: Comparable):
@@ -738,24 +749,9 @@ def _nth_root_upper(x: Fraction, r: int, bits: int) -> Fraction:
 
 
 def enclose(x: Comparable, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational interval containing x, of width <= 2^-bits when achievable."""
-    if isinstance(x, int):
-        f = Fraction(x)
-        return f, f
-    if isinstance(x, Fraction):
-        return x, x
-    if isinstance(x, Quadratic):
-        k = bits + max(x.b.numerator.bit_length() - x.b.denominator.bit_length(), 0) + 2
-        s = isqrt(x.d << (2 * k))
-        slo, shi = Fraction(s, 1 << k), Fraction(s + 1, 1 << k)
-        if x.b > 0:
-            return x.a + x.b * slo, x.a + x.b * shi
-        return x.a + x.b * shi, x.a + x.b * slo
-    if isinstance(x, (CFReal, RatInterval)):
-        return _as_interval(x)[:2]
-    if isinstance(x, Radical):
-        return x.enclose(bits)
-    raise TypeError(x)
+    """The two ends of x's view (`_as_interval`): a rational interval
+    containing x, of width <= 2^-bits for a quadratic or `Radical`."""
+    return _as_interval(x, bits)[:2]
 
 
 def dec_str(x: Comparable, digits: int = 12) -> str:

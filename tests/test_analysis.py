@@ -4,7 +4,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diophlab import analysis, lattice
 from diophlab.errors import CoverageGap, InsufficientData, PrecisionExhausted
@@ -404,28 +404,31 @@ def old_gamma_sequence(best, m, n):
     return analysis.CounterpartReport(m, n, rows, gsums, v_increasing)
 
 
-# M_k of one kind per sequence: exact (rationals and quadratics in
-# sqrt(2)) or intervals, whose widths leave obligations undecided; Y_k need
-# not increase, so the structural U_lt_V may be False and the V trend break
+# M_k of any kind, mixed within one sequence: rationals and quadratics in
+# sqrt(2), exact, and intervals, whose widths leave obligations undecided;
+# Y_k need not increase, so the structural U_lt_V may be False and the V
+# trend break
 COUNTERPART_RATIONAL = st.fractions(min_value=F(1, 40), max_value=F(1, 2), max_denominator=40)
-COUNTERPART_M = [
-    st.one_of(
-        COUNTERPART_RATIONAL,
-        st.fractions(min_value=F(1, 10), max_value=F(1), max_denominator=20).map(lambda c: quadratic(-c, c, 2)),
-    ),
+COUNTERPART_M = st.one_of(
+    COUNTERPART_RATIONAL,
+    st.fractions(min_value=F(1, 10), max_value=F(1), max_denominator=20).map(lambda c: quadratic(-c, c, 2)),
     st.tuples(COUNTERPART_RATIONAL, st.fractions(min_value=F(0), max_value=F(1, 2), max_denominator=40)).map(
         lambda lw: RatInterval(lw[0], lw[0] + lw[1])
     ),
-]
+)
+# a rational M beside an interval M: Y_1^m M_0^n lies inside Y_2^m M_1^n,
+# so gamma_1^(m+n), their undecided max, is the hull of the two views
+MIXED_ROWS = [(1, F(1, 40)), (2, RatInterval(F(1, 40), F(21, 40))), (1, F(1, 40))]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     mn=st.sampled_from([(1, 1), (1, 2), (2, 1)]),
-    rows=st.sampled_from(COUNTERPART_M).flatmap(
-        lambda Ms: st.lists(st.tuples(st.integers(min_value=1, max_value=30), Ms), min_size=3, max_size=7)
-    ),
+    rows=st.lists(st.tuples(st.integers(min_value=1, max_value=30), COUNTERPART_M), min_size=3, max_size=7),
 )
+@example(mn=(1, 1), rows=MIXED_ROWS)
+@example(mn=(1, 2), rows=MIXED_ROWS)
+@example(mn=(2, 1), rows=MIXED_ROWS)
 def test_gamma_sequence_matches_old_loop(mn, rows):
     m, n = mn
 
@@ -441,6 +444,18 @@ def test_gamma_sequence_matches_old_loop(mn, rows):
     assert got.to_json() == want.to_json()
     assert got.gamma_partial_sums == want.gamma_partial_sums
     assert [fields(e) for e in got.entries] == [fields(e) for e in want.entries]
+
+
+@pytest.mark.parametrize(
+    "mn, hull",
+    [((1, 1), (F(1, 20), F(21, 40))), ((1, 2), (F(1, 800), F(441, 1600))), ((2, 1), (F(1, 10), F(21, 40)))],
+)
+def test_gamma_sequence_of_mixed_kinds_names_its_structural_obligation(mn, hull):
+    m, n = mn
+    best = BestApproxSequence([BestApproxEntry(IntVec((Y,) + (0,) * (m - 1)), Y, M) for Y, M in MIXED_ROWS], 30)
+    (entry,) = gamma_sequence(best, m, n).entries
+    assert (entry.gamma_pow.lo, entry.gamma_pow.hi) == hull
+    assert entry.structural == ["U_lt_V"] and entry.U_lt_V is False
 
 
 class TestBAlpha:

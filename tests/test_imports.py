@@ -9,8 +9,9 @@ only after `ApproxMatrix.target` checks it, gamma_k is computed only by
 the counterpart table, only `equidist` imports mpmath and no module touches
 mpmath's global precision, nothing imports a thread pool, only `lattice`
 refuses a walk over budget, only `ApproxMatrix` and `Line1D` test a shape
-for 1 x 1, only `numeric._as_interval` reads a CF enclosure for a verdict,
-only `numeric` puts values over a common denominator or tests a surd's
+for 1 x 1, only `numeric._as_interval`, the one view of every value,
+reads a CF enclosure for a verdict, only `numeric` and a few `lattice`
+readers test a value for a CF real or an interval, only `numeric` puts values over a common denominator or tests a surd's
 sign, only `numeric._field` words the refusal of a second radicand,
 only the bracketed psi-sum `limsup._psi_cells` raises a psi enclosure to
 a power, and in the CLI only the subcommand frame exits the process or
@@ -207,9 +208,11 @@ BUDGET_CALLERS = {("lattice.py", "scan"), ("lattice.py", "check_window")}
 # again beside the flag
 SHAPE_TESTERS = {("lattice.py", "ApproxMatrix", "__init__"), ("fastpath.py", "Line1D", "__init__")}
 # the readers of a CF enclosure, keyed by module, class and function:
-# numeric._as_interval gives every verdict the enclosure with its open ends,
-# CFReal.__float__ takes its midpoint and lattice._dot scales it into Aq.
-# Anywhere else a decision would restate which ends are open
+# numeric._as_interval, the one view of every value (rational, quadratic,
+# Radical, CF real or interval), gives every verdict the CF enclosure with
+# its open ends, CFReal.__float__ takes its midpoint and lattice._dot
+# scales it into Aq.  Anywhere else a decision would restate which ends
+# are open
 ENCLOSURE_READERS = {
     ("numeric.py", None, "_as_interval"),
     ("numeric.py", "CFReal", "__float__"),
@@ -220,6 +223,22 @@ ENCLOSURE_READERS = {
 # denominator (lcm) or tests the sign or floor of p + w sqrt(d); anywhere
 # else the model would be restated
 SURD_OWNER = "numeric.py"
+# the kind tests of a CF real or an interval: numeric owns them, and reads
+# bounds of every kind through its one view, numeric._as_interval.  Beside
+# it, keyed by module, class and function, only the matrix's entry check,
+# _dot's CF terms, a best-approximation sequence's target field and CSV,
+# and the 1 x 1 record walks tell the kinds apart; anywhere else a reader
+# would fork on the kind where the view answers for every value
+KIND_OWNER = "numeric.py"
+KIND_CLASSES = {"CFReal", "RatInterval"}
+KIND_TESTERS = {
+    ("lattice.py", "ApproxMatrix", "__init__"),
+    ("lattice.py", None, "_dot"),
+    ("lattice.py", "BestApproxSequence", "_target_field"),
+    ("lattice.py", "BestApproxSequence", "csv_rows"),
+    ("lattice.py", None, "_line_records"),
+    ("lattice.py", None, "_best_approximations_1d"),
+}
 SURD_NAMES = {"_floor_sqrt_mult", "_sign_surd", "lcm"}
 # the one radicand rule, keyed by module, class and function: only
 # numeric._field words the refusal of a second field (a docstring may
@@ -239,17 +258,21 @@ POW_KERNEL = ("limsup.py", None, "_psi_cells")
 FRAME_CALLS = {"exit": {"_subcommand"}, "_load_matrix": {"_subcommand", "series"}}
 
 
+def _tested_classes(name: str | None, args: list[ast.expr]) -> set[str]:
+    """The classes an isinstance call names, alone, off a module or in a
+    tuple; none for any other call."""
+    if name != "isinstance" or len(args) != 2:
+        return set()
+    classes = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
+    return {getattr(c, "id", getattr(c, "attr", None)) for c in classes}
+
+
 def _tells_kinds_apart(name: str | None, args: list[ast.expr]) -> bool:
     """hasattr(x, "compare_value"), or isinstance(x, ApproxFunction) with
     ApproxFunction named alone, off a module or in a tuple of classes."""
-    if len(args) != 2:
-        return False
-    if name == "hasattr":
+    if name == "hasattr" and len(args) == 2:
         return isinstance(args[1], ast.Constant) and args[1].value == "compare_value"
-    if name != "isinstance":
-        return False
-    classes = args[1].elts if isinstance(args[1], ast.Tuple) else [args[1]]
-    return any(getattr(c, "id", getattr(c, "attr", None)) == "ApproxFunction" for c in classes)
+    return "ApproxFunction" in _tested_classes(name, args)
 
 
 def _tests_shape(node: ast.Compare) -> bool:
@@ -273,7 +296,8 @@ def kernel_leaks(path: Path) -> list[str]:
     BudgetExceeded raised outside BUDGET_OWNER, _over_budget called
     outside BUDGET_CALLERS, 1 x 1 shape tests
     (`_tests_shape`) outside SHAPE_TESTERS, .enclosure() calls outside
-    ENCLOSURE_READERS, SURD_NAMES imported or named outside SURD_OWNER,
+    ENCLOSURE_READERS, isinstance tests of KIND_CLASSES outside KIND_OWNER
+    and KIND_TESTERS, SURD_NAMES imported or named outside SURD_OWNER,
     a FIELD_REFUSAL string outside FIELD_RULE (docstrings and other bare
     strings aside), POW_NAME imported outside POW_OWNER and the module of
     POW_KERNEL or named outside POW_OWNER and POW_KERNEL, and in cli.py the FRAME_CALLS
@@ -318,6 +342,9 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} _over_budget")
                 if isinstance(f, ast.Attribute) and name == "enclosure" and (path.name, cls, func) not in ENCLOSURE_READERS:
                     found.append(f"{path.name}:{child.lineno} .enclosure()")
+                kinds = sorted(_tested_classes(name, child.args) & KIND_CLASSES)
+                if kinds and path.name != KIND_OWNER and (path.name, cls, func) not in KIND_TESTERS:
+                    found.append(f"{path.name}:{child.lineno} isinstance {'/'.join(kinds)}")
             elif isinstance(child, ast.Compare):
                 if _tests_shape(child) and (path.name, cls, func) not in SHAPE_TESTERS:
                     found.append(f"{path.name}:{child.lineno} (m, n) == (1, 1)")
@@ -675,6 +702,39 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(lattice) == ["lattice.py:4 .enclosure()"]
+    # a CF real or an interval: numeric tells them apart and reads every
+    # value through its view; a hull or a product forking on the kind
+    # elsewhere is a leak, named alone, off a module or in a tuple, and
+    # the lattice readers of KIND_TESTERS are not
+    analysis.write_text(
+        "def _max_pow(x, y):\n"
+        "    if isinstance(x, (int, numeric.RatInterval)):\n"
+        "        return isinstance(y, CFReal) or isinstance(y, Quadratic)\n"
+        "    return isinstance(x, (RatInterval, CFReal))\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(analysis) == [
+        "analysis.py:2 isinstance RatInterval",
+        "analysis.py:3 isinstance CFReal",
+        "analysis.py:4 isinstance CFReal/RatInterval",
+    ]
+    lattice.write_text(
+        "def _dot(entries, q):\n"
+        "    return [isinstance(e, CFReal) for e in entries]\n"
+        "class BestApproxSequence:\n"
+        "    def csv_rows(self):\n"
+        "        return [isinstance(e.M, RatInterval) for e in self.entries]\n"
+        "def scaled_boxes(xs, bits):\n"
+        "    return [isinstance(x, RatInterval) for x in xs]\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == ["lattice.py:7 isinstance RatInterval"]
+    numeric.write_text(
+        "def compare(x, y):\n"
+        "    return isinstance(x, (CFReal, RatInterval))\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(numeric) == []
     # the integer model: numeric alone scales numerators over an lcm and
     # tests surd signs, so a residue loop or a target model copied into
     # lattice is a leak, imported or reached through a module

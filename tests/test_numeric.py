@@ -15,6 +15,10 @@ from diophlab.numeric import (
     Quadratic,
     Radical,
     RatInterval,
+    _floor_between,
+    _floor_sqrt_mult,
+    _sign_surd,
+    _surd,
     compare,
     convergents,
     dec_str,
@@ -183,6 +187,14 @@ class TestFloorDist:
         assert sup_norm([F(-3, 4), F(1, 2)]) == F(3, 4)
         v = ex_abs(sqrt2 - 2)
         assert lt(F(1, 2), v)
+
+    def test_abs_of_a_negative_cf_real_is_its_mirrored_view(self):
+        # [-1; 2] lies in (-1, -1/2); its absolute value is the closed [1/2, 1]
+        a = ex_abs(CFReal((-1, 2)))
+        assert isinstance(a, RatInterval) and (a.lo, a.hi) == (F(1, 2), F(1))
+        n = sup_norm([CFReal((-1, 2)), F(1, 4)])
+        assert (n.lo, n.hi) == (F(1, 2), F(1))
+        assert ex_abs(CFReal((0, 2))) == CFReal((0, 2))
 
 
 class TestRadical:
@@ -442,3 +454,239 @@ class TestIntervalRule:
             k = math.floor(lo + shift)
             if compare(x, k - shift) in (Ordering.EQUAL, Ordering.GREATER) and compare(x, k + 1 - shift) is Ordering.LESS:
                 assert n == k
+
+
+# ---------------------------------------------------------------------------
+# one view of every value: the deciders against their kind ladders
+# ---------------------------------------------------------------------------
+
+
+def old_view(x):
+    """_as_interval when it took only a CF real or an interval."""
+    if isinstance(x, CFReal):
+        return (*x.enclosure(), True)
+    if isinstance(x, RatInterval):
+        return x.lo, x.hi, False
+    raise TypeError(x)
+
+
+def old_enclose(x, bits):
+    if isinstance(x, int):
+        return F(x), F(x)
+    if isinstance(x, F):
+        return x, x
+    if isinstance(x, Quadratic):
+        k = bits + max(x.b.numerator.bit_length() - x.b.denominator.bit_length(), 0) + 2
+        s = math.isqrt(x.d << (2 * k))
+        slo, shi = F(s, 1 << k), F(s + 1, 1 << k)
+        if x.b > 0:
+            return x.a + x.b * slo, x.a + x.b * shi
+        return x.a + x.b * shi, x.a + x.b * slo
+    if isinstance(x, (CFReal, RatInterval)):
+        return old_view(x)[:2]
+    if isinstance(x, Radical):
+        return x.enclose(bits)
+    raise TypeError(x)
+
+
+def old_kind_sign(x):
+    if isinstance(x, Radical):
+        return old_kind_sign(x.radicand)
+    if isinstance(x, (int, F)):
+        return (x > 0) - (x < 0)
+    if isinstance(x, Quadratic):
+        (p,), (w,), _ = _surd((x,))
+        return _sign_surd(p, w, x.d)
+    lo, hi, open_ = old_view(x)
+    if lo > 0 or (lo == 0 and open_):
+        return 1
+    if hi < 0 or (hi == 0 and open_):
+        return -1
+    if lo == hi == 0:
+        return 0
+    raise PrecisionExhausted("sign undecided")
+
+
+def old_radical_compare(r, other):
+    if isinstance(other, Radical):
+        l = math.lcm(r.root, other.root)
+        return old_kind_compare(ex_pow(r.radicand, l // r.root), ex_pow(other.radicand, l // other.root))
+    if (other.hi < 0) if isinstance(other, RatInterval) else old_kind_sign(other) < 0:
+        return Ordering.GREATER
+    return old_kind_compare(r.radicand, ex_pow(other, r.root))
+
+
+def old_kind_compare(x, y):
+    if isinstance(x, Radical):
+        return old_radical_compare(x, y)
+    if isinstance(y, Radical):
+        return old_radical_compare(y, x).reversed()
+    fuzzy_x = isinstance(x, (CFReal, RatInterval))
+    fuzzy_y = isinstance(y, (CFReal, RatInterval))
+    if not fuzzy_x and not fuzzy_y:
+        return (Ordering.LESS, Ordering.EQUAL, Ordering.GREATER)[old_kind_sign(x - y) + 1]
+    xlo, xhi, x_open = old_view(x) if fuzzy_x else (*old_enclose(x, 160), False)
+    ylo, yhi, y_open = old_view(y) if fuzzy_y else (*old_enclose(y, 160), False)
+    if xhi < ylo or (xhi == ylo and (x_open or y_open)):
+        return Ordering.LESS
+    if xlo > yhi or (xlo == yhi and (x_open or y_open)):
+        return Ordering.GREATER
+    if xlo == xhi == ylo == yhi or (isinstance(x, CFReal) and x == y):
+        return Ordering.EQUAL
+    return Ordering.uncertain((xhi - xlo) + (yhi - ylo))
+
+
+def old_kind_floor(x):
+    if isinstance(x, int):
+        return x
+    if isinstance(x, F):
+        return x.numerator // x.denominator
+    if isinstance(x, Quadratic):
+        (p,), (w,), D = _surd((x,))
+        return (p + _floor_sqrt_mult(w, x.d)) // D
+    return _floor_between(*old_view(x))
+
+
+def old_kind_nearest(x):
+    if isinstance(x, (CFReal, RatInterval)):
+        lo, hi, open_ = old_view(x)
+        return _floor_between(lo + F(1, 2), hi + F(1, 2), open_)
+    return old_kind_floor(x + F(1, 2))
+
+
+def old_kind_abs(x):
+    if isinstance(x, (int, F)):
+        return abs(x)
+    if isinstance(x, RatInterval):
+        if x.lo >= 0:
+            return x
+        if x.hi <= 0:
+            return -x
+        return RatInterval(F(0), max(-x.lo, x.hi))
+    return x if old_kind_sign(x) >= 0 else -x
+
+
+def old_kind_dist(x):
+    if isinstance(x, (int, F, CFReal, RatInterval)):
+        return dist_to_int(x)  # these kinds never read a view of another kind
+    return old_kind_abs(x - old_kind_nearest(x))
+
+
+def old_interval_op(op, x, y):
+    """x op y, one of them an interval, when interval arithmetic took only a
+    rational or an interval for its other operand (TypeError otherwise);
+    a rational c acted as [c, c]."""
+    if not all(isinstance(v, (int, F, RatInterval)) for v in (x, y)):
+        raise TypeError(op)
+    (a, b), (c, d) = ((v.lo, v.hi) if isinstance(v, RatInterval) else (F(v), F(v)) for v in (x, y))
+    if op == "+":
+        return RatInterval(a + c, b + d)
+    if op == "-":
+        return RatInterval(a - d, b - c)
+    prods = [a * c, a * d, b * c, b * d]
+    return RatInterval(min(prods), max(prods))
+
+
+INTERVAL_OPS = {"+": lambda x, y: x + y, "-": lambda x, y: x - y, "*": lambda x, y: x * y}
+
+
+def outcome(f, *args):
+    """("value", v) with v comparable by ==, or ("raises", the error class)."""
+    try:
+        v = f(*args)
+    except (PrecisionExhausted, UnsupportedEntry, TypeError, ValueError) as exc:
+        return "raises", type(exc)
+
+    def plain(v):
+        if isinstance(v, Ordering):
+            return v.kind, v.width
+        if isinstance(v, RatInterval):
+            return "interval", v.lo, v.hi
+        return tuple(map(plain, v)) if isinstance(v, tuple) else v
+
+    return "value", plain(v)
+
+
+def radical_floor_holds(r, n):
+    """n^k <= r < (n+1)^k for the k-th root r of an exact radicand."""
+    return sign(r.radicand - n**r.root) >= 0 and sign((n + 1) ** r.root - r.radicand) > 0
+
+
+def interval_op_holds(op, x, y, out):
+    """out contains a op v (or v op a) for each end a of the interval operand
+    and the other operand v: its value where exact, each end of its open
+    enclosure for a CF real, and for a Radical r the bounds on r that a op r
+    in out means, all decided by compare."""
+    iv, v, iv_left = (x, y, True) if isinstance(x, RatInterval) else (y, x, False)
+    if isinstance(v, CFReal):
+        return all(interval_op_holds(op, x if iv_left else e, e if iv_left else y, out) for e in v.enclosure())
+    for a in (iv.lo, iv.hi):
+        if not isinstance(v, Radical):
+            w = INTERVAL_OPS[op](a, v) if iv_left else INTERVAL_OPS[op](v, a)
+            if compare(out.lo, w) is Ordering.GREATER or compare(w, out.hi) is Ordering.GREATER:
+                return False
+            continue
+        # a op r lies in [lo, hi] iff r lies in [r_lo, r_hi]
+        lo, hi = out.lo, out.hi
+        if op == "+":
+            r_lo, r_hi = lo - a, hi - a
+        elif op == "-":
+            r_lo, r_hi = (a - hi, a - lo) if iv_left else (lo + a, hi + a)
+        elif a == 0:
+            if not lo <= 0 <= hi:
+                return False
+            continue
+        else:
+            r_lo, r_hi = sorted((lo / a, hi / a))
+        if compare(r_lo, v) is Ordering.GREATER or compare(v, r_hi) is Ordering.GREATER:
+            return False
+    return True
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+quadratics = st.builds(quadratic, small, small.filter(bool), st.sampled_from([2, 3]))
+radicals = st.builds(
+    Radical,
+    st.one_of(
+        st.fractions(min_value=0, max_value=9, max_denominator=6),
+        st.builds(quadratic, st.fractions(min_value=2, max_value=5), st.fractions(min_value=F(1, 4), max_value=1), st.just(2)),
+    ),
+    st.integers(min_value=1, max_value=3),
+)
+every_kind = st.one_of(st.integers(min_value=-4, max_value=4), small, quadratics, radicals, cf_reals, intervals)
+
+
+class TestOneView:
+    @given(x=every_kind, y=every_kind, bits=st.sampled_from([0, 8, 64, 160]))
+    @settings(max_examples=400, deadline=None)
+    @example(x=Radical(F(2), 2), y=RatInterval(F(1), F(2)), bits=8)
+    @example(x=CFReal((-1, 2)), y=quadratic(F(0), F(1), 2), bits=0)
+    @example(x=RatInterval(F(-1), F(1, 2)), y=Radical(quadratic(F(3), F(1), 2), 3), bits=64)
+    @example(x=RatInterval(F(0), F(1)), y=Radical(F(9, 4), 2), bits=8)
+    def test_deciders_keep_every_outcome_of_the_kind_ladders(self, x, y, bits):
+        singles = (
+            (sign, old_kind_sign),
+            (floor_exact, old_kind_floor),
+            (nearest_int, old_kind_nearest),
+            (dist_to_int, old_kind_dist),
+            (lambda v: enclose(v, bits), lambda v: old_enclose(v, bits)),
+        )
+        for new, old in singles:
+            want, got = outcome(old, x), outcome(new, x)
+            if want == ("raises", TypeError) and got[0] == "value":
+                # a Radical's floor, certified by its radicand's integer powers
+                assert new is floor_exact and isinstance(x, Radical) and radical_floor_holds(x, got[1])
+            else:
+                assert got == want
+        for a, b in ((x, y), (y, x)):
+            assert outcome(compare, a, b) == outcome(old_kind_compare, a, b)
+            if not isinstance(a, RatInterval) and not isinstance(b, RatInterval):
+                continue
+            for op, f in INTERVAL_OPS.items():
+                want, got = outcome(old_interval_op, op, a, b), outcome(f, a, b)
+                # the other operand, of any kind, is read through its view
+                assert got[0] == "value"
+                if want[0] == "value":
+                    assert got == want
+                else:
+                    assert interval_op_holds(op, a, b, f(a, b))
