@@ -8,7 +8,7 @@ comparisons, or by certified enclosures that decide only what those decide
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, islice, pairwise, zip_longest
@@ -611,30 +611,37 @@ def estimate_exponents(
         except PrecisionExhausted:
             pass
 
-    def walk(M: ApproxMatrix, target=None) -> tuple[Optional[list], Optional[tuple]]:
+    def walk(M: ApproxMatrix, target=None) -> tuple[Optional[list], Optional[Exception]]:
         """((s, distance) records over 0 < ||q|| < X for the largest X, None),
-        or (None, (index of the first horizon it blocks, error)) for a walk
-        ended by BudgetExceeded or PrecisionExhausted; q = 0 is excluded in
-        both problems (b = 0 would be a trivial exact hit)."""
-        reached = [0]
-
-        def shells():
-            for s in range(1, xs[-1]):
-                reached[0] = s
-                yield s
-
+        or (None, error) for a walk ended by BudgetExceeded or
+        PrecisionExhausted; q = 0 is excluded in both problems (b = 0 would
+        be a trivial exact hit)."""
         try:
-            return [(s, d) for s, _, d in records(M, shells(), budget, lambda s, d: d, target)], None
+            return [(s, d) for s, _, d in records(M, range(1, xs[-1]), budget, lambda s, d: d, target)], None
         except (BudgetExceeded, PrecisionExhausted) as exc:
-            return None, (bisect_right(xs, reached[0]), exc)
+            return None, exc
+
+    def blocked(M: ApproxMatrix, exc: Exception, target=None) -> int:
+        """The index of the first horizon X whose own walk, over
+        0 < ||q|| < X, raises: the walk over a smaller window is a prefix
+        of the one that raised exc.  A walk ended by BudgetExceeded met no
+        undecided comparison, so only its windows over budget raise."""
+        for i, X in enumerate(xs):
+            try:
+                check_window(M.n, range(1, X), budget)
+                if isinstance(exc, PrecisionExhausted):
+                    deque(records(M, range(1, X), budget, lambda s, d: d, target), 0)
+            except (BudgetExceeded, PrecisionExhausted):
+                return i
 
     inh, inh_err = (None, None) if b is None else walk(A, b)
     hom, hom_err = walk(A.transpose()) if best is None else ([(e.Y, e.M) for e in best.entries], None)
     # raise the error a scan per horizon meets first: that of the earliest
     # horizon, the inhomogeneous walk's on a tie
-    failed = [e for e in (inh_err, hom_err) if e is not None]
-    if failed:
-        raise min(failed, key=lambda e: e[0])[1]
+    if inh_err and hom_err:
+        raise inh_err if blocked(A, inh_err, b) <= blocked(A.transpose(), hom_err) else hom_err
+    if inh_err or hom_err:
+        raise inh_err or hom_err
     ws, whats, table = [], [], []
     for X in xs:
         row: dict = {"X": X}

@@ -17,7 +17,7 @@ from .errors import (
     RankDeficient,
     UnsupportedEntry,
 )
-from .fastpath import Line1D, threshold_bounds
+from .fastpath import Line1D, scale_fraction, threshold_bounds
 from .numeric import (
     CFReal,
     Comparable,
@@ -220,7 +220,11 @@ def _dot(entries: Sequence[ExactReal], q: Sequence[int]):
     for e, c in zip(entries, q):
         if c == 0:
             continue
-        term: Comparable = RatInterval(*e.enclosure()) * c if isinstance(e, CFReal) else e * c
+        if isinstance(e, CFReal):
+            lo, hi = e.enclosure()
+            term: Comparable = RatInterval(lo * c, hi * c) if c > 0 else RatInterval(hi * c, lo * c)
+        else:
+            term = e * c
         acc = term + acc if isinstance(acc, Fraction) else acc + term
     return acc
 
@@ -264,14 +268,19 @@ def _over_budget(total: int, budget: int) -> BudgetExceeded:
     return BudgetExceeded(f"enumeration of {total} points exceeds {budget}")
 
 
+def _fitting(n: int, shells: range, budget: int) -> range:
+    """The shells that `scan` yields over the window before its running
+    count passes budget: all of them when the window fits."""
+    return shells[: bisect_right(range(len(shells)), budget, key=lambda i: window_points(n, shells[: i + 1]))]
+
+
 def check_window(n: int, shells: range, budget: int) -> int:
     """window_points(n, shells), checked up front: when the window holds
     more than budget points, the BudgetExceeded that `scan` raises over it,
     at the first shell whose running count passes budget."""
     total = window_points(n, shells)
     if total > budget:
-        i = bisect_right(range(len(shells)), budget, key=lambda i: window_points(n, shells[: i + 1]))
-        raise _over_budget(window_points(n, shells[: i + 1]), budget)
+        raise _over_budget(window_points(n, shells[: len(_fitting(n, shells, budget)) + 1]), budget)
     return total
 
 
@@ -448,7 +457,7 @@ def first_hits(
 
 
 def records(
-    A: ApproxMatrix, shells: Iterable[int], budget: int, key: Callable,
+    A: ApproxMatrix, shells: range, budget: int, key: Callable,
     b: Optional[Sequence[ExactReal]] = None,
 ) -> Iterator[tuple[int, tuple[int, ...], Comparable]]:
     """(s, q, key(s, ||Aq - b||_Z)) for every q in the order of
@@ -466,14 +475,23 @@ def records(
     record, even where a CF entry's enclosures could not decide the tie.
     Every other tie and overlap reaches the exact comparison, so the
     records, BudgetExceeded and PrecisionExhausted are those of the exact
-    walk with mirror points skipped."""
+    walk with mirror points skipped.
+
+    A 1 x 1 irrational line with a target visits, in place of every point
+    of the scan, the points `_arc_points` finds near b: a superset of those
+    the filter keeps when key(s, d) >= d, as for d and d s, so each gets
+    the same test and the walk's records and errors are unchanged."""
     line = A.line
     b = A.target(b)
     b_scaled, b_err = line.scale_target(b)
     dist_bounds = line.dist_bounds
     mirrored = b is None
     best = best_hi = None
-    for s, shell in scan(A.n, shells, budget):
+    if A.irrational_line and not mirrored:
+        walk = _arc_points(line, shells, budget, b_scaled[0], b_err, lambda: best_hi)
+    else:
+        walk = scan(A.n, shells, budget)
+    for s, shell in walk:
         for q in shell:
             if mirrored and next(filter(None, q), 0) > 0:
                 continue
@@ -483,6 +501,77 @@ def records(
             if best is None or lt(k, best):
                 best, best_hi = k, enclose(k, line.shift)[1]
                 yield s, q, k
+
+
+def _arc_points(
+    line: Line1D, shells: range, budget: int, B: int, b_err: int, bound: Callable[[], Optional[Fraction]],
+) -> Iterator[tuple[int, tuple[tuple[int], ...]]]:
+    """(s, ((q,),)) in the order of scan(1, shells, budget) for each point
+    q = -s, s of a 1 x 1 line whose scaled centre q a_lo lies within R of
+    B on the circle of 2^shift cells, then the BudgetExceeded of
+    check_window(1, shells, budget), if any, where scan would raise it.
+
+    R = floor(bound() 2^shift) + S unit_err + b_err, S the last shell
+    scanned, is read afresh before each point, and covers the circle while
+    bound() is None.  A point with d_lo <= bound() 2^shift, as
+    `Line1D.dist_bounds` gives d_lo, has its centre within
+    d_lo + s unit_err + b_err <= R of B, so every such point is listed.
+    Each sign's next point is its `_arc_entry`: q = -s at centre distance
+    from B that of s a_lo from -B; -s comes first in its shell."""
+    fit = _fitting(1, shells, budget)
+    if fit:
+        a, mod, last = line.a_lo, line.mod, fit[-1]
+        reach = last * line.unit_err + b_err
+        # walk positions: 2s for (-s,) and 2s + 1 for (s,); shell 0 holds (0,) alone
+        t = 2 * fit.start
+        while True:
+            hi = bound()
+            R = mod if hi is None else scale_fraction(hi, line.shift) + reach
+            entries = _arc_entry(a, -B, R, (t + 1) // 2, mod), _arc_entry(a, B, R, t // 2, mod)
+            t = min((2 * s + i for i, s in enumerate(entries) if s is not None), default=None)
+            if t is None or t // 2 > last:
+                break
+            s = t // 2
+            yield s, ((s if t % 2 else -s,),)
+            t += 1 if s else 2
+    check_window(1, shells, budget)
+
+
+def _arc_entry(a: int, B: int, R: int, s0: int, mod: int) -> Optional[int]:
+    """The first s >= s0 with (s a - B) mod `mod` within R of 0 on the
+    circle, or None when no s has it: the first entry of the rotation
+    s -> s a into the arc of radius R about B.
+
+    The arc is unwrapped to [0, 2R]: s enters exactly when
+    (s a - B + R) mod `mod` <= 2R, which every s does once 2R + 1 >= mod.
+    With c that residue at s0, the step t = s - s0 is 0 when c <= 2R, and
+    else the least t with a t mod `mod` in [mod - c, mod - c + 2R], an
+    interval that does not wrap, by `_least_in`."""
+    if 2 * R + 1 >= mod:
+        return s0
+    c = (s0 * a - B + R) % mod
+    if c <= 2 * R:
+        return s0
+    t = _least_in(a % mod, mod, mod - c, mod - c + 2 * R)
+    return None if t is None else s0 + t
+
+
+def _least_in(a: int, m: int, l: int, r: int) -> Optional[int]:
+    """The least x >= 0 with a x mod m in [l, r], for 0 <= a < m and
+    0 < l <= r < m, or None when there is none; O(log m) steps.
+
+    With y = floor(a x / m), the least x has the least y.  y = 0 serves
+    when a multiple of a lies in [l, r], at x = ceil(l / a).  Otherwise y
+    is the least with a multiple of a in [m y + l, m y + r], that is with
+    (m mod a) y mod a in [-r mod a, -l mod a], an interval that misses 0,
+    and x = ceil((m y + l) / a): Euclid's step (m, a) -> (a, m mod a)."""
+    if a == 0:
+        return None
+    x = -(-l // a)
+    if a * x <= r:
+        return x
+    y = _least_in(m % a, a, -r % a, -l % a)
+    return None if y is None else -(-(m * y + l) // a)
 
 
 def _last_below(recs: Iterable[tuple[int, Comparable]], X: int) -> Optional[Comparable]:

@@ -521,12 +521,14 @@ def _floor_between(lo: Fraction, hi: Fraction, open_: bool) -> int:
     raise PrecisionExhausted("floor undecided by enclosure")
 
 
-def nearest_int(x: Comparable) -> int:
-    """An integer minimizing |x - n| (upper one on exact ties)."""
-    if isinstance(x, (CFReal, RatInterval)):
-        lo, hi, open_ = _as_interval(x)
-        return _floor_between(lo + Fraction(1, 2), hi + Fraction(1, 2), open_)
-    return floor_exact(x + Fraction(1, 2))
+def nearest_int(x: Comparable | "Radical") -> int:
+    """An integer minimizing |x - n| (upper one on exact ties); a value
+    other than a rational or quadratic decides it on its view, or raises
+    PrecisionExhausted when the view straddles a half-integer."""
+    if isinstance(x, (int, Fraction, Quadratic)):
+        return floor_exact(x + Fraction(1, 2))
+    lo, hi, open_ = _as_interval(x)
+    return _floor_between(lo + Fraction(1, 2), hi + Fraction(1, 2), open_)
 
 
 def ex_abs(x: Comparable):
@@ -546,10 +548,12 @@ def ex_abs(x: Comparable):
     return RatInterval(Fraction(0), max(-lo, hi))
 
 
-def dist_to_int(x: Comparable):
+def dist_to_int(x: Comparable | "Radical"):
     """Distance to the nearest integer, in [0, 1/2], kind-preserving.  A
     rational p/d (an int has d = 1) is its one residue r = p mod d taken
-    either way, min(r, d - r)/d, already in lowest terms."""
+    either way, min(r, d - r)/d, already in lowest terms.  An interval or
+    `Radical` gives the distances over its view, a rational when they
+    meet in one value."""
     if isinstance(x, int):
         return 0
     if isinstance(x, Fraction):
@@ -558,29 +562,29 @@ def dist_to_int(x: Comparable):
         return Fraction(r if r + r <= d else d - r, d)
     if isinstance(x, CFReal):
         return _cf_dist_to_int(x)
-    if isinstance(x, RatInterval):
-        return _interval_dist_to_int(x)
-    return ex_abs(x - nearest_int(x))
+    if isinstance(x, Quadratic):
+        return ex_abs(x - nearest_int(x))
+    return _interval_dist_to_int(*_as_interval(x)[:2])
 
 
-def _interval_dist_to_int(iv: RatInterval) -> "Fraction | RatInterval":
+def _interval_dist_to_int(lo: Fraction, hi: Fraction) -> "Fraction | RatInterval":
     half = Fraction(1, 2)
-    if iv.width >= 1:
+    if hi - lo >= 1:
         return RatInterval(Fraction(0), half)
-    dlo, dhi = dist_to_int(iv.lo), dist_to_int(iv.hi)
+    dlo, dhi = dist_to_int(lo), dist_to_int(hi)
 
     def contains_integer(a: Fraction, b: Fraction) -> bool:
         return b.numerator // b.denominator >= -(-a.numerator // a.denominator)
 
     # an integer inside the interval pins the minimum at 0
-    has_int = contains_integer(iv.lo, iv.hi)
+    has_int = contains_integer(lo, hi)
     # a half-integer inside pins the maximum at 1/2
-    has_half = contains_integer(iv.lo - half, iv.hi - half)
-    lo = Fraction(0) if has_int else min(dlo, dhi)
-    hi = half if has_half else max(dlo, dhi)
-    if lo == hi:
-        return lo
-    return RatInterval(lo, hi)
+    has_half = contains_integer(lo - half, hi - half)
+    dmin = Fraction(0) if has_int else min(dlo, dhi)
+    dmax = half if has_half else max(dlo, dhi)
+    if dmin == dmax:
+        return dmin
+    return RatInterval(dmin, dmax)
 
 
 def _cf_frac_part(x: CFReal) -> CFReal:

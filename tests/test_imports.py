@@ -14,7 +14,7 @@ reads a CF enclosure for a verdict, only `numeric` and a few `lattice`
 readers test a value for a CF real or an interval, only `numeric` puts values over a common denominator or tests a surd's
 sign, only `numeric._field` words the refusal of a second radicand,
 only the bracketed psi-sum `limsup._psi_cells` raises a psi enclosure to
-a power, and in the CLI only the subcommand frame exits the process or
+a power, only `lattice` names the arc-entry kernel `_arc_entry`, and in the CLI only the subcommand frame exits the process or
 loads the --matrix file.
 
 No linter ships with the project, so these AST scans stand in for one.  A
@@ -252,6 +252,11 @@ FIELD_REFUSAL = "mixing radicands"
 POW_OWNER = "numeric.py"
 POW_NAME = "_scaled_pow"
 POW_KERNEL = ("limsup.py", None, "_psi_cells")
+# the arc-entry kernel of a line's inhomogeneous records, which lattice
+# defines and calls alone: anywhere else the walk's filter would be
+# restated beside the records it must keep
+ARC_OWNER = "lattice.py"
+ARC_NAME = "_arc_entry"
 # the CLI's one subcommand frame: it alone exits the process and loads the
 # --matrix file; series, whose matrix is optional, loads its own.  Keyed by
 # the top-level function of cli.py the call sits in, at any depth
@@ -300,7 +305,8 @@ def kernel_leaks(path: Path) -> list[str]:
     and KIND_TESTERS, SURD_NAMES imported or named outside SURD_OWNER,
     a FIELD_REFUSAL string outside FIELD_RULE (docstrings and other bare
     strings aside), POW_NAME imported outside POW_OWNER and the module of
-    POW_KERNEL or named outside POW_OWNER and POW_KERNEL, and in cli.py the FRAME_CALLS
+    POW_KERNEL or named outside POW_OWNER and POW_KERNEL, ARC_NAME imported
+    or named outside ARC_OWNER, and in cli.py the FRAME_CALLS
     outside their top-level functions."""
     found = []
     banned = THREADS if path.name in MPMATH_USERS else THREADS | {"mpmath"}
@@ -351,6 +357,8 @@ def kernel_leaks(path: Path) -> list[str]:
             elif isinstance(child, ast.ImportFrom):
                 if path.name != SURD_OWNER:
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name in SURD_NAMES)
+                if path.name != ARC_OWNER:
+                    found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name == ARC_NAME)
                 if path.name not in (POW_OWNER, POW_KERNEL[0]):
                     found.extend(f"{path.name}:{child.lineno} {a.name}" for a in child.names if a.name == POW_NAME)
                 if path.name != "lattice.py":
@@ -374,6 +382,8 @@ def kernel_leaks(path: Path) -> list[str]:
                     found.append(f"{path.name}:{child.lineno} {owner}.{child.attr}")
             named = child.id if isinstance(child, ast.Name) else getattr(child, "attr", None)
             if named in SURD_NAMES and path.name != SURD_OWNER and isinstance(child, (ast.Name, ast.Attribute)):
+                found.append(f"{path.name}:{child.lineno} {named}")
+            if named == ARC_NAME and isinstance(child, (ast.Name, ast.Attribute)) and path.name != ARC_OWNER:
                 found.append(f"{path.name}:{child.lineno} {named}")
             if named == POW_NAME and isinstance(child, (ast.Name, ast.Attribute)) and path.name != POW_OWNER:
                 if (path.name, cls, func) != POW_KERNEL:
@@ -813,3 +823,21 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         encoding="utf-8",
     )
     assert kernel_leaks(numeric) == []
+    # the arc-entry kernel: lattice's record walk alone jumps to a line's
+    # next point near b; a search of its own elsewhere is a leak, imported
+    # or reached through a module
+    analysis.write_text(
+        "from .lattice import _arc_entry\n"
+        "def first_entry(line, b, r):\n"
+        "    return _arc_entry(line.a_lo, b, r, 1, line.mod), lattice._arc_entry(line.a_lo, -b, r, 1, line.mod)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(analysis) == ["analysis.py:1 _arc_entry", "analysis.py:3 _arc_entry", "analysis.py:3 _arc_entry"]
+    lattice.write_text(
+        "def _arc_entry(a, B, R, s0, mod):\n"
+        "    return s0\n"
+        "def _arc_points(line, B, R):\n"
+        "    return _arc_entry(line.a_lo, B, R, 1, line.mod)\n",
+        encoding="utf-8",
+    )
+    assert kernel_leaks(lattice) == []

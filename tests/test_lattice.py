@@ -1,6 +1,7 @@
 """Lattice layer: shell enumeration, homogeneous solver vs a brute-force
 oracle, return sequences, best approximations vs continued fractions."""
 
+import copy
 from fractions import Fraction as F
 from itertools import product
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from diophlab import lattice
+from diophlab.analysis import estimate_exponents
 from diophlab.errors import BudgetExceeded, PrecisionExhausted, RankDeficient, UnsupportedEntry
 from diophlab.lattice import (
     ApproxMatrix,
@@ -18,6 +20,7 @@ from diophlab.lattice import (
     check_rank,
     continued_fraction,
     iter_shell,
+    records,
     return_sequence,
     shell_size,
     solve_homogeneous,
@@ -263,6 +266,87 @@ def walk_levels(A, eps, ell_max, budget):
         ell for ell in range(1, ell_max + 1)
         if walk_solve(A, Radical(eps * F(1, 1 << ell), 1), 1 << ell, budget) is None
     ]
+
+
+def plain_walk(A):
+    """A with its line flag cleared, so `records` walks every point of the
+    scan: the reference of the arc-entry search."""
+    W = copy.copy(A)
+    W.irrational_line = False
+    return W
+
+
+def record_outcome(A, shells, budget, b):
+    """(s, q, repr(d)) of every record over the window, then the type and
+    message of the error that ended the walk, if any."""
+    out = []
+    try:
+        out.extend((s, q, repr(d)) for s, q, d in records(A, shells, budget, lambda s, d: d, b))
+    except (BudgetExceeded, PrecisionExhausted) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
+def first_entry_scan(a, B, R, s0, mod):
+    """The first s >= s0 whose s a - B lies within R of 0 mod `mod`, over one
+    period of s -> s a mod `mod`, or None."""
+    return next((s for s in range(s0, s0 + mod) if min((s * a - B) % mod, (B - s * a) % mod) <= R), None)
+
+
+class TestArcEntry:
+    """A line's inhomogeneous records jump from one point near b to the
+    next by `_arc_entry`; a linear scan and the plain walk are the
+    references."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        mod_a=st.integers(min_value=1, max_value=128).flatmap(
+            lambda m: st.tuples(st.just(m), st.integers(min_value=0, max_value=m - 1))
+        ),
+        B=st.integers(min_value=-256, max_value=256),
+        R=st.integers(min_value=0, max_value=128),
+        s0=st.integers(min_value=0, max_value=40),
+    )
+    # an arc wrapping past 0, R >= mod / 2 (the whole circle), no entry at
+    # all (a = 0, or an orbit of multiples of 4 that misses the arc), and a
+    # first entry 53 steps past s0 = 5
+    @example(mod_a=(64, 5), B=1, R=2, s0=3)
+    @example(mod_a=(64, 7), B=0, R=32, s0=9)
+    @example(mod_a=(64, 0), B=5, R=2, s0=2)
+    @example(mod_a=(64, 4), B=2, R=1, s0=2)
+    @example(mod_a=(64, 27), B=30, R=0, s0=5)
+    def test_arc_entry_matches_a_linear_scan(self, mod_a, B, R, s0):
+        mod, a = mod_a
+        assert lattice._arc_entry(a, B, R, s0, mod) == first_entry_scan(a, B, R, s0, mod)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(["golden", "sqrt2", "cf_mid", "cf_fast", "a_k=k"]),
+        b=st.fractions(min_value=0, max_value=1, max_denominator=500)
+        | st.integers(min_value=0, max_value=1 << 12).map(lambda k: F(k, 1 << 12)),
+        X=st.integers(min_value=1, max_value=2000),
+        start=st.sampled_from([0, 1, 1, 1, 7]),
+        budget=st.sampled_from([1 << 22]) | st.integers(min_value=0, max_value=4000),
+    )
+    @example(key="golden", b=F(1, 3), X=2000, start=1, budget=1000)
+    @example(key="cf_mid", b=F(1, 3), X=300, start=1, budget=1 << 22)
+    def test_records_with_a_target_match_the_walk(self, key, b, X, start, budget):
+        A = LINES[key]
+        shells = range(start, X)
+        assert record_outcome(A, shells, budget, (b,)) == record_outcome(plain_walk(A), shells, budget, (b,))
+
+    def test_exponents_on_golden_visit_few_points(self, monkeypatch):
+        # the records of b = 1/3 to 10^6 take a few dozen exact distances,
+        # where the walk took one for each of its 2 10^6 points
+        calls = []
+        dist = ApproxMatrix.dist
+        monkeypatch.setattr(ApproxMatrix, "dist", lambda *args: calls.append(args) or dist(*args))
+        est = estimate_exponents(LINES["golden"], (F(1, 3),), [10**4, 10**5, 10**6])
+        assert round(est.w_hat, 3) == 1.194
+        assert len(calls) <= 200
+        # the budget is charged as the walk's: 2^21 shells of 2 points fit
+        with pytest.raises(BudgetExceeded, match="enumeration of 4194306 points exceeds 4194304"):
+            estimate_exponents(LINES["golden"], (F(1, 3),), [3 * 10**4, 3 * 10**5, 3 * 10**6])
 
 
 class TestLineRecords:

@@ -115,6 +115,16 @@ class TestCompare:
 
 
 class TestFloorDist:
+    def test_nearest_int_and_distance_of_a_radical_read_its_view(self):
+        assert nearest_int(Radical(F(2), 2)) == 1
+        # sqrt(1/4) = 1/2 exactly: the upper integer of the tie
+        assert nearest_int(Radical(F(1, 4), 2)) == 1
+        assert dist_to_int(Radical(F(1, 4), 2)) == F(1, 2)
+        d = dist_to_int(Radical(F(2), 2))
+        assert isinstance(d, RatInterval) and d.hi - d.lo < F(1, 2**150)
+        root2_less_1 = quadratic(F(-1), F(1), 2)
+        assert compare(d.lo, root2_less_1) is Ordering.LESS and compare(root2_less_1, d.hi) is Ordering.LESS
+
     def test_floor_sqrt2(self, sqrt2):
         assert floor_exact(sqrt2) == 1
         assert floor_exact(sqrt2 * 100) == 141
@@ -612,6 +622,20 @@ def radical_floor_holds(r, n):
     return sign(r.radicand - n**r.root) >= 0 and sign((n + 1) ** r.root - r.radicand) > 0
 
 
+def radical_nearest_holds(r, n):
+    """n - 1/2 <= r < n + 1/2 for a Radical r, decided by compare: n is the
+    nearest integer, the upper one on a tie."""
+    return compare(r, n - F(1, 2)) is not Ordering.LESS and compare(r, n + F(1, 2)) is Ordering.LESS
+
+
+def radical_dist_holds(r, d):
+    """The distance d (a rational, or an interval as `outcome` writes it)
+    holds ||v||_Z for each end v of r's enclosure at 160 bits, which holds
+    r."""
+    lo, hi = d[1:] if isinstance(d, tuple) else (d, d)
+    return all(lo <= dist_to_int(v) <= hi for v in enclose(r, 160))
+
+
 def interval_op_holds(op, x, y, out):
     """out contains a op v (or v op a) for each end a of the interval operand
     and the other operand v: its value where exact, each end of its open
@@ -674,8 +698,13 @@ class TestOneView:
         for new, old in singles:
             want, got = outcome(old, x), outcome(new, x)
             if want == ("raises", TypeError) and got[0] == "value":
-                # a Radical's floor, certified by its radicand's integer powers
-                assert new is floor_exact and isinstance(x, Radical) and radical_floor_holds(x, got[1])
+                # a Radical's floor and nearest integer, certified by its
+                # radicand's integer powers, and its distance over its view
+                holds = {floor_exact: radical_floor_holds, nearest_int: radical_nearest_holds, dist_to_int: radical_dist_holds}
+                assert isinstance(x, Radical) and holds[new](x, got[1])
+            elif want == ("raises", TypeError) and isinstance(x, Radical) and new in (nearest_int, dist_to_int):
+                # a Radical's view that straddles a half-integer
+                assert got == ("raises", PrecisionExhausted)
             else:
                 assert got == want
         for a, b in ((x, y), (y, x)):
