@@ -8,6 +8,7 @@ comparisons, or by certified enclosures that decide only what those decide
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -623,16 +624,21 @@ def estimate_exponents(
 
     def blocked(M: ApproxMatrix, exc: Exception, target=None) -> int:
         """The index of the first horizon X whose own walk, over
-        0 < ||q|| < X, raises: the walk over a smaller window is a prefix
-        of the one that raised exc.  A walk ended by BudgetExceeded met no
-        undecided comparison, so only its windows over budget raise."""
-        for i, X in enumerate(xs):
+        0 < ||q|| < X, raises, found by bisection: the walk over a smaller
+        window is a prefix of the one that raised exc, so a horizon that
+        blocks is followed by blocking ones.  A walk ended by BudgetExceeded
+        met no undecided comparison, so only its windows over budget raise."""
+
+        def raises(X: int) -> bool:
             try:
                 check_window(M.n, range(1, X), budget)
                 if isinstance(exc, PrecisionExhausted):
                     deque(records(M, range(1, X), budget, lambda s, d: d, target), 0)
             except (BudgetExceeded, PrecisionExhausted):
-                return i
+                return True
+            return False
+
+        return bisect_left(xs, True, key=raises)
 
     inh, inh_err = (None, None) if b is None else walk(A, b)
     hom, hom_err = walk(A.transpose()) if best is None else ([(e.Y, e.M) for e in best.entries], None)

@@ -221,6 +221,7 @@ def _dot(entries: Sequence[ExactReal], q: Sequence[int]):
         if c == 0:
             continue
         if isinstance(e, CFReal):
+            # two products: RatInterval * c would read c's view and take four
             lo, hi = e.enclosure()
             term: Comparable = RatInterval(lo * c, hi * c) if c > 0 else RatInterval(hi * c, lo * c)
         else:
@@ -463,11 +464,13 @@ def records(
     """(s, q, key(s, ||Aq - b||_Z)) for every q in the order of
     scan(A.n, shells, budget) whose key is strictly below the keys of all
     earlier points; b passes `ApproxMatrix.target` before any point is
-    scanned.  Strict comparison keeps each record's lexicographically first
-    attainer; an undecided comparison raises PrecisionExhausted.
+    scanned.  key must be nondecreasing in the distance d, as d and d^m s^n
+    are; with a target on a 1 x 1 irrational line, key(s, d) >= d for
+    s >= 1 too, as for d and d s, and shells must step by 1.  Strict
+    comparison keeps each record's lexicographically first attainer; an
+    undecided comparison raises PrecisionExhausted.
 
-    key must be nondecreasing in the distance d, as d and d^m s^n are: a
-    point whose scaled lower bound d_lo gives key(s, d_lo 2^-shift) above
+    A point whose scaled lower bound d_lo gives key(s, d_lo 2^-shift) above
     the upper end of the current record's enclosure cannot set a record and
     is skipped without an exact distance.  Without a target, a q whose
     first nonzero coordinate is positive is skipped too: -q comes earlier
@@ -478,8 +481,8 @@ def records(
     walk with mirror points skipped.
 
     A 1 x 1 irrational line with a target visits, in place of every point
-    of the scan, the points `_arc_points` finds near b: a superset of those
-    the filter keeps when key(s, d) >= d, as for d and d s, so each gets
+    of the scan, the points `_arc_points` finds near b: under the two
+    conditions above, a superset of those the filter keeps, so each gets
     the same test and the walk's records and errors are unchanged."""
     line = A.line
     b = A.target(b)
@@ -509,7 +512,9 @@ def _arc_points(
     """(s, ((q,),)) in the order of scan(1, shells, budget) for each point
     q = -s, s of a 1 x 1 line whose scaled centre q a_lo lies within R of
     B on the circle of 2^shift cells, then the BudgetExceeded of
-    check_window(1, shells, budget), if any, where scan would raise it.
+    check_window(1, shells, budget), if any, where scan would raise it;
+    shells must step by 1, and the caller must need only the points with
+    d_lo <= bound() 2^shift, as a filter on key(s, d) >= d does.
 
     R = floor(bound() 2^shift) + S unit_err + b_err, S the last shell
     scanned, is read afresh before each point, and covers the circle while

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from diophlab import lattice
 from diophlab.analysis import estimate_exponents
 from diophlab.errors import BudgetExceeded, PrecisionExhausted, RankDeficient, UnsupportedEntry
+from diophlab.fastpath import scale_fraction
 from diophlab.lattice import (
     ApproxMatrix,
     IntVec,
@@ -334,6 +335,20 @@ class TestArcEntry:
         A = LINES[key]
         shells = range(start, X)
         assert record_outcome(A, shells, budget, (b,)) == record_outcome(plain_walk(A), shells, budget, (b,))
+
+    def test_arc_radius_holds_the_targets_error(self):
+        # a target known only to within b_err = 2^80 cells: a point of the
+        # last shell whose centre lies H + S unit_err + b_err - 1 from B has
+        # d_lo = H - 1, so the filter keeps it and the arc must list it
+        line, X, bound, b_err = LINES["golden"].line, 64, F(1, 1000), 1 << 80
+        S, H = X - 1, scale_fraction(bound, line.shift)
+        B = (S * line.a_lo + H + S * line.unit_err + b_err - 1) % line.mod
+        listed = list(lattice._arc_points(line, range(1, X), 1 << 22, B, b_err, lambda: bound))
+        kept = [
+            (s, ((q,),)) for s in range(1, X) for q in (-s, s) if line.dist_bounds(q, B, b_err)[0] <= H
+        ]
+        assert (S, ((S,),)) in kept
+        assert set(kept) <= set(listed)
 
     def test_exponents_on_golden_visit_few_points(self, monkeypatch):
         # the records of b = 1/3 to 10^6 take a few dozen exact distances,
