@@ -740,10 +740,6 @@ class BestApproxSequence:
     # changes entries
     counterparts: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def Y(self) -> list[int]:
-        return [e.Y for e in self.entries]
-
     @cached_property
     def _target_field(self) -> tuple[Optional[int], bool]:
         """The radicand and CF flag of the distances M_k, computed once."""

@@ -4,7 +4,6 @@ estimation for the well- and badly-approximable target sets."""
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache
@@ -120,7 +119,9 @@ def _psi_cells(
 
 @dataclass(frozen=True)
 class PowerLog(ApproxFunction):
-    """psi(q) = c * q^-a * max(ln q, 1)^-beta with rational c > 0, a >= 0."""
+    """psi(q) = c * q^-a * max(ln q, 1)^-beta with rational c > 0, a >= 0
+    and a + beta >= 0, exactly the pairs for which psi is nonincreasing on
+    [1, oo)."""
 
     c: Fraction
     a: Fraction
@@ -129,8 +130,8 @@ class PowerLog(ApproxFunction):
     def __post_init__(self):
         if self.c <= 0:
             raise ValueError("c > 0 required")
-        if self.a < 0 or (self.a == 0 and self.beta < 0):
-            raise ValueError("psi must be nonincreasing: a > 0, or a = 0, beta >= 0")
+        if self.a < 0 or self.a + self.beta < 0:
+            raise ValueError("psi must be nonincreasing: a >= 0 and a + beta >= 0")
 
     def value_bounds(self, q: int, bits: int = 80) -> tuple[Fraction, Fraction]:
         """psi(q) exactly where it is rational (integer a, and beta = 0 or
@@ -358,23 +359,22 @@ def _hits(
 ) -> int:
     """How many targets b have ||Aq - b||_Z below psi(||q||) for some q in
     the window, psi = lattice.threshold(A, thr), as `within` decides it;
-    thr is wrapped (a value checked) before anything else.  Other shapes
-    check the window against the budget once and decide the targets as one
-    batch of `lattice.first_hits`: walks, then one sorted-centre index once
-    the walks have cost the window's size.  A 1 x 1 irrational matrix gets
-    one union index over the radii of psi, its scaled_bounds over the
-    window's shells at the index's scale, with `within` for a target
-    inside its margin; the index covers the whole window, so that fallback
-    is not charged to the budget.  When the targets are a `_Sample` with an
-    arc, an index that decides the whole arc answers for every target at
-    once, and no target is drawn."""
+    thr is wrapped (a value checked) before anything else, and then the
+    window is checked against the budget once, for every shape.  A 1 x 1
+    irrational matrix gets one union index over the radii of psi, its
+    scaled_bounds over the window's shells at the index's scale, with
+    `within` for a target inside its margin.  When the targets are a
+    `_Sample` with an arc, an index that decides the whole arc answers for
+    every target at once, and no target is drawn.  Other shapes decide the
+    targets as one batch of `lattice.first_hits`: walks, then one
+    sorted-centre index once the walks have cost the window's size."""
     psi = threshold(A, thr)
+    check_window(A.n, w.shells, budget)
     if not A.irrational_line:
-        check_window(A.n, w.shells, budget)
         return sum(hit is not None for _, hit in first_hits(A, w.shells, budget, psi, targets))
     index = UnionIndex1D(
         A.line, list(zip(w.shells, psi.scaled_bounds(w.shells, A.line.shift))),
-        lambda x: next(within(A, w.shells, math.inf, psi, (x,)), None) is not None,
+        lambda x: next(within(A, w.shells, budget, psi, (x,)), None) is not None,
     )
     whole = index.arc(*targets.arc) if isinstance(targets, _Sample) and targets.arc else None
     if whole is not None:

@@ -549,19 +549,17 @@ def ex_abs(x: Comparable):
 
 
 def dist_to_int(x: Comparable | "Radical"):
-    """Distance to the nearest integer, in [0, 1/2], kind-preserving.  A
-    rational p/d (an int has d = 1) is its one residue r = p mod d taken
-    either way, min(r, d - r)/d, already in lowest terms.  An interval or
-    `Radical` gives the distances over its view, a rational when they
-    meet in one value."""
+    """Distance to the nearest integer, in [0, 1/2].  A rational p/d (an
+    int has d = 1) is its one residue r = p mod d taken either way,
+    min(r, d - r)/d, already in lowest terms, and a quadratic is exact.
+    A CF real, an interval or a `Radical` gives the closed distances over
+    its view, a rational when they meet in one value."""
     if isinstance(x, int):
         return 0
     if isinstance(x, Fraction):
         d = x.denominator
         r = x.numerator % d
         return Fraction(r if r + r <= d else d - r, d)
-    if isinstance(x, CFReal):
-        return _cf_dist_to_int(x)
     if isinstance(x, Quadratic):
         return ex_abs(x - nearest_int(x))
     return _interval_dist_to_int(*_as_interval(x)[:2])
@@ -585,22 +583,6 @@ def _interval_dist_to_int(lo: Fraction, hi: Fraction) -> "Fraction | RatInterval
     if dmin == dmax:
         return dmin
     return RatInterval(dmin, dmax)
-
-
-def _cf_frac_part(x: CFReal) -> CFReal:
-    if len(x.pq) == 1:
-        raise PrecisionExhausted("fractional part of bare-a0 CF is unconstrained")
-    return CFReal((0,) + x.pq[1:])
-
-
-def _cf_dist_to_int(x: CFReal) -> CFReal:
-    f = _cf_frac_part(x)  # in (0, 1)
-    if lt(f, Fraction(1, 2)):
-        return f
-    # lt decides f > 1/2 only for f = [0; 1, a2, ...] with a2 among the
-    # quotients read: a1 >= 2 puts every convergent at or below 1/2, and
-    # [0; 1] encloses (0, 1); then 1 - [0; 1, a2, a3, ...] = [0; a2+1, a3, ...]
-    return CFReal((0, f.pq[2] + 1) + f.pq[3:])
 
 
 def sup_norm(v: Iterable[Comparable]):

@@ -528,7 +528,7 @@ class TestBestApproximations:
         for Y in (3, 6):
             with pytest.raises(PrecisionExhausted, match="Y_max < 3"):
                 best_approximations(A, Y)
-        assert best_approximations(A, 2).Y == [1]
+        assert [e.Y for e in best_approximations(A, 2).entries] == [1]
 
     def test_cf_first_quotient_one(self):
         # a_1 = 1 gives q_0 = q_1 = 1: the record at Y = 1 is convergent 1

@@ -184,14 +184,25 @@ class TestFloorDist:
         lo, hi = enclose(d, 40)
         assert F(1, 8) < lo and hi < F(1, 6)
 
-    def test_cf_dist_reflects_above_half(self):
-        # [0; 1, 2, 3] = 7/10 > 1/2, so 1 - [0; 1, a2, a3] = [0; a2 + 1, a3]
-        d = dist_to_int(CFReal((0, 1, 2, 3)))
-        assert d == CFReal((0, 3, 3)) and d.enclosure() == (F(3, 10), F(1, 3))
-        assert dist_to_int(CFReal((-2, 1, 2, 3))) == CFReal((0, 3, 3))
-        # [0; 1] encloses (0, 1), which straddles 1/2
-        with pytest.raises(PrecisionExhausted):
-            dist_to_int(CFReal((0, 1)))
+    @settings(max_examples=200, deadline=None)
+    @given(a0=st.integers(-5, 5), tail=st.lists(st.integers(1, 30), max_size=7))
+    @example(a0=0, tail=[1, 2, 3])
+    @example(a0=3, tail=[])
+    @example(a0=0, tail=[1])
+    def test_cf_dist_encloses_its_last_convergents(self, a0, tail):
+        # the value lies between its last two convergents, so its distance
+        # lies in the closed interval between theirs, read on the view; a
+        # bare a0 spans (a0, a0 + 1), every distance
+        x = CFReal((a0, *tail))
+        d = dist_to_int(x)
+        assert isinstance(d, RatInterval)
+        for p, q in x.convergents()[-2:]:
+            assert d.lo <= dist_to_int(F(p, q)) <= d.hi
+        if not tail:
+            assert (d.lo, d.hi) == (0, F(1, 2))
+        if tail == [1, 2, 3]:
+            # 7/10 in the view (2/3, 7/10): the distances 1/3 and 3/10
+            assert (d.lo, d.hi) == (F(3, 10), F(1, 3))
 
     def test_sup_norm(self, sqrt2):
         assert sup_norm([F(-3, 4), F(1, 2)]) == F(3, 4)

@@ -7,7 +7,7 @@ import pytest
 
 from diophlab.analysis import classify_return_series, classify_series, key_inequality_check
 from diophlab.equidist import estimate_equid_constant
-from diophlab.errors import InsufficientData, InvalidWindow, PrecisionExhausted, UnsupportedEntry
+from diophlab.errors import InsufficientData, InvalidWindow, UnsupportedEntry
 from diophlab.lattice import (
     ApproxMatrix,
     IntVec,
@@ -28,7 +28,7 @@ from diophlab.limsup import (
     coverage,
     ubiquity_params,
 )
-from diophlab.numeric import CFReal, Radical, _cf_frac_part, parse_exact, quadratic, sup_norm
+from diophlab.numeric import CFReal, Radical, parse_exact, quadratic, sup_norm
 from diophlab.sampling import binomial_ci
 from diophlab.transference import solve_inhomogeneous
 
@@ -61,7 +61,6 @@ REFUSALS = [
     pytest.param(lambda: Radical(F(2), 0), ValueError, "root must be >= 1", id="radical-root-0"),
     pytest.param(lambda: Radical(F(-1, 3), 2), ValueError, "negative radicand", id="radical-negative"),
     pytest.param(lambda: sup_norm([]), ValueError, "empty vector", id="sup-norm-empty"),
-    pytest.param(lambda: _cf_frac_part(CFReal((3,))), PrecisionExhausted, "fractional part of bare-a0", id="bare-a0"),
     pytest.param(lambda: solve_homogeneous(GOLDEN, F(0), 8), ValueError, "need C > 0 and X >= 1", id="homogeneous-C"),
     pytest.param(lambda: solve_homogeneous(GOLDEN, F(1, 4), 0), ValueError, "need C > 0 and X >= 1", id="homogeneous-X"),
     pytest.param(lambda: return_sequence(GOLDEN, F(0), 4), ValueError, "need eps > 0 and ell_max >= 1", id="return-eps"),
@@ -76,6 +75,10 @@ REFUSALS = [
     pytest.param(lambda: solve_inhomogeneous(GOLDEN, (F(1, 3),), F(1, 4), F(-1, 2)), ValueError, "X1 >= 0", id="X1"),
     pytest.param(lambda: binomial_ci(0, 0), ValueError, "samples must be positive", id="binomial-ci"),
     pytest.param(lambda: _points(1, 4, 0, "sobol"), ValueError, "unknown sampling mode 'sobol'", id="sampling-mode"),
+    pytest.param(
+        lambda: PowerLog(F(1), F(1, 100), F(-1)), ValueError, "psi must be nonincreasing: a >= 0 and a + beta >= 0",
+        id="powerlog-increasing",
+    ),
     pytest.param(lambda: TablePsi([(2, F(1))]), ValueError, "table must start at q <= 1", id="table-start"),
     pytest.param(lambda: TablePsi([(1, F(1)), (4, F(0))]), ValueError, "table values must be positive", id="table-zero"),
     pytest.param(

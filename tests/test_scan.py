@@ -1551,16 +1551,27 @@ def test_index_radii_enclose_psi():
         assert limsup._hits(A, w, psi, [b], 100) == hit
 
 
-def test_one_dimensional_index_charges_no_budget():
-    # the index covers the window itself; only the generic m x n path
-    # checks the window against the budget
-    measure_W(MATRICES["golden"], PSIS[2], Window(1, 40), 30, seed=3, budget=10)
-    with pytest.raises(BudgetExceeded):
-        measure_W(MATRICES["q12"], PSIS[0], Window(1, 3), 3, seed=3, budget=10)
+def test_one_dimensional_count_charges_the_budget():
+    # a 1 x 1 count is refused up front in scan's words, as every other
+    # shape's is: Window(1, 40) passes a budget of 10 at shell 7, 12 points
     A = MATRICES["golden"]
-    params = ubiquity_params(return_sequence(A, F(2, 5), 6), F(4))
-    entry = coverage(A, params, ((F(0),), F(1, 8)), -1, 30, seed=3, budget=10)
-    assert entry.estimate.window.u - entry.estimate.window.l > 10
+
+    def counts(u):
+        level = limsup.UbiquityLevel(1, F(u), F(1), F(1, 100))
+        params = limsup.UbiquityParams(F(1, 4), 1, 1, F(1, 2), F(1, 4), F(1), [level])
+        return [
+            lambda: measure_W(A, PSIS[2], Window(1, u), 30, seed=3, budget=10),
+            lambda: measure_Bad(A, F(1, 100), Window(1, u), 30, seed=3, budget=10),
+            lambda: coverage(A, params, ((F(0),), F(1, 8)), 0, 30, seed=3, budget=10).estimate,
+        ]
+
+    for count in counts(40):
+        with pytest.raises(BudgetExceeded, match=r"^enumeration of 12 points exceeds 10$"):
+            count()
+    for count in counts(5):
+        assert count().window == Window(1, 5)
+    with pytest.raises(BudgetExceeded, match=r"^enumeration of 16 points exceeds 10$"):
+        measure_W(MATRICES["q12"], PSIS[0], Window(1, 3), 3, seed=3, budget=10)
 
 
 def test_mixed_fields_refused_up_front():
