@@ -8,29 +8,18 @@ import logging
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from math import gcd
-from operator import mul
 from typing import Sequence
 
-from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_shift, round_nearest
+from mpmath.libmp import from_int, from_rational, mpf_neg, mpf_sign, round_ceiling, round_floor, to_rational
+from mpmath.libmp.libmpi import mpi_div, mpi_mul, mpi_pi, mpi_sin
 
-from .lattice import DEFAULT_BUDGET, ApproxMatrix, check_window, scan, shell_size, within
-from .numeric import (
-    Ordering,
-    RatInterval,
-    _nth_root_lower,
-    _nth_root_upper,
-    _surd,
-    dec_str,
-    enclose,
-    ex_abs,
-)
+from .lattice import DEFAULT_BUDGET, ApproxMatrix, check_window, shell_size, within
+from .numeric import Ordering, RatInterval, _nth_root_lower, _nth_root_upper, dec_str, enclose, ex_abs
 
 log = logging.getLogger(__name__)
 
-PHASE_PREC = 120
-# Weyl terms are summed as integer multiples of 2^-GRID
-GRID = PHASE_PREC + 16
+# working precision of the Dirichlet kernels' interval arithmetic
+PHASE_PREC = 160
 
 
 @dataclass
@@ -68,72 +57,56 @@ def weyl_sum(
 ) -> WeylSumResult:
     """Radial exponential sum (1/#{||q|| <= N}) sum e^{2 pi i c.Aq}.
 
-    The phase of q is (c^T A) . q with c^T A enclosed at PHASE_PREC bits and
-    replaced by its midpoint; the error budget's first part bounds what that
-    costs over the whole box.  Over one common denominator D the phase is
-    an integer mod D, reduced exactly.  Each point's half-turn count
-    t = 2 (phase mod 1) < 2 is rounded twice, as mpf(numerator) /
-    denominator of the reduced fraction is: the numerator to PHASE_PREC
-    bits, then the quotient.  Two relative errors of at most 2^-120 on
-    t < 2 are why the argument rounding costs at most pi (2^-118 + 2^-239)
-    per term.  One cos-sin evaluation of pi t, rounded to PHASE_PREC bits,
-    gives both terms, so the value rounding costs less than 2^-120.  The
-    terms are summed exactly as integers on the grid 2^-GRID, each floored
-    onto it, at a cost below 2^-136.  Together that is below 2^-116 per
-    term, against the 2^-(PHASE_PREC - 8) = 2^-112 per term of the budget's
-    second part.
+    With theta = c^T A the sum over the box ||q|| <= N is the product of
+    the Dirichlet kernels D_N(theta_j) = sin((2N+1) pi theta_j) /
+    sin(pi theta_j), one per column j, and D_N is 2N+1 at an integer
+    theta_j.  theta_j is summed exactly from rational and quadratic
+    entries, so a combination that cancels to an integer is one; a CF
+    entry gives its enclosure times c.  D_N has period 1, so the integer nearest the
+    midpoint of theta_j's enclosure at PHASE_PREC bits is subtracted
+    exactly, and the kernel is evaluated on the rest in mpmath's
+    outward-rounded interval arithmetic at PHASE_PREC bits.  Where the
+    enclosure of sin(pi theta_j) holds 0 the kernel is bounded by
+    |D_N| <= 2N+1 instead.  The box is symmetric and sine is odd, so the
+    imaginary part is exactly 0; the error budget is the half-width of
+    the real part.
     """
     c = tuple(int(x) for x in c)
     if len(c) != A.m or all(x == 0 for x in c):
         raise ValueError("frequency c must be a nonzero vector of length m")
     count = _check_horizon(A.n, N, budget)
 
-    # phase(q) = sum_j c_j (Aq)_j = (row combination c^T A) . q; precompute
-    # high-precision values of the n combined coefficients
-    coeff_mid: list[Fraction] = []
-    coeff_err = Fraction(0)
-    for j in range(A.n):
-        acc = sum(RatInterval(*enclose(A.rows[i][j], PHASE_PREC)) * c[i] for i in range(A.m) if c[i])
-        coeff_mid.append((acc.lo + acc.hi) / 2)
-        coeff_err = max(coeff_err, acc.width / 2)
+    k = from_int(2 * N + 1)
+    pi = mpi_pi(PHASE_PREC)
+    re = (from_int(1), from_int(1))
+    for col in zip(*A.rows):
+        theta = sum(ci * (RatInterval(*enclose(a, PHASE_PREC)) if A.has_cf else a) for ci, a in zip(c, col))
+        lo, hi = enclose(theta, PHASE_PREC)
+        r = round((lo + hi) / 2)
+        if lo == hi == r:
+            kernel = (k, k)
+        else:
+            # D_N(theta) = D_N(theta - r): pi (theta - r) lies near [-pi/2, pi/2]
+            x = mpi_mul(pi, (_mpf(lo - r, round_floor), _mpf(hi - r, round_ceiling)), PHASE_PREC)
+            den = mpi_sin(x, PHASE_PREC)
+            if mpf_sign(den[0]) * mpf_sign(den[1]) <= 0:
+                # sin(pi theta) may vanish: |D_N| <= 2N+1 bounds the kernel
+                kernel = (mpf_neg(k), k)
+            else:
+                kernel = mpi_div(mpi_sin(mpi_mul(x, (k, k), PHASE_PREC), PHASE_PREC), den, PHASE_PREC)
+        re = mpi_mul(re, kernel, PHASE_PREC)
 
-    # |d/dx e^{2 pi i x}| = 2 pi < 7, and the phase error at ||q|| = s is at
-    # most n s coeff_err: the sum over all points in closed form
-    two_pi_err = 7 * A.n * coeff_err * sum(s * shell_size(A.n, s) for s in range(1, N + 1))
-    # the phase of q is sum_j nums_j q_j / D; t = 2 r / D for r the phase
-    # numerator mod D, rounded as mpf(r) / D would be: numerator and
-    # quotient of the reduced fraction
-    nums, _, D = _surd(coeff_mid)
-    re_sum = im_sum = 0
-    for _, shell in scan(A.n, range(N + 1), budget):
-        for q in shell:
-            r = sum(map(mul, nums, q)) % D
-            g = gcd(r, D)
-            t = from_int(r // g, PHASE_PREC, round_nearest)
-            t = mpf_shift(mpf_div(t, from_int(D // g), PHASE_PREC, round_nearest), 1)
-            cos_t, sin_t = mpf_cos_sin(t, PHASE_PREC, round_nearest, 0, True)
-            re_sum += _on_grid(cos_t)
-            im_sum += _on_grid(sin_t)
-
-    re_mid = Fraction(re_sum, 1 << GRID)
-    im_mid = Fraction(im_sum, 1 << GRID)
-    err = two_pi_err + Fraction(count, 1 << (PHASE_PREC - 8))
-    re = (re_mid - err, re_mid + err)
-    im = (im_mid - err, im_mid + err)
-    re_abs, im_abs = ex_abs(RatInterval(*re)), ex_abs(RatInterval(*im))
-    mag_hi_sq = re_abs.hi ** 2 + im_abs.hi ** 2
-    mag_lo_sq = re_abs.lo ** 2 + im_abs.lo ** 2
-    mag = (_nth_root_lower(mag_lo_sq, 2, 64), _nth_root_upper(mag_hi_sq, 2, 64))
+    re = tuple(Fraction(*to_rational(v)) for v in re)
+    im = (Fraction(0), Fraction(0))
+    re_abs = ex_abs(RatInterval(*re))
+    mag = (_nth_root_lower(re_abs.lo**2, 2, 64), _nth_root_upper(re_abs.hi**2, 2, 64))
     norm = (max(Fraction(0), mag[0] / count), min(Fraction(1), mag[1] / count))
-    return WeylSumResult(c, N, count, re, im, mag, norm, err)
+    return WeylSumResult(c, N, count, re, im, mag, norm, (re[1] - re[0]) / 2)
 
 
-def _on_grid(v: tuple) -> int:
-    """floor(v 2^GRID) for a finite raw mpf v."""
-    sign, man, exp, _ = v
-    e = exp + GRID
-    m = -man if sign else man
-    return m << e if e >= 0 else m >> -e
+def _mpf(x: Fraction, rnd: str) -> tuple:
+    """x as a raw mpf at PHASE_PREC bits, rounded in the direction rnd."""
+    return from_rational(x.numerator, x.denominator, PHASE_PREC, rnd)
 
 
 @dataclass

@@ -4,17 +4,19 @@ import json
 import logging
 import math
 from fractions import Fraction as F
+from math import gcd
+from operator import mul
 from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_int, mpf_cos_sin, mpf_div, mpf_shift, round_nearest, to_rational
 
 from diophlab.errors import BudgetExceeded
 from diophlab.lattice import DEFAULT_BUDGET, ApproxMatrix, scan, shell_size
 from diophlab import equidist
 from diophlab.equidist import (
-    GRID,
     PHASE_PREC,
     CountingResult,
     WeylSumResult,
@@ -24,10 +26,15 @@ from diophlab.equidist import (
     estimate_equid_constant,
     weyl_sum,
 )
-from diophlab.numeric import _nth_root_lower, _nth_root_upper, enclose, quadratic
+from diophlab.numeric import CFReal, RatInterval, _nth_root_lower, _nth_root_upper, _surd, enclose, ex_abs, quadratic
 from psi_reference import mpf_to_fraction
 
 ROOT = Path(__file__).resolve().parents[1]
+# the phase precision of the exact per-point loop that weyl_sum summed
+# before its closed form
+OLD_PREC = 120
+# the exact loop sums its terms as integer multiples of 2^-OLD_GRID
+OLD_GRID = OLD_PREC + 16
 
 
 def bench_matrix(name):
@@ -93,36 +100,58 @@ def _min_abs(iv):
     return min(abs(lo), abs(hi))
 
 
-def old_terms(A, c, N):
-    """The old loop's terms cospi(2t), sinpi(2t) at PHASE_PREC bits."""
-    mids = []
+def loop_weyl_sum(A, c, N, budget=DEFAULT_BUDGET):
+    """weyl_sum as it was before its closed form: one cos-sin per point at
+    OLD_PREC bits, each term floored onto the grid 2^-OLD_GRID and summed
+    exactly, inside an error budget that covers every rounding."""
+    c = tuple(int(x) for x in c)
+    count = _check_horizon(A.n, N, budget)
+    coeff_mid: list[F] = []
+    coeff_err = F(0)
     for j in range(A.n):
-        lo = hi = F(0)
-        for ci, row in zip(c, A.rows):
-            if ci:
-                a, b = sorted(x * ci for x in enclose(row[j], PHASE_PREC))
-                lo, hi = lo + a, hi + b
-        mids.append((lo + hi) / 2)
-    with mpmath.workprec(PHASE_PREC):
-        for _, shell in scan(A.n, range(N + 1), DEFAULT_BUDGET):
-            for q in shell:
-                phase = sum(m * x for m, x in zip(mids, q))
-                frac = phase - math.floor(phase)
-                t = mpmath.mpf(frac.numerator) / frac.denominator
-                yield mpmath.cospi(2 * t), mpmath.sinpi(2 * t)
+        acc = sum(RatInterval(*enclose(A.rows[i][j], OLD_PREC)) * c[i] for i in range(A.m) if c[i])
+        coeff_mid.append((acc.lo + acc.hi) / 2)
+        coeff_err = max(coeff_err, acc.width / 2)
+    two_pi_err = 7 * A.n * coeff_err * sum(s * shell_size(A.n, s) for s in range(1, N + 1))
+    nums, _, D = _surd(coeff_mid)
+    re_sum = im_sum = 0
+    for _, shell in scan(A.n, range(N + 1), budget):
+        for q in shell:
+            r = sum(map(mul, nums, q)) % D
+            g = gcd(r, D)
+            t = from_int(r // g, OLD_PREC, round_nearest)
+            t = mpf_shift(mpf_div(t, from_int(D // g), OLD_PREC, round_nearest), 1)
+            cos_t, sin_t = mpf_cos_sin(t, OLD_PREC, round_nearest, 0, True)
+            re_sum += math.floor(F(*to_rational(cos_t)) * (1 << OLD_GRID))
+            im_sum += math.floor(F(*to_rational(sin_t)) * (1 << OLD_GRID))
+    re_mid = F(re_sum, 1 << OLD_GRID)
+    im_mid = F(im_sum, 1 << OLD_GRID)
+    err = two_pi_err + F(count, 1 << (OLD_PREC - 8))
+    re = (re_mid - err, re_mid + err)
+    im = (im_mid - err, im_mid + err)
+    re_abs, im_abs = ex_abs(RatInterval(*re)), ex_abs(RatInterval(*im))
+    mag_hi_sq = re_abs.hi ** 2 + im_abs.hi ** 2
+    mag_lo_sq = re_abs.lo ** 2 + im_abs.lo ** 2
+    mag = (_nth_root_lower(mag_lo_sq, 2, 64), _nth_root_upper(mag_hi_sq, 2, 64))
+    norm = (max(F(0), mag[0] / count), min(F(1), mag[1] / count))
+    return WeylSumResult(c, N, count, re, im, mag, norm, err)
 
 
 def dirichlet_product(thetas, N):
     """sum over ||q|| <= N of e(theta . q) = prod_j D_N(theta_j), with
     D_N(theta) = sin((2N+1) pi theta) / sin(pi theta), or 2N+1 at an
-    integer theta; evaluated at 400 bits for rational thetas."""
+    integer theta; evaluated at 400 bits for rational and quadratic
+    thetas, a quadratic one read at the midpoint of its 400-bit
+    enclosure."""
     with mpmath.workprec(400):
         total = mpmath.mpf(1)
         for th in thetas:
-            if th.denominator == 1:
+            lo, hi = enclose(th, 400)
+            if lo == hi and lo.denominator == 1:
                 total *= 2 * N + 1
             else:
-                x = mpmath.mpf(th.numerator) / th.denominator
+                mid = (lo + hi) / 2
+                x = mpmath.mpf(mid.numerator) / mid.denominator
                 total *= mpmath.sin((2 * N + 1) * mpmath.pi * x) / mpmath.sin(mpmath.pi * x)
         return mpf_to_fraction(total)
 
@@ -255,6 +284,73 @@ def test_weyl_midpoints_match_old_loop(data, m, n, d):
     assert abs(sum(new.im) - sum(old.im)) / 2 <= tol
 
 
+def thetas_of(A, c):
+    """The exact phases c^T A of a rational or quadratic matrix."""
+    return [sum(ci * row[j] for ci, row in zip(c, A.rows)) for j in range(A.n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 2), n=st.integers(1, 2), d=st.sampled_from([2, 3, 5, 13]))
+def test_weyl_closed_form_lies_inside_the_loop(data, m, n, d):
+    # the product of Dirichlet kernels is certified at least as tightly
+    # as the exact per-point sum it replaced, and holds the 400-bit value
+    A = ApproxMatrix([[data.draw(entries(d)) for _ in range(n)] for _ in range(m)])
+    c = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m).filter(any))
+    N = data.draw(st.integers(1, 40 if n == 1 else 4))
+    new, loop = weyl_sum(A, c, N), loop_weyl_sum(A, c, N)
+    assert loop.re[0] <= new.re[0] <= new.re[1] <= loop.re[1]
+    assert new.im == (0, 0) and loop.im[0] <= 0 <= loop.im[1]
+    assert new.re[0] <= dirichlet_product(thetas_of(A, c), N) <= new.re[1]
+    assert new.error_budget == (new.re[1] - new.re[0]) / 2
+
+
+def test_weyl_quadratic_cancellation_is_exact():
+    # sqrt2 - sqrt2 cancels to the integer 0: every term is exactly 1
+    A = ApproxMatrix([[quadratic(0, 1, 2)], [quadratic(0, 1, 2)]])
+    res = weyl_sum(A, (1, -1), 30)
+    assert res.re == (res.count, res.count) and res.error_budget == 0
+    assert res.normalized[1] == 1
+
+
+def test_weyl_mixes_an_integral_and_an_irrational_phase():
+    # theta = (2 * 1/2, 2 sqrt2) = (1, 2 sqrt2): the integral kernel is
+    # exactly 2N + 1, times the one-dimensional sum over the second column
+    N = 25
+    A = ApproxMatrix([[F(1, 2), quadratic(0, 1, 2)]])
+    res = weyl_sum(A, (2,), N)
+    line = weyl_sum(ApproxMatrix([[quadratic(0, 1, 2)]]), (2,), N)
+    assert res.re[0] <= (2 * N + 1) * line.re[0] <= (2 * N + 1) * line.re[1] <= res.re[1]
+    assert res.re[0] <= dirichlet_product(thetas_of(A, (2,)), N) <= res.re[1]
+    assert res.re[1] - res.re[0] < F(1, 2**100)
+
+
+@pytest.mark.parametrize(
+    "pq, c",
+    [
+        # cf:[1;1000] lies in (1, 1001/1000): theta's enclosure ends at 1
+        ((1, 1000), 1),
+        # cf:[0;2,1] lies in (1/3, 1/2): 5 times it holds 2 inside
+        ((0, 2, 1), 5),
+    ],
+)
+def test_weyl_cf_phase_near_an_integer_gets_the_trivial_bound(pq, c):
+    # sin(pi theta) may vanish on the enclosure: the kernel is bounded by
+    # |D_N| <= 2N + 1 instead of dividing by an interval holding 0
+    N = 10
+    res = weyl_sum(ApproxMatrix([[CFReal(pq)]]), (c,), N)
+    assert res.re == (-(2 * N + 1), 2 * N + 1)
+    assert res.normalized == (0, 1)
+
+
+def test_weyl_golden_just_under_the_point_budget(golden):
+    # 4,000,001 points, just under the 2^22 budget: the closed form visits
+    # none of them and still holds the 400-bit value
+    N = 2 * 10**6
+    res = weyl_sum(ApproxMatrix([[golden]]), (1,), N)
+    assert res.count == 2 * N + 1 < DEFAULT_BUDGET
+    assert res.re[0] <= dirichlet_product([golden], N) <= res.re[1]
+
+
 class TestCounting:
     def test_full_torus(self, A_sqrt2):
         assert counting_ratio(A_sqrt2, ((F(0),), F(1, 2)), 5) == 1
@@ -327,35 +423,6 @@ class TestEquidConstant:
         fam = [((F(i, 16),), F(1, 8)) for i in range(16)]
         est = estimate_equid_constant(A_golden, fam, [512])
         assert F(3) < est.c_hat < F(6)
-
-
-def assert_old_terms_summed_exactly(A, c, N):
-    """weyl_sum's midpoints are the old loop's terms, bit for bit, each
-    floored onto the grid 2^-GRID and summed exactly."""
-    res = weyl_sum(A, c, N)
-    re = im = 0
-    for cos_t, sin_t in old_terms(A, c, N):
-        re += math.floor(mpf_to_fraction(cos_t) * (1 << GRID))
-        im += math.floor(mpf_to_fraction(sin_t) * (1 << GRID))
-    assert sum(res.re) / 2 == F(re, 1 << GRID)
-    assert sum(res.im) / 2 == F(im, 1 << GRID)
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), m=st.integers(1, 2), n=st.integers(1, 2), d=st.sampled_from([2, 3, 5, 13]))
-def test_weyl_terms_match_old_loop(data, m, n, d):
-    A = ApproxMatrix([[data.draw(entries(d)) for _ in range(n)] for _ in range(m)])
-    c = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m).filter(any))
-    N = data.draw(st.integers(1, 40 if n == 1 else 4))
-    assert_old_terms_summed_exactly(A, c, N)
-
-
-@pytest.mark.parametrize("a", [F(1, 4) + F(1, 2**30), F(1, 4) - F(1, 3 * 2**30)])
-def test_weyl_floors_terms_below_the_grid(a):
-    # 0 < |cos(2 pi a)| < 2^-27, far below 2^-16, so the 120-bit mantissa
-    # of that term reaches past the grid and is floored onto it, once
-    # negative and once positive
-    assert_old_terms_summed_exactly(ApproxMatrix([[a]]), (1,), 1)
 
 
 def test_mpmath_runs_its_pure_python_backend():

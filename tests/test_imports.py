@@ -149,15 +149,14 @@ def test_scanner_flags_a_stale_export(tmp_path):
 # the scaled-integer format of `fastpath`, which only `lattice` may use
 SCALED = {"scale_fraction", "threshold_bounds"}
 # the only callers of lattice.scan: the filtered and record walks, the
-# sorted-centre index of a window, the exhaustive Weyl sum, and
-# verify_prop_5_1, which takes from it only the indices of its spot checks
-# (its threshold is a walk of within)
+# sorted-centre index of a window, and verify_prop_5_1, which takes from
+# it only the indices of its spot checks (its threshold is a walk of
+# within); the Weyl sum is a closed form and walks no points
 SCAN_CALLERS = {
     ("lattice.py", "within"),
     ("lattice.py", "centre_index"),
     ("lattice.py", "records"),
     ("analysis.py", "verify_prop_5_1"),
-    ("equidist.py", "weyl_sum"),
 }
 # the exact psi comparisons, which limsup defines and lattice._decide, the
 # one per-point rule of within and of centre_index, alone calls: anywhere
@@ -170,7 +169,8 @@ KIND_TELLER = ("lattice.py", "threshold")
 # all work is pure-Python exact arithmetic, which threads cannot run in
 # parallel under the GIL
 THREADS = {"concurrent", "threading"}
-# floating point serves only weyl_sum's phases; psi is enclosed in integers
+# floating point serves only weyl_sum's Dirichlet kernels, in mpmath's
+# outward-rounded interval arithmetic; psi is enclosed in integers
 MPMATH_USERS = {"equidist.py"}
 # mpmath's global working precision: a library call passes precision and
 # rounding explicitly instead, so no caller's context can change a result
@@ -429,15 +429,19 @@ def test_scanner_flags_a_kernel_leak(tmp_path):
         "mod.py:11 scan",
     ]
     # the allowlist is keyed by module and function
-    equidist = tmp_path / "equidist.py"
-    equidist.write_text(
-        "def weyl_sum(n):\n"
+    analysis = tmp_path / "analysis.py"
+    analysis.write_text(
+        "def verify_prop_5_1(n):\n"
         "    return list(scan(1, range(n), 10))\n"
         "def bad_witness(n):\n"
         "    return list(scan(1, range(n), 10))\n",
         encoding="utf-8",
     )
-    assert kernel_leaks(equidist) == ["equidist.py:4 scan"]
+    assert kernel_leaks(analysis) == ["analysis.py:4 scan"]
+    # the Weyl sum is a closed form: a walk inside it is a leak
+    equidist = tmp_path / "equidist.py"
+    equidist.write_text("def weyl_sum(n):\n    return list(scan(1, range(n), 10))\n", encoding="utf-8")
+    assert kernel_leaks(equidist) == ["equidist.py:2 scan"]
     # psi_witness is a walk of within; a scan of its own is a leak
     limsup = tmp_path / "limsup.py"
     limsup.write_text(
